@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
     NotDividing,
     NotGeometric,
+    NotIrreducible,
     RamifiedPrime,
     RamifiedSplittingCover,
     UserGenusRequired,
@@ -44,6 +45,7 @@ from .polys import (
     RationalFn,
     canonical_key,
     factor_raw,
+    is_irreducible_raw,
     parse_poly,
     pdeg,
     pdiv,
@@ -114,6 +116,8 @@ class Cover:
         """Conjugacy-class index of Frobenius at an unramified prime."""
         self.require_validated()
         cs = self._prime_coeffs(P)
+        if not is_irreducible_raw(self.ctx, cs):
+            raise NotIrreducible(f"{Poly._raw(self.ctx, cs)!r} is not a prime of F_q[T]")
         if cs in self._ramified_set():
             raise RamifiedPrime(f"{Poly._raw(self.ctx, cs)!r} ramifies in the cover")
         omega = self.coset_class(cs)
@@ -136,12 +140,6 @@ class Cover:
 
     def _ramified_set(self) -> frozenset[Coeffs]:
         raise NotImplementedError
-
-    def is_abelian(self) -> bool:
-        G = self.group
-        return all(
-            G.mul(a, b) == G.mul(b, a) for a in range(G.n) for b in range(G.n)
-        )
 
     def summary(self) -> dict:
         self.require_validated()
@@ -889,22 +887,37 @@ def parse_cover(text: str, force_wild: bool = False) -> Cover:
             raise CoverFileError(f"bad line in cover file: {raw!r}")
         key, _, val = line.partition("=")
         kv[key.strip()] = val.strip()
-    try:
-        kind = kv["kind"]
-        p = int(kv["p"])
-        k = int(kv.get("k", "1"))
-    except KeyError as e:
-        raise CoverFileError(f"cover file is missing {e}") from None
-    ctx = make_field(p, k)
+
+    def value(key: str, default: str | None = None) -> str:
+        if key in kv:
+            return kv[key]
+        if default is None:
+            raise CoverFileError(f"cover file is missing {key!r}")
+        return default
+
+    def integer(key: str, default: str | None = None) -> int:
+        text = value(key, default)
+        try:
+            return int(text)
+        except ValueError:
+            raise CoverFileError(f"{key} = {text!r} is not an integer") from None
+
+    def poly(key: str, default: str | None = None) -> Poly:
+        text = value(key, default)
+        try:
+            return parse_poly(ctx, text)
+        except ValueError:
+            raise CoverFileError(f"{key} = {text!r} is not a polynomial") from None
+
+    kind = value("kind")
+    ctx = make_field(integer("p"), integer("k", "1"))
 
     def build(prefix: str, kd: str) -> Cover:
         if kd == "kummer":
-            d = int(kv[prefix + "d"])
-            D = parse_poly(ctx, kv[prefix + "D"])
-            return KummerCover(ctx, d, D)
+            return KummerCover(ctx, integer(prefix + "d"), poly(prefix + "D"))
         if kd == "artin_schreier":
-            num = parse_poly(ctx, kv[prefix + "D_num"])
-            den = parse_poly(ctx, kv.get(prefix + "D_den", "[1]"))
+            num = poly(prefix + "D_num")
+            den = poly(prefix + "D_den", "[1]")
             return ArtinSchreierCover(ctx, RationalFn(num, den))
         raise CoverFileError(f"unknown cover kind {kd!r}")
 
@@ -913,26 +926,28 @@ def parse_cover(text: str, force_wild: bool = False) -> Cover:
     elif kind in ("kummer", "artin_schreier"):
         spec = build("", kind)
     elif kind == "product":
-        ncomp = int(kv["components"])
         comps = [
-            build(f"component.{i}.", kv[f"component.{i}.kind"])
-            for i in range(1, ncomp + 1)
+            build(f"component.{i}.", value(f"component.{i}.kind"))
+            for i in range(1, integer("components") + 1)
         ]
         spec = ProductCover(comps)
     elif kind == "splitting":
-        ydeg = int(kv["y_degree"])
-        ycs = [parse_poly(ctx, kv[f"F.{j}"]) for j in range(ydeg + 1)]
+        ydeg = integer("y_degree")
+        ycs = [poly(f"F.{j}") for j in range(ydeg + 1)]
         gens = []
         i = 1
         while f"generator.{i}" in kv:
             gens.append(parse_cycles(kv[f"generator.{i}"], ydeg))
             i += 1
         table = {}
-        for key, val in kv.items():
+        for key in kv:
             if key.startswith("cycle_type."):
-                part = tuple(int(t) for t in key[len("cycle_type."):].split("+"))
-                table[part] = int(val)
-        genus = int(kv["genus"]) if "genus" in kv else None
+                try:
+                    part = tuple(int(t) for t in key[len("cycle_type."):].split("+"))
+                except ValueError:
+                    raise CoverFileError(f"bad cycle type in key {key!r}") from None
+                table[part] = integer(key)
+        genus = integer("genus") if "genus" in kv else None
         tame = kv.get("tame_at_infinity", "true").lower() == "true"
         spec = SplittingCover(ctx, ycs, gens, table, genus, tame)
     else:

@@ -55,6 +55,10 @@ class PoleAtPrime(DomainError):
     pass
 
 
+class NotIrreducible(DomainError):
+    pass
+
+
 # covers
 class NotGeometric(DomainError):
     pass

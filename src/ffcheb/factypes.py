@@ -92,7 +92,8 @@ EMPTY_TYPE = FactorizationType({})
 
 
 def lambda_entries_raw(spec: Cover, cs: Coeffs, seed: int = 0) -> tuple[tuple[Entry, int], ...]:
-    """Hot-path form of lambda_of_poly on bare coefficients."""
+    """lambda_of_poly on bare coefficients, by factoring; intervals are
+    sieved instead, and this is the oracle the sieve is tested against."""
     _, parts = factor_raw(spec.ctx, cs, seed)
     counts: dict[Entry, int] = {}
     for P, e in parts:

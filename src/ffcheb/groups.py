@@ -226,12 +226,6 @@ class GroupTable:
         except KeyError:
             raise DomainError(f"{sorted(key)} is not a coset of a subgroup") from None
 
-    def subgroup_index(self, members) -> frozenset[int]:
-        key = frozenset(members)
-        if key not in self.subgroups:
-            raise DomainError(f"{sorted(key)} is not a subgroup")
-        return key
-
     # ---- constructors -----------------------------------------------------
 
     @staticmethod

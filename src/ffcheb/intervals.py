@@ -1,10 +1,13 @@
 """Short-interval experiments: empirical means of factorization-type functions
 against wreath-product predictions.
 
-An interval I(f0, m) is enumerated exhaustively (never sampled) in coefficient
-blocks; per-block tallies of factorization types merge associatively, so the
-result is independent of the chunking and safe to compute in parallel.  One
-enumeration pass per interval is shared by every function evaluated on it.
+An interval I(f0, m) is tallied exhaustively (never sampled), one block of
+consecutive elements at a time: each block is sieved by the primes of small
+degree, and only what is left of an element (one prime, or rarely a larger
+cofactor for factor_raw) is classified on its own.  Per-block tallies of
+factorization types merge associatively, so the result is independent of the
+chunking and safe to compute in parallel.  One pass per interval is shared by
+every function evaluated on it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,11 +27,21 @@ from .errors import (
     NotAConjugacyClass,
     TooLarge,
 )
-from .factypes import ArithFnSpec, FactorizationType, evaluate, lambda_entries_raw
-from .polys import Poly
+from .factypes import ArithFnSpec, FactorizationType, evaluate
+from .polys import (
+    Coeffs,
+    Poly,
+    factor_raw,
+    pdeg,
+    pdiv,
+    pmod,
+    pmul,
+    parse_poly,
+    pneg,
+    primes_of_degree,
+)
 from .wreath import enumerate_class_types, mean_class_function
-
-ENUMERATION_LIMIT = 10**7
+from .zeta import ENUMERATION_LIMIT
 
 #: fixed normalization note carried by every norm-related report
 NORM_NOTE = (
@@ -61,48 +75,170 @@ class IntervalSpec:
 
 # ---------------------------------------------------------------------------
 # enumeration
+#
+# Index idx of the interval stands for f0 + g, where the base-q digits of
+# idx, lowest first, are the coefficients of g (field encodings, added to
+# those of f0).  With s = min(n // 2, m + 1), the q^s consecutive indices of
+# block b share their top m + 1 - s digits, so the block is I(f_b, s - 1):
+# f_b + h with deg h < s, h read off the low s digits.
+#
+# "Q^e divides f_b + h" is the affine condition h = -f_b mod Q^e.  The sieve
+# solves it once per block for each monic prime Q of degree <= s and each
+# power with e * deg Q <= n, and records which elements each power hits.
+# What is left of an element after its small primes is prime whenever its
+# degree is at most 2s + 1 (a composite would have a factor of degree <= s);
+# larger cofactors, possible only when m + 1 < n // 2, go to factor_raw.
+
+
+def _index(cs, q: int) -> int:
+    """Block index of the polynomial h with coefficients cs (deg h < s)."""
+    i = 0
+    for c in reversed(cs):
+        i = i * q + c
+    return i
+
+
+def _coset_indices(F, s: int, r: Coeffs, Qe: Coeffs, t: int) -> list[int]:
+    """Block indices of the h = r + Qe * k, over all k with deg k < t."""
+    add, mul = F.add, F.mul
+    vecs = [list(r) + [0] * (s - len(r))]
+    for i in range(t):
+        row = [0] * i + list(Qe) + [0] * (s - i - len(Qe))
+        vecs = [
+            [add(a, mul(c, b)) for a, b in zip(v, row)]
+            for v in vecs
+            for c in range(F.q)
+        ]
+    q = F.q
+    return [_index(v, q) for v in vecs]
+
+
+class _BlockSieve:
+    """Small-prime data of one interval, shared by the blocks of a range."""
+
+    def __init__(self, spec: Cover, I: IntervalSpec):
+        F = self.F = spec.ctx
+        n = self.n = I.n
+        self.s = min(n // 2, I.m + 1)
+        self.spec = spec
+        self.base = list(I.f0.coeffs)
+        self.ramified = (
+            spec._ramified_set() if isinstance(spec, SplittingCover) else frozenset()
+        )
+        # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n)
+        self.small = []
+        for d in range(1, self.s + 1):
+            for Q in primes_of_degree(F, d):
+                pows = [Q]
+                while (len(pows) + 1) * d <= n:
+                    pows.append(pmul(F, pows[-1], Q))
+                self.small.append((Q, d, pows))
+        # ramified primes beyond the small ones that can still divide
+        self.big_ramified = [P for P in self.ramified if self.s < pdeg(P) <= n]
+        self.omega: list[int | None] = [None] * len(self.small)
+
+    def tally(self, b: int, lo: int, hi: int, seed: int, counts: Counter) -> int:
+        """Add the types of block b's local indices [lo, hi) to counts;
+        return how many of them a splitting cover excludes."""
+        F, s, n = self.F, self.s, self.n
+        q = F.q
+        size = q**s
+        add = F.add
+        fb = list(self.base)  # f_b: the block number's digits from T^s up
+        j = s
+        while b:
+            b, digit = divmod(b, q)
+            if digit:
+                fb[j] = add(fb[j], digit)
+            j += 1
+        fbt = tuple(fb)
+        # per element: a linked list of hits (prime index, exponent), newest first
+        head = array("i", [-1]) * size
+        hq, he, hnext = array("i"), array("i"), array("i")
+        bad = bytearray(size) if self.ramified else None
+        for qi, (Q, d, pows) in enumerate(self.small):
+            ram = Q in self.ramified
+            for e, Qe in enumerate(pows, 1):
+                r = pneg(F, pmod(F, fbt, Qe))
+                if len(r) > s:
+                    break  # no element is divisible by Q^e, nor by Q^(e+1)
+                sols = _coset_indices(F, s, r, Qe, max(s - e * d, 0))
+                if ram:
+                    for i in sols:
+                        bad[i] = 1
+                    break
+                for i in sols:
+                    if e == 1:
+                        hq.append(qi)
+                        he.append(1)
+                        hnext.append(head[i])
+                        head[i] = len(hq) - 1
+                    else:  # Q's entry is the element's newest
+                        he[head[i]] = e
+        for P in self.big_ramified:
+            r = pneg(F, pmod(F, fbt, P))
+            if len(r) <= s:
+                bad[_index(r, q)] = 1
+
+        # classify each element from its hits and its cofactor
+        coset = self.spec.coset_class
+        omega, small = self.omega, self.small
+        excluded = 0
+        for i in range(lo, hi):
+            if bad is not None and bad[i]:
+                excluded += 1
+                continue
+            types: dict = {}
+            divisors = []
+            c = n  # degree of the cofactor
+            j = head[i]
+            while j >= 0:
+                qi, e = hq[j], he[j]
+                Q, d, pows = small[qi]
+                w = omega[qi]
+                if w is None:
+                    w = omega[qi] = coset(Q)
+                key = (d, e, w)
+                types[key] = types.get(key, 0) + 1
+                divisors.append(pows[e - 1])
+                c -= d * e
+                j = hnext[j]
+            if c:
+                cs = list(fb)
+                rem = i
+                for k in range(s):
+                    rem, digit = divmod(rem, q)
+                    if digit:
+                        cs[k] = add(cs[k], digit)
+                f = tuple(cs)
+                for Qe in divisors:
+                    f = pdiv(F, f, Qe)
+                if c <= 2 * s + 1:
+                    parts = ((f, 1),)
+                else:
+                    parts = factor_raw(F, f, seed)[1]
+                for P, e in parts:
+                    key = (pdeg(P), e, coset(P))
+                    types[key] = types.get(key, 0) + 1
+            counts[tuple(sorted(types.items()))] += 1
+        return excluded
 
 
 def _count_range(spec: Cover, I: IntervalSpec, start: int, stop: int, seed: int):
     """Tally factorization types for interval indices [start, stop)."""
-    ctx = spec.ctx
-    q = ctx.q
-    n = I.n
-    base = list(I.f0.coeffs) + [0] * (n + 1 - len(I.f0.coeffs))
+    sieve = _BlockSieve(spec, I)
+    size = spec.ctx.q**sieve.s
     counts: Counter = Counter()
     excluded = 0
-    skip_ram = isinstance(spec, SplittingCover)
-    ramset = spec._ramified_set() if skip_ram else None
-    add = ctx.add
-    m = I.m
-    for idx in range(start, stop):
-        cs = list(base)
-        rem = idx
-        for j in range(m + 1):
-            d = rem % q
-            rem //= q
-            if d:
-                cs[j] = add(cs[j], d)
-        f = tuple(cs)
-        if skip_ram:
-            from .polys import pgcd, pdeg
-
-            bad = False
-            for P in ramset:
-                if pdeg(pgcd(ctx, f, P)) > 0:
-                    bad = True
-                    break
-            if bad:
-                excluded += 1
-                continue
-        counts[lambda_entries_raw(spec, f, seed)] += 1
+    for b in range(start // size, -(-stop // size)):
+        lo = max(start - b * size, 0)
+        hi = min(stop - b * size, size)
+        excluded += sieve.tally(b, lo, hi, seed, counts)
     return counts, excluded
 
 
 def _chunk_worker(args):
     cover_text, force_wild, f0_ser, m, start, stop, seed = args
-    from .polys import parse_poly
-
     spec = parse_cover(cover_text, force_wild)
     f0 = parse_poly(spec.ctx, f0_ser)
     I = IntervalSpec(f0, m)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from ffcheb.cli import main
@@ -50,6 +54,45 @@ def test_frobenius_command(capsys, quad_file):
 def test_frobenius_ramified_exit_2(capsys, quad_file):
     assert main(["frobenius", "--cover", quad_file, "T"]) == 2
     assert "RamifiedPrime" in capsys.readouterr().err
+
+
+def test_frobenius_non_prime_exit_2_under_optimize(quad_file):
+    # T^2 + 2T = T(T + 2) is reducible; the check must not rest on assert
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ffcheb.cli", "frobenius", "--cover", quad_file, "T^2+2*T"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "NotIrreducible" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("kind = kummer\np = 5\nD = [0,1]\n", "'d'"),
+        ("kind = kummer\np = 5\nd = x\nD = [0,1]\n", "d = 'x'"),
+        ("p = 5\nd = 2\nD = [0,1]\n", "'kind'"),
+        ("kind = kummer\np = five\nd = 2\nD = [0,1]\n", "p = 'five'"),
+        ("kind = kummer\np = 5\nd = 2\nD = [0,2,2\n", "D = '[0,2,2'"),
+        ("kind = product\np = 5\ncomponents = 1\n", "'component.1.kind'"),
+        ("kind = splitting\np = 5\ny_degree = 2\nF.0 = [1]\n", "'F.1'"),
+        (
+            "kind = splitting\np = 5\ny_degree = 2\nF.0 = [1]\nF.1 = [0]\nF.2 = [1]\n"
+            "generator.1 = (1 2)\ncycle_type.1+x = 0\n",
+            "'cycle_type.1+x'",
+        ),
+    ],
+)
+def test_malformed_cover_file_exit_2(tmp_path, capsys, text, key):
+    f = tmp_path / "bad.cov"
+    f.write_text(text)
+    assert main(["frobenius", "--cover", str(f), "T-2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CoverFileError:")
+    assert key in err
 
 
 def test_lambda_command(capsys, quad_file):

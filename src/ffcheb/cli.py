@@ -24,7 +24,6 @@ from .intervals import (
     NORM_NOTE,
     census,
     cover_hash,
-    default_threads,
     interval_mean,
 )
 from .polys import parse_poly
@@ -301,7 +300,7 @@ def build_parser() -> _Parser:
 
     def common(sp, cover=True):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=default_threads())
+        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None)
         sp.add_argument("--force-wild", action="store_true", dest="force_wild")
         if cover:
@@ -347,7 +346,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--fns", required=True)
     sp.add_argument("--csv", default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=default_threads())
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_cheb_grid)
 

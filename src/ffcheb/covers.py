@@ -27,10 +27,12 @@ from dataclasses import dataclass
 from .errors import (
     AmbiguousCycleType,
     ContextMismatch,
+    DivisionByZero,
     DomainError,
     NotDividing,
     NotGeometric,
     NotIrreducible,
+    PolyParseError,
     RamifiedPrime,
     RamifiedSplittingCover,
     UserGenusRequired,
@@ -49,9 +51,11 @@ from .polys import (
     parse_poly,
     pdeg,
     pdiv,
+    pinvmod,
     pmod,
     pmul,
     pnorm,
+    power_sums,
     ppowmod,
     primes_of_degree,
     residue_field,
@@ -242,6 +246,15 @@ class KummerCover(Cover):
         for j in range(self.d):
             self._dlog[val] = j
             val = F.mul(val, self.zeta.val)
+        e = (q - 1) // self.d
+        self._lin_symbols = [F.pow(a, e) if a else 0 for a in range(q)]
+        # artin_symbol's term per degree of f: the unit's symbol and the
+        # reciprocity sign of every part Q^m, m * deg Q summing to deg D
+        unit_dlog = self._dlog[F.pow(self.unit, e)]
+        sign_dlog = self._dlog[F.pow(F.neg(1), e)]
+        self._deg_dlog = (unit_dlog + self.D.degree * sign_dlog) % self.d
+        self._lin_parts = tuple((F.neg(Q[0]), m) for Q, m in self.parts if len(Q) == 2)
+        self._nonlin_parts = tuple((Q, m) for Q, m in self.parts if len(Q) > 2)
         self.validated = True
 
     def _ramified_set(self) -> frozenset[Coeffs]:
@@ -256,11 +269,6 @@ class KummerCover(Cover):
         F = self.ctx
         dd = pdeg(P)
         if dd == 1:
-            if self._lin_symbols is None:
-                self._lin_symbols = [0] * F.q
-                for a in range(F.q):
-                    v = F.pow(a, (F.q - 1) // self.d) if a else 0
-                    self._lin_symbols[a] = v
             root = F.neg(P[0])
             acc = 0
             for c in reversed(numer):
@@ -270,6 +278,36 @@ class KummerCover(Cover):
         assert pdeg(c) <= 0
         return self._dlog[c[0]]
 
+    def artin_symbol(self, f: Coeffs) -> int:
+        """dlog of the d-th power residue symbol (D/f)_d, for any monic f
+        coprime to D, without a power modulo f.
+
+        d-th power reciprocity (Rosen, GTM 210, Thm 3.3) gives
+        (Q/f)_d = (-1)^((q-1)/d * deg f * deg Q) (f/Q)_d for monic Q, and
+        (u/f)_d = (u^((q-1)/d))^(deg f) for a constant u.  Every term is
+        multiplicative in f, so f need not be prime; at a prime P this is
+        `_symbol(D, P)`.  (f/Q)_d is a table lookup of f(a) when Q = T - a
+        and a power modulo the small fixed Q otherwise.
+        """
+        if not f or f[-1] != 1:
+            raise DomainError("the Artin symbol needs a monic polynomial")
+        F, dlog, lin = self.ctx, self._dlog, self._lin_symbols
+        mul, add = F.mul, F.add
+        k = (len(f) - 1) * self._deg_dlog
+        for a, m in self._lin_parts:
+            acc = 0
+            for c in reversed(f):
+                acc = add(mul(acc, a), c)
+            if not acc:
+                raise RamifiedPrime(f"{Poly._raw(F, f)!r} shares a factor with D")
+            k += m * dlog[lin[acc]]
+        for Q, m in self._nonlin_parts:
+            r = pmod(F, f, Q)
+            if not r:
+                raise RamifiedPrime(f"{Poly._raw(F, f)!r} shares a factor with D")
+            k += m * self._symbol(r, Q)
+        return k % self.d
+
     def _coset_raw(self, P: Coeffs) -> int:
         d, F = self.d, self.ctx
         v = 0
@@ -278,8 +316,7 @@ class KummerCover(Cover):
                 v = m
                 break
         if v == 0:
-            k = self._symbol(self.D.coeffs, P)
-            return self.group.class_to_omega[k]
+            return self.group.class_to_omega[self.artin_symbol(P)]
         e = d // math.gcd(d, v)
         step = d // e
         # unit part with uniformizer pi = P
@@ -363,9 +400,7 @@ def as_reduce(D: RationalFn) -> RationalFn:
         for _ in range(m):
             denb = pdiv(F, denb, P)
         num_mod = pmod(F, frac.num.coeffs, P)
-        denb_mod = pmod(F, denb, P)
-        inv_denb = ppowmod(F, denb_mod, F.q ** pdeg(P) - 2, P)
-        a = pmod(F, pmul(F, num_mod, inv_denb), P)
+        a = pmod(F, pmul(F, num_mod, pinvmod(F, denb, P)), P)
         # p-th root inside the residue field F_{q^deg P}
         h = ppowmod(F, a, F.p ** (F.k * pdeg(P) - 1), P)
         Ppoly = Poly._raw(F, P)
@@ -434,12 +469,38 @@ class ArtinSchreierCover(Cover):
         assert t < F.p
         return t
 
+    def artin_symbol(self, f: Coeffs) -> int:
+        """Tr_{F_q/F_p} of the trace of D in the algebra F_q[T]/(f), for any
+        monic f coprime to the poles, without a power modulo f.
+
+        Multiplication by T^j on F_q[T]/(f) has trace s_j, the j-th power sum
+        of the roots of f, so x = D mod f has trace sum_j x_j s_j.  The
+        algebra trace adds over the prime powers dividing f; at a prime P this
+        is `_trace(P)`.
+        """
+        if not f or f[-1] != 1:
+            raise DomainError("the Artin symbol needs a monic polynomial")
+        F = self.ctx
+        try:
+            inv_den = pinvmod(F, self.D.den.coeffs, f)
+        except DivisionByZero:
+            raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a pole of D") from None
+        x = pmod(F, pmul(F, pmod(F, self.D.num.coeffs, f), inv_den), f)
+        mul, add = F.mul, F.add
+        t = 0
+        for xj, sj in zip(x, power_sums(F, f, len(x))):
+            t = add(t, mul(xj, sj))
+        acc = t
+        for _ in range(F.k - 1):
+            t = F.frob(t)
+            acc = add(acc, t)
+        return acc
+
     def _coset_raw(self, P: Coeffs) -> int:
         if P in self._ramified_set():
             coset = frozenset(range(self.ctx.p))
             return self.group.omega_of_coset(coset)
-        t = self._trace(P)
-        return self.group.class_to_omega[t]
+        return self.group.class_to_omega[self.artin_symbol(P)]
 
     def tame_at_infinity(self) -> bool:
         return not self.wild_override
@@ -906,7 +967,7 @@ def parse_cover(text: str, force_wild: bool = False) -> Cover:
         text = value(key, default)
         try:
             return parse_poly(ctx, text)
-        except ValueError:
+        except PolyParseError:
             raise CoverFileError(f"{key} = {text!r} is not a polynomial") from None
 
     kind = value("kind")

@@ -59,6 +59,10 @@ class NotIrreducible(DomainError):
     pass
 
 
+class PolyParseError(DomainError):
+    pass
+
+
 # covers
 class NotGeometric(DomainError):
     pass

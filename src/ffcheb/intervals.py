@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -501,7 +500,3 @@ def census(
         ],
     )
     return CensusResult(rows, nsf_count, nsf_emp, tv, rep)
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1

@@ -15,6 +15,7 @@ function and parallel sweeps are partition-independent.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -23,6 +24,7 @@ from .errors import (
     ContextMismatch,
     DivisionByZero,
     PoleAtPrime,
+    PolyParseError,
     ZeroPolynomial,
 )
 from .ffield import Field, FieldElement, make_field, prime_factors
@@ -119,6 +121,33 @@ def pgcd(F: Field, a: Coeffs, b: Coeffs) -> Coeffs:
     if a and a[-1] != 1:
         a = pscale(F, a, F.inv(a[-1]))
     return a
+
+
+def pinvmod(F: Field, a: Coeffs, m: Coeffs) -> Coeffs:
+    """Inverse of a modulo m, by the extended Euclidean algorithm."""
+    r0, r1 = m, pmod(F, a, m)
+    s0, s1 = (), (1,)
+    while r1:  # invariant: s_i * a = r_i mod m
+        quo, rem = pdivmod(F, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, psub(F, s0, pmul(F, quo, s1))
+    if pdeg(r0) != 0:
+        raise DivisionByZero("polynomial is not invertible modulo m")
+    return pscale(F, s0, F.inv(r0[0]))
+
+
+def power_sums(F: Field, f: Coeffs, count: int) -> list[int]:
+    """s_0, ..., s_{count-1}: the power sums of the roots of the monic f,
+    with multiplicity, by Newton's identities (count <= deg f)."""
+    n = len(f) - 1
+    mul, sub = F.mul, F.sub
+    s = [F.scalar(n)]
+    for k in range(1, count):
+        acc = F.neg(mul(F.scalar(k), f[n - k]))
+        for i in range(1, k):
+            acc = sub(acc, mul(f[n - i], s[k - i]))
+        s.append(acc)
+    return s
 
 
 def pmonic(F: Field, a: Coeffs) -> tuple[int, Coeffs]:
@@ -903,47 +932,65 @@ def eval_mod(D, P: Poly) -> FieldElement:
 # text parsing
 
 
+#: one term of the T-form: [coefficient[*]]T[^power], or a bare coefficient;
+#: a coefficient is an integer or a parenthesized tuple of F_p digits
+_TERM = re.compile(
+    r"(?:(?P<c>\d+|\([^()]*\))\*?)?T(?:\^(?P<e>\d+))?|(?P<k>\d+|\([^()]*\))"
+)
+
+
 def parse_poly(ctx: Field, text: str) -> Poly:
     """Parse either the compact [c0,c1,...] form or c0 + c1*T + ... terms.
 
     Integer coefficients are mapped through the prime subfield, so patterns
-    like "T^3-3*T^2+2*T" stay meaningful over every field.
+    like "T^3-3*T^2+2*T" stay meaningful over every field.  Any other text
+    raises PolyParseError.
     """
     s = text.strip()
     if s.startswith("["):
         if not s.endswith("]"):
-            raise ValueError(f"unbalanced brackets in {text!r}")
+            raise PolyParseError(f"unbalanced brackets in {text!r}")
         inner = s[1:-1].strip()
         if not inner:
             return Poly.zero(ctx)
-        coeffs = [_parse_coeff(ctx, tok) for tok in _split_coeffs(inner)]
+        coeffs = [_parse_coeff(ctx, tok.strip(), text) for tok in _split_coeffs(inner)]
         return Poly(ctx, coeffs)
-    # term form
-    s = s.replace("-", "+-").replace(" ", "")
-    if s.startswith("+-"):
-        s = s[1:]
     coeffs: dict[int, int] = {}
-    for term in s.split("+"):
-        if not term:
-            continue
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:]
-        if "T" in term:
-            head, _, tail = term.partition("T")
-            head = head.rstrip("*")
-            power = int(tail[1:]) if tail.startswith("^") else 1
-            cv = _parse_coeff(ctx, head) if head else 1
+    for neg, term in _signed_terms(s.replace(" ", ""), text):
+        m = _TERM.fullmatch(term)
+        if m is None:
+            raise PolyParseError(f"bad term {term!r} in {text!r}")
+        if m["k"] is not None:
+            power, cv = 0, _parse_coeff(ctx, m["k"], text)
         else:
-            power = 0
-            cv = _parse_coeff(ctx, term)
+            power = int(m["e"]) if m["e"] else 1
+            cv = _parse_coeff(ctx, m["c"], text) if m["c"] else 1
         if neg:
             cv = ctx.neg(cv)
         coeffs[power] = ctx.add(coeffs.get(power, 0), cv)
-    out = [0] * (max(coeffs) + 1 if coeffs else 0)
+    out = [0] * (max(coeffs) + 1)
     for i, c in coeffs.items():
         out[i] = c
     return Poly(ctx, out)
+
+
+def _signed_terms(s: str, text: str) -> list[tuple[bool, str]]:
+    """Split at the signs outside parentheses: [(negated, term), ...]; a run
+    of signs such as "+-" acts as their product."""
+    out, depth, neg, cur = [], 0, False, ""
+    for ch in s:
+        if ch in "+-" and depth == 0:
+            if cur:
+                out.append((neg, cur))
+                neg, cur = False, ""
+            neg ^= ch == "-"
+            continue
+        depth += (ch == "(") - (ch == ")")
+        cur += ch
+    out.append((neg, cur))
+    if depth != 0:
+        raise PolyParseError(f"unbalanced parens in {text!r}")
+    return out
 
 
 def _split_coeffs(inner: str) -> list[str]:
@@ -962,10 +1009,10 @@ def _split_coeffs(inner: str) -> list[str]:
     return toks
 
 
-def _parse_coeff(ctx: Field, tok: str) -> int:
-    tok = tok.strip()
-    if tok.startswith("("):
-        if not tok.endswith(")"):
-            raise ValueError(f"unbalanced parens in coefficient {tok!r}")
-        return ctx.from_coeffs([int(t) for t in tok[1:-1].split(",")])
-    return ctx.scalar(int(tok))
+def _parse_coeff(ctx: Field, tok: str, text: str) -> int:
+    try:
+        if tok.startswith("(") and tok.endswith(")"):
+            return ctx.from_coeffs([int(t) for t in tok[1:-1].split(",")])
+        return ctx.scalar(int(tok))
+    except (ValueError, ContextMismatch):
+        raise PolyParseError(f"bad coefficient {tok!r} in {text!r}") from None

@@ -204,3 +204,43 @@ def test_force_wild_negative_control(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "regime.wild_override = true" in out
     assert "regime.tame_at_infinity = false" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code, name",
+    [
+        (["factor", "--q", "5", "T^^2"], 2, "PolyParseError"),
+        (["factor", "--q", "5", "(T+1)^2"], 2, "PolyParseError"),
+        (["factor", "--q", "5", "T^-1"], 2, "PolyParseError"),
+        (["factor", "--q", "5", "T*T"], 2, "PolyParseError"),
+        (["factor", "--q", "5", "T^2+"], 2, "PolyParseError"),
+        (["factor", "--q", "5", "x^2"], 2, "PolyParseError"),
+        (["factor", "--q", "5", ""], 2, "PolyParseError"),
+        (["factor", "--q", "5", "[1,2"], 2, "PolyParseError"),
+        (["factor", "--q", "5", "[1,,2]"], 2, "PolyParseError"),
+        (["factor", "--q", "9", "(1,2,0)*T"], 2, "PolyParseError"),
+        (["factor", "--q", "5", "T^2+1"], 0, None),
+        (["factor", "--q", "9", "(1,2)*T^2-1"], 0, None),
+        (["factor", "--q", "9", "T^2+-(1,-1)"], 0, None),
+    ],
+)
+def test_polynomial_strings_exit_codes(capsys, argv, code, name):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if name is None:
+        assert err == ""
+    else:
+        assert err.startswith(f"{name}:")
+
+
+def test_malformed_cover_polynomial_is_cover_file_error(tmp_path, capsys):
+    f = tmp_path / "bad.cov"
+    f.write_text("kind = kummer\np = 5\nd = 2\nD = (T+1)^2\n")
+    assert main(["frobenius", "--cover", str(f), "T-2"]) == 2
+    assert capsys.readouterr().err.startswith("CoverFileError:")
+
+
+def test_default_report_names_one_thread(gen1_file, capsys):
+    # reports depend on the inputs only: the default does not read the host
+    assert main(["interval-mean", "--cover", gen1_file, "--f0", "T^3", "--m", "1", "--fns", "B"]) == 0
+    assert "threads = 1\n" in capsys.readouterr().out

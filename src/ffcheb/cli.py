@@ -154,8 +154,6 @@ def cmd_census(args) -> int:
 
 
 def cmd_cheb_grid(args) -> int:
-    if args.kind != "kummer":
-        raise DomainError("cheb-grid drives Kummer covers; use interval-mean otherwise")
     from .covers import kummer
 
     qs = [int(t) for t in args.qs.split(",")]
@@ -237,8 +235,8 @@ def cmd_norms_check(args) -> int:
 def cmd_zeta(args) -> int:
     spec = load_cover(args.cover, args.force_wild)
     q = spec.ctx.q
-    pt = zeta_mod.ptilde(spec, seed=args.seed)
-    curve = zeta_mod.curve_zeta_numerator(spec, seed=args.seed)
+    pt = zeta_mod.ptilde(spec)
+    curve = zeta_mod.curve_zeta_numerator(spec)
     value = sum(Fraction(c, q**i) for i, c in enumerate(pt))
     kval, ktail = zeta_mod.K_E(spec)
     lines = [
@@ -336,8 +334,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--csv", default=None)
     sp.set_defaults(func=cmd_census)
 
-    sp = sub.add_parser("cheb-grid", help="short-interval experiment over a q grid")
-    sp.add_argument("--kind", default="kummer")
+    sp = sub.add_parser("cheb-grid", help="Kummer short-interval experiment over a q grid")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--D", required=True, help="integer-coefficient pattern, e.g. T^3-3*T^2+2*T")
     sp.add_argument("--qs", required=True)

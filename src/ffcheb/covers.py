@@ -21,6 +21,7 @@ and product covers), which is what the norm-counting functions consume.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,14 @@ class Cover:
         oc = self.group.omega[self.coset_class(P)]
         return SplittingData(oc.e, oc.f, oc.g)
 
+    def infinity_data(self) -> SplittingData:
+        self.require_validated()
+        oc = self.group.omega[self._infinity_omega()]
+        return SplittingData(oc.e, oc.f, oc.g)
+
+    def _infinity_omega(self) -> int:
+        raise NotImplementedError
+
     def ramified_primes(self) -> list[Poly]:
         self.require_validated()
         return [
@@ -186,15 +195,22 @@ class TrivialCover(Cover):
     def _infinity_omega(self) -> int:
         return self.group.class_to_omega[0]
 
-    def infinity_data(self) -> SplittingData:
-        return SplittingData(1, 1, 1)
-
     def genus(self) -> int:
         return 0
 
 
 def trivial(ctx: Field) -> TrivialCover:
     return validate_cover(TrivialCover(ctx))  # type: ignore[return-value]
+
+
+def _genus_from_total(total: int) -> int:
+    """Genus from a Riemann-Hurwitz total 2g - 2, which must be even and at
+    least -2; anything else means the cover model is inconsistent."""
+    if total % 2 or total < -2:
+        raise NotGeometric(
+            f"Riemann-Hurwitz gives 2g - 2 = {total}; the cover model is inconsistent"
+        )
+    return (total + 2) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +346,6 @@ class KummerCover(Cover):
     def tame_at_infinity(self) -> bool:
         return True  # d | q-1 forces d coprime to p
 
-    def infinity_data(self) -> SplittingData:
-        self.require_validated()
-        oc = self.group.omega[self._infinity_omega()]
-        return SplittingData(oc.e, oc.f, oc.g)
-
     def _infinity_omega(self) -> int:
         d = self.d
         degD = self.D.degree
@@ -353,10 +364,7 @@ class KummerCover(Cover):
             total += (e - 1) * (d // e) * pdeg(P)
         e_inf = d // math.gcd(d, self.D.degree)
         total += (e_inf - 1) * (d // e_inf)
-        assert total % 2 == 0
-        g = (total + 2) // 2
-        assert g >= 0
-        return g
+        return _genus_from_total(total)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +529,6 @@ class ArtinSchreierCover(Cover):
             t = acc
         return self.group.class_to_omega[t]
 
-    def infinity_data(self) -> SplittingData:
-        self.require_validated()
-        oc = self.group.omega[self._infinity_omega()]
-        return SplittingData(oc.e, oc.f, oc.g)
-
     def genus(self) -> int:
         self.require_validated()
         p = self.ctx.p
@@ -534,10 +537,7 @@ class ArtinSchreierCover(Cover):
             total += (p - 1) * (m + 1) * pdeg(P)
         if self.wild_override:
             total += (p - 1) * (self._poly_part.degree + 1)
-        assert total % 2 == 0
-        g = (total + 2) // 2
-        assert g >= 0
-        return g
+        return _genus_from_total(total)
 
 
 # ---------------------------------------------------------------------------
@@ -580,35 +580,23 @@ class ProductCover(Cover):
             out |= c._ramified_set()
         return frozenset(out)
 
-    def _component_cosets(self, P: Coeffs) -> list[frozenset[int]]:
-        cosets = []
-        for c in self.components:
-            oc = c.group.omega[c._coset_raw(P)]
-            cosets.append(frozenset(oc.rep))
-        return cosets
-
-    def _coset_raw(self, P: Coeffs) -> int:
-        import itertools as _it
-
-        cosets = self._component_cosets(P)
+    def _product_omega(self, omegas: list[int]) -> int:
+        """Catalog index of the componentwise product of the components'
+        cosets, each given by its catalog index."""
+        cosets = [c.group.omega[w].rep for c, w in zip(self.components, omegas)]
         members = frozenset(
-            self.group.encode_product(tup) for tup in _it.product(*cosets)
+            self.group.encode_product(tup) for tup in itertools.product(*cosets)
         )
         return self.group.omega_of_coset(members)
+
+    def _coset_raw(self, P: Coeffs) -> int:
+        return self._product_omega([c._coset_raw(P) for c in self.components])
 
     def tame_at_infinity(self) -> bool:
         return all(c.tame_at_infinity() for c in self.components)
 
-    def infinity_data(self) -> SplittingData:
-        import itertools as _it
-
-        self.require_validated()
-        cosets = [frozenset(c.group.omega[c._infinity_omega()].rep) for c in self.components]
-        members = frozenset(
-            self.group.encode_product(tup) for tup in _it.product(*cosets)
-        )
-        oc = self.group.omega[self.group.omega_of_coset(members)]
-        return SplittingData(oc.e, oc.f, oc.g)
+    def _infinity_omega(self) -> int:
+        return self._product_omega([c._infinity_omega() for c in self.components])
 
     def genus(self) -> int:
         """Conductor-discriminant genus, available when components ramify at
@@ -637,16 +625,11 @@ class ProductCover(Cover):
         total = -2 * n
         # sum of conductor degrees over nontrivial characters
         sizes = self.group.factor_sizes
-        import itertools as _it
-
-        for chi in _it.product(*(range(s) for s in sizes)):
+        for chi in itertools.product(*(range(s) for s in sizes)):
             if all(a == 0 for a in chi):
                 continue
             total += self._conductor_degree(chi)
-        assert total % 2 == 0
-        g = (total + 2) // 2
-        assert g >= 0
-        return g
+        return _genus_from_total(total)
 
     def _conductor_degree(self, chi: tuple[int, ...]) -> int:
         deg = 0

@@ -9,7 +9,9 @@ lookups and integer adds.
 Canonical choices (they make contexts reproducible bit for bit):
   * modulus: the smallest monic irreducible of degree k, comparing coefficient
     sequences lexicographically from the top coefficient down to the constant
-    term (equivalently, numeric order of the base-p encoding);
+    term (equivalently, numeric order of the base-p encoding); it is the first
+    monic of `polys.enumerate_monic_raw` over F_p that
+    `polys.is_irreducible_raw` accepts;
   * primitive root: the smallest encoded nonzero element of order q - 1.
 """
 
@@ -66,104 +68,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- bootstrap polynomial arithmetic over F_p (only for modulus search) ------
-
-def _fp_polymulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce by monic mod
-    dm = len(mod) - 1
-    for i in range(len(res) - 1, dm - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(dm):
-                res[i - dm + j] = (res[i - dm + j] - c * mod[j]) % p
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return res
-
-
-def _fp_pow_frobenius(poly, times, mod, p):
-    """poly^(p^times) reduced mod `mod` over F_p."""
-    out = poly
-    for _ in range(times):
-        acc, base, e = [1], out, p
-        while e:
-            if e & 1:
-                acc = _fp_polymulmod(acc, base, mod, p)
-            base = _fp_polymulmod(base, base, mod, p)
-            e >>= 1
-        out = acc
-    return out
-
-
-def _fp_sub_t(poly, p):
-    """poly - T as a low-first list."""
-    out = list(poly) + [0] * max(0, 2 - len(poly))
-    out[1] = (out[1] - 1) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fp_is_irreducible(mod, p):
-    """Rabin test for a monic polynomial over F_p given as a low-first list."""
-    k = len(mod) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    t = [0, 1]
-    if _fp_sub_t(_fp_pow_frobenius(t, k, mod, p), p) != [0]:
-        return False
-    for ell in prime_factors(k):
-        h = _fp_pow_frobenius(t, k // ell, mod, p)
-        g = _fp_polygcd(_fp_sub_t(h, p), mod, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _fp_polygcd(a, b, p):
-    a = list(a)
-    b = list(b)
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    while len(b) > 1 and b[-1] == 0:
-        b.pop()
-    while not (len(b) == 1 and b[0] == 0):
-        a = _fp_polymod(a, b, p)
-        a, b = b, a
-    return a
-
-
-def _fp_polymod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and not (len(a) == 1 and a[0] == 0):
-        c = a[-1] * inv_lead % p
-        sh = len(a) - 1 - db
-        for j in range(db + 1):
-            a[sh + j] = (a[sh + j] - c * b[j]) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree k over F_p (low-first tuple)."""
-    for m in range(p**k):
-        coeffs = [(m // p**i) % p for i in range(k)] + [1]
-        if _fp_is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
 class Field:
     """Immutable context for F_{p^k}; safe to share across workers.
 
@@ -183,36 +87,52 @@ class Field:
         self.p = p
         self.k = k
         self.q = q
-        self.modulus: tuple[int, ...] | None = _canonical_modulus(p, k) if k > 1 else None
+        self.modulus: tuple[int, ...] | None = None
         self._build_tables()
 
     # -- construction helpers -------------------------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Table-free product, used only while building the exp table."""
-        p, k = self.p, self.k
-        if k == 1:
-            return a * b % p
-        ac = [(a // p**i) % p for i in range(k)]
-        bc = [(b // p**i) % p for i in range(k)]
-        prod = _fp_polymulmod(ac, bc, list(self.modulus), p)
-        return sum(c * p**i for i, c in enumerate(prod))
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self._raw_mul(acc, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return acc
-
     def _build_tables(self) -> None:
-        q = self.q
+        """Find the canonical modulus and primitive root, then fill exp/log.
+
+        For k > 1 an element is multiplied as its list of k residue
+        coefficients, in F_p[x]/(modulus), by the prime-field kernel of polys;
+        polys sits above this module, so it is imported here."""
+        p, k, q = self.p, self.k, self.q
+        if k == 1:
+            def rep(a):
+                return a
+
+            enc = rep
+
+            def mul(x, y):
+                return x * y % p
+
+            def power(x, e):
+                return pow(x, e, p)
+        else:
+            from . import polys
+
+            Fp = make_field(p)
+            self.modulus = next(
+                f for f in polys.enumerate_monic_raw(Fp, k) if polys.is_irreducible_raw(Fp, f)
+            )
+            mul = polys._mulmod_prime(p, polys._reduction_rows(Fp, self.modulus), k)
+            weights = [p**i for i in range(k)]
+
+            def rep(a):
+                return list(self.coeffs(a))
+
+            def enc(cs):
+                return sum(c * w for c, w in zip(cs, weights))
+
+            def power(x, e):
+                return polys._square_multiply(mul, x, e)
+
         ells = prime_factors(q - 1)
         gen = None
         for a in range(2, q) if q > 2 else range(1, q):
-            if all(self._raw_pow(a, (q - 1) // ell) != 1 for ell in ells):
+            if all(enc(power(rep(a), (q - 1) // ell)) != 1 for ell in ells):
                 gen = a
                 break
         if gen is None:  # q == 2
@@ -220,11 +140,11 @@ class Field:
         self.generator = gen
         exp = [1] * (2 * (q - 1) + 1)
         log = [0] * q
-        cur = 1
+        g = cur = rep(gen)
         for i in range(1, q - 1):
-            cur = self._raw_mul(cur, gen)
-            exp[i] = cur
-            log[cur] = i
+            exp[i] = v = enc(cur)
+            log[v] = i
+            cur = mul(cur, g)
         for i in range(q - 1, 2 * (q - 1) + 1):
             exp[i] = exp[i - (q - 1)]
         self._exp = exp

@@ -14,6 +14,7 @@ function and parallel sweeps are partition-independent.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -176,7 +177,31 @@ def ppowmod(F: Field, base: Coeffs, e: int, mod: Coeffs) -> Coeffs:
         if d == 1:
             return (F.pow(base[0], e),)
         return base
-    # reduction rows: T^(d+i) mod `mod`, i = 0..d-2, padded to length d
+    rows = _reduction_rows(F, mod)
+    if F.k == 1:
+        mulmod = _mulmod_prime(F.p, rows, d)
+    elif F._add_tab is not None:
+        mulmod = _mulmod_tables(F, rows, d)
+    else:
+        mulmod = _mulmod_generic(F, rows, d)
+    return pnorm(_square_multiply(mulmod, list(base) + [0] * (d - len(base)), e))
+
+
+def _square_multiply(mulmod, a: list[int], e: int) -> list[int]:
+    """a^e for e >= 1 under `mulmod`."""
+    acc = None
+    while e:
+        if e & 1:
+            acc = a if acc is None else mulmod(acc, a)
+        e >>= 1
+        if e:
+            a = mulmod(a, a)
+    return acc
+
+
+def _reduction_rows(F: Field, mod: Coeffs) -> list[list[int]]:
+    """T^(d+i) mod `mod` for i = 0..d-2, each padded to length d = deg mod."""
+    d = pdeg(mod)
     r0 = list(pmod(F, (0,) * d + (1,), mod))
     r0 += [0] * (d - len(r0))
     rows = [r0]
@@ -187,17 +212,15 @@ def ppowmod(F: Field, base: Coeffs, e: int, mod: Coeffs) -> Coeffs:
         if top:
             sh = [F.add(sh[j], F.mul(top, r0[j])) for j in range(d)]
         rows.append(sh)
-    a = list(base) + [0] * (d - len(base))
-    if F.k == 1:
-        out = _powmod_prime(F.p, a, e, rows, d)
-    elif F._add_tab is not None:
-        out = _powmod_tables(F, a, e, rows, d)
-    else:
-        out = _powmod_generic(F, a, e, rows, d)
-    return pnorm(out)
+    return rows
 
 
-def _powmod_prime(p: int, a: list[int], e: int, rows, d: int):
+# Three kernels for the product of two residues (length-d lists) modulo a
+# degree-d polynomial given by its reduction rows; ppowmod picks one by field.
+
+
+def _mulmod_prime(p: int, rows, d: int):
+    """Over F_p: integer products, reduced mod p once per coefficient."""
     w = 2 * d - 1
 
     def mulmod(x, y):
@@ -220,18 +243,11 @@ def _powmod_prime(p: int, a: list[int], e: int, rows, d: int):
                         out[j] += c * rij
         return [v % p for v in out]
 
-    acc = None
-    base = a
-    while e:
-        if e & 1:
-            acc = base if acc is None else mulmod(acc, base)
-        e >>= 1
-        if e:
-            base = mulmod(base, base)
-    return acc
+    return mulmod
 
 
-def _powmod_tables(F: Field, a: list[int], e: int, rows, d: int):
+def _mulmod_tables(F: Field, rows, d: int):
+    """Over F_{p^k} with add tables: exp/log products, table sums."""
     exp, log, addt = F._exp, F._log, F._add_tab
     w = 2 * d - 1
 
@@ -257,18 +273,11 @@ def _powmod_tables(F: Field, a: list[int], e: int, rows, d: int):
                         out[j] = addt[out[j]][exp[lc + log[rij]]]
         return out
 
-    acc = None
-    base = a
-    while e:
-        if e & 1:
-            acc = base if acc is None else mulmod(acc, base)
-        e >>= 1
-        if e:
-            base = mulmod(base, base)
-    return acc
+    return mulmod
 
 
-def _powmod_generic(F: Field, a: list[int], e: int, rows, d: int):
+def _mulmod_generic(F: Field, rows, d: int):
+    """Any field: through Field.add and Field.mul."""
     add, mul = F.add, F.mul
     w = 2 * d - 1
 
@@ -292,15 +301,7 @@ def _powmod_generic(F: Field, a: list[int], e: int, rows, d: int):
                         out[j] = add(out[j], mul(c, rij))
         return out
 
-    acc = None
-    base = a
-    while e:
-        if e & 1:
-            acc = base if acc is None else mulmod(acc, base)
-        e >>= 1
-        if e:
-            base = mulmod(base, base)
-    return acc
+    return mulmod
 
 
 def pderiv(F: Field, a: Coeffs) -> Coeffs:
@@ -484,23 +485,19 @@ def primes_of_degree(ctx: Field, n: int) -> list[Coeffs]:
         cache = ctx._prime_cache = {}
     if n in cache:
         return cache[n]
-    q = ctx.q
-    out = []
     if n == 1:
-        out = [(ctx.neg(a), 1) for a in range(q)]
+        out = [(ctx.neg(a), 1) for a in range(ctx.q)]
     else:
-        for lower in range(q**n):
-            cs = []
-            m = lower
-            for _ in range(n):
-                cs.append(m % q)
-                m //= q
-            cs.append(1)
-            f = tuple(cs)
-            if is_irreducible_raw(ctx, f):
-                out.append(f)
+        out = [f for f in enumerate_monic_raw(ctx, n) if is_irreducible_raw(ctx, f)]
     cache[n] = out
     return out
+
+
+def enumerate_monic_raw(F: Field, n: int) -> Iterator[Coeffs]:
+    """All monic coefficient tuples of degree n, lowest coefficient varying
+    fastest (ascending base-q encoding of the lower coefficients)."""
+    for top_down in itertools.product(range(F.q), repeat=n):
+        yield top_down[::-1] + (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -771,15 +768,8 @@ def is_irreducible(f: Poly) -> bool:
 
 def enumerate_monic(ctx: Field, n: int) -> Iterator[Poly]:
     """All monic polynomials of degree n, lowest coefficients varying fastest."""
-    q = ctx.q
-    for lower in range(q**n):
-        cs = []
-        m = lower
-        for _ in range(n):
-            cs.append(m % q)
-            m //= q
-        cs.append(1)
-        yield Poly._raw(ctx, tuple(cs))
+    for cs in enumerate_monic_raw(ctx, n):
+        yield Poly._raw(ctx, cs)
 
 
 class RationalFn:

@@ -356,10 +356,16 @@ class PrimeTally:
     max_degree: int
 
     def check_partition(self, ctx) -> None:
+        """Every degree's unramified and ramified counts add up to the number
+        of primes of that degree; raise DegreeBoundViolated otherwise."""
         for d in range(1, self.max_degree + 1):
             total = sum(c for (dd, _), c in self.unramified.items() if dd == d)
             total += sum(c for (dd, *_,), c in self.ramified.items() if dd == d)
-            assert total == count_primes(ctx, d)
+            if total != count_primes(ctx, d):
+                raise DegreeBoundViolated(
+                    f"prime tallies at degree {d} add up to {total}, not "
+                    f"{count_primes(ctx, d)} primes"
+                )
 
 
 def prime_tallies(spec: Cover, N: int) -> PrimeTally:
@@ -497,9 +503,11 @@ def dedekind_from_tallies(spec: Cover, N: int) -> Series:
     return Series(logc).exp()
 
 
-def ptilde(spec: Cover, N: int | None = None, seed: int = 0) -> list[int]:
+def ptilde(spec: Cover, N: int | None = None) -> list[int]:
     """Numerator of Z_{O_E}(u) = ptilde(u)/(1 - qu): integer coefficients,
-    degree exactly bounded by 2*genus + sum of infinite inertia degrees - 1."""
+    degree exactly bounded by 2*genus + sum of infinite inertia degrees - 1.
+    Z is the Euler product over the prime tallies (`dedekind_from_tallies`);
+    enumeration (`dedekind_series`) is its oracle."""
     genus = spec.genus()
     inf = spec.infinity_data()
     sum_f_inf = inf.f * inf.g  # g primes above infinity, each inertia degree f
@@ -509,7 +517,7 @@ def ptilde(spec: Cover, N: int | None = None, seed: int = 0) -> list[int]:
     if N < bound + 1:
         raise TooLarge(f"need N >= {bound + 1} to certify the degree bound")
     q = spec.ctx.q
-    Z = dedekind_series(spec, N, seed)
+    Z = dedekind_from_tallies(spec, N)
     pt = [Z.coeffs[0]]
     for n in range(1, N + 1):
         pt.append(Z.coeffs[n] - q * Z.coeffs[n - 1])
@@ -528,12 +536,12 @@ def ptilde(spec: Cover, N: int | None = None, seed: int = 0) -> list[int]:
     return out
 
 
-def curve_zeta_numerator(spec: Cover, seed: int = 0) -> list[int]:
+def curve_zeta_numerator(spec: Cover) -> list[int]:
     """P_E(u): divide the infinite-place cyclotomic factor out of ptilde.
 
     ptilde = P_E * [prod_{i=1..g_inf}(1 - u^{f_inf})] / (1 - u); the division
     must be exact over the integers, else the cover model is inconsistent."""
-    pt = ptilde(spec, seed=seed)
+    pt = ptilde(spec)
     inf = spec.infinity_data()
     cyc = [1]
     for _ in range(inf.g):
@@ -578,11 +586,12 @@ def r_full_mean(spec: Cover, n: int, seed: int = 0) -> Fraction:
 def r_full_check(spec: Cover, n: int, seed: int = 0):
     """The rationality identity as a report: for n past deg(ptilde) the mean
     of r over all degree-n monics equals ptilde(1/q) exactly, and the value
-    sits within 4/sqrt(q) of 1."""
+    sits within 4/sqrt(q) of 1.  The mean is enumerated and ptilde comes from
+    the prime tallies, so the two sides are independent routes."""
     from .intervals import Report, cover_hash
 
     q = spec.ctx.q
-    pt = ptilde(spec, seed=seed)
+    pt = ptilde(spec)
     value = sum(Fraction(c, q**i) for i, c in enumerate(pt))
     mean = r_full_mean(spec, n, seed)
     exact_regime = n >= len(pt) - 1

@@ -184,6 +184,17 @@ def test_zeta_command(gen1_file, capsys):
     assert "ptilde_at_1_over_q = 8/5" in out
 
 
+def test_zeta_command_genus1_artin_schreier_f9(tmp_path, capsys):
+    # y^3 - y = ((1,1) + (0,1)T)/T^2 over F_9: ptilde comes from the prime
+    # tallies, so this ends in about a second instead of enumerating monics
+    f = tmp_path / "as9.cov"
+    f.write_text("kind = artin_schreier\np = 3\nk = 2\nD_num = [(1,1),(0,1)]\nD_den = [0,0,1]\n")
+    assert main(["zeta", "--cover", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "curve_numerator = [1,3,9]\n" in out
+    assert "rh_root_moduli_times_q = [1.000000000,1.000000000]\n" in out
+
+
 def test_psi_check_command(gen1_file, capsys):
     assert main(["psi-check", "--cover", gen1_file, "--max-n", "6"]) == 0
     out = capsys.readouterr().out

@@ -326,12 +326,28 @@ def test_as_genus_point_count_oracle():
 
 
 def test_genus_via_zeta_consistency_quadratic():
-    # independent of Riemann-Hurwitz: ptilde from enumeration has degree
-    # 2*genus + sum f_i - 1 (checked inside ptilde); run it on genus 0 and 1
-    from ffcheb.zeta import ptilde
+    # ptilde has degree 2*genus + sum f_i - 1 (checked inside ptilde, which
+    # reads the prime tallies); Z(u)(1 - qu) from enumerating r over every
+    # monic is independent of Riemann-Hurwitz and must equal it; genus 0 and 1
+    from ffcheb.zeta import dedekind_series, ptilde
 
-    assert len(ptilde(kummer(F5, 2, "T^3-3*T^2+2*T"))) - 1 == 2
-    assert len(ptilde(kummer(F5, 2, "T"))) - 1 <= 1
+    for D, deg in (("T^3-3*T^2+2*T", 2), ("T", 0)):
+        cov = kummer(F5, 2, D)
+        pt = ptilde(cov)
+        assert len(pt) - 1 == deg
+        Z = dedekind_series(cov, 4).coeffs
+        enumerated = [Z[0]] + [Z[n] - 5 * Z[n - 1] for n in range(1, 5)]
+        assert enumerated == pt + [0] * (5 - len(pt))
+
+
+def test_genus_total_must_be_even_and_at_least_minus_two():
+    from ffcheb.covers import _genus_from_total
+
+    assert _genus_from_total(-2) == 0
+    assert _genus_from_total(4) == 3
+    for bad in (-4, -1, 3):
+        with pytest.raises(NotGeometric):
+            _genus_from_total(bad)
 
 
 # -- product covers -----------------------------------------------------------------

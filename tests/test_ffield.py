@@ -139,3 +139,58 @@ def test_field_axioms_random():
             assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
             if b:
                 assert F.mul(F.div(a, b), b) == a
+
+
+#: (p, k) -> (modulus, generator) of the canonical F_{p^k}: every field with
+#: k >= 2, p <= 31 and p^k <= 2^13, plus F_{13^4} and F_{2^14}.  The modulus
+#: is low-first; the generator is the encoded primitive root.
+CANONICAL_FIELDS = {
+    (2, 2): ((1, 1, 1), 2),
+    (2, 3): ((1, 1, 0, 1), 2),
+    (2, 4): ((1, 1, 0, 0, 1), 2),
+    (2, 5): ((1, 0, 1, 0, 0, 1), 2),
+    (2, 6): ((1, 1, 0, 0, 0, 0, 1), 2),
+    (2, 7): ((1, 1, 0, 0, 0, 0, 0, 1), 2),
+    (2, 8): ((1, 1, 0, 1, 1, 0, 0, 0, 1), 3),
+    (2, 9): ((1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 7),
+    (2, 10): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2),
+    (2, 11): ((1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),
+    (2, 12): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3),
+    (2, 13): ((1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),
+    (3, 2): ((1, 0, 1), 4),
+    (3, 3): ((1, 2, 0, 1), 3),
+    (3, 4): ((2, 1, 0, 0, 1), 3),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), 3),
+    (3, 7): ((2, 0, 1, 0, 0, 0, 0, 1), 5),
+    (3, 8): ((2, 0, 1, 0, 0, 0, 0, 0, 1), 38),
+    (5, 2): ((2, 0, 1), 6),
+    (5, 3): ((1, 1, 0, 1), 9),
+    (5, 4): ((2, 0, 0, 0, 1), 6),
+    (5, 5): ((1, 4, 0, 0, 0, 1), 10),
+    (7, 2): ((1, 0, 1), 9),
+    (7, 3): ((2, 0, 0, 1), 22),
+    (7, 4): ((1, 1, 0, 0, 1), 12),
+    (11, 2): ((1, 0, 1), 15),
+    (11, 3): ((4, 1, 0, 1), 11),
+    (13, 2): ((2, 0, 1), 15),
+    (13, 3): ((2, 0, 0, 1), 15),
+    (17, 2): ((3, 0, 1), 19),
+    (17, 3): ((3, 1, 0, 1), 17),
+    (19, 2): ((1, 0, 1), 22),
+    (19, 3): ((2, 0, 0, 1), 29),
+    (23, 2): ((1, 0, 1), 25),
+    (29, 2): ((2, 0, 1), 30),
+    (31, 2): ((1, 0, 1), 35),
+    (13, 4): ((2, 0, 0, 0, 1), 17),
+    (2, 14): ((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 7),
+}
+
+
+@pytest.mark.parametrize("pk", sorted(CANONICAL_FIELDS))
+def test_canonical_fields_pinned(pk):
+    # Field(), not make_field(), so the shared cache does not keep these
+    modulus, generator = CANONICAL_FIELDS[pk]
+    F = Field(*pk)
+    assert (F.modulus, F.generator) == (modulus, generator)
+    assert F.order(F.generator) == F.q - 1

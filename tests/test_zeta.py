@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,6 +72,30 @@ def test_prime_tally_example():
     assert tally.unramified[(1, 2)] == 2  # inert: non-residues 2, 3
     assert tally.ramified == {(1, 2, 1, 1): 1}  # T itself
     tally.check_partition(F5)
+
+
+def test_check_partition_rejects_a_tampered_tally_under_optimize():
+    # the check must not rest on assert, which python -O strips
+    code = (
+        "from ffcheb.covers import kummer\n"
+        "from ffcheb.errors import DegreeBoundViolated\n"
+        "from ffcheb.ffield import make_field\n"
+        "from ffcheb.zeta import prime_tallies\n"
+        "F = make_field(5)\n"
+        "tally = prime_tallies(kummer(F, 2, 'T'), 2)\n"
+        "tally.unramified[(2, 1)] += 1\n"
+        "try:\n"
+        "    tally.check_partition(F)\n"
+        "except DegreeBoundViolated as e:\n"
+        "    print('raised:', e)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: prime tallies at degree 2 ")
 
 
 def test_global_count_vs_interval():

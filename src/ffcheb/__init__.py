@@ -10,7 +10,7 @@ machinery (zeta).  The `ffcheb` console script exposes the lot.
 
 from . import covers, factypes, groups, intervals, wreath, zeta
 from .errors import DomainError, FfchebError, ResourceError
-from .ffield import Field, FieldElement, arith, make_field, root_of_unity
+from .ffield import Field, FieldElement, make_field, root_of_unity
 from .polys import (
     Factorization,
     Poly,
@@ -30,7 +30,6 @@ __all__ = [
     "ResourceError",
     "Field",
     "FieldElement",
-    "arith",
     "make_field",
     "root_of_unity",
     "Factorization",

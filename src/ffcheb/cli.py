@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from fractions import Fraction
 
@@ -44,11 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _field_from_q(q: int):
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
+    if q < 2:
+        raise DomainError(f"{q} is not a prime power")
+    p = next((cand for cand in range(2, math.isqrt(q) + 1) if q % cand == 0), q)
     k = 0
     m = q
     while m % p == 0 and m > 1:
@@ -102,7 +101,7 @@ def cmd_frobenius(args) -> int:
     P = parse_poly(spec.ctx, args.prime)
     ci = spec.frobenius_class(P)
     label = "trivial" if spec.group.classes[ci] == (0,) else "nontrivial"
-    print(f"class {ci} ({label})")
+    _emit(args, f"class {ci} ({label})\n")
     return 0
 
 
@@ -111,7 +110,7 @@ def cmd_lambda(args) -> int:
 
     spec = load_cover(args.cover, args.force_wild)
     f = parse_poly(spec.ctx, args.poly)
-    print(lambda_of_poly(spec, f, args.seed).serialize())
+    _emit(args, lambda_of_poly(spec, f, args.seed).serialize() + "\n")
     return 0
 
 
@@ -296,13 +295,16 @@ def build_parser() -> _Parser:
     p = _Parser(prog="ffcheb", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, cover=True):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
+    def common(sp, seed=True, threads=True):
+        """--cover, --force-wild and --out, plus --seed and --threads where
+        the command reads them."""
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if threads:
+            sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None)
         sp.add_argument("--force-wild", action="store_true", dest="force_wild")
-        if cover:
-            sp.add_argument("--cover", required=True)
+        sp.add_argument("--cover", required=True)
 
     sp = sub.add_parser("factor", help="factor a polynomial over F_q")
     sp.add_argument("--q", type=int, required=True)
@@ -311,12 +313,12 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_factor)
 
     sp = sub.add_parser("frobenius", help="Frobenius class at an unramified prime")
-    common(sp)
+    common(sp, seed=False, threads=False)
     sp.add_argument("prime")
     sp.set_defaults(func=cmd_frobenius)
 
     sp = sub.add_parser("lambda", help="factorization type of a polynomial")
-    common(sp)
+    common(sp, threads=False)
     sp.add_argument("poly")
     sp.set_defaults(func=cmd_lambda)
 
@@ -364,11 +366,11 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_norms_check)
 
     sp = sub.add_parser("zeta", help="ptilde, K_E, and the exact mean of r")
-    common(sp)
+    common(sp, threads=False)  # the report prints --seed
     sp.set_defaults(func=cmd_zeta)
 
     sp = sub.add_parser("psi-check", help="psi_E(n) against its square-root band")
-    common(sp)
+    common(sp, seed=False, threads=False)
     sp.add_argument("--max-n", type=int, default=8, dest="max_n")
     sp.set_defaults(func=cmd_psi_check)
 

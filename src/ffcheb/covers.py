@@ -93,9 +93,6 @@ class Cover:
     def _coset_raw(self, P: Coeffs) -> int:
         raise NotImplementedError
 
-    def group_size(self) -> int:
-        return self.group.n
-
     # -- shared API
 
     def require_validated(self) -> None:
@@ -125,11 +122,19 @@ class Cover:
             raise NotIrreducible(f"{Poly._raw(self.ctx, cs)!r} is not a prime of F_q[T]")
         if cs in self._ramified_set():
             raise RamifiedPrime(f"{Poly._raw(self.ctx, cs)!r} ramifies in the cover")
-        omega = self.coset_class(cs)
-        try:
-            return self.group.class_to_omega.index(omega)
-        except ValueError:  # pragma: no cover - coset of nontrivial subgroup
-            raise RamifiedPrime("Frobenius at this prime is not a conjugacy class")
+        return self.group.omega_to_class[self.coset_class(cs)]
+
+    def class_counts(self, n: int) -> list[int]:
+        """Number of unramified primes of degree n whose Frobenius lies in
+        each conjugacy class, indexed by class."""
+        self.require_validated()
+        ram = self._ramified_set()
+        to_class = self.group.omega_to_class
+        counts = [0] * len(self.group.classes)
+        for P in primes_of_degree(self.ctx, n):
+            if P not in ram:  # as a Poly, the cache keys the listed tuple itself
+                counts[to_class[self.coset_class(Poly._raw(self.ctx, P))]] += 1
+        return counts
 
     def splitting_data(self, P) -> SplittingData:
         self.require_validated()
@@ -729,33 +734,25 @@ class SplittingCover(Cover):
     def _sampling_check(self) -> None:
         """Necessary-condition census: observed cycle types must be in the
         table, with frequencies within 5 sigma of the class proportions."""
-        counts: dict[int, int] = {}
-        total = 0
+        G = self.group
+        counts = [0] * len(G.classes)
         for deg in (1, 2, 3):
-            if total >= 200:
+            if sum(counts) >= 200:
                 break
-            for P in primes_of_degree(self.ctx, deg):
-                if P in self._ram:
-                    continue
-                ci = self._coset_to_class(self._coset_raw(P))
-                counts[ci] = counts.get(ci, 0) + 1
-                total += 1
+            counts = [a + b for a, b in zip(counts, self.class_counts(deg))]
+        total = sum(counts)
         if total == 0:
             return
-        G = self.group
         for ci, cls in enumerate(G.classes):
             frac = len(cls) / G.n
             exp = total * frac
             sigma = math.sqrt(total * frac * (1 - frac)) or 1.0
-            if abs(counts.get(ci, 0) - exp) > 5 * sigma:
+            if abs(counts[ci] - exp) > 5 * sigma:
                 raise AmbiguousCycleType(
                     f"observed Frobenius frequencies are inconsistent with the "
-                    f"asserted group (class {ci}: saw {counts.get(ci, 0)}, "
+                    f"asserted group (class {ci}: saw {counts[ci]}, "
                     f"expected {exp:.1f} of {total})"
                 )
-
-    def _coset_to_class(self, omega: int) -> int:
-        return self.group.class_to_omega.index(omega)
 
     def _ramified_set(self) -> frozenset[Coeffs]:
         return self._ram
@@ -852,9 +849,15 @@ def _rf_resultant(f: list[RationalFn], g: list[RationalFn]) -> RationalFn:
 
 
 def validate_cover(spec: Cover, force_wild: bool = False) -> Cover:
-    """Run the kind-specific checks; idempotent, returns the spec."""
+    """Run the kind-specific checks; idempotent, returns the spec.  A spec
+    whose checks fail stays unvalidated, even where a check (the splitting
+    census) needed the flag set to classify primes."""
     if not spec.validated:
-        spec._validate(force_wild)
+        try:
+            spec._validate(force_wild)
+        except BaseException:
+            spec.validated = False
+            raise
     return spec
 
 

@@ -380,19 +380,6 @@ def make_field(p: int, k: int = 1) -> Field:
     return _make_field(p, k)
 
 
-def arith(a: FieldElement, b: FieldElement, kind: str) -> FieldElement:
-    """Dispatch form of +,-,*,/ used by the CLI layer."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
 def root_of_unity(ctx: Field, d: int) -> FieldElement:
     """zeta = g^((q-1)/d) for the canonical primitive root g; order exactly d."""
     if d < 1 or (ctx.q - 1) % d != 0:

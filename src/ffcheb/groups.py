@@ -4,7 +4,8 @@ catalog needed to label Frobenius data at ramified primes.
 The catalog indexes conjugacy classes of cosets sigma*I (I a subgroup) and
 stores the splitting triple per class: e = |I|, f = [<sigma, I> : I],
 g = |G| / (e*f).  Conjugacy classes of elements are the cosets of the trivial
-subgroup, so they embed into the catalog; `class_to_omega` records that map.
+subgroup, so they embed into the catalog; `class_to_omega` records that map
+and `omega_to_class` inverts it.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ class GroupTable:
     (for permutation-backed tables, composition applies j first).
     """
 
-    def __init__(self, table, perms=None, check: bool = True):
+    def __init__(self, table, perms=None):
         self.table = tuple(tuple(row) for row in table)
         self.n = len(self.table)
         self.perms = tuple(perms) if perms is not None else None
-        if check:
-            self._check_axioms()
+        self._check_axioms()
         self.inverse = self._build_inverses()
         self.element_orders = tuple(self._order_of(i) for i in range(self.n))
         self.classes = self._conjugacy_classes()
@@ -217,6 +217,7 @@ class GroupTable:
         self.class_to_omega = tuple(
             self._coset_to_omega[frozenset({c[0]})] for c in self.classes
         )
+        self.omega_to_class = {w: ci for ci, w in enumerate(self.class_to_omega)}
 
     def omega_of_coset(self, coset) -> int:
         """Catalog index of the conjugacy class of a coset, given as a set."""
@@ -270,30 +271,15 @@ class GroupTable:
 
     @staticmethod
     def direct_product(factors: list["GroupTable"]) -> "GroupTable":
-        sizes = [G.n for G in factors]
-        n = 1
-        for s in sizes:
-            n *= s
-        def decode(i):
-            out = []
-            for s in reversed(sizes):
-                out.append(i % s)
-                i //= s
-            return tuple(reversed(out))
-        def encode(tup):
-            i = 0
-            for s, t in zip(sizes, tup):
-                i = i * s + t
-            return i
+        # element tuples in mixed-radix order, the first factor most significant
+        elems = list(itertools.product(*(range(G.n) for G in factors)))
+        index = {t: i for i, t in enumerate(elems)}
         table = [
-            [
-                encode(tuple(G.mul(a, b) for G, a, b in zip(factors, decode(i), decode(j))))
-                for j in range(n)
-            ]
-            for i in range(n)
+            [index[tuple(G.mul(a, b) for G, a, b in zip(factors, x, y))] for y in elems]
+            for x in elems
         ]
         G = GroupTable(table)
-        G.factor_sizes = tuple(sizes)
+        G.factor_sizes = tuple(F.n for F in factors)
         return G
 
     # ---- misc ---------------------------------------------------------------
@@ -350,8 +336,10 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
         else:
             cur += ch
     for chunk in depth_chunks:
-        pts = [int(t) - 1 for t in chunk.replace(",", " ").split()]
-        if any(not 0 <= x < degree for x in pts) or len(set(pts)) != len(pts):
+        tokens = chunk.replace(",", " ").split()
+        pts = [int(t) - 1 for t in tokens if t.isdecimal()]
+        bad = len(pts) != len(tokens) or len(set(pts)) != len(pts)
+        if bad or any(not 0 <= x < degree for x in pts):
             raise DomainError(f"bad cycle {chunk!r} for degree {degree}")
         for a, b in zip(pts, pts[1:] + pts[:1]):
             perm[a] = b

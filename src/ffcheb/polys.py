@@ -559,11 +559,6 @@ class Poly:
     # ---- constructors
 
     @classmethod
-    def from_int_coeffs(cls, ctx: Field, ints: Sequence[int]) -> "Poly":
-        """Integer coefficients mapped through Z -> F_p (prime subfield)."""
-        return cls(ctx, [ctx.scalar(c) for c in ints])
-
-    @classmethod
     def x(cls, ctx: Field) -> "Poly":
         return cls(ctx, (0, 1))
 
@@ -896,14 +891,9 @@ def _roots_in(F: Field, cs: Coeffs) -> list[int]:
 
 
 def residue_field(P: Poly) -> ResidueField:
-    """Canonical residue field at a monic irreducible P, cached per context."""
-    cache = getattr(P.ctx, "_residue_cache", None)
-    if cache is None:
-        cache = P.ctx._residue_cache = {}
-    rf = cache.get(P.coeffs)
-    if rf is None:
-        rf = cache[P.coeffs] = ResidueField(P.ctx, P.coeffs)
-    return rf
+    """Canonical residue field at a monic irreducible P, built afresh on each
+    call (the field F_{q^deg P} itself is a shared `make_field` singleton)."""
+    return ResidueField(P.ctx, P.coeffs)
 
 
 def eval_mod(D, P: Poly) -> FieldElement:

@@ -27,7 +27,7 @@ from .covers import ArtinSchreierCover, Cover, KummerCover, ProductCover, Trivia
 from .errors import DegreeBoundViolated, TooLarge, UserGenusRequired
 from .factypes import direct_r
 from .groups import GroupTable
-from .polys import Poly, count_primes, enumerate_monic, primes_of_degree
+from .polys import count_primes, enumerate_monic
 
 #: direct-enumeration bound (polynomials visited)
 ENUMERATION_LIMIT = 10**7
@@ -131,12 +131,6 @@ class GroupRingElem:
         )
 
     @staticmethod
-    def basis(group: GroupTable, i: int) -> "GroupRingElem":
-        vec = [Fraction(0)] * group.n
-        vec[i] = Fraction(1)
-        return GroupRingElem(group, vec)
-
-    @staticmethod
     def averaging(group: GroupTable) -> "GroupRingElem":
         w = Fraction(1, group.n)
         return GroupRingElem(group, (w,) * group.n)
@@ -185,7 +179,7 @@ def _is_cyclic_or_product(spec: Cover) -> bool:
 class AbelianFrobeniusData:
     """Exact per-class prime tallies for an abelian cover, any degree."""
 
-    def __init__(self, spec: Cover, budget: int = LDATA_BUDGET):
+    def __init__(self, spec: Cover):
         if not _is_cyclic_or_product(spec):
             raise TooLarge("exact global tallies need a cyclic or product cover")
         spec.require_validated()
@@ -207,30 +201,19 @@ class AbelianFrobeniusData:
         self.deg_bound = max(ram_deg_sum, nontriv_bound, 1)
         q = self.ctx.q
         J = self.deg_bound + 1
-        while J > self.deg_bound and sum(q**j for j in range(1, J + 1)) > budget:
+        while J > self.deg_bound and sum(q**j for j in range(1, J + 1)) > LDATA_BUDGET:
             J -= 1
-        if sum(q**j for j in range(1, J + 1)) > budget:
+        if sum(q**j for j in range(1, J + 1)) > LDATA_BUDGET:
             raise TooLarge(
                 f"computing the L-data needs a prime sweep of {sum(q**j for j in range(1, J + 1))} "
-                f"candidates (budget {budget})"
+                f"candidates (budget {LDATA_BUDGET})"
             )
         self.J = J
-        self._omega_to_class = {w: c for c, w in enumerate(G.class_to_omega)}
-        self.tallies: dict[int, list[int]] = {}
-        ramset = spec._ramified_set()
-        for j in range(1, J + 1):
-            row = [0] * G.n
-            for P in primes_of_degree(self.ctx, j):
-                if P in ramset:
-                    continue
-                row[self._frob_elem(P)] += 1
-            self.tallies[j] = row
+        # abelian: class ci is the singleton (ci,), so a row is indexed by element
+        self.tallies: dict[int, list[int]] = {
+            j: spec.class_counts(j) for j in range(1, J + 1)
+        }
         self._build_poly()
-
-    def _frob_elem(self, Pcs) -> int:
-        # abelian: conjugacy classes are singletons indexed by the element
-        omega = self.spec.coset_class(Poly._raw(self.ctx, Pcs))
-        return self._omega_to_class[omega]
 
     def _log_coeff(self, n: int, limit: int) -> GroupRingElem:
         """n * [u^n] log Z from tallies of degree <= limit."""
@@ -329,14 +312,7 @@ def count_prime_frobenius_global(spec: Cover, class_index: int, n: int) -> int:
     # splitting covers: direct enumeration at desk scale
     if spec.ctx.q**n > ENUMERATION_LIMIT:
         raise TooLarge("direct prime enumeration out of budget for this cover")
-    ramset = spec._ramified_set()
-    total = 0
-    for P in primes_of_degree(spec.ctx, n):
-        if P in ramset:
-            continue
-        if spec.frobenius_class(Poly._raw(spec.ctx, P)) == class_index:
-            total += 1
-    return total
+    return spec.class_counts(n)[class_index]
 
 
 # ---------------------------------------------------------------------------
@@ -387,33 +363,28 @@ def prime_tallies(spec: Cover, N: int) -> PrimeTally:
     return PrimeTally(unram, ram, N)
 
 
+def _psi_values(spec: Cover, N: int) -> list[int]:
+    """[psi_E(1), ..., psi_E(N)] from one prime tally: a prime of degree d
+    with residue degree f adds d*f to psi_E(n) for every multiple n of d*f."""
+    tally = prime_tallies(spec, N)
+    psis = [0] * (N + 1)
+    weights = [(d * f, cnt) for (d, f), cnt in tally.unramified.items()]
+    weights += [(d * f, cnt) for (d, _, f, _), cnt in tally.ramified.items()]
+    for j, cnt in weights:
+        for n in range(j, N + 1, j):
+            psis[n] += j * cnt
+    return psis[1:]
+
+
 def psi_E(spec: Cover, n: int) -> int:
     """psi_E(n) = sum over d*f | n of d*f*pi_{E;f}(d), all primes included."""
-    tally = prime_tallies(spec, n)
-    total = 0
-    for (d, f), cnt in tally.unramified.items():
-        if (d * f) and n % (d * f) == 0:
-            total += d * f * cnt
-    for (d, e, f, g), cnt in tally.ramified.items():
-        if n % (d * f) == 0:
-            total += d * f * cnt
-    return total
+    return _psi_values(spec, n)[n - 1]
 
 
 def b_series(spec: Cover, N: int) -> Series:
     """exp(sum psi_E(n) u^n / n) mod u^(N+1): sum of b over monics of each
     degree, as exact rationals (they are integers)."""
-    tally = prime_tallies(spec, N)
-    psis = []
-    for n in range(1, N + 1):
-        total = 0
-        for (d, f), cnt in tally.unramified.items():
-            if n % (d * f) == 0:
-                total += d * f * cnt
-        for (d, e, f, g), cnt in tally.ramified.items():
-            if n % (d * f) == 0:
-                total += d * f * cnt
-        psis.append(total)
+    psis = _psi_values(spec, N)
     logd = Series([Fraction(0)] + [Fraction(psis[n - 1], n) for n in range(1, N + 1)])
     return logd.exp()
 
@@ -444,11 +415,9 @@ def K_E(spec: Cover, N: int | None = None) -> tuple[Fraction, float]:
     if N < 2 * genus + size:
         raise TooLarge(f"truncation depth {N} below the floor {2 * genus + size}")
     q = spec.ctx.q
-    prime_tallies(spec, N)
-    es = [Fraction(0)]
-    for n in range(1, N + 1):
-        es.append(Fraction(psi_E(spec, n)) - Fraction(q**n, size))
-    a = Series([Fraction(0)] + [es[n] / n for n in range(1, N + 1)]).exp()
+    psis = _psi_values(spec, N)
+    es = [Fraction(psis[n - 1]) - Fraction(q**n, size) for n in range(1, N + 1)]
+    a = Series([Fraction(0)] + [es[n - 1] / n for n in range(1, N + 1)]).exp()
     value = a.eval_at(Fraction(1, q))
     tail = _k_tail_bound(q, genus, size, N)
     return value, tail

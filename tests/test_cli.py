@@ -46,6 +46,16 @@ def test_factor_bad_q(capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "q, code, name",
+    [("1", 2, "DomainError"), ("0", 2, "DomainError"), ("1000000007", 3, "DegreeTooLarge")],
+)
+def test_factor_q_out_of_range(capsys, q, code, name):
+    # a large prime q is rejected by the field bound, without trial division up to q
+    assert main(["factor", "--q", q, "T+1"]) == code
+    assert capsys.readouterr().err.startswith(f"{name}:")
+
+
 def test_frobenius_command(capsys, quad_file):
     assert main(["frobenius", "--cover", quad_file, "T-2"]) == 0
     assert capsys.readouterr().out.strip() == "class 1 (nontrivial)"
@@ -98,6 +108,37 @@ def test_malformed_cover_file_exit_2(tmp_path, capsys, text, key):
 def test_lambda_command(capsys, quad_file):
     assert main(["lambda", "--cover", quad_file, "T^2"]) == 0
     assert capsys.readouterr().out.strip() == "1:2:2=1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["frobenius", "T^2+2*T+3"], ["lambda", "T^2"], ["lambda", "--seed", "3", "T^3+T"]],
+)
+def test_out_file_holds_stdout_bytes(tmp_path, capsys, quad_file, argv):
+    cmd, rest = argv[0], argv[1:]
+    assert main([cmd, "--cover", quad_file, *rest]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main([cmd, "--cover", quad_file, "--out", str(out), *rest]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi-check", "--threads", "2"],
+        ["psi-check", "--seed", "1"],
+        ["frobenius", "--threads", "2", "T-2"],
+        ["frobenius", "--seed", "1", "T-2"],
+        ["lambda", "--threads", "2", "T^2"],
+        ["zeta", "--threads", "2"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_1(quad_file, argv):
+    with pytest.raises(SystemExit) as e:
+        main([argv[0], "--cover", quad_file, *argv[1:]])
+    assert e.value.code == 1
 
 
 def test_usage_error_exit_1(capsys):

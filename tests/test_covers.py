@@ -3,6 +3,7 @@ point counts for genus, Y^d - D factorization for splitting data, and the
 trace-based Frobenius for Artin-Schreier reduction invariance."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from ffcheb.covers import (
 )
 from ffcheb.errors import (
     AmbiguousCycleType,
+    DomainError,
     NotDividing,
     NotGeometric,
     RamifiedPrime,
@@ -28,7 +30,17 @@ from ffcheb.errors import (
 )
 from ffcheb.ffield import make_field
 from ffcheb.groups import parse_cycles
-from ffcheb.polys import Poly, RationalFn, factor_raw, parse_poly, primes_of_degree
+from ffcheb.intervals import IntervalSpec, interval_lambda_counts
+from ffcheb.polys import (
+    Poly,
+    RationalFn,
+    count_primes,
+    factor_raw,
+    parse_poly,
+    primes_of_degree,
+)
+from ffcheb.zeta import count_prime_frobenius_global
+from oracles import oracle_class
 
 F5 = make_field(5)
 F3 = make_field(3)
@@ -473,6 +485,103 @@ def test_splitting_genus_required():
     spl.declared_genus = None
     with pytest.raises(UserGenusRequired):
         spl.genus()
+
+
+def _s3_cubic(ctx, gens=("(1 2)", "(1 2 3)"), table=None):
+    """Y^3 - T*Y - T, by default with its group S_3 and the right table."""
+    return SplittingCover(
+        ctx,
+        [parse_poly(ctx, "-1*T"), parse_poly(ctx, "-1*T"), Poly.zero(ctx), Poly.one(ctx)],
+        [parse_cycles(g, 3) for g in gens],
+        table or {(1, 1, 1): 0, (2, 1): 1, (3,): 2},
+        declared_genus=0,
+        declared_tame_at_infinity=False,
+    )
+
+
+def test_failed_validation_leaves_cover_unvalidated():
+    # the census raises after the flag it needs was set; a second call must
+    # raise again, and the cover must refuse to classify
+    F13 = make_field(13)
+    spec = _s3_cubic(F13, ("(1 2 3)",), {(1, 1, 1): 0, (3,): 1})  # declared C_3
+    with pytest.raises(AmbiguousCycleType) as first:
+        validate_cover(spec)
+    assert not spec.validated
+    with pytest.raises(AmbiguousCycleType) as second:
+        validate_cover(spec)
+    assert str(second.value) == str(first.value)
+    with pytest.raises(DomainError, match="not been validated"):
+        spec.frobenius_class(parse_poly(F13, "T-2"))
+
+
+# -- prime counts by Frobenius class --------------------------------------------------
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: kummer(F5, 2, "T^3-3*T^2+2*T"),
+        lambda: kummer(make_field(7), 3, "T^2+1"),
+        lambda: artin_schreier(F3, RationalFn(Poly.one(F3), Poly(F3, (1, 1, 1)))),
+        lambda: artin_schreier(
+            make_field(2, 2), RationalFn(Poly.one(make_field(2, 2)), Poly.x(make_field(2, 2)))
+        ),
+        lambda: product(
+            [
+                kummer(F5, 2, "T"),
+                artin_schreier(F5, RationalFn(Poly.one(F5), Poly.x(F5) - 1)),
+            ]
+        ),
+    ],
+    ids=["kummer-5", "kummer-7", "as-3", "as-4", "product-5"],
+)
+def test_class_counts_match_oracle(make):
+    cov = make()
+    ram = cov._ramified_set()
+    for n in (1, 2, 3):
+        want = [0] * len(cov.group.classes)
+        for P in primes_of_degree(cov.ctx, n):
+            if P not in ram:
+                want[oracle_class(cov, P)] += 1
+        assert cov.class_counts(n) == want
+
+
+# counts of the S_3 cubic by class (identity, transpositions, 3-cycles) at
+# degrees 1, 2, ..., pinned from classifying each prime with frobenius_class
+S3_COUNTS = {
+    5: [[0, 1, 2], [1, 6, 3], [6, 20, 14], [22, 78, 50]],
+    7: [[0, 3, 2], [2, 12, 7], [18, 56, 38]],
+    13: [[1, 6, 4], [10, 42, 26]],
+}
+
+
+@pytest.mark.parametrize("q", sorted(S3_COUNTS))
+def test_s3_class_counts(q):
+    ctx = make_field(q)
+    spec = validate_cover(_s3_cubic(ctx))
+    ram_degrees = Counter(len(P) - 1 for P in spec._ramified_set())
+    for n, want in enumerate(S3_COUNTS[q], 1):
+        counts = spec.class_counts(n)
+        assert sum(counts) == count_primes(ctx, n) - ram_degrees[n]
+        assert [count_prime_frobenius_global(spec, ci, n) for ci in range(3)] == want
+
+
+def test_splitting_primes_classified_once(monkeypatch):
+    # the validation census and the interval sieve share the cover's cache,
+    # so each prime reaches the expensive classification at most once
+    calls = Counter()
+    raw = SplittingCover._coset_raw
+
+    def counted(self, P):
+        calls[P] += 1
+        return raw(self, P)
+
+    monkeypatch.setattr(SplittingCover, "_coset_raw", counted)
+    spec = validate_cover(_s3_cubic(F5))
+    census_primes = set(calls)
+    assert census_primes
+    interval_lambda_counts(spec, IntervalSpec(parse_poly(F5, "T^4"), 2))
+    assert max(calls.values()) == 1
+    assert set(calls) > census_primes
 
 
 # -- serialization -----------------------------------------------------------------

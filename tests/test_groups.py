@@ -81,3 +81,25 @@ def test_cycle_notation_roundtrip():
     for text, deg in (("(1 2 3)", 4), ("(1 2)(3 4)", 4), ("()", 3)):
         perm = parse_cycles(text, deg)
         assert parse_cycles(cycles_text(perm), deg) == perm
+
+
+@pytest.mark.parametrize("text", ["(1 x)", "(1 4)", "(1 1)", "(0 1)", "(1 -2)"])
+def test_bad_cycle_is_domain_error(text):
+    with pytest.raises(DomainError):
+        parse_cycles(text, 3)
+
+
+def test_direct_product_matches_componentwise_table():
+    factors = [GroupTable.cyclic(2), GroupTable.cyclic(3), GroupTable.cyclic(2)]
+    G = GroupTable.direct_product(factors)
+    assert G.factor_sizes == (2, 3, 2)
+    for i in range(G.n):
+        assert G.encode_product(G.decode_product(i)) == i
+        for j in range(G.n):
+            parts = zip(factors, G.decode_product(i), G.decode_product(j))
+            assert G.decode_product(G.mul(i, j)) == tuple(F.mul(a, b) for F, a, b in parts)
+
+
+def test_omega_to_class_inverts_class_to_omega():
+    G = GroupTable.symmetric(3)
+    assert [G.omega_to_class[w] for w in G.class_to_omega] == list(range(len(G.classes)))

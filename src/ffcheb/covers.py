@@ -100,7 +100,12 @@ class Cover:
             raise DomainError("cover has not been validated; call validate_cover")
 
     def _prime_coeffs(self, P) -> Coeffs:
-        cs = P.coeffs if isinstance(P, Poly) else pnorm(P)
+        if isinstance(P, Poly):
+            cs = P.coeffs
+        elif isinstance(P, tuple) and P and P[-1]:
+            cs = P  # already normalized: the caches key this very tuple
+        else:
+            cs = pnorm(P)
         if not cs or cs[-1] != 1 or pdeg(cs) < 1:
             raise DomainError("expected a monic polynomial of degree >= 1")
         return cs
@@ -132,8 +137,8 @@ class Cover:
         to_class = self.group.omega_to_class
         counts = [0] * len(self.group.classes)
         for P in primes_of_degree(self.ctx, n):
-            if P not in ram:  # as a Poly, the cache keys the listed tuple itself
-                counts[to_class[self.coset_class(Poly._raw(self.ctx, P))]] += 1
+            if P not in ram:
+                counts[to_class[self.coset_class(P)]] += 1
         return counts
 
     def splitting_data(self, P) -> SplittingData:

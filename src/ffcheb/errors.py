@@ -3,6 +3,8 @@
 Class names double as the error names that the CLI prints on stderr, so they
 follow the domain vocabulary rather than the usual *Error suffix convention.
 DomainError maps to exit code 2, ResourceError to exit code 3.
+InvariantViolated is neither: it marks a bug in the package, not bad input,
+so the CLI lets it end in a traceback.
 """
 
 
@@ -16,6 +18,10 @@ class DomainError(FfchebError):
 
 class ResourceError(FfchebError):
     """A configured size or enumeration bound was exceeded."""
+
+
+class InvariantViolated(FfchebError):
+    """An internal invariant failed (explicit, so `python -O` keeps it)."""
 
 
 # finite-field / polynomial layer

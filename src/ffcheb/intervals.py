@@ -28,8 +28,10 @@ from .errors import (
 )
 from .factypes import ArithFnSpec, FactorizationType, evaluate
 from .polys import (
-    Coeffs,
+    ENUMERATION_LIMIT,
     Poly,
+    _coset_indices,
+    _index,
     factor_raw,
     pdeg,
     pdiv,
@@ -40,7 +42,6 @@ from .polys import (
     primes_of_degree,
 )
 from .wreath import enumerate_class_types, mean_class_function
-from .zeta import ENUMERATION_LIMIT
 
 #: fixed normalization note carried by every norm-related report
 NORM_NOTE = (
@@ -83,33 +84,11 @@ class IntervalSpec:
 #
 # "Q^e divides f_b + h" is the affine condition h = -f_b mod Q^e.  The sieve
 # solves it once per block for each monic prime Q of degree <= s and each
-# power with e * deg Q <= n, and records which elements each power hits.
+# power with e * deg Q <= n, and records which elements each power hits;
+# polys._coset_indices lists them, as it does for the prime sieve.
 # What is left of an element after its small primes is prime whenever its
 # degree is at most 2s + 1 (a composite would have a factor of degree <= s);
 # larger cofactors, possible only when m + 1 < n // 2, go to factor_raw.
-
-
-def _index(cs, q: int) -> int:
-    """Block index of the polynomial h with coefficients cs (deg h < s)."""
-    i = 0
-    for c in reversed(cs):
-        i = i * q + c
-    return i
-
-
-def _coset_indices(F, s: int, r: Coeffs, Qe: Coeffs, t: int) -> list[int]:
-    """Block indices of the h = r + Qe * k, over all k with deg k < t."""
-    add, mul = F.add, F.mul
-    vecs = [list(r) + [0] * (s - len(r))]
-    for i in range(t):
-        row = [0] * i + list(Qe) + [0] * (s - i - len(Qe))
-        vecs = [
-            [add(a, mul(c, b)) for a, b in zip(v, row)]
-            for v in vecs
-            for c in range(F.q)
-        ]
-    q = F.q
-    return [_index(v, q) for v in vecs]
 
 
 class _BlockSieve:
@@ -161,7 +140,7 @@ class _BlockSieve:
                 r = pneg(F, pmod(F, fbt, Qe))
                 if len(r) > s:
                     break  # no element is divisible by Q^e, nor by Q^(e+1)
-                sols = _coset_indices(F, s, r, Qe, max(s - e * d, 0))
+                sols = _coset_indices(F, r, Qe, max(s - e * d, 0))
                 if ram:
                     for i in sols:
                         bad[i] = 1

@@ -18,19 +18,24 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ConstantPolynomial,
     ContextMismatch,
     DivisionByZero,
+    InvariantViolated,
     PoleAtPrime,
     PolyParseError,
+    TooLarge,
     ZeroPolynomial,
 )
 from .ffield import Field, FieldElement, make_field, prime_factors
 
 Coeffs = tuple[int, ...]
+
+#: largest number of polynomials any exhaustive sweep may walk
+ENUMERATION_LIMIT = 10**7
 
 # ---------------------------------------------------------------------------
 # raw coefficient-tuple arithmetic
@@ -323,7 +328,8 @@ def pth_root_poly(F: Field, a: Coeffs) -> Coeffs:
     out = [0] * ((len(a) - 1) // p + 1)
     for i, c in enumerate(a):
         if c:
-            assert i % p == 0, "polynomial is not a p-th power"
+            if i % p:
+                raise InvariantViolated("polynomial is not a p-th power")
             out[i // p] = F.pth_root(c)
     return pnorm(out)
 
@@ -475,20 +481,36 @@ def count_primes(ctx: Field, n: int) -> int:
 
 
 def primes_of_degree(ctx: Field, n: int) -> list[Coeffs]:
-    """All monic irreducibles of degree n, ascending in enumeration order.
+    """All monic irreducibles of degree n, in the order of
+    `enumerate_monic_raw` (lowest coefficient varying fastest).
 
-    Cached on the field context; this is the backbone of the exact prime
-    tallies, so the cache is shared by every cover over the same field.
+    Degree n >= 2 is sieved: the monics of degree n are I(T^n, n - 1), and
+    the multiples there of a prime Q of degree d <= n/2 are the coset
+    h = -T^n mod Q, n - d digits free.  Cached on the field context; this is
+    the backbone of the exact prime tallies, so the cache is shared by every
+    cover over the same field.
     """
     cache = getattr(ctx, "_prime_cache", None)
     if cache is None:
         cache = ctx._prime_cache = {}
     if n in cache:
         return cache[n]
+    if n < 1:
+        raise ConstantPolynomial("primes have degree >= 1")
+    q = ctx.q
     if n == 1:
-        out = [(ctx.neg(a), 1) for a in range(ctx.q)]
+        out = [(ctx.neg(a), 1) for a in range(q)]
     else:
-        out = [f for f in enumerate_monic_raw(ctx, n) if is_irreducible_raw(ctx, f)]
+        size = q**n
+        if size > ENUMERATION_LIMIT:
+            raise TooLarge(f"listing the primes of degree {n} sieves {size} monics")
+        keep = bytearray(b"\x01") * size
+        tn = (0,) * n + (1,)
+        for d in range(1, n // 2 + 1):
+            for Q in primes_of_degree(ctx, d):
+                for i in _coset_indices(ctx, pneg(ctx, pmod(ctx, tn, Q)), Q, n - d):
+                    keep[i] = 0
+        out = list(itertools.compress(enumerate_monic_raw(ctx, n), keep))
     cache[n] = out
     return out
 
@@ -498,6 +520,66 @@ def enumerate_monic_raw(F: Field, n: int) -> Iterator[Coeffs]:
     fastest (ascending base-q encoding of the lower coefficients)."""
     for top_down in itertools.product(range(F.q), repeat=n):
         yield top_down[::-1] + (1,)
+
+
+# ---------------------------------------------------------------------------
+# affine cosets
+#
+# A polynomial h of degree < s has the index sum h_j q^j over its digits h_j
+# (field encodings), lowest first, so the q^s of them are numbered 0..q^s-1.
+# For a monic Q of degree D and r reduced mod Q, the h = r mod Q of degree
+# < D + t are h = T^D u + l with deg u < t and l = r - (T^D u mod Q): every
+# u gives exactly one, and l is linear in u.  The interval sieve and the
+# prime sieve both mark such cosets.
+
+
+def _index(cs, q: int) -> int:
+    """Index of the polynomial with coefficients cs."""
+    i = 0
+    for c in reversed(cs):
+        i = i * q + c
+    return i
+
+
+def _coset_indices(F: Field, r: Coeffs, Q: Coeffs, t: int) -> Iterable[int]:
+    """Ascending indices of the h = r + Q * k over all k with deg k < t, for a
+    monic Q and r reduced mod Q.
+
+    The low and the high halves of u are spanned apart, and each high part
+    is joined to every low part in turn, so memory stays near q^(t/2)."""
+    q, D = F.q, len(Q) - 1
+    if not t:
+        return [_index(r, q)]
+    rows = []  # -(T^(D+j) mod Q): what digit j of u adds to l
+    x = (0,) * (D - 1) + (1,)
+    for _ in range(t):
+        x = pmod(F, (0,) + x, Q)
+        rows.append(list(pneg(F, x)) + [0] * (D - len(x)))
+    h = (t + 1) // 2
+    low = _span(F, D, list(r) + [0] * (D - len(r)), 0, rows[:h])
+    if h == t:
+        return [tl + _index(vl, q) for tl, vl in low]
+    high = _span(F, D, [0] * D, h, rows[h:])
+    add = F.add
+    return itertools.chain.from_iterable(
+        [th + tl + _index([add(a, b) for a, b in zip(vh, vl)], q) for tl, vl in low]
+        for th, vh in high
+    )
+
+
+def _span(F: Field, D: int, l0: list[int], first: int, rows) -> list[tuple[int, list[int]]]:
+    """(index of T^D u, l0 + the l of u) over the u whose digits first,
+    first + 1, ... are free, one per row, and whose other digits are 0."""
+    q = F.q
+    add, mul = F.add, F.mul
+    tops, lows = [0], [l0]
+    step = q ** (D + first)
+    for row in rows:
+        scaled = [[mul(c, b) for b in row] for c in range(q)]
+        lows = [[add(a, b) for a, b in zip(v, sc)] for sc in scaled for v in lows]
+        tops = [c * step + top for c in range(q) for top in tops]
+        step *= q
+    return list(zip(tops, lows))
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +967,8 @@ def _roots_in(F: Field, cs: Coeffs) -> list[int]:
     unit, parts = factor_raw(F, cs, seed=0)
     roots = []
     for P, e in parts:
-        assert pdeg(P) == 1, "polynomial does not split in the residue field"
+        if pdeg(P) != 1:
+            raise InvariantViolated("polynomial does not split in the residue field")
         roots.append(F.neg(P[0]))
     return sorted(roots)
 

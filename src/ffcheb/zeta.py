@@ -24,13 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import ArtinSchreierCover, Cover, KummerCover, ProductCover, TrivialCover
-from .errors import DegreeBoundViolated, TooLarge, UserGenusRequired
+from .errors import DegreeBoundViolated, InvariantViolated, TooLarge, UserGenusRequired
 from .factypes import direct_r
 from .groups import GroupTable
-from .polys import count_primes, enumerate_monic
-
-#: direct-enumeration bound (polynomials visited)
-ENUMERATION_LIMIT = 10**7
+from .polys import ENUMERATION_LIMIT, count_primes, enumerate_monic
 
 #: candidate bound for the small-degree prime sweep behind the L-data
 LDATA_BUDGET = 2 * 10**6
@@ -78,7 +75,8 @@ class Series:
         """exp of a series with vanishing constant term."""
         n = self.trunc
         zero = self.coeffs[0] * 0
-        assert self.coeffs[0] == zero
+        if self.coeffs[0] != zero:
+            raise InvariantViolated("exp needs a series with vanishing constant term")
         out = [self.one] + [zero] * n
         for m in range(1, n + 1):
             acc = zero
@@ -92,7 +90,8 @@ class Series:
         a_m = b_m - (1/m) sum_{j<m} j a_j b_{m-j}."""
         n = self.trunc
         zero = self.coeffs[0] * 0
-        assert self.coeffs[0] == self.one
+        if self.coeffs[0] != self.one:
+            raise InvariantViolated("log needs a series with constant term 1")
         out = [zero] * (n + 1)
         for m in range(1, n + 1):
             corr = zero
@@ -184,7 +183,8 @@ class AbelianFrobeniusData:
             raise TooLarge("exact global tallies need a cyclic or product cover")
         spec.require_validated()
         G = spec.group
-        assert all(len(c) == 1 for c in G.classes), "cover group must be abelian"
+        if any(len(c) != 1 for c in G.classes):
+            raise InvariantViolated("cover group must be abelian")
         self.spec = spec
         self.group = G
         self.ctx = spec.ctx

@@ -605,3 +605,15 @@ def test_trivial_cover():
     assert cov.genus() == 0
     assert cov.frobenius_class(T5 - 2) == 0
     assert cov.splitting_data(T5).as_tuple() == (1, 1, 1)
+
+
+def test_omega_cache_keys_the_passed_tuple():
+    # a normalized tuple is used as is; lists and trailing zeros are normalized
+    cov = kummer(F5, 2, "T^3-3*T^2+2*T")
+    P = primes_of_degree(F5, 2)[0]
+    w = cov.coset_class(P)
+    assert next(k for k in cov._omega_cache if k == P) is P
+    size = len(cov._omega_cache)
+    assert cov.coset_class(list(P)) == w
+    assert cov.coset_class(P + (0, 0)) == w
+    assert len(cov._omega_cache) == size

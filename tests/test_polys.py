@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
-from ffcheb.errors import ConstantPolynomial, PoleAtPrime, ZeroPolynomial
-from ffcheb.ffield import make_field
+from ffcheb.errors import ConstantPolynomial, PoleAtPrime, TooLarge, ZeroPolynomial
+from ffcheb.ffield import Field, make_field
 from ffcheb.polys import (
     Poly,
     RationalFn,
@@ -14,6 +18,8 @@ from ffcheb.polys import (
     primes_of_degree,
     residue_field,
 )
+from oracles import rabin_primes
+from test_ffield import CANONICAL_FIELDS
 
 F5 = make_field(5)
 F2 = make_field(2)
@@ -125,6 +131,51 @@ def test_prime_counts_match_enumeration():
             brute = sum(1 for f in enumerate_monic(F, n) if f.is_irreducible())
             assert brute == count_primes(F, n)
             assert len(primes_of_degree(F, n)) == count_primes(F, n)
+
+
+def test_sieved_primes_match_rabin():
+    # the sieve against a Rabin test on every monic, order included; a fresh
+    # Field for each, so neither side reads another test's prime cache
+    fields = sorted(CANONICAL_FIELDS) + [(p, 1) for p in (2, 3, 5, 7, 11, 13)]
+    for p, k in fields:
+        q = p**k
+        if q * q > 5_000:
+            continue  # no degree n >= 2 with q^n <= 5000
+        F, G = Field(p, k), Field(p, k)
+        n = 2
+        while q**n <= 5_000:
+            got = primes_of_degree(F, n)
+            assert got == rabin_primes(G, n), (p, k, n)
+            assert len(got) == count_primes(F, n)
+            n += 1
+
+
+def test_prime_list_bounded():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        primes_of_degree(make_field(2), 24)
+    assert time.perf_counter() - start < 1.0
+    assert 24 not in make_field(2)._prime_cache
+
+
+def test_pth_root_of_non_power_raises_under_optimize():
+    # an internal invariant, so it must not rest on assert
+    code = (
+        "from ffcheb.errors import InvariantViolated\n"
+        "from ffcheb.ffield import make_field\n"
+        "from ffcheb.polys import pth_root_poly\n"
+        "try:\n"
+        "    pth_root_poly(make_field(5), (1, 1))\n"
+        "except InvariantViolated as e:\n"
+        "    print('raised:', e)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: polynomial is not a p-th power\n"
 
 
 def test_count_primes_examples():

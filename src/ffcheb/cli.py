@@ -73,15 +73,20 @@ def _emit(args, text: str) -> None:
 
 def _parse_group(text: str) -> GroupTable:
     kind, _, rest = text.partition(":")
-    if kind == "cyclic":
-        return GroupTable.cyclic(int(rest))
-    if kind == "sym":
-        return GroupTable.symmetric(int(rest))
-    if kind == "product":
-        return GroupTable.direct_product(
-            [GroupTable.cyclic(int(t)) for t in rest.split(",")]
-        )
-    raise DomainError(f"unknown group spec {text!r} (use cyclic:N, sym:N, product:a,b)")
+    try:
+        sizes = [int(t) for t in rest.split(",")]
+    except ValueError:
+        sizes = []
+    if sizes and min(sizes) >= 1:
+        if kind == "cyclic" and len(sizes) == 1:
+            return GroupTable.cyclic(sizes[0])
+        if kind == "sym" and len(sizes) == 1:
+            return GroupTable.symmetric(sizes[0])
+        if kind == "product":
+            return GroupTable.direct_product([GroupTable.cyclic(n) for n in sizes])
+    raise DomainError(
+        f"bad group spec {text!r} (use cyclic:N, sym:N or product:a,b with N, a, b >= 1)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +160,10 @@ def cmd_census(args) -> int:
 def cmd_cheb_grid(args) -> int:
     from .covers import kummer
 
-    qs = [int(t) for t in args.qs.split(",")]
+    try:
+        qs = [int(t) for t in args.qs.split(",")]
+    except ValueError:
+        raise DomainError(f"--qs {args.qs!r} is not a comma list of integers") from None
     ftexts = args.fns.split(",")
     reports = []
     rows = []

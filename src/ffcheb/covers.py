@@ -28,8 +28,10 @@ from dataclasses import dataclass
 from .errors import (
     AmbiguousCycleType,
     ContextMismatch,
+    CoverFileError,
     DivisionByZero,
     DomainError,
+    InvariantViolated,
     NotDividing,
     NotGeometric,
     NotIrreducible,
@@ -301,7 +303,8 @@ class KummerCover(Cover):
                 acc = F.add(F.mul(acc, root), c)
             return self._dlog[self._lin_symbols[acc]]
         c = ppowmod(F, pmod(F, numer, P), (F.q**dd - 1) // self.d, P)
-        assert pdeg(c) <= 0
+        if pdeg(c) > 0:
+            raise InvariantViolated("power-residue symbol is not a constant")
         return self._dlog[c[0]]
 
     def artin_symbol(self, f: Coeffs) -> int:
@@ -482,9 +485,9 @@ class ArtinSchreierCover(Cover):
         for _ in range(F.k * pdeg(P) - 1):
             cur = ppowmod(F, cur, F.p, P)
             acc = padd(F, acc, cur)
-        assert pdeg(acc) <= 0
         t = acc[0] if acc else 0
-        assert t < F.p
+        if pdeg(acc) > 0 or t >= F.p:
+            raise InvariantViolated("trace is not an element of F_p")
         return t
 
     def artin_symbol(self, f: Coeffs) -> int:
@@ -707,7 +710,8 @@ class SplittingCover(Cover):
         n = self.y_degree
         if (n * (n - 1) // 2) % 2 == 1:
             res = RationalFn(-res.num, res.den)
-        assert res.den.degree == 0
+        if res.den.degree != 0:
+            raise InvariantViolated("Y-discriminant is not a polynomial")
         self._disc = res.num
         return self._disc
 
@@ -770,7 +774,8 @@ class SplittingCover(Cover):
         rf = residue_field(Poly._raw(self.ctx, P))
         big = rf.field
         ycs = pnorm(tuple(rf.eval_poly(c.coeffs) for c in self.y_coeffs))
-        assert pdeg(ycs) == self.y_degree
+        if pdeg(ycs) != self.y_degree:
+            raise InvariantViolated("Y-polynomial lost degree in the residue field")
         _, parts = factor_raw(big, ycs, seed=0)
         degs = []
         for Q, m in parts:
@@ -927,7 +932,6 @@ def dumps_cover(spec: Cover) -> str:
 
 
 def parse_cover(text: str, force_wild: bool = False) -> Cover:
-    from .errors import CoverFileError
     from .ffield import make_field
 
     kv: dict[str, str] = {}
@@ -1008,5 +1012,9 @@ def parse_cover(text: str, force_wild: bool = False) -> Cover:
 
 
 def load_cover(path: str, force_wild: bool = False) -> Cover:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cover(fh.read(), force_wild)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CoverFileError(f"cannot read cover file: {e}") from None
+    return parse_cover(text, force_wild)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import Cover, SplittingCover
-from .errors import DomainError, NotAConjugacyClass, ZeroPolynomial
+from .errors import DomainError, InvariantViolated, NotAConjugacyClass, ZeroPolynomial
 from .groups import GroupTable
 from .polys import Coeffs, Poly, factor_raw, pdeg
 
@@ -111,7 +111,8 @@ def lambda_of_poly(spec: Cover, f: Poly, seed: int = 0) -> FactorizationType:
     if not f.is_monic():
         raise DomainError("lambda_of_poly expects a monic polynomial")
     lam = FactorizationType(dict(lambda_entries_raw(spec, f.coeffs, seed)))
-    assert lam.degree() == f.degree
+    if lam.degree() != f.degree:
+        raise InvariantViolated("factorization type degree differs from the polynomial's")
     return lam
 
 
@@ -186,15 +187,18 @@ def parse_fn(text: str) -> ArithFnSpec:
         return B()
     if low == "r":
         return R()
-    if low.startswith("1c:"):
-        return OneC(int(t[3:]))
-    if low.startswith("rpow:"):
-        s = int(t[5:])
-        if s < 0:
-            raise DomainError("rpow exponent must be >= 0")
-        return RPower(s)
-    if low.startswith("delta:"):
-        return Delta(FactorizationType.parse(t[6:]))
+    try:
+        if low.startswith("1c:"):
+            return OneC(int(t[3:]))
+        if low.startswith("rpow:"):
+            s = int(t[5:])
+            if s < 0:
+                raise DomainError("rpow exponent must be >= 0")
+            return RPower(s)
+        if low.startswith("delta:"):
+            return Delta(FactorizationType.parse(t[6:]))
+    except ValueError:  # a bad integer, or a delta entry without d:e:w=c
+        pass
     raise DomainError(f"cannot parse arithmetic function {text!r}")
 
 

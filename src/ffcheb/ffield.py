@@ -3,8 +3,10 @@
 A field context encodes elements as integers in [0, q): the element with
 residue-polynomial coefficients (c_0, ..., c_{k-1}) over F_p is stored as
 sum c_i * p^i.  Multiplication runs through exp/log tables built from the
-canonical primitive root, so every operation after construction is table
-lookups and integer adds.
+canonical primitive root.  Over F_p addition is integer addition mod p; over
+F_{p^k}, k > 1, it runs through a table of Zech logarithms log(1 + g^i) of q
+entries.  Every operation after construction is table lookups and integer
+adds.
 
 Canonical choices (they make contexts reproducible bit for bit):
   * modulus: the smallest monic irreducible of degree k, comparing coefficient
@@ -33,9 +35,6 @@ from .errors import (
 #: Largest permitted field size; interval enumeration dominates cost long
 #: before this bound matters.  Mutable on purpose.
 MAX_Q = 2**20
-
-#: Add/negate lookup tables are built only below this size (q^2 entries).
-_ADD_TABLE_MAX_Q = 256
 
 
 def is_prime(n: int) -> bool:
@@ -73,7 +72,8 @@ class Field:
 
     Elements are plain ints in [0, q).  The wrapper class FieldElement rides
     on top for user-facing arithmetic; internal hot paths use the int methods
-    directly.
+    directly.  `add(a, b)`, `neg(a)` and `sub(a, b)` are chosen once per
+    field, in `_build_tables`.
     """
 
     def __init__(self, p: int, k: int):
@@ -93,7 +93,9 @@ class Field:
     # -- construction helpers -------------------------------------------
 
     def _build_tables(self) -> None:
-        """Find the canonical modulus and primitive root, then fill exp/log.
+        """Find the canonical modulus and primitive root, fill exp/log, and
+        choose add, neg and sub: residues mod p for k == 1, Zech logarithms
+        for k > 1.
 
         For k > 1 an element is multiplied as its list of k residue
         coefficients, in F_p[x]/(modulus), by the prime-field kernel of polys;
@@ -149,58 +151,54 @@ class Field:
             exp[i] = exp[i - (q - 1)]
         self._exp = exp
         self._log = log
-        if self.k > 1 and q <= _ADD_TABLE_MAX_Q:
-            self._add_tab = [
-                [self._digit_add(a, b) for b in range(q)] for a in range(q)
-            ]
-            self._neg_tab = [self._digit_neg(a) for a in range(q)]
-        else:
-            self._add_tab = None
-            self._neg_tab = None
+        # always None: bench/layers._kernel still reads it to name the kernel
+        self._add_tab = None
+        if k == 1:
+            def add(a, b):
+                return (a + b) % p
 
-    def _digit_add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            def neg(a):
+                return -a % p
+
+            def sub(a, b):
+                return (a - b) % p
+        else:
+            # Zech logarithms: g^a + g^b = g^(a + zech[b - a]), where
+            # 1 + g^i = g^zech[i] (None where it is 0).  Adding 1 raises only
+            # the lowest base-p digit.  The table is stored twice over, so
+            # b - a + log(-1), which lies in (-2(q-1), 2(q-1)), indexes it
+            # without a reduction mod q - 1.
+            h = 0 if p == 2 else (q - 1) // 2  # log(-1)
+            zech = [log[y] if y else None
+                    for y in (x - x % p + (x + 1) % p for x in exp[: q - 1])]
+            zech += zech
+
+            def add(a, b):
+                if not a:
+                    return b
+                if not b:
+                    return a
+                la = log[a]
+                z = zech[log[b] - la]
+                return 0 if z is None else exp[la + z]
+
+            def neg(a):
+                return exp[log[a] + h] if a else 0
+
+            def sub(a, b):
+                if not b:
+                    return a
+                if not a:
+                    return exp[log[b] + h]
+                la = log[a]
+                z = zech[log[b] + h - la]
+                return 0 if z is None else exp[la + z]
+
+        self.add = add
+        self.neg = neg
+        self.sub = sub
 
     # -- int-level arithmetic --------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        if self._add_tab is not None:
-            return self._add_tab[a][b]
-        return self._digit_add(a, b)
-
-    def _digit_neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += (-(a % p)) % p * mult
-            a //= p
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        if self._neg_tab is not None:
-            return self._neg_tab[a]
-        return self._digit_neg(a)
-
-    def sub(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        if self._add_tab is not None:
-            return self._add_tab[a][self._neg_tab[b]]
-        return self._digit_add(a, self._digit_neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -290,6 +288,10 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.p, self.k))
+
+    def __reduce__(self):
+        # add/neg/sub are closures, which pickle cannot carry
+        return make_field, (self.p, self.k)
 
 
 class FieldElement:

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InvariantViolated
 
 _PERM_CHECK_LIMIT = 24
 
@@ -203,7 +203,8 @@ class GroupTable:
             e = len(I)
             f = len(gen) // e
             g = self.n // (e * f)
-            assert e * f * g == self.n
+            if e * f * g != self.n:
+                raise InvariantViolated("splitting triple does not multiply to |G|")
             entries.append((e, f, g, rep, tuple(sorted(tuple(sorted(S)) for S in orbit))))
         entries.sort(key=lambda t: (t[0], t[1], t[3]))
         self.omega = tuple(
@@ -253,7 +254,8 @@ class GroupTable:
                         new.append(prod)
             frontier = new
         perms = sorted(elems)
-        assert perms[0] == ident
+        if perms[0] != ident:
+            raise InvariantViolated("closure of the generators lacks the identity")
         index = {p: i for i, p in enumerate(perms)}
         table = [
             [index[tuple(a[b[i]] for i in range(deg))] for b in perms] for a in perms

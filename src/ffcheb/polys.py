@@ -183,12 +183,7 @@ def ppowmod(F: Field, base: Coeffs, e: int, mod: Coeffs) -> Coeffs:
             return (F.pow(base[0], e),)
         return base
     rows = _reduction_rows(F, mod)
-    if F.k == 1:
-        mulmod = _mulmod_prime(F.p, rows, d)
-    elif F._add_tab is not None:
-        mulmod = _mulmod_tables(F, rows, d)
-    else:
-        mulmod = _mulmod_generic(F, rows, d)
+    mulmod = _mulmod_prime(F.p, rows, d) if F.k == 1 else _mulmod_ext(F, rows, d)
     return pnorm(_square_multiply(mulmod, list(base) + [0] * (d - len(base)), e))
 
 
@@ -220,7 +215,7 @@ def _reduction_rows(F: Field, mod: Coeffs) -> list[list[int]]:
     return rows
 
 
-# Three kernels for the product of two residues (length-d lists) modulo a
+# Two kernels for the product of two residues (length-d lists) modulo a
 # degree-d polynomial given by its reduction rows; ppowmod picks one by field.
 
 
@@ -251,9 +246,9 @@ def _mulmod_prime(p: int, rows, d: int):
     return mulmod
 
 
-def _mulmod_tables(F: Field, rows, d: int):
-    """Over F_{p^k} with add tables: exp/log products, table sums."""
-    exp, log, addt = F._exp, F._log, F._add_tab
+def _mulmod_ext(F: Field, rows, d: int):
+    """Over F_{p^k}, k > 1: exp/log products, sums through Field.add."""
+    exp, log, add = F._exp, F._log, F.add
     w = 2 * d - 1
 
     def mulmod(x, y):
@@ -265,7 +260,7 @@ def _mulmod_tables(F: Field, rows, d: int):
                 for j in range(d):
                     yj = y[j]
                     if yj:
-                        prod[i + j] = addt[prod[i + j]][exp[lxi + log[yj]]]
+                        prod[i + j] = add(prod[i + j], exp[lxi + log[yj]])
         out = prod[:d]
         for i in range(d - 1):
             c = prod[d + i]
@@ -275,35 +270,7 @@ def _mulmod_tables(F: Field, rows, d: int):
                 for j in range(d):
                     rij = ri[j]
                     if rij:
-                        out[j] = addt[out[j]][exp[lc + log[rij]]]
-        return out
-
-    return mulmod
-
-
-def _mulmod_generic(F: Field, rows, d: int):
-    """Any field: through Field.add and Field.mul."""
-    add, mul = F.add, F.mul
-    w = 2 * d - 1
-
-    def mulmod(x, y):
-        prod = [0] * w
-        for i in range(d):
-            xi = x[i]
-            if xi:
-                for j in range(d):
-                    yj = y[j]
-                    if yj:
-                        prod[i + j] = add(prod[i + j], mul(xi, yj))
-        out = prod[:d]
-        for i in range(d - 1):
-            c = prod[d + i]
-            if c:
-                ri = rows[i]
-                for j in range(d):
-                    rij = ri[j]
-                    if rij:
-                        out[j] = add(out[j], mul(c, rij))
+                        out[j] = add(out[j], exp[lc + log[rij]])
         return out
 
     return mulmod

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SizeMismatch, TooLarge
+from .errors import InvariantViolated, SizeMismatch, TooLarge
 from .factypes import ArithFnSpec, B, FactorizationType, OneC, R, RPower, evaluate
 from .groups import GroupTable
 
@@ -145,7 +145,8 @@ class ClassType:
         for (d, c), m in self.parts:
             denom *= math.factorial(m) * (d * N // len(group.classes[c])) ** m
         num = math.factorial(n) * N**n
-        assert num % denom == 0
+        if num % denom:
+            raise InvariantViolated("class size is not an integer")
         return num // denom
 
     def serialize(self) -> str:
@@ -195,7 +196,8 @@ def enumerate_class_types(group: GroupTable, n: int) -> list[tuple[ClassType, in
             out.append((ct, ct.size(group, n)))
             if len(out) > CLASS_TYPE_LIMIT:
                 raise TooLarge("class-type enumeration bound exceeded")
-    assert sum(sz for _, sz in out) == group.n**n * math.factorial(n)
+    if sum(sz for _, sz in out) != group.n**n * math.factorial(n):
+        raise InvariantViolated("class sizes do not add up to the wreath product's order")
     return out
 
 

@@ -309,9 +309,8 @@ def count_prime_frobenius_global(spec: Cover, class_index: int, n: int) -> int:
         data.ensure(n)
         row = data.tallies[n]
         return sum(row[x] for x in spec.group.classes[class_index])
-    # splitting covers: direct enumeration at desk scale
-    if spec.ctx.q**n > ENUMERATION_LIMIT:
-        raise TooLarge("direct prime enumeration out of budget for this cover")
+    # splitting covers: direct enumeration at desk scale (the prime list
+    # raises TooLarge above ENUMERATION_LIMIT)
     return spec.class_counts(n)[class_index]
 
 

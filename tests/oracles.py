@@ -9,6 +9,10 @@ tally built from `oracle_class` checks that route rather than repeating it.
 
 `rabin_primes` lists the primes of a degree by a Rabin test on every monic;
 `primes_of_degree` sieves them instead.
+
+`digit_add` and `digit_neg` add and negate elements of F_{p^k} base-p digit
+by digit, on the integer encoding; `Field.add`, `Field.sub` and `Field.neg`
+use Zech logarithms instead.
 """
 
 from ffcheb.covers import ArtinSchreierCover, KummerCover, ProductCover
@@ -35,3 +39,28 @@ def oracle_class(cov, P):
 def rabin_primes(F, n):
     """Monic irreducibles of degree n in enumeration order, one Rabin test each."""
     return [f for f in enumerate_monic_raw(F, n) if is_irreducible_raw(F, f)]
+
+
+def digit_add(F, a, b):
+    """a + b in F, one base-p digit at a time."""
+    p = F.p
+    out = 0
+    mult = 1
+    for _ in range(F.k):
+        out += (a % p + b % p) % p * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def digit_neg(F, a):
+    """-a in F, one base-p digit at a time."""
+    p = F.p
+    out = 0
+    mult = 1
+    for _ in range(F.k):
+        out += (-(a % p)) % p * mult
+        a //= p
+        mult *= p
+    return out

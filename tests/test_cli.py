@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -258,24 +259,56 @@ def test_force_wild_negative_control(tmp_path, capsys):
     assert "regime.tame_at_infinity = false" in out
 
 
-@pytest.mark.parametrize(
-    "argv, code, name",
-    [
-        (["factor", "--q", "5", "T^^2"], 2, "PolyParseError"),
-        (["factor", "--q", "5", "(T+1)^2"], 2, "PolyParseError"),
-        (["factor", "--q", "5", "T^-1"], 2, "PolyParseError"),
-        (["factor", "--q", "5", "T*T"], 2, "PolyParseError"),
-        (["factor", "--q", "5", "T^2+"], 2, "PolyParseError"),
-        (["factor", "--q", "5", "x^2"], 2, "PolyParseError"),
-        (["factor", "--q", "5", ""], 2, "PolyParseError"),
-        (["factor", "--q", "5", "[1,2"], 2, "PolyParseError"),
-        (["factor", "--q", "5", "[1,,2]"], 2, "PolyParseError"),
-        (["factor", "--q", "9", "(1,2,0)*T"], 2, "PolyParseError"),
-        (["factor", "--q", "5", "T^2+1"], 0, None),
-        (["factor", "--q", "9", "(1,2)*T^2-1"], 0, None),
-        (["factor", "--q", "9", "T^2+-(1,-1)"], 0, None),
-    ],
-)
+POLY_ROWS = [
+    (["factor", "--q", "5", "T^^2"], 2, "PolyParseError"),
+    (["factor", "--q", "5", "(T+1)^2"], 2, "PolyParseError"),
+    (["factor", "--q", "5", "T^-1"], 2, "PolyParseError"),
+    (["factor", "--q", "5", "T*T"], 2, "PolyParseError"),
+    (["factor", "--q", "5", "T^2+"], 2, "PolyParseError"),
+    (["factor", "--q", "5", "x^2"], 2, "PolyParseError"),
+    (["factor", "--q", "5", ""], 2, "PolyParseError"),
+    (["factor", "--q", "5", "[1,2"], 2, "PolyParseError"),
+    (["factor", "--q", "5", "[1,,2]"], 2, "PolyParseError"),
+    (["factor", "--q", "9", "(1,2,0)*T"], 2, "PolyParseError"),
+    (["factor", "--q", "5", "T^2+1"], 0, None),
+    (["factor", "--q", "9", "(1,2)*T^2-1"], 0, None),
+    (["factor", "--q", "9", "T^2+-(1,-1)"], 0, None),
+]
+
+
+def _wreath(group="cyclic:2", fn="B"):
+    return ["wreath-mean", "--group", group, "--n", "2", "--fn", fn]
+
+
+def _imean(fns):
+    return ["interval-mean", "--cover", "{cover}", "--f0", "T^2", "--m", "1", "--fns", fns]
+
+
+# malformed function, group, q-list and cover-file values; "{cover}" stands
+# for a valid cover file
+VALUE_ROWS = [
+    (_imean("1C:x"), 2, "DomainError"),
+    (_imean("B,delta:1:1"), 2, "DomainError"),
+    (_wreath(fn="rpow:x"), 2, "DomainError"),
+    (_wreath(fn="rpow:-1"), 2, "DomainError"),
+    (_wreath(fn="delta:1:1:1=x"), 2, "DomainError"),
+    (_wreath(fn="delta:1:1:1=1"), 0, None),
+    (_wreath(group="cyclic:x"), 2, "DomainError"),
+    (_wreath(group="cyclic:0"), 2, "DomainError"),
+    (_wreath(group="cyclic:-2"), 2, "DomainError"),
+    (_wreath(group="cyclic:2,3"), 2, "DomainError"),
+    (_wreath(group="sym:0"), 2, "DomainError"),
+    (_wreath(group="product:2,x"), 2, "DomainError"),
+    (_wreath(group="product:"), 2, "DomainError"),
+    (_wreath(group="dihedral:4"), 2, "DomainError"),
+    (_wreath(group="product:2,3"), 0, None),
+    (["cheb-grid", "--d", "2", "--D", "T", "--qs", "5,x", "--f0", "T^2", "--m", "1",
+      "--fns", "B"], 2, "DomainError"),
+    (["frobenius", "--cover", os.devnull + "/none.cov", "T"], 2, "CoverFileError"),
+]
+
+
+@pytest.mark.parametrize("argv, code, name", POLY_ROWS)
 def test_polynomial_strings_exit_codes(capsys, argv, code, name):
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -285,9 +318,56 @@ def test_polynomial_strings_exit_codes(capsys, argv, code, name):
         assert err.startswith(f"{name}:")
 
 
+@pytest.mark.parametrize("argv, code, name", VALUE_ROWS)
+def test_malformed_values_exit_codes(capsys, quad_file, argv, code, name):
+    argv = [quad_file if a == "{cover}" else a for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if name is None:
+        assert err == ""
+    else:
+        assert err.startswith(f"{name}:")
+
+
+_RUN_TABLE = """
+import contextlib, io, json, sys
+from ffcheb.cli import main
+rows = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    rows.append([code, err.getvalue().partition(":")[0] or None])
+print(json.dumps({"optimize": sys.flags.optimize, "rows": rows}))
+"""
+
+
+def test_error_table_under_optimize(quad_file):
+    # the same exit codes and error names with asserts stripped
+    table = POLY_ROWS + VALUE_ROWS
+    argvs = [[quad_file if a == "{cover}" else a for a in argv] for argv, _, _ in table]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _RUN_TABLE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["optimize"] == 1
+    assert got["rows"] == [[code, name] for _, code, name in table]
+
+
 def test_malformed_cover_polynomial_is_cover_file_error(tmp_path, capsys):
     f = tmp_path / "bad.cov"
     f.write_text("kind = kummer\np = 5\nd = 2\nD = (T+1)^2\n")
+    assert main(["frobenius", "--cover", str(f), "T-2"]) == 2
+    assert capsys.readouterr().err.startswith("CoverFileError:")
+
+
+def test_undecodable_cover_file_is_cover_file_error(tmp_path, capsys):
+    f = tmp_path / "binary.cov"
+    f.write_bytes(b"kind = kummer\n\xff\xfe\n")
     assert main(["frobenius", "--cover", str(f), "T-2"]) == 2
     assert capsys.readouterr().err.startswith("CoverFileError:")
 

@@ -25,6 +25,7 @@ from ffcheb.errors import (
     NotGeometric,
     RamifiedPrime,
     RamifiedSplittingCover,
+    TooLarge,
     UserGenusRequired,
     WildAtInfinity,
 )
@@ -563,6 +564,13 @@ def test_s3_class_counts(q):
         counts = spec.class_counts(n)
         assert sum(counts) == count_primes(ctx, n) - ram_degrees[n]
         assert [count_prime_frobenius_global(spec, ci, n) for ci in range(3)] == want
+
+
+def test_s3_global_count_above_the_bound_is_too_large():
+    # 13^7 monics exceed ENUMERATION_LIMIT; the prime list refuses them
+    spec = validate_cover(_s3_cubic(make_field(13)))
+    with pytest.raises(TooLarge):
+        count_prime_frobenius_global(spec, 0, 7)
 
 
 def test_splitting_primes_classified_once(monkeypatch):

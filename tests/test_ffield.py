@@ -10,6 +10,7 @@ from ffcheb.errors import (
     ZeroElement,
 )
 from ffcheb.ffield import Field, make_field, root_of_unity
+from oracles import digit_add, digit_neg
 
 
 def test_make_field_prime():
@@ -139,6 +140,31 @@ def test_field_axioms_random():
             assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
             if b:
                 assert F.mul(F.div(a, b), b) == a
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    # every pair of the small fields; sampled pairs of the large ones, on both
+    # sides of q = 256 and with p = 2 among them
+    [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
+     (3, 5), (2, 8), (17, 2), (7, 3), (3, 6), (2, 10), (3, 7)],
+)
+def test_zech_arithmetic_vs_digits(p, k):
+    F = make_field(p, k)
+    q = F.q
+    if q <= 64:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(f"zech/{q}")
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(20000)]
+        # the pairs whose sum or difference is 0 or 2a, and those with a zero
+        for a in rng.sample(range(q), 200):
+            pairs += [(a, a), (a, digit_neg(F, a)), (a, 0), (0, a)]
+    assert [F.neg(a) for a in range(q)] == [digit_neg(F, a) for a in range(q)]
+    assert [F.add(a, b) for a, b in pairs] == [digit_add(F, a, b) for a, b in pairs]
+    assert [F.sub(a, b) for a, b in pairs] == [
+        digit_add(F, a, digit_neg(F, b)) for a, b in pairs
+    ]
 
 
 #: (p, k) -> (modulus, generator) of the canonical F_{p^k}: every field with

@@ -1,5 +1,6 @@
-"""Fuzzing of the input contract: polynomial strings and cover files fed
-through `cli.main` end in exit 0, 1, 2 or 3 and never in a traceback.
+"""Fuzzing of the input contract: polynomial strings, cover files and
+arithmetic-function strings fed through `cli.main` end in exit 0, 1, 2 or 3
+and never in a traceback.
 
 Inputs stay small (one-digit numbers, fields of at most 25 elements) so that
 every example runs in milliseconds; the examples are derandomized, so a run
@@ -103,3 +104,20 @@ def test_fuzz_cover_files(text, prime, wild):
             fh.write(text)
         argv = ["frobenius", "--cover", path, prime] + (["--force-wild"] if wild else [])
         assert _run(argv) in (0, 1, 2, 3)
+
+
+_FN_TOKENS = ["B", "r", "1C:", "1c:", "rpow:", "delta:", "-", ":", "=", ";", ",", " ", "x"]
+_FN_TOKENS += list("0123")
+
+# token soup, with one digit at most in a row so that exponents stay small
+fn_text = (
+    st.lists(st.sampled_from(_FN_TOKENS), max_size=8)
+    .map("".join)
+    .filter(lambda s: not re.search(r"\d\d", s))
+)
+
+
+@FUZZ
+@given(text=fn_text)
+def test_fuzz_wreath_mean_function_strings(text):
+    assert _run(["wreath-mean", "--group", "cyclic:2", "--n", "2", "--fn", text]) in (0, 1, 2, 3)

@@ -15,6 +15,9 @@ from ffcheb.polys import (
     enumerate_monic,
     eval_mod,
     parse_poly,
+    pmod,
+    pmul,
+    ppowmod,
     primes_of_degree,
     residue_field,
 )
@@ -176,6 +179,21 @@ def test_pth_root_of_non_power_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised: polynomial is not a p-th power\n"
+
+
+@pytest.mark.parametrize("pk", [(13, 1), (5, 2), (3, 6)])
+def test_ppowmod_vs_repeated_multiplication(pk):
+    F = make_field(*pk)
+    rng = random.Random(f"ppowmod/{F.q}")
+    for d in (1, 2, 3, 5):
+        for _ in range(10):
+            mod = tuple(rng.randrange(F.q) for _ in range(d)) + (rng.randrange(1, F.q),)
+            base = tuple(rng.randrange(F.q) for _ in range(d + 2))
+            e = rng.randrange(40)
+            want = pmod(F, (1,), mod)
+            for _ in range(e):
+                want = pmod(F, pmul(F, want, base), mod)
+            assert ppowmod(F, base, e, mod) == want
 
 
 def test_count_primes_examples():

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .covers import load_cover
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, TooLarge
 from .factypes import parse_fn
 from .ffield import make_field
 from .groups import GroupTable
@@ -29,6 +29,7 @@ from .intervals import (
 )
 from .polys import parse_poly
 from .wreath import (
+    GROUP_ORDER_LIMIT,
     brute_force_mean,
     closed_form_mean,
     enumerate_class_types,
@@ -77,16 +78,26 @@ def _parse_group(text: str) -> GroupTable:
         sizes = [int(t) for t in rest.split(",")]
     except ValueError:
         sizes = []
-    if sizes and min(sizes) >= 1:
-        if kind == "cyclic" and len(sizes) == 1:
-            return GroupTable.cyclic(sizes[0])
-        if kind == "sym" and len(sizes) == 1:
-            return GroupTable.symmetric(sizes[0])
-        if kind == "product":
-            return GroupTable.direct_product([GroupTable.cyclic(n) for n in sizes])
-    raise DomainError(
-        f"bad group spec {text!r} (use cyclic:N, sym:N or product:a,b with N, a, b >= 1)"
-    )
+    if (
+        not sizes
+        or min(sizes) < 1
+        or kind not in ("cyclic", "sym", "product")
+        or (kind != "product" and len(sizes) > 1)
+    ):
+        raise DomainError(
+            f"bad group spec {text!r} (use cyclic:N, sym:N or product:a,b with N, a, b >= 1)"
+        )
+    # the order, without building a table: sym:30 has 30! elements
+    order = 1
+    for s in range(2, sizes[0] + 1) if kind == "sym" else sizes:
+        order *= s
+        if order > GROUP_ORDER_LIMIT:
+            raise TooLarge(f"group {text!r} has more than {GROUP_ORDER_LIMIT} elements")
+    if kind == "cyclic":
+        return GroupTable.cyclic(sizes[0])
+    if kind == "sym":
+        return GroupTable.symmetric(sizes[0])
+    return GroupTable.direct_product([GroupTable.cyclic(n) for n in sizes])
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +209,8 @@ def cmd_cheb_grid(args) -> int:
 
 
 def cmd_wreath_mean(args) -> int:
+    if args.n < 1:
+        raise DomainError(f"--n {args.n}: the wreath product G wr S_n needs n >= 1")
     G = _parse_group(args.group)
     fn = parse_fn(args.fn)
     if args.brute:

@@ -102,6 +102,10 @@ class NotAConjugacyClass(DomainError):
     pass
 
 
+class NotAbelian(DomainError):
+    pass
+
+
 # harness / combinatorics
 class TooLarge(ResourceError):
     pass

@@ -202,7 +202,7 @@ def parse_fn(text: str) -> ArithFnSpec:
     raise DomainError(f"cannot parse arithmetic function {text!r}")
 
 
-def _check_class(group: GroupTable, c: int) -> None:
+def check_class(group: GroupTable, c: int) -> None:
     if not 0 <= c < len(group.classes):
         raise NotAConjugacyClass(f"no conjugacy class with index {c}")
 
@@ -214,7 +214,7 @@ def evaluate(fn: ArithFnSpec, lam: FactorizationType, group: GroupTable) -> Frac
     degrees from; lam's omega indices must come from the same catalog.
     """
     if isinstance(fn, OneC):
-        _check_class(group, fn.class_index)
+        check_class(group, fn.class_index)
         w_c = group.class_to_omega[fn.class_index]
         if len(lam.entries) != 1:
             return Fraction(0)

@@ -13,8 +13,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolated, SizeMismatch, TooLarge
-from .factypes import ArithFnSpec, B, FactorizationType, OneC, R, RPower, evaluate
+from .errors import DomainError, InvariantViolated, SizeMismatch, TooLarge
+from .factypes import (
+    ArithFnSpec,
+    B,
+    FactorizationType,
+    OneC,
+    R,
+    RPower,
+    check_class,
+    evaluate,
+)
 from .groups import GroupTable
 
 #: brute-force enumeration bound on |G|^n * n!
@@ -22,6 +31,9 @@ BRUTE_FORCE_LIMIT = 10**7
 
 #: bound on the number of colored-partition class types
 CLASS_TYPE_LIMIT = 10**6
+
+#: largest |G| the class-type enumeration supports
+GROUP_ORDER_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -172,9 +184,9 @@ def enumerate_class_types(group: GroupTable, n: int) -> list[tuple[ClassType, in
     """All conjugacy classes of G wr S_n with exact sizes; sizes sum to
     |G|^n * n!."""
     if n < 1:
-        raise TooLarge("n must be >= 1")
-    if group.n > 24:
-        raise TooLarge("class-type enumeration supports |G| <= 24")
+        raise DomainError("n must be >= 1")
+    if group.n > GROUP_ORDER_LIMIT:
+        raise TooLarge(f"class-type enumeration supports |G| <= {GROUP_ORDER_LIMIT}")
     ncls = len(group.classes)
     out: list[tuple[ClassType, int]] = []
     for partition in _partitions(n):
@@ -243,6 +255,7 @@ def closed_form_mean(fn: ArithFnSpec, group: GroupTable, n: int) -> Fraction:
     so B (s = 0) gets the 1/N binomial and R (s = 1) gets exactly 1."""
     N = group.n
     if isinstance(fn, OneC):
+        check_class(group, fn.class_index)
         return Fraction(len(group.classes[fn.class_index]), n * N)
     if isinstance(fn, (B, R, RPower)):
         s = 0 if isinstance(fn, B) else 1 if isinstance(fn, R) else fn.s

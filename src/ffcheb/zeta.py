@@ -3,30 +3,43 @@ Euler product for the norm indicator, and the rational Dedekind zeta.
 
 Exact prime tallies by Frobenius class are needed far past what direct
 enumeration can reach (degree 8 over F_25 has ~10^9 primes).  For abelian
-covers we exploit rationality: the zeta system
+covers we exploit rationality.  Let Z_n be the histogram of Frobenius over
+the monics of degree n prime to the ramified primes, and
+Lambda_n = n [u^n] log Z, where Z(u) = sum Z_n u^n is the zeta system
 
-    Z(u) = prod over unramified finite P of (1 - [Frob_P] u^{deg P})^{-1}
+    Z(u) = prod over unramified finite P of (1 - [Frob_P] u^{deg P})^{-1}.
 
-lives in the group ring Q[A][[u]], and Z(u) * (1 - q*u*e_A) is a polynomial
-(e_A the averaging idempotent): the trivial character component of Z is
-prod_{ram}(1 - u^{deg P}) / (1 - qu) and every nontrivial component is already
-a polynomial.  So tallies enumerated up to the polynomial's degree determine
-all higher tallies by linear recurrence.  Extended tallies are checked for
-integrality, nonnegativity, and the class-sum identity against the prime
-polynomial theorem at every degree; a failure means the degree bound (hence
-the cover model) is wrong and raises DegreeBoundViolated.
+Both are integer vectors on the group A, and Newton's identity
+
+    n Z_n = sum_{k=1..n} Lambda_k * Z_{n-k}      (* convolution on A)
+
+turns one into the other.  Z(u) * (1 - q u e_A) is a polynomial (e_A the
+averaging idempotent): the trivial character component of Z is
+prod_{ram}(1 - u^{deg P}) / (1 - qu) and every nontrivial component is
+already a polynomial.  So past its degree bound Z_n = q * sum(Z_{n-1}) / |A|
+on every element (the tail rule), and tallies enumerated up to that bound
+determine all higher tallies.  Extended tallies are checked for integrality,
+nonnegativity, and the class-sum identity against the prime polynomial
+theorem at every degree; a failure means the degree bound (hence the cover
+model) is wrong and raises DegreeBoundViolated.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import ArtinSchreierCover, Cover, KummerCover, ProductCover, TrivialCover
-from .errors import DegreeBoundViolated, InvariantViolated, TooLarge, UserGenusRequired
-from .factypes import direct_r
-from .groups import GroupTable
+from .errors import (
+    DegreeBoundViolated,
+    InvariantViolated,
+    NotAbelian,
+    TooLarge,
+    UserGenusRequired,
+)
+from .factypes import check_class, direct_r
 from .polys import ENUMERATION_LIMIT, count_primes, enumerate_monic
 
 #: candidate bound for the small-degree prime sweep behind the L-data
@@ -34,135 +47,52 @@ LDATA_BUDGET = 2 * 10**6
 
 
 # ---------------------------------------------------------------------------
-# truncated power series over an exact coefficient ring
+# truncated power series over the rationals
 
 
 class Series:
-    """Power series mod u^(N+1) over Fractions or group-ring elements."""
+    """Power series mod u^(N+1) over Fractions."""
 
-    __slots__ = ("coeffs", "one")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, one=Fraction(1)):
+    def __init__(self, coeffs):
         self.coeffs = list(coeffs)
-        self.one = one
-
-    @property
-    def trunc(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "Series") -> "Series":
-        n = min(self.trunc, other.trunc)
-        return Series(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], self.one
-        )
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.trunc, other.trunc)
-        return Series(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)], self.one
-        )
-
-    def __mul__(self, other: "Series") -> "Series":
-        n = min(self.trunc, other.trunc)
-        zero = self.coeffs[0] * 0
-        out = [zero for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            for j in range(n + 1 - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return Series(out, self.one)
 
     def exp(self) -> "Series":
         """exp of a series with vanishing constant term."""
-        n = self.trunc
-        zero = self.coeffs[0] * 0
-        if self.coeffs[0] != zero:
+        n = len(self.coeffs) - 1
+        if self.coeffs[0] != 0:
             raise InvariantViolated("exp needs a series with vanishing constant term")
-        out = [self.one] + [zero] * n
+        out = [Fraction(1)] + [Fraction(0)] * n
         for m in range(1, n + 1):
-            acc = zero
+            acc = Fraction(0)
             for j in range(1, m + 1):
-                acc = acc + (self.coeffs[j] * j) * out[m - j]
-            out[m] = acc * Fraction(1, m)
-        return Series(out, self.one)
+                acc += self.coeffs[j] * j * out[m - j]
+            out[m] = acc / m
+        return Series(out)
 
     def log(self) -> "Series":
         """log of a series with constant term 1:
         a_m = b_m - (1/m) sum_{j<m} j a_j b_{m-j}."""
-        n = self.trunc
-        zero = self.coeffs[0] * 0
-        if self.coeffs[0] != self.one:
+        n = len(self.coeffs) - 1
+        if self.coeffs[0] != 1:
             raise InvariantViolated("log needs a series with constant term 1")
-        out = [zero] * (n + 1)
+        out = [Fraction(0)] * (n + 1)
         for m in range(1, n + 1):
-            corr = zero
+            corr = Fraction(0)
             for j in range(1, m):
-                corr = corr + (out[j] * j) * self.coeffs[m - j]
-            out[m] = self.coeffs[m] - corr * Fraction(1, m)
-        return Series(out, self.one)
+                corr += out[j] * j * self.coeffs[m - j]
+            out[m] = self.coeffs[m] - corr / m
+        return Series(out)
 
     def eval_at(self, x: Fraction):
-        acc = self.coeffs[0] * 0
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def __repr__(self) -> str:
         return f"Series({self.coeffs[: min(6, len(self.coeffs))]}...)"
-
-
-class GroupRingElem:
-    """Element of Q[A] for an abelian group table A; * is convolution."""
-
-    __slots__ = ("group", "vec")
-
-    def __init__(self, group: GroupTable, vec):
-        self.group = group
-        self.vec = tuple(vec)
-
-    @staticmethod
-    def zero(group: GroupTable) -> "GroupRingElem":
-        return GroupRingElem(group, (Fraction(0),) * group.n)
-
-    @staticmethod
-    def one(group: GroupTable) -> "GroupRingElem":
-        return GroupRingElem(
-            group, (Fraction(1),) + (Fraction(0),) * (group.n - 1)
-        )
-
-    @staticmethod
-    def averaging(group: GroupTable) -> "GroupRingElem":
-        w = Fraction(1, group.n)
-        return GroupRingElem(group, (w,) * group.n)
-
-    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return GroupRingElem(
-            self.group, (a + b for a, b in zip(self.vec, other.vec))
-        )
-
-    def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return GroupRingElem(
-            self.group, (a - b for a, b in zip(self.vec, other.vec))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, GroupRingElem):
-            mul = self.group.mul
-            out = [Fraction(0)] * self.group.n
-            for i, a in enumerate(self.vec):
-                if a:
-                    for j, b in enumerate(other.vec):
-                        if b:
-                            out[mul(i, j)] += a * b
-            return GroupRingElem(self.group, out)
-        return GroupRingElem(self.group, (a * other for a in self.vec))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElem) and self.vec == other.vec
-
-    def __repr__(self) -> str:
-        return f"GR{self.vec}"
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +106,20 @@ def _is_cyclic_or_product(spec: Cover) -> bool:
 
 
 class AbelianFrobeniusData:
-    """Exact per-class prime tallies for an abelian cover, any degree."""
+    """Exact per-class prime tallies for an abelian cover, any degree.
+
+    `Z[n]` (Frobenius over the monics of degree n prime to the ramified
+    primes) and `L[n]` (n [u^n] log Z) are integer lists indexed by group
+    element, tied by n Z_n = sum_{k=1..n} L_k * Z_{n-k}.  Up to J, L comes
+    from the swept tallies and Z from L.  Past J, Z_n = q * sum(Z_{n-1}) / |G|
+    on every element (the tail rule), L_n comes from Z, and the degree-n
+    tallies are what L_n leaves past the primes of degree j | n, j < n,
+    divided by n.
+    """
 
     def __init__(self, spec: Cover):
         if not _is_cyclic_or_product(spec):
-            raise TooLarge("exact global tallies need a cyclic or product cover")
+            raise NotAbelian("exact global tallies need a cyclic or product cover")
         spec.require_validated()
         G = spec.group
         if any(len(c) != 1 for c in G.classes):
@@ -199,13 +138,14 @@ class AbelianFrobeniusData:
         except UserGenusRequired:
             nontriv_bound = ram_deg_sum + 2 * G.n  # crude; checks still gate it
         self.deg_bound = max(ram_deg_sum, nontriv_bound, 1)
-        q = self.ctx.q
-        J = self.deg_bound + 1
-        while J > self.deg_bound and sum(q**j for j in range(1, J + 1)) > LDATA_BUDGET:
-            J -= 1
-        if sum(q**j for j in range(1, J + 1)) > LDATA_BUDGET:
+        # sweep one degree past the bound if the budget allows, else to it
+        q, J = self.ctx.q, self.deg_bound + 1
+        sweep = sum(q**j for j in range(1, J + 1))
+        if sweep > LDATA_BUDGET:
+            sweep, J = sweep - q**J, J - 1
+        if sweep > LDATA_BUDGET:
             raise TooLarge(
-                f"computing the L-data needs a prime sweep of {sum(q**j for j in range(1, J + 1))} "
+                f"computing the L-data needs a prime sweep of {sweep} "
                 f"candidates (budget {LDATA_BUDGET})"
             )
         self.J = J
@@ -213,81 +153,81 @@ class AbelianFrobeniusData:
         self.tallies: dict[int, list[int]] = {
             j: spec.class_counts(j) for j in range(1, J + 1)
         }
-        self._build_poly()
+        self.Z: list[list[int]] = [[1] + [0] * (G.n - 1)]  # Z_0: the monic 1
+        self.L: list[list[int]] = [[]]  # L_0 is not used
+        for n in range(1, J + 1):
+            self.L.append(self._prime_part(n, n))
+            Zn = []
+            for v in self._convolve(n, n):
+                z, r = divmod(v, n)
+                if r:
+                    raise InvariantViolated(
+                        f"Newton's identity leaves a remainder at degree {n}"
+                    )
+                Zn.append(z)
+            if n > self.deg_bound and Zn != self._tail(n):
+                raise DegreeBoundViolated(self._bound_wrong(n))
+            self.Z.append(Zn)
 
-    def _log_coeff(self, n: int, limit: int) -> GroupRingElem:
-        """n * [u^n] log Z from tallies of degree <= limit."""
-        G = self.group
-        vec = [Fraction(0)] * G.n
-        for j in range(1, min(n, limit) + 1):
-            if n % j:
-                continue
-            row = self.tallies.get(j)
-            if row is None:
-                continue
-            k = n // j
-            for a, cnt in enumerate(row):
-                if cnt:
-                    vec[G.power(a, k)] += Fraction(j * cnt)
-        return GroupRingElem(G, vec)
-
-    def _build_poly(self) -> None:
-        G, q, J = self.group, self.ctx.q, self.J
-        one = GroupRingElem.one(G)
-        zero = GroupRingElem.zero(G)
-        logz = Series(
-            [zero] + [self._log_coeff(n, J) * Fraction(1, n) for n in range(1, J + 1)],
-            one,
+    def _bound_wrong(self, n: int) -> str:
+        return (
+            f"L-data coefficient at degree {n} is nonzero; the degree "
+            f"bound {self.deg_bound} (genus/ramification data) is wrong"
         )
-        Z = logz.exp()
-        eA = GroupRingElem.averaging(G)
-        mult = Series([one, eA * Fraction(-q)] + [zero] * (J - 1), one)
-        Bser = Z * mult
-        coeffs = Bser.coeffs
-        for n in range(self.deg_bound + 1, J + 1):
-            if coeffs[n] != zero:
-                raise DegreeBoundViolated(
-                    f"L-data coefficient at degree {n} is nonzero; the degree "
-                    f"bound {self.deg_bound} (genus/ramification data) is wrong"
-                )
-        while len(coeffs) > 1 and coeffs[-1] == zero:
-            coeffs.pop()
-        self.B = coeffs
+
+    def _prime_part(self, n: int, limit: int) -> list[int]:
+        """The primes of degree j | n, j <= limit, in L_n:
+        sum_j j * sum_a tallies[j][a] [a^(n/j)]."""
+        power = self.group.power
+        out = [0] * self.group.n
+        for j in range(1, limit + 1):
+            if n % j == 0:
+                for a, cnt in enumerate(self.tallies[j]):
+                    if cnt:
+                        out[power(a, n // j)] += j * cnt
+        return out
+
+    def _convolve(self, n: int, kmax: int) -> list[int]:
+        """sum_{k=1..kmax} L_k * Z_{n-k}, convolved through the group table."""
+        table = self.group.table
+        out = [0] * self.group.n
+        for k in range(1, kmax + 1):
+            Zk = self.Z[n - k]
+            for a, x in enumerate(self.L[k]):
+                if x:
+                    row = table[a]
+                    for b, y in enumerate(Zk):
+                        if y:
+                            out[row[b]] += x * y
+        return out
+
+    def _tail(self, n: int) -> list[int]:
+        """Z_n past the degree bound: q * sum(Z_{n-1}) / |G| on every element."""
+        z, r = divmod(self.ctx.q * sum(self.Z[n - 1]), self.group.n)
+        if r:
+            raise DegreeBoundViolated(self._bound_wrong(n))
+        return [z] * self.group.n
 
     def ensure(self, N: int) -> None:
-        """Extend tallies to all degrees <= N via the recurrence."""
-        G, q = self.group, self.ctx.q
-        have = max(self.tallies)
-        if N <= have:
-            return
-        one = GroupRingElem.one(G)
-        zero = GroupRingElem.zero(G)
-        eA = GroupRingElem.averaging(G)
-        Bser = Series(self.B + [zero] * (N - len(self.B) + 1), one)
-        geom = Series(
-            [one] + [eA * Fraction(q**i) for i in range(1, N + 1)], one
-        )
-        Z = Bser * geom
-        logz = Z.log()
-        ram_by_deg: dict[int, int] = {}
-        for d, _, _, _ in self.ram:
-            ram_by_deg[d] = ram_by_deg.get(d, 0) + 1
-        for n in range(have + 1, N + 1):
-            Ln = logz.coeffs[n] * Fraction(n)
-            known = self._log_coeff(n, n - 1)
-            resid = Ln - known
+        """Extend tallies to all degrees <= N, from the last degree held."""
+        ram_by_deg = Counter(d for d, _, _, _ in self.ram)
+        for n in range(len(self.Z), N + 1):
+            Zn = self._tail(n)
+            Ln = [n * z - c for z, c in zip(Zn, self._convolve(n, n - 1))]
             row = []
-            for a in range(G.n):
-                v = resid.vec[a] / n
-                if v.denominator != 1 or v < 0:
+            for v, known in zip(Ln, self._prime_part(n, n - 1)):
+                t, r = divmod(v - known, n)
+                if r or t < 0:
                     raise DegreeBoundViolated(
                         f"recurrence produced a non-integral tally at degree {n}"
                     )
-                row.append(int(v))
-            if sum(row) + ram_by_deg.get(n, 0) != count_primes(self.ctx, n):
+                row.append(t)
+            if sum(row) + ram_by_deg[n] != count_primes(self.ctx, n):
                 raise DegreeBoundViolated(
                     f"extended tallies at degree {n} do not add up to the prime count"
                 )
+            self.Z.append(Zn)
+            self.L.append(Ln)
             self.tallies[n] = row
 
 
@@ -300,10 +240,7 @@ def _ldata(spec: Cover) -> AbelianFrobeniusData:
 
 def count_prime_frobenius_global(spec: Cover, class_index: int, n: int) -> int:
     """pi_{C;q}(n; E): degree-n primes with Frobenius class C (unramified)."""
-    from .errors import NotAConjugacyClass
-
-    if not 0 <= class_index < len(spec.group.classes):
-        raise NotAConjugacyClass(f"no conjugacy class with index {class_index}")
+    check_class(spec.group, class_index)
     if _is_cyclic_or_product(spec):
         data = _ldata(spec)
         data.ensure(n)

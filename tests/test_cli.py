@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,11 +23,37 @@ D = [0,2,2,1]
 """
 
 
+# Y^3 - T*Y - T over F_13: a splitting cover with group S_3
+S3_CUBIC = """kind = splitting
+p = 13
+y_degree = 3
+F.0 = -T
+F.1 = -T
+F.2 = 0
+F.3 = 1
+generator.1 = (1 2)
+generator.2 = (1 2 3)
+cycle_type.1+1+1 = 0
+cycle_type.2+1 = 1
+cycle_type.3 = 2
+genus = 0
+tame_at_infinity = false
+"""
+
+
 @pytest.fixture()
 def quad_file(tmp_path):
     f = tmp_path / "quad.cov"
     f.write_text(QUAD_T)
     return str(f)
+
+
+@pytest.fixture()
+def cover_files(tmp_path, quad_file):
+    """Placeholders in the error tables and the cover files they stand for."""
+    s3 = tmp_path / "s3.cov"
+    s3.write_text(S3_CUBIC)
+    return {"{cover}": quad_file, "{s3}": str(s3)}
 
 
 @pytest.fixture()
@@ -183,8 +210,8 @@ def test_interval_mean_reruns_byte_identical(gen1_file, tmp_path):
     ]
     assert main(argv + ["--out", out1]) == 0
     assert main(argv + ["--out", out2]) == 0
-    b1 = open(out1, "rb").read()
-    assert b1 == open(out2, "rb").read()
+    b1 = Path(out1).read_bytes()
+    assert b1 == Path(out2).read_bytes()
     assert b"empirical_mean" in b1
 
 
@@ -276,16 +303,16 @@ POLY_ROWS = [
 ]
 
 
-def _wreath(group="cyclic:2", fn="B"):
-    return ["wreath-mean", "--group", group, "--n", "2", "--fn", fn]
+def _wreath(group="cyclic:2", fn="B", n="2", *route):
+    return ["wreath-mean", "--group", group, "--n", n, "--fn", fn, *route]
 
 
 def _imean(fns):
     return ["interval-mean", "--cover", "{cover}", "--f0", "T^2", "--m", "1", "--fns", fns]
 
 
-# malformed function, group, q-list and cover-file values; "{cover}" stands
-# for a valid cover file
+# malformed function, group, degree, q-list and cover-file values; "{cover}"
+# stands for a valid cover file and "{s3}" for the S_3 cover file
 VALUE_ROWS = [
     (_imean("1C:x"), 2, "DomainError"),
     (_imean("B,delta:1:1"), 2, "DomainError"),
@@ -305,6 +332,18 @@ VALUE_ROWS = [
     (["cheb-grid", "--d", "2", "--D", "T", "--qs", "5,x", "--f0", "T^2", "--m", "1",
       "--fns", "B"], 2, "DomainError"),
     (["frobenius", "--cover", os.devnull + "/none.cov", "T"], 2, "CoverFileError"),
+    # new rows go last: a row's test id is its index
+    (_wreath("cyclic:2", "1C:0", "0", "--closed"), 2, "DomainError"),
+    (_wreath("cyclic:2", "B", "-1", "--closed"), 2, "DomainError"),
+    (_wreath("cyclic:2", "B", "-2", "--brute"), 2, "DomainError"),
+    (_wreath("cyclic:2", "B", "0"), 2, "DomainError"),
+    (_wreath("cyclic:2", "1C:5", "1", "--closed"), 2, "NotAConjugacyClass"),
+    (_wreath(group="sym:30"), 3, "TooLarge"),
+    (_wreath(group="sym:5"), 3, "TooLarge"),
+    (_wreath(group="product:5,5"), 3, "TooLarge"),
+    (_wreath(group="dihedral:30"), 2, "DomainError"),
+    (_wreath(group="sym:4"), 0, None),
+    (["psi-check", "--cover", "{s3}", "--max-n", "2"], 2, "NotAbelian"),
 ]
 
 
@@ -319,8 +358,8 @@ def test_polynomial_strings_exit_codes(capsys, argv, code, name):
 
 
 @pytest.mark.parametrize("argv, code, name", VALUE_ROWS)
-def test_malformed_values_exit_codes(capsys, quad_file, argv, code, name):
-    argv = [quad_file if a == "{cover}" else a for a in argv]
+def test_malformed_values_exit_codes(capsys, cover_files, argv, code, name):
+    argv = [cover_files.get(a, a) for a in argv]
     assert main(argv) == code
     err = capsys.readouterr().err
     if name is None:
@@ -342,10 +381,10 @@ print(json.dumps({"optimize": sys.flags.optimize, "rows": rows}))
 """
 
 
-def test_error_table_under_optimize(quad_file):
+def test_error_table_under_optimize(cover_files):
     # the same exit codes and error names with asserts stripped
     table = POLY_ROWS + VALUE_ROWS
-    argvs = [[quad_file if a == "{cover}" else a for a in argv] for argv, _, _ in table]
+    argvs = [[cover_files.get(a, a) for a in argv] for argv, _, _ in table]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(

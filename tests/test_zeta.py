@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from ffcheb.covers import artin_schreier, kummer, trivial
-from ffcheb.errors import TooLarge
+from ffcheb import zeta
+from ffcheb.covers import artin_schreier, kummer, product, trivial
+from ffcheb.errors import DegreeBoundViolated, TooLarge, UserGenusRequired
 from ffcheb.ffield import make_field
 from ffcheb.polys import Poly, RationalFn, count_primes, primes_of_degree
 from ffcheb.zeta import (
@@ -247,6 +248,85 @@ def test_artin_schreier_tallies():
                 continue
             row[oracle_class(cov, P)] += 1
         assert row == data.tallies[n]
+
+
+# -- L-data branches, each against the prime-sweep oracle ----------------------
+
+def _oracle_row(cov, n):
+    row = [0] * cov.group.n
+    for P in primes_of_degree(cov.ctx, n):
+        if P not in cov._ramified_set():
+            row[oracle_class(cov, P)] += 1
+    return row
+
+
+def test_ldata_budget_cuts_the_sweep_to_the_degree_bound(monkeypatch, quad):
+    # 5 + 25 + 125 = 155 candidates: the sweep stops at deg_bound, so degree
+    # 4 on is extended with no degree past the bound to check the tail on
+    monkeypatch.setattr(zeta, "LDATA_BUDGET", 155)
+    data = AbelianFrobeniusData(quad)
+    assert data.J == data.deg_bound == 3
+    data.ensure(6)
+    for n in (4, 5, 6):
+        assert data.tallies[n] == _oracle_row(quad, n)
+
+
+def test_ldata_crude_bound_when_the_genus_is_undeclared():
+    # both components ramify at T: no conductor-discriminant genus, so the
+    # degree bound is the crude ram_deg_sum + 2|G| = 2 + 8
+    F3 = make_field(3)
+    pc = product([kummer(F3, 2, "T"), kummer(F3, 2, "T^2-T")])
+    with pytest.raises(UserGenusRequired):
+        pc.genus()
+    data = AbelianFrobeniusData(pc)
+    assert (data.deg_bound, data.J) == (10, 11)
+    data.ensure(13)
+    for n in range(1, 6):
+        assert data.tallies[n] == _oracle_row(pc, n)
+
+
+def test_ldata_wrong_declared_genus_is_degree_bound_violated():
+    # the true genus is 8; genus 0 puts the degree bound at 2
+    pc = product(
+        [artin_schreier(F5, RationalFn(Poly.one(F5), Poly.x(F5) * Poly.x(F5))),
+         kummer(F5, 2, "T-1")]
+    )
+    pc.declared_genus = 0
+    with pytest.raises(DegreeBoundViolated):
+        AbelianFrobeniusData(pc).ensure(6)
+
+
+def test_ldata_forced_wild_artin_schreier():
+    # y^3 - y = T^2 is wild at infinity only: genus 1, no finite ramified prime
+    F3 = make_field(3)
+    cov = artin_schreier(F3, "T^2", force_wild=True)
+    assert cov.genus() == 1 and not cov._ramified_set()
+    data = AbelianFrobeniusData(cov)
+    data.ensure(6)
+    assert data.J < 5
+    for n in range(1, 7):
+        assert data.tallies[n] == _oracle_row(cov, n)
+
+
+def test_ensure_computes_each_degree_once(monkeypatch, quad):
+    # Newton's identity is convolved once per degree past J, however ensure
+    # is called, and the tallies match a single call
+    once = AbelianFrobeniusData(quad)
+    once.ensure(8)
+    data = AbelianFrobeniusData(quad)
+    convolve = AbelianFrobeniusData._convolve
+    seen = []
+
+    def counted(self, n, kmax):
+        seen.append(n)
+        return convolve(self, n, kmax)
+
+    monkeypatch.setattr(AbelianFrobeniusData, "_convolve", counted)
+    for n in range(data.J + 1, 9):
+        data.ensure(n)
+    data.ensure(8)
+    assert seen == list(range(data.J + 1, 9))
+    assert data.tallies == once.tallies
 
 
 def test_enumeration_budget():

@@ -32,6 +32,7 @@ from .errors import (
     DivisionByZero,
     DomainError,
     InvariantViolated,
+    NotAbelian,
     NotDividing,
     NotGeometric,
     NotIrreducible,
@@ -166,6 +167,13 @@ class Cover:
     def _ramified_set(self) -> frozenset[Coeffs]:
         raise NotImplementedError
 
+    def uniform_degree(self) -> int:
+        """n0 of an abelian kind, the degree of the lcm of the characters'
+        conductors: from degree n0 on, Frobenius over the monics of degree n
+        prime to the ramified primes is uniform on G (see `zeta`)."""
+        exponents, wild = self.conductor()
+        return sum(e * pdeg(P) for P, e in exponents.items()) + wild
+
     def summary(self) -> dict:
         self.require_validated()
         try:
@@ -200,6 +208,12 @@ class TrivialCover(Cover):
 
     def _coset_raw(self, P: Coeffs) -> int:
         return self.group.class_to_omega[0]
+
+    def artin_symbol(self, f: Coeffs) -> int:
+        return 0
+
+    def conductor(self) -> tuple[dict[Coeffs, int], int]:
+        return {}, 0
 
     def tame_at_infinity(self) -> bool:
         return True
@@ -355,6 +369,11 @@ class KummerCover(Cover):
         ku = self._symbol(u, P)
         coset = frozenset((ku + j * step) % d for j in range(e))
         return self.group.omega_of_coset(coset)
+
+    def conductor(self) -> tuple[dict[Coeffs, int], int]:
+        """(prime -> exponent, wild excess at infinity) of the lcm of the
+        characters' conductors; every ramified place is tame."""
+        return {P: 1 for P, _ in self.parts}, 0
 
     def tame_at_infinity(self) -> bool:
         return True  # d | q-1 forces d coprime to p
@@ -523,6 +542,12 @@ class ArtinSchreierCover(Cover):
             return self.group.omega_of_coset(coset)
         return self.group.class_to_omega[self.artin_symbol(P)]
 
+    def conductor(self) -> tuple[dict[Coeffs, int], int]:
+        """The lcm of the characters' conductors: a pole of order m has
+        exponent m + 1, a forced-wild polynomial part of degree m excess m."""
+        wild = self._poly_part.degree if self.wild_override else 0
+        return {P: m + 1 for P, m in self._poles}, wild
+
     def tame_at_infinity(self) -> bool:
         return not self.wild_override
 
@@ -604,6 +629,19 @@ class ProductCover(Cover):
 
     def _coset_raw(self, P: Coeffs) -> int:
         return self._product_omega([c._coset_raw(P) for c in self.components])
+
+    def artin_symbol(self, f: Coeffs) -> int:
+        """The components' Artin symbols of f, as one product element."""
+        return self.group.encode_product([c.artin_symbol(f) for c in self.components])
+
+    def conductor(self) -> tuple[dict[Coeffs, int], int]:
+        """The lcm of the components' conductors: a product character's
+        conductor divides it, and its wild excess is at most the largest."""
+        lcm: dict[Coeffs, int] = {}
+        for c in self.components:
+            for P, e in c.conductor()[0].items():
+                lcm[P] = max(lcm.get(P, 0), e)
+        return lcm, max(c.conductor()[1] for c in self.components)
 
     def tame_at_infinity(self) -> bool:
         return all(c.tame_at_infinity() for c in self.components)
@@ -793,9 +831,7 @@ class SplittingCover(Cover):
         return self.declared_tame_at_infinity
 
     def infinity_data(self) -> SplittingData:
-        raise UserGenusRequired(
-            "splitting covers carry no computed data at infinity"
-        )
+        raise NotAbelian("splitting covers carry no splitting data (e, f, g) at infinity")
 
     def genus(self) -> int:
         self.require_validated()

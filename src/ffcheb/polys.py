@@ -453,9 +453,8 @@ def primes_of_degree(ctx: Field, n: int) -> list[Coeffs]:
 
     Degree n >= 2 is sieved: the monics of degree n are I(T^n, n - 1), and
     the multiples there of a prime Q of degree d <= n/2 are the coset
-    h = -T^n mod Q, n - d digits free.  Cached on the field context; this is
-    the backbone of the exact prime tallies, so the cache is shared by every
-    cover over the same field.
+    h = -T^n mod Q, n - d digits free.  Cached on the field context, so the
+    interval sieve and every cover over the same field share the lists.
     """
     cache = getattr(ctx, "_prime_cache", None)
     if cache is None:

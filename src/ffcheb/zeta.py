@@ -13,15 +13,17 @@ Both are integer vectors on the group A, and Newton's identity
 
     n Z_n = sum_{k=1..n} Lambda_k * Z_{n-k}      (* convolution on A)
 
-turns one into the other.  Z(u) * (1 - q u e_A) is a polynomial (e_A the
-averaging idempotent): the trivial character component of Z is
-prod_{ram}(1 - u^{deg P}) / (1 - qu) and every nontrivial component is
-already a polynomial.  So past its degree bound Z_n = q * sum(Z_{n-1}) / |A|
-on every element (the tail rule), and tallies enumerated up to that bound
-determine all higher tallies.  Extended tallies are checked for integrality,
-nonnegativity, and the class-sum identity against the prime polynomial
-theorem at every degree; a failure means the degree bound (hence the cover
-model) is wrong and raises DegreeBoundViolated.
+turns one into the other.  Every nontrivial character component of Z is a
+polynomial of degree below n0, the degree of the lcm of the characters'
+finite conductors plus any wild excess at infinity (Rosen, GTM 210, ch. 4),
+and the trivial one is prod_{ram}(1 - u^{deg P}) / (1 - qu).  So below n0
+Z_n is swept, the Artin symbol of every monic of degree n prime to the
+ramified primes, and from n0 on Z_n is N_n / |A| on every element, where
+N_n, the number of those monics, is [u^n] of the trivial component.  The
+tallies at every degree are checked for integrality, nonnegativity, and the
+class-sum identity against the prime polynomial theorem; a failure means
+the conductor degree (hence the cover model) is wrong and raises
+DegreeBoundViolated.
 """
 
 from __future__ import annotations
@@ -36,14 +38,11 @@ from .errors import (
     DegreeBoundViolated,
     InvariantViolated,
     NotAbelian,
+    RamifiedPrime,
     TooLarge,
-    UserGenusRequired,
 )
 from .factypes import check_class, direct_r
-from .polys import ENUMERATION_LIMIT, count_primes, enumerate_monic
-
-#: candidate bound for the small-degree prime sweep behind the L-data
-LDATA_BUDGET = 2 * 10**6
+from .polys import ENUMERATION_LIMIT, count_primes, enumerate_monic, enumerate_monic_raw
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +107,12 @@ def _is_cyclic_or_product(spec: Cover) -> bool:
 class AbelianFrobeniusData:
     """Exact per-class prime tallies for an abelian cover, any degree.
 
-    `Z[n]` (Frobenius over the monics of degree n prime to the ramified
-    primes) and `L[n]` (n [u^n] log Z) are integer lists indexed by group
-    element, tied by n Z_n = sum_{k=1..n} L_k * Z_{n-k}.  Up to J, L comes
-    from the swept tallies and Z from L.  Past J, Z_n = q * sum(Z_{n-1}) / |G|
-    on every element (the tail rule), L_n comes from Z, and the degree-n
-    tallies are what L_n leaves past the primes of degree j | n, j < n,
-    divided by n.
+    `Z[n]` and `L[n]` = n [u^n] log Z are integer lists indexed by group
+    element (see the module docstring).  Z_n is swept below the conductor
+    degree n0 (`Cover.uniform_degree`) and uniform from n0 on; L_n follows
+    from Z, and the degree-n tallies are what L_n leaves past the primes of
+    degree j | n, j < n, divided by n.  `J` = n0 - 1 is the last swept
+    degree, and `tallies[1..J]` are filled on creation.
     """
 
     def __init__(self, spec: Cover):
@@ -131,61 +129,26 @@ class AbelianFrobeniusData:
         for P in spec.ramified_primes():
             sd = spec.splitting_data(P)
             self.ram.append((P.degree, sd.e, sd.f, sd.g))
-        ram_deg_sum = sum(d for d, _, _, _ in self.ram)
-        try:
-            genus = spec.genus()
-            nontriv_bound = 2 * genus + 1
-        except UserGenusRequired:
-            nontriv_bound = ram_deg_sum + 2 * G.n  # crude; checks still gate it
-        self.deg_bound = max(ram_deg_sum, nontriv_bound, 1)
-        # sweep one degree past the bound if the budget allows, else to it
-        q, J = self.ctx.q, self.deg_bound + 1
-        sweep = sum(q**j for j in range(1, J + 1))
-        if sweep > LDATA_BUDGET:
-            sweep, J = sweep - q**J, J - 1
-        if sweep > LDATA_BUDGET:
-            raise TooLarge(
-                f"computing the L-data needs a prime sweep of {sweep} "
-                f"candidates (budget {LDATA_BUDGET})"
-            )
-        self.J = J
-        # abelian: class ci is the singleton (ci,), so a row is indexed by element
-        self.tallies: dict[int, list[int]] = {
-            j: spec.class_counts(j) for j in range(1, J + 1)
-        }
+        n0 = spec.uniform_degree()
+        sweep = sum(self.ctx.q**j for j in range(n0))
+        if sweep > ENUMERATION_LIMIT:
+            raise TooLarge(f"the Frobenius sweep below degree {n0} covers {sweep} monics")
+        self.J = n0 - 1
         self.Z: list[list[int]] = [[1] + [0] * (G.n - 1)]  # Z_0: the monic 1
         self.L: list[list[int]] = [[]]  # L_0 is not used
-        for n in range(1, J + 1):
-            self.L.append(self._prime_part(n, n))
-            Zn = []
-            for v in self._convolve(n, n):
-                z, r = divmod(v, n)
-                if r:
-                    raise InvariantViolated(
-                        f"Newton's identity leaves a remainder at degree {n}"
-                    )
-                Zn.append(z)
-            if n > self.deg_bound and Zn != self._tail(n):
-                raise DegreeBoundViolated(self._bound_wrong(n))
-            self.Z.append(Zn)
+        # abelian: class ci is the singleton (ci,), so a row is indexed by element
+        self.tallies: dict[int, list[int]] = {}
+        self.ensure(self.J)
 
-    def _bound_wrong(self, n: int) -> str:
-        return (
-            f"L-data coefficient at degree {n} is nonzero; the degree "
-            f"bound {self.deg_bound} (genus/ramification data) is wrong"
-        )
-
-    def _prime_part(self, n: int, limit: int) -> list[int]:
-        """The primes of degree j | n, j <= limit, in L_n:
-        sum_j j * sum_a tallies[j][a] [a^(n/j)]."""
-        power = self.group.power
-        out = [0] * self.group.n
-        for j in range(1, limit + 1):
-            if n % j == 0:
-                for a, cnt in enumerate(self.tallies[j]):
-                    if cnt:
-                        out[power(a, n // j)] += j * cnt
-        return out
+    def _swept(self, n: int) -> list[int]:
+        """Z_n below n0: the Artin symbols of the monics of degree n."""
+        row = [0] * self.group.n
+        for f in enumerate_monic_raw(self.ctx, n):
+            try:
+                row[self.spec.artin_symbol(f)] += 1
+            except RamifiedPrime:
+                pass  # not prime to the ramified primes
+        return row
 
     def _convolve(self, n: int, kmax: int) -> list[int]:
         """sum_{k=1..kmax} L_k * Z_{n-k}, convolved through the group table."""
@@ -201,30 +164,41 @@ class AbelianFrobeniusData:
                             out[row[b]] += x * y
         return out
 
-    def _tail(self, n: int) -> list[int]:
-        """Z_n past the degree bound: q * sum(Z_{n-1}) / |G| on every element."""
-        z, r = divmod(self.ctx.q * sum(self.Z[n - 1]), self.group.n)
-        if r:
-            raise DegreeBoundViolated(self._bound_wrong(n))
-        return [z] * self.group.n
-
     def ensure(self, N: int) -> None:
-        """Extend tallies to all degrees <= N, from the last degree held."""
+        """Extend Z, L and the tallies to all degrees <= N, from the last
+        degree held.  Each degree's tallies must be nonnegative integers
+        that add up, with the ramified primes, to the number of primes."""
+        G, q = self.group, self.ctx.q
         ram_by_deg = Counter(d for d, _, _, _ in self.ram)
+        top = sum(d for d, _, _, _ in self.ram)  # deg prod_ram (1 - u^deg P) <= n0
         for n in range(len(self.Z), N + 1):
-            Zn = self._tail(n)
-            Ln = [n * z - c for z, c in zip(Zn, self._convolve(n, n - 1))]
-            row = []
-            for v, known in zip(Ln, self._prime_part(n, n - 1)):
-                t, r = divmod(v - known, n)
-                if r or t < 0:
+            if n <= self.J:
+                Zn = self._swept(n)
+            else:
+                # N_n / |G| on every element, where N_n = sum(Z_{n-1}) q plus
+                # [u^n] prod_ram (1 - u^deg P): its top coefficient or 0
+                N_n = q * sum(self.Z[n - 1]) + (-1) ** len(self.ram) * (n == top)
+                z, r = divmod(N_n, G.n)
+                if r:
                     raise DegreeBoundViolated(
-                        f"recurrence produced a non-integral tally at degree {n}"
+                        f"{N_n} monics of degree {n} do not spread evenly over "
+                        f"{G.n} elements; the conductor degree {self.J + 1} is wrong"
                     )
-                row.append(t)
+                Zn = [z] * G.n
+            Ln = [n * z - c for z, c in zip(Zn, self._convolve(n, n - 1))]
+            rest = list(Ln)  # less the primes of degree j | n, j < n
+            for j in range(1, n):
+                if n % j == 0:
+                    for a, cnt in enumerate(self.tallies[j]):
+                        rest[G.power(a, n // j)] -= j * cnt
+            if any(v % n or v < 0 for v in rest):
+                raise DegreeBoundViolated(
+                    f"recurrence produced a non-integral or negative tally at degree {n}"
+                )
+            row = [v // n for v in rest]
             if sum(row) + ram_by_deg[n] != count_primes(self.ctx, n):
                 raise DegreeBoundViolated(
-                    f"extended tallies at degree {n} do not add up to the prime count"
+                    f"tallies at degree {n} do not add up to the prime count"
                 )
             self.Z.append(Zn)
             self.L.append(Ln)
@@ -266,18 +240,6 @@ class PrimeTally:
     unramified: dict[tuple[int, int], int]
     ramified: dict[tuple[int, int, int, int], int]
     max_degree: int
-
-    def check_partition(self, ctx) -> None:
-        """Every degree's unramified and ramified counts add up to the number
-        of primes of that degree; raise DegreeBoundViolated otherwise."""
-        for d in range(1, self.max_degree + 1):
-            total = sum(c for (dd, _), c in self.unramified.items() if dd == d)
-            total += sum(c for (dd, *_,), c in self.ramified.items() if dd == d)
-            if total != count_primes(ctx, d):
-                raise DegreeBoundViolated(
-                    f"prime tallies at degree {d} add up to {total}, not "
-                    f"{count_primes(ctx, d)} primes"
-                )
 
 
 def prime_tallies(spec: Cover, N: int) -> PrimeTally:

@@ -264,6 +264,17 @@ def test_zeta_command_genus1_artin_schreier_f9(tmp_path, capsys):
     assert "rh_root_moduli_times_q = [1.000000000,1.000000000]\n" in out
 
 
+def test_zeta_and_psi_check_genus6_artin_schreier_f49(tmp_path, capsys):
+    # y^7 - y = 1/(T(T-1)) over F_49 has genus 6; its tallies sweep only the
+    # monics below the conductor degree 4, not the primes to degree 2g + 2
+    f = tmp_path / "genus6.cov"
+    f.write_text("kind = artin_schreier\np = 7\nk = 2\nD_num = [1]\nD_den = [0,-1,1]\n")
+    assert main(["zeta", "--cover", str(f)]) == 0
+    assert "cover.genus = 6\n" in capsys.readouterr().out
+    assert main(["psi-check", "--cover", str(f), "--max-n", "4"]) == 0
+    assert "all_within_bound = true\n" in capsys.readouterr().out
+
+
 def test_psi_check_command(gen1_file, capsys):
     assert main(["psi-check", "--cover", gen1_file, "--max-n", "6"]) == 0
     out = capsys.readouterr().out
@@ -344,6 +355,7 @@ VALUE_ROWS = [
     (_wreath(group="dihedral:30"), 2, "DomainError"),
     (_wreath(group="sym:4"), 0, None),
     (["psi-check", "--cover", "{s3}", "--max-n", "2"], 2, "NotAbelian"),
+    (["zeta", "--cover", "{s3}"], 2, "NotAbelian"),
 ]
 
 

@@ -274,6 +274,23 @@ def test_ramified_primes_examples():
 def test_genus_examples():
     assert kummer(F5, 2, "T^3-3*T^2+2*T").genus() == 1
     assert kummer(F5, 2, "T").genus() == 0
+    # y^3 - y = T^2 is wild at infinity only: genus 1, no finite ramified prime
+    wild = artin_schreier(F3, "T^2", force_wild=True)
+    assert wild.genus() == 1 and not wild.ramified_primes()
+
+
+def test_uniform_degree_is_the_conductor_degree():
+    # deg of the lcm of the characters' conductors, plus the wild excess at
+    # infinity, worked out by hand from the conductor exponents
+    assert trivial(F5).uniform_degree() == 0
+    assert kummer(F5, 2, "T^3-3*T^2+2*T").uniform_degree() == 3
+    assert kummer(F5, 4, "T^3-T^2").uniform_degree() == 2  # T^2 (T - 1)
+    assert kummer(F5, 2, "T^3-T^2").uniform_degree() == 1  # T is unramified
+    assert artin_schreier(F5, RationalFn(Poly.one(F5), T5 * T5)).uniform_degree() == 3  # T^3
+    assert artin_schreier(F3, "T^2", force_wild=True).uniform_degree() == 2
+    # components sharing T: lcm(T, T^2) = T^2, times T - 1
+    pc = product([kummer(F3, 2, "T^2-T"), artin_schreier(F3, RationalFn(Poly.one(F3), Poly.x(F3)))])
+    assert pc.uniform_degree() == 3
 
 
 def _affine_point_count_as(ctx, cov, ext_degree):

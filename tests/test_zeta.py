@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ffcheb import zeta
 from ffcheb.covers import artin_schreier, kummer, product, trivial
-from ffcheb.errors import DegreeBoundViolated, TooLarge, UserGenusRequired
+from ffcheb.errors import DegreeBoundViolated, TooLarge
 from ffcheb.ffield import make_field
 from ffcheb.polys import Poly, RationalFn, count_primes, primes_of_degree
 from ffcheb.zeta import (
@@ -30,6 +29,7 @@ from ffcheb.zeta import (
 
 from oracles import oracle_class
 
+F3 = make_field(3)
 F5 = make_field(5)
 
 
@@ -72,21 +72,24 @@ def test_prime_tally_example():
     assert tally.unramified[(1, 1)] == 2  # split: residues 1, 4
     assert tally.unramified[(1, 2)] == 2  # inert: non-residues 2, 3
     assert tally.ramified == {(1, 2, 1, 1): 1}  # T itself
-    tally.check_partition(F5)
+    assert sum(tally.unramified.values()) + sum(tally.ramified.values()) == count_primes(F5, 1)
 
 
 def test_check_partition_rejects_a_tampered_tally_under_optimize():
-    # the check must not rest on assert, which python -O strips
+    # ensure checks that every degree's tallies add up to the prime count,
+    # and the check must not rest on assert, which python -O strips.  With 3
+    # added to Z_1 the degree-3 tallies stay integral and nonnegative, but
+    # they no longer add up.
     code = (
         "from ffcheb.covers import kummer\n"
         "from ffcheb.errors import DegreeBoundViolated\n"
         "from ffcheb.ffield import make_field\n"
-        "from ffcheb.zeta import prime_tallies\n"
-        "F = make_field(5)\n"
-        "tally = prime_tallies(kummer(F, 2, 'T'), 2)\n"
-        "tally.unramified[(2, 1)] += 1\n"
+        "from ffcheb.zeta import AbelianFrobeniusData\n"
+        "data = AbelianFrobeniusData(kummer(make_field(5), 2, 'T^3-3*T^2+2*T'))\n"
+        "print('J =', data.J, 'tallies[1] =', data.tallies[1])\n"
+        "data.Z[1][0] += 3\n"
         "try:\n"
-        "    tally.check_partition(F)\n"
+        "    data.ensure(data.J + 1)\n"
         "except DegreeBoundViolated as e:\n"
         "    print('raised:', e)\n"
     )
@@ -96,7 +99,9 @@ def test_check_partition_rejects_a_tampered_tally_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: prime tallies at degree 2 ")
+    assert proc.stdout.startswith(
+        "J = 2 tallies[1] = [2, 0]\nraised: tallies at degree 3 do not add up"
+    )
 
 
 def test_global_count_vs_interval():
@@ -260,52 +265,62 @@ def _oracle_row(cov, n):
     return row
 
 
-def test_ldata_budget_cuts_the_sweep_to_the_degree_bound(monkeypatch, quad):
-    # 5 + 25 + 125 = 155 candidates: the sweep stops at deg_bound, so degree
-    # 4 on is extended with no degree past the bound to check the tail on
-    monkeypatch.setattr(zeta, "LDATA_BUDGET", 155)
-    data = AbelianFrobeniusData(quad)
-    assert data.J == data.deg_bound == 3
-    data.ensure(6)
-    for n in (4, 5, 6):
-        assert data.tallies[n] == _oracle_row(quad, n)
+def _x_over(F, power):
+    """1 / T^power over F, an Artin-Schreier datum with one pole at T."""
+    x = Poly.x(F)
+    return RationalFn(Poly.one(F), x**power)
 
 
-def test_ldata_crude_bound_when_the_genus_is_undeclared():
-    # both components ramify at T: no conductor-discriminant genus, so the
-    # degree bound is the crude ram_deg_sum + 2|G| = 2 + 8
-    F3 = make_field(3)
-    pc = product([kummer(F3, 2, "T"), kummer(F3, 2, "T^2-T")])
-    with pytest.raises(UserGenusRequired):
-        pc.genus()
-    data = AbelianFrobeniusData(pc)
-    assert (data.deg_bound, data.J) == (10, 11)
-    data.ensure(13)
+# below the conductor degree n0 the tallies come from the Artin symbols of all
+# monics, from n0 on from the uniform tail; degrees <= 5 cover both here
+ORACLE_CASES = {
+    "kummer-d2": lambda: kummer(F5, 2, "T^3-3*T^2+2*T"),
+    "kummer-d3": lambda: kummer(make_field(7), 3, "T^2-3"),
+    "kummer-d4-reduced": lambda: kummer(F5, 4, "T^3-T^2"),  # T^2 (T - 1)
+    # d | v_T(D): T is unramified, and the sweep must count its multiples
+    "kummer-d2-square-dropped": lambda: kummer(F5, 2, "T^3-T^2"),
+    "artin-schreier-pole1": lambda: artin_schreier(F3, _x_over(F3, 1)),
+    "artin-schreier-pole2": lambda: artin_schreier(F5, _x_over(F5, 2)),
+    # y^3 - y = T^2 is wild at infinity only: no finite ramified prime
+    "forced-wild": lambda: artin_schreier(F3, "T^2", force_wild=True),
+    "kummer-x-artin-schreier": lambda: product(
+        [kummer(F3, 2, "T-1"), artin_schreier(F3, _x_over(F3, 1))]
+    ),
+    # components sharing a ramified place: no conductor-discriminant genus
+    "shared-place-T": lambda: product([kummer(F3, 2, "T"), kummer(F3, 2, "T^2-T")]),
+    "shared-place-infinity": lambda: product([kummer(F5, 2, "T"), kummer(F5, 2, "T-1")]),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_ldata_matches_the_prime_sweep_oracle(case):
+    cov = ORACLE_CASES[case]()
+    data = AbelianFrobeniusData(cov)
+    data.ensure(5)
     for n in range(1, 6):
-        assert data.tallies[n] == _oracle_row(pc, n)
+        assert data.tallies[n] == _oracle_row(cov, n)
 
 
 def test_ldata_wrong_declared_genus_is_degree_bound_violated():
-    # the true genus is 8; genus 0 puts the degree bound at 2
-    pc = product(
-        [artin_schreier(F5, RationalFn(Poly.one(F5), Poly.x(F5) * Poly.x(F5))),
-         kummer(F5, 2, "T-1")]
-    )
+    # the true genus is 8; the tallies do not read the genus, but ptilde
+    # certifies its degree bound 2g + f_inf g_inf - 1 from it
+    pc = product([artin_schreier(F5, _x_over(F5, 2)), kummer(F5, 2, "T-1")])
     pc.declared_genus = 0
     with pytest.raises(DegreeBoundViolated):
-        AbelianFrobeniusData(pc).ensure(6)
+        ptilde(pc)
 
 
-def test_ldata_forced_wild_artin_schreier():
-    # y^3 - y = T^2 is wild at infinity only: genus 1, no finite ramified prime
-    F3 = make_field(3)
-    cov = artin_schreier(F3, "T^2", force_wild=True)
-    assert cov.genus() == 1 and not cov._ramified_set()
-    data = AbelianFrobeniusData(cov)
-    data.ensure(6)
-    assert data.J < 5
-    for n in range(1, 7):
-        assert data.tallies[n] == _oracle_row(cov, n)
+def test_genus6_artin_schreier_tallies_and_curve_numerator():
+    # y^7 - y = 1/(T(T-1)) over F_49: the degree of P_E is 2g, with g from
+    # Riemann-Hurwitz, and the tallies at degrees <= 2 match the oracle
+    F49 = make_field(7, 2)
+    x = Poly.x(F49)
+    cov = artin_schreier(F49, RationalFn(Poly.one(F49), x * (x - 1)))
+    assert cov.genus() == 6
+    assert len(curve_zeta_numerator(cov)) - 1 == 2 * cov.genus()
+    for n in (1, 2):
+        got = [count_prime_frobenius_global(cov, c, n) for c in range(len(cov.group.classes))]
+        assert got == _oracle_row(cov, n)
 
 
 def test_ensure_computes_each_degree_once(monkeypatch, quad):

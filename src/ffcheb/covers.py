@@ -9,7 +9,8 @@ Four kinds:
     (no positive-degree monomial with exponent divisible by p, no pole order
     divisible by p); Frobenius is the absolute trace of D mod P.
   * Product: several cyclic covers over the same field, Frobenius taken
-    componentwise into the direct product group.
+    componentwise into the direct product group; components ramified at one
+    place must have coprime orders.
   * Splitting: the splitting field of a monic-in-Y bivariate F(T, Y), with a
     user-asserted permutation group and a cycle-type -> class table; Frobenius
     is read off the factorization type of F mod P.
@@ -33,6 +34,7 @@ from .errors import (
     DomainError,
     InvariantViolated,
     NotAbelian,
+    NotComponentwise,
     NotDividing,
     NotGeometric,
     NotIrreducible,
@@ -76,6 +78,10 @@ class SplittingData:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.e, self.f, self.g)
+
+
+INFINITY = "infinity"  # the infinite place, as a key of a character's conductor
+Place = Coeffs | str
 
 
 class Cover:
@@ -167,12 +173,33 @@ class Cover:
     def _ramified_set(self) -> frozenset[Coeffs]:
         raise NotImplementedError
 
+    def _character_conductor(self, a: int) -> dict[Place, int]:
+        """{place: exponent} of the conductor of the character indexed by
+        the group element a, over the finite primes and `INFINITY`; places
+        with exponent 0 are left out."""
+        raise NotImplementedError
+
+    def genus(self) -> int:
+        """Conductor-discriminant genus of an abelian kind:
+        2g - 2 = -2|G| + sum over chi != 1 of deg f_chi."""
+        self.require_validated()
+        total = -2 * self.group.n
+        for a in range(1, self.group.n):
+            cond = self._character_conductor(a)
+            total += sum(e * (1 if v == INFINITY else pdeg(v)) for v, e in cond.items())
+        return _genus_from_total(total)
+
     def uniform_degree(self) -> int:
         """n0 of an abelian kind, the degree of the lcm of the characters'
-        conductors: from degree n0 on, Frobenius over the monics of degree n
-        prime to the ramified primes is uniform on G (see `zeta`)."""
-        exponents, wild = self.conductor()
-        return sum(e * pdeg(P) for P, e in exponents.items()) + wild
+        finite conductors plus the largest wild excess a_inf - 1 at infinity:
+        from degree n0 on, Frobenius over the monics of degree n prime to the
+        ramified primes is uniform on G (see `zeta`)."""
+        top: dict[Place, int] = {}
+        for a in range(1, self.group.n):
+            for v, e in self._character_conductor(a).items():
+                top[v] = max(top.get(v, 0), e)
+        wild = top.pop(INFINITY, 1) - 1
+        return sum(e * pdeg(P) for P, e in top.items()) + wild
 
     def summary(self) -> dict:
         self.require_validated()
@@ -212,17 +239,11 @@ class TrivialCover(Cover):
     def artin_symbol(self, f: Coeffs) -> int:
         return 0
 
-    def conductor(self) -> tuple[dict[Coeffs, int], int]:
-        return {}, 0
-
     def tame_at_infinity(self) -> bool:
         return True
 
     def _infinity_omega(self) -> int:
         return self.group.class_to_omega[0]
-
-    def genus(self) -> int:
-        return 0
 
 
 def trivial(ctx: Field) -> TrivialCover:
@@ -370,10 +391,14 @@ class KummerCover(Cover):
         coset = frozenset((ku + j * step) % d for j in range(e))
         return self.group.omega_of_coset(coset)
 
-    def conductor(self) -> tuple[dict[Coeffs, int], int]:
-        """(prime -> exponent, wild excess at infinity) of the lcm of the
-        characters' conductors; every ramified place is tame."""
-        return {P: 1 for P, _ in self.parts}, 0
+    def _character_conductor(self, a: int) -> dict[Place, int]:
+        """Every ramified place is tame: exponent 1 where the character is
+        nontrivial on inertia, a * v(D) not divisible by d."""
+        d = self.d
+        cond: dict[Place, int] = {P: 1 for P, m in self.parts if a * m % d}
+        if a * self.D.degree % d:
+            cond[INFINITY] = 1
+        return cond
 
     def tame_at_infinity(self) -> bool:
         return True  # d | q-1 forces d coprime to p
@@ -386,17 +411,6 @@ class KummerCover(Cover):
         kc = self._symbol_of_value(self.D.coeffs[-1])
         coset = frozenset((kc + j * step) % d for j in range(e))
         return self.group.omega_of_coset(coset)
-
-    def genus(self) -> int:
-        self.require_validated()
-        d = self.d
-        total = -2 * d
-        for P, m in self.parts:
-            e = d // math.gcd(d, m)
-            total += (e - 1) * (d // e) * pdeg(P)
-        e_inf = d // math.gcd(d, self.D.degree)
-        total += (e_inf - 1) * (d // e_inf)
-        return _genus_from_total(total)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +556,16 @@ class ArtinSchreierCover(Cover):
             return self.group.omega_of_coset(coset)
         return self.group.class_to_omega[self.artin_symbol(P)]
 
-    def conductor(self) -> tuple[dict[Coeffs, int], int]:
-        """The lcm of the characters' conductors: a pole of order m has
-        exponent m + 1, a forced-wild polynomial part of degree m excess m."""
-        wild = self._poly_part.degree if self.wild_override else 0
-        return {P: m + 1 for P, m in self._poles}, wild
+    def _character_conductor(self, a: int) -> dict[Place, int]:
+        """Every nontrivial character has the same conductor: a pole of order
+        m has exponent m + 1, and so does a forced-wild polynomial part of
+        degree m at infinity."""
+        if not a:
+            return {}
+        cond: dict[Place, int] = {P: m + 1 for P, m in self._poles}
+        if self.wild_override:
+            cond[INFINITY] = self._poly_part.degree + 1
+        return cond
 
     def tame_at_infinity(self) -> bool:
         return not self.wild_override
@@ -567,16 +586,6 @@ class ArtinSchreierCover(Cover):
             t = acc
         return self.group.class_to_omega[t]
 
-    def genus(self) -> int:
-        self.require_validated()
-        p = self.ctx.p
-        total = -2 * p
-        for P, m in self._poles:
-            total += (p - 1) * (m + 1) * pdeg(P)
-        if self.wild_override:
-            total += (p - 1) * (self._poly_part.degree + 1)
-        return _genus_from_total(total)
-
 
 # ---------------------------------------------------------------------------
 # Product covers
@@ -587,7 +596,9 @@ class ProductCover(Cover):
 
     Linear disjointness of the components is asserted by the user, not
     verified; the equidistribution census is the detector.  At ramified
-    primes the inertia/Frobenius coset is taken componentwise.
+    places the inertia/Frobenius coset is taken componentwise, which is
+    exact when the components ramified at a place have pairwise coprime
+    orders; validation refuses any other product.
     """
 
     kind = "product"
@@ -604,12 +615,23 @@ class ProductCover(Cover):
         self.components = tuple(components)
         self.group = GroupTable.direct_product([c.group for c in components])
         self.group_provenance = "computed"
-        self.declared_genus: int | None = None
 
     def _validate(self, force_wild: bool) -> None:
         for c in self.components:
             if not c.validated:
                 c._validate(force_wild)
+        # a component ramifies where its faithful character 1 has a conductor
+        orders: dict[Place, int] = {}
+        for c in self.components:
+            for v in c._character_conductor(1):
+                n = orders.get(v, 1)
+                if math.gcd(n, c.group.n) > 1:
+                    place = v if v == INFINITY else repr(Poly._raw(self.ctx, v))
+                    raise NotComponentwise(
+                        f"components of non-coprime orders ramify at {place}; the "
+                        f"local data there are not componentwise"
+                    )
+                orders[v] = n * c.group.n
         self.validated = True
 
     def _ramified_set(self) -> frozenset[Coeffs]:
@@ -634,73 +656,20 @@ class ProductCover(Cover):
         """The components' Artin symbols of f, as one product element."""
         return self.group.encode_product([c.artin_symbol(f) for c in self.components])
 
-    def conductor(self) -> tuple[dict[Coeffs, int], int]:
-        """The lcm of the components' conductors: a product character's
-        conductor divides it, and its wild excess is at most the largest."""
-        lcm: dict[Coeffs, int] = {}
-        for c in self.components:
-            for P, e in c.conductor()[0].items():
-                lcm[P] = max(lcm.get(P, 0), e)
-        return lcm, max(c.conductor()[1] for c in self.components)
+    def _character_conductor(self, a: int) -> dict[Place, int]:
+        """At each place the largest of the components' exponents, exact
+        because the components ramified there have coprime orders."""
+        cond: dict[Place, int] = {}
+        for c, ai in zip(self.components, self.group.decode_product(a)):
+            for v, e in c._character_conductor(ai).items():
+                cond[v] = max(cond.get(v, 0), e)
+        return cond
 
     def tame_at_infinity(self) -> bool:
         return all(c.tame_at_infinity() for c in self.components)
 
     def _infinity_omega(self) -> int:
         return self._product_omega([c._infinity_omega() for c in self.components])
-
-    def genus(self) -> int:
-        """Conductor-discriminant genus, available when components ramify at
-        pairwise disjoint places (including infinity); otherwise the genus
-        must be declared."""
-        self.require_validated()
-        if self.declared_genus is not None:
-            return self.declared_genus
-        places: list[set] = []
-        for c in self.components:
-            pl: set = set(c._ramified_set())
-            if isinstance(c, KummerCover):
-                if c.d // math.gcd(c.d, c.D.degree) > 1:
-                    pl.add("infinity")
-            else:
-                if c.wild_override:
-                    pl.add("infinity")
-            places.append(pl)
-        for i in range(len(places)):
-            for j in range(i + 1, len(places)):
-                if places[i] & places[j]:
-                    raise UserGenusRequired(
-                        "components share a ramified place; declare the genus"
-                    )
-        n = self.group.n
-        total = -2 * n
-        # sum of conductor degrees over nontrivial characters
-        sizes = self.group.factor_sizes
-        for chi in itertools.product(*(range(s) for s in sizes)):
-            if all(a == 0 for a in chi):
-                continue
-            total += self._conductor_degree(chi)
-        return _genus_from_total(total)
-
-    def _conductor_degree(self, chi: tuple[int, ...]) -> int:
-        deg = 0
-        for a, c in zip(chi, self.components):
-            if isinstance(c, KummerCover):
-                d = c.d
-                for P, m in c.parts:
-                    e = d // math.gcd(d, m)
-                    if (a * (d // e)) % d != 0:
-                        deg += pdeg(P)
-                e_inf = d // math.gcd(d, c.D.degree)
-                if e_inf > 1 and (a * (d // e_inf)) % d != 0:
-                    deg += 1
-            else:
-                if a != 0:
-                    for P, m in c._poles:
-                        deg += (m + 1) * pdeg(P)
-                    if c.wild_override:
-                        deg += c._poly_part.degree + 1
-        return deg
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,10 @@ class UserGenusRequired(DomainError):
     pass
 
 
+class NotComponentwise(DomainError):
+    pass
+
+
 class NotAConjugacyClass(DomainError):
     pass
 

@@ -41,6 +41,32 @@ tame_at_infinity = false
 """
 
 
+# y^2 = T^2 - T times y^3 - y = 1/T over F_3: components of orders 2 and 3
+# share the ramified prime T
+KUMMER_X_AS = """kind = product
+p = 3
+components = 2
+component.1.kind = kummer
+component.1.d = 2
+component.1.D = [0,2,1]
+component.2.kind = artin_schreier
+component.2.D_num = [1]
+component.2.D_den = [0,1]
+"""
+
+# y^2 = T times y^2 = T^2 - T over F_5: two components of order 2 ramify at T
+SHARED_T = """kind = product
+p = 5
+components = 2
+component.1.kind = kummer
+component.1.d = 2
+component.1.D = [0,1]
+component.2.kind = kummer
+component.2.d = 2
+component.2.D = [0,4,1]
+"""
+
+
 @pytest.fixture()
 def quad_file(tmp_path):
     f = tmp_path / "quad.cov"
@@ -51,9 +77,12 @@ def quad_file(tmp_path):
 @pytest.fixture()
 def cover_files(tmp_path, quad_file):
     """Placeholders in the error tables and the cover files they stand for."""
-    s3 = tmp_path / "s3.cov"
-    s3.write_text(S3_CUBIC)
-    return {"{cover}": quad_file, "{s3}": str(s3)}
+    files = {"{cover}": quad_file}
+    for key, text in (("{s3}", S3_CUBIC), ("{kxas}", KUMMER_X_AS), ("{shared_t}", SHARED_T)):
+        f = tmp_path / (key.strip("{}") + ".cov")
+        f.write_text(text)
+        files[key] = str(f)
+    return files
 
 
 @pytest.fixture()
@@ -323,7 +352,8 @@ def _imean(fns):
 
 
 # malformed function, group, degree, q-list and cover-file values; "{cover}"
-# stands for a valid cover file and "{s3}" for the S_3 cover file
+# stands for a valid cover file, "{s3}" for the S_3 cover file and "{kxas}",
+# "{shared_t}" for the two product files above
 VALUE_ROWS = [
     (_imean("1C:x"), 2, "DomainError"),
     (_imean("B,delta:1:1"), 2, "DomainError"),
@@ -356,6 +386,8 @@ VALUE_ROWS = [
     (_wreath(group="sym:4"), 0, None),
     (["psi-check", "--cover", "{s3}", "--max-n", "2"], 2, "NotAbelian"),
     (["zeta", "--cover", "{s3}"], 2, "NotAbelian"),
+    (["psi-check", "--cover", "{kxas}", "--max-n", "3"], 0, None),
+    (["frobenius", "--cover", "{shared_t}", "T-2"], 2, "NotComponentwise"),
 ]
 
 

@@ -21,6 +21,7 @@ from ffcheb.covers import (
 from ffcheb.errors import (
     AmbiguousCycleType,
     DomainError,
+    NotComponentwise,
     NotDividing,
     NotGeometric,
     RamifiedPrime,
@@ -404,12 +405,11 @@ def test_product_cover_genus_disjoint():
     assert pc.genus() == 1
 
 
-def test_product_cover_genus_shared_place_requires_declaration():
+def test_product_cover_shared_place_of_non_coprime_orders_is_refused():
     c1 = kummer(F5, 2, "T")
     c2 = kummer(F5, 2, "T-1")  # both ramify at infinity
-    pc = product([c1, c2])
-    with pytest.raises(UserGenusRequired):
-        pc.genus()
+    with pytest.raises(NotComponentwise, match="at infinity"):
+        product([c1, c2])
 
 
 def test_product_cover_zeta_corroborates_genus():

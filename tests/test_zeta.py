@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ffcheb.covers import artin_schreier, kummer, product, trivial
-from ffcheb.errors import DegreeBoundViolated, TooLarge
+from ffcheb.errors import DegreeBoundViolated, NotComponentwise, TooLarge
 from ffcheb.ffield import make_field
 from ffcheb.polys import Poly, RationalFn, count_primes, primes_of_degree
 from ffcheb.zeta import (
@@ -31,6 +31,7 @@ from oracles import oracle_class
 
 F3 = make_field(3)
 F5 = make_field(5)
+F7 = make_field(7)
 
 
 @pytest.fixture(scope="module")
@@ -286,9 +287,10 @@ ORACLE_CASES = {
     "kummer-x-artin-schreier": lambda: product(
         [kummer(F3, 2, "T-1"), artin_schreier(F3, _x_over(F3, 1))]
     ),
-    # components sharing a ramified place: no conductor-discriminant genus
-    "shared-place-T": lambda: product([kummer(F3, 2, "T"), kummer(F3, 2, "T^2-T")]),
-    "shared-place-infinity": lambda: product([kummer(F5, 2, "T"), kummer(F5, 2, "T-1")]),
+    # components of coprime orders 2 and 3 sharing ramified places: T in the
+    # first, T and infinity in the second
+    "shared-place-T": lambda: product([kummer(F3, 2, "T^2-T"), artin_schreier(F3, _x_over(F3, 1))]),
+    "shared-place-infinity": lambda: product([kummer(F7, 2, "T"), kummer(F7, 3, "T^2-T")]),
 }
 
 
@@ -301,13 +303,44 @@ def test_ldata_matches_the_prime_sweep_oracle(case):
         assert data.tallies[n] == _oracle_row(cov, n)
 
 
-def test_ldata_wrong_declared_genus_is_degree_bound_violated():
+def test_ldata_wrong_declared_genus_is_degree_bound_violated(monkeypatch):
     # the true genus is 8; the tallies do not read the genus, but ptilde
     # certifies its degree bound 2g + f_inf g_inf - 1 from it
     pc = product([artin_schreier(F5, _x_over(F5, 2)), kummer(F5, 2, "T-1")])
-    pc.declared_genus = 0
+    monkeypatch.setattr(pc, "genus", lambda: 0)
     with pytest.raises(DegreeBoundViolated):
         ptilde(pc)
+
+
+@pytest.mark.parametrize("case, genus", [("shared-place-T", 1), ("shared-place-infinity", 2)])
+def test_shared_place_of_coprime_orders_genus_is_half_the_curve_numerator_degree(case, genus):
+    # the genus takes the largest component exponent at each shared place;
+    # deg P_E = 2g is read from the prime tallies, not from the genus
+    cov = ORACLE_CASES[case]()
+    assert cov.genus() == genus
+    assert len(curve_zeta_numerator(cov)) - 1 == 2 * genus
+
+
+def _times(*series, N):
+    out = [Fraction(1)] + [Fraction(0)] * N
+    for s in series:
+        out = [sum(out[k] * s.coeffs[n - k] for k in range(n + 1)) for n in range(N + 1)]
+    return out
+
+
+def test_product_local_data_satisfy_the_subfield_identity():
+    # L = K1 K2 with group Z/2 x Z/2 has the three quadratic subfields K1, K2
+    # and K3 = F(sqrt(D1 D2)): Z_L Z_K^2 = Z_K1 Z_K2 Z_K3 prime by prime, an
+    # identity the product's ramified cosets must satisfy on their own
+    N = 4
+    Z = lambda cov: dedekind_from_tallies(cov, N)  # noqa: E731
+    L = product([kummer(F5, 2, "T"), kummer(F5, 2, "T^2-2")])
+    K1, K2, K3 = (kummer(F5, 2, D) for D in ("T", "T^2-2", "T^3-2*T"))
+    assert _times(Z(L), Z(trivial(F5)), Z(trivial(F5)), N=N) == _times(Z(K1), Z(K2), Z(K3), N=N)
+    # where both components ramify at T the inertia coset is not the product
+    # of theirs, so such a product is refused rather than tallied
+    with pytest.raises(NotComponentwise):
+        product([kummer(F5, 2, "T"), kummer(F5, 2, "T^2-T")])
 
 
 def test_genus6_artin_schreier_tallies_and_curve_numerator():

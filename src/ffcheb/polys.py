@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -25,6 +26,7 @@ from .errors import (
     ContextMismatch,
     DivisionByZero,
     InvariantViolated,
+    NotIrreducible,
     PoleAtPrime,
     PolyParseError,
     TooLarge,
@@ -877,47 +879,109 @@ class RationalFn:
 
 # ---------------------------------------------------------------------------
 # residue fields
+#
+# The roots of the primes of degree d over F_q are the elements of F_{q^d}
+# whose Frobenius orbit x -> x^q has size d, and each orbit is the set of
+# roots of one prime.  One walk over F_{q^d}, orbit by orbit, so finds the
+# smallest root of every prime of degree d.  The root table of degree d holds
+# it at the index (as `_index` numbers them) of the prime's lower
+# coefficients, and -1 where the monic there is not irreducible.
+
+
+def _root_table(base: Field, d: int) -> tuple[array, list[int] | None]:
+    """(roots, powers of beta) of degree d over `base`, built on first use
+    and cached on the base field.  beta is the image in F_{q^d} of the
+    generator of `base` over F_p; its powers are None when base is F_p."""
+    cache = getattr(base, "_residue_cache", None)
+    if cache is None:
+        cache = base._residue_cache = {}
+    if d in cache:
+        return cache[d]
+    q = base.q
+    big = make_field(base.p, base.k * d)
+    if base.k == 1:
+        # F_p sits in every F_{p^k} under the same encoding
+        beta_pows = to_base = None
+    else:
+        # embed the base field: send its generator-image alpha to the
+        # smallest root of the base modulus inside `big`
+        beta = min(_roots_in(big, base.modulus))  # F_p coefficients embed as-is
+        beta_pows = [1]
+        for _ in range(base.k - 1):
+            beta_pows.append(big.mul(beta_pows[-1], beta))
+        to_base = {_embed(big, beta_pows, base.coeffs(a)): a for a in range(q)}
+    n = big.q - 1
+    exp, log, sub, neg = big._exp, big._log, big.sub, big.neg
+    roots = array("i", [-1]) * big.q
+    if d == 1:
+        roots[0] = 0  # T, the one prime with root 0
+    seen = bytearray(n)
+    for start in range(n):
+        if seen[start]:
+            continue
+        # the orbit by discrete logs: x^q has log q * log x mod q^d - 1
+        orbit = [start]
+        j = start * q % n
+        while j != start:
+            orbit.append(j)
+            j = j * q % n
+        for j in orbit:
+            seen[j] = 1
+        if len(orbit) != d:
+            continue  # x lies in a smaller field
+        c = [1]  # prod (Y - x) over the orbit, lowest coefficient first
+        for j in orbit:
+            c.append(1)
+            for i in range(len(c) - 2, 0, -1):
+                ci = c[i]
+                c[i] = sub(c[i - 1], exp[j + log[ci]]) if ci else c[i - 1]
+            c[0] = neg(exp[j + log[c[0]]])
+        if to_base is not None:
+            c = [to_base[ci] for ci in c]
+        roots[_index(c[:-1], q)] = min(exp[j] for j in orbit)
+    cache[d] = roots, beta_pows
+    return cache[d]
+
+
+def _embed(big: Field, beta_pows: list[int], digits) -> int:
+    """sum c_i beta^i in `big`, for the base-field element with digits c_i."""
+    out = 0
+    for c, bp in zip(digits, beta_pows):
+        if c:
+            out = big.add(out, big.mul(c, bp))
+    return out
 
 
 class ResidueField:
     """F_q[T]/(P) realized inside the canonical field with q^deg(P) elements.
 
     `t_image` is the chosen image of T (the smallest root of P in encoding
-    order), and `embed` maps base-field elements in.  All choices are
-    deterministic, so residue data is reproducible across runs.
+    order), read from the root table of degree deg P; `embed` maps
+    base-field elements in.  All choices are deterministic, so residue data
+    is reproducible across runs.  A P that is not irreducible raises
+    NotIrreducible.
     """
 
     __slots__ = ("base", "prime", "field", "t_image", "_beta_pows")
 
     def __init__(self, base: Field, prime: Coeffs):
+        _, monic = pmonic(base, prime)
+        dd = pdeg(monic)
+        if dd < 1:
+            raise ConstantPolynomial("a residue field needs a prime of degree >= 1")
+        roots, self._beta_pows = _root_table(base, dd)
+        t = roots[_index(monic[:-1], base.q)]
+        if t < 0:
+            raise NotIrreducible(f"{Poly._raw(base, prime)!r} is not a prime of F_q[T]")
         self.base = base
         self.prime = prime
-        dd = pdeg(prime)
-        big = make_field(base.p, base.k * dd)
-        self.field = big
-        if base.k == 1:
-            self._beta_pows = None
-        else:
-            # embed the base field: send its generator-image alpha to the
-            # smallest root of the base modulus inside `big`
-            lifted = tuple(c for c in base.modulus)  # F_p coefficients embed as-is
-            beta = min(_roots_in(big, lifted))
-            pows = [1]
-            for _ in range(base.k - 1):
-                pows.append(big.mul(pows[-1], beta))
-            self._beta_pows = pows
-        embedded = tuple(self.embed(c) for c in prime)
-        self.t_image = min(_roots_in(big, embedded))
+        self.field = make_field(base.p, base.k * dd)
+        self.t_image = t
 
     def embed(self, a: int) -> int:
         if self._beta_pows is None:
             return a
-        big = self.field
-        out = 0
-        for c, bp in zip(self.base.coeffs(a), self._beta_pows):
-            if c:
-                out = big.add(out, big.mul(c, bp))
-        return out
+        return _embed(self.field, self._beta_pows, self.base.coeffs(a))
 
     def eval_poly(self, cs: Coeffs) -> int:
         big = self.field
@@ -940,8 +1004,10 @@ def _roots_in(F: Field, cs: Coeffs) -> list[int]:
 
 
 def residue_field(P: Poly) -> ResidueField:
-    """Canonical residue field at a monic irreducible P, built afresh on each
-    call (the field F_{q^deg P} itself is a shared `make_field` singleton)."""
+    """Canonical residue field at an irreducible P; a reducible P raises
+    NotIrreducible.  The root tables it reads are built once per
+    degree and cached on P's field, and the field F_{q^deg P} itself is a
+    shared `make_field` singleton."""
     return ResidueField(P.ctx, P.coeffs)
 
 

@@ -39,10 +39,11 @@ from ffcheb.polys import (
     count_primes,
     factor_raw,
     parse_poly,
+    peval,
     primes_of_degree,
 )
 from ffcheb.zeta import count_prime_frobenius_global
-from oracles import oracle_class
+from oracles import brute_embedding, count_zeros, oracle_class, smallest_zero
 
 F5 = make_field(5)
 F3 = make_field(3)
@@ -465,15 +466,7 @@ def test_splitting_matches_kummer_quadratic():
 def test_splitting_s3_cubic():
     # Y^3 - T*Y - T: generic cubic with group S_3
     ctx = F5
-    spec = SplittingCover(
-        ctx,
-        [parse_poly(ctx, "-1*T"), parse_poly(ctx, "-1*T"), Poly.zero(ctx), Poly.one(ctx)],
-        [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)],
-        {(1, 1, 1): 0, (2, 1): 1, (3,): 2},
-        declared_genus=0,
-        declared_tame_at_infinity=False,
-    )
-    validate_cover(spec)
+    spec = validate_cover(_s3_cubic(ctx))
     assert spec.group.n == 6
     # observed cycle types all in the table (validation already samples)
     seen = set()
@@ -482,6 +475,30 @@ def test_splitting_s3_cubic():
             continue
         seen.add(spec.frobenius_class(Poly(ctx, Pcs)))
     assert seen <= {0, 1, 2}
+
+
+#: cycle type of Frobenius from the number of roots of F(t, Y) in F_{q^d}
+_TYPE_BY_ROOTS = {3: {3: (1, 1, 1), 1: (2, 1), 0: (3,)}, 2: {2: (1, 1), 0: (2,)}}
+
+
+@pytest.mark.parametrize("pk", [(5, 1), (7, 1), (3, 2)], ids=["F5", "F7", "F9"])
+def test_splitting_class_by_root_count(pk):
+    # an oracle without factoring and without the root tables: t is found by
+    # a search over F_{q^d}, and the roots of F(t, Y) are counted there
+    F = make_field(*pk)
+    for cov in (validate_cover(_s3_cubic(F)), _quadratic_splitting(F, "T^3-3*T^2+2*T")):
+        ram = cov._ramified_set()
+        by_roots = _TYPE_BY_ROOTS[cov.y_degree]
+        for d in (1, 2, 3):
+            big = make_field(F.p, F.k * d)
+            embed = brute_embedding(F, big)
+            for Pcs in primes_of_degree(F, d):
+                if Pcs in ram:
+                    continue
+                t = smallest_zero(big, [embed(c) for c in Pcs])
+                ys = [peval(big, [embed(c) for c in a.coeffs], t) for a in cov.y_coeffs]
+                part = by_roots[count_zeros(big, ys)]
+                assert cov.frobenius_class(Poly._raw(F, Pcs)) == cov.cycle_table[part]
 
 
 def test_splitting_bad_table_rejected():

@@ -6,13 +6,20 @@ import time
 
 import pytest
 
-from ffcheb.errors import ConstantPolynomial, PoleAtPrime, TooLarge, ZeroPolynomial
+from ffcheb.errors import (
+    ConstantPolynomial,
+    NotIrreducible,
+    PoleAtPrime,
+    TooLarge,
+    ZeroPolynomial,
+)
 from ffcheb.ffield import Field, make_field
 from ffcheb.polys import (
     Poly,
     RationalFn,
     count_primes,
     enumerate_monic,
+    enumerate_monic_raw,
     eval_mod,
     parse_poly,
     pmod,
@@ -21,7 +28,7 @@ from ffcheb.polys import (
     primes_of_degree,
     residue_field,
 )
-from oracles import rabin_primes
+from oracles import brute_embedding, factored_root, rabin_primes, smallest_zero
 from test_ffield import CANONICAL_FIELDS
 
 F5 = make_field(5)
@@ -273,6 +280,75 @@ def test_residue_field_extension_base():
             acc = big.add(big.mul(acc, rf.t_image), rf.embed(c))
         assert acc == 0
         break
+
+
+@pytest.mark.parametrize(
+    "pk, top", [((2, 2), 3), ((5, 1), 4), ((3, 2), 3), ((13, 1), 3)], ids=["F4", "F5", "F9", "F13"]
+)
+def test_t_image_is_smallest_root(pk, top):
+    # every prime of degree <= top: the root table's t_image against the
+    # factoring route and a search over F_{q^d}, with an embedding that is
+    # found by search too
+    F = make_field(*pk)
+    for d in range(1, top + 1):
+        big = make_field(F.p, F.k * d)
+        embed = brute_embedding(F, big)
+        for Pcs in primes_of_degree(F, d):
+            rf = residue_field(Poly._raw(F, Pcs))
+            cs = tuple(embed(c) for c in Pcs)
+            assert rf.t_image == factored_root(big, cs) == smallest_zero(big, cs)
+        assert [rf.embed(a) for a in range(F.q)] == [embed(a) for a in range(F.q)]
+
+
+def test_residue_field_refuses_reducible():
+    T = Poly.x(F5)
+    for f in (P("T^2-1"), (T - 1) ** 2, P("T^3+T+1") * (T - 1)):
+        with pytest.raises(NotIrreducible):
+            residue_field(f)
+        with pytest.raises(NotIrreducible):
+            eval_mod(T, f)
+    with pytest.raises(ConstantPolynomial):
+        residue_field(P("3"))
+    with pytest.raises(ZeroPolynomial):
+        residue_field(P("0"))
+
+
+def test_residue_field_refuses_reducible_under_optimize():
+    # the refusal is a table entry of -1, not an assert that -O strips
+    code = (
+        "from ffcheb.errors import NotIrreducible\n"
+        "from ffcheb.ffield import make_field\n"
+        "from ffcheb.polys import Poly, eval_mod, parse_poly, residue_field\n"
+        "F = make_field(5)\n"
+        "T = Poly.x(F)\n"
+        "for f in (parse_poly(F, 'T^2-1'), (T - 1) ** 2, parse_poly(F, 'T^3+T+1') * (T - 1)):\n"
+        "    for call in (lambda: residue_field(f), lambda: eval_mod(T, f)):\n"
+        "        try:\n"
+        "            call()\n"
+        "        except NotIrreducible:\n"
+        "            print('refused')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n" * 6
+
+
+@pytest.mark.parametrize("pk", [(5, 1), (2, 2)], ids=["F5", "F4"])
+def test_residue_field_exactly_at_primes(pk):
+    # a monic gets a residue field exactly when it is prime
+    F = make_field(*pk)
+    for d in (1, 2, 3):
+        primes = set(primes_of_degree(F, d))
+        for cs in enumerate_monic_raw(F, d):
+            if cs in primes:
+                residue_field(Poly._raw(F, cs))
+            else:
+                with pytest.raises(NotIrreducible):
+                    residue_field(Poly._raw(F, cs))
 
 
 def test_rationalfn_reduction():

@@ -7,18 +7,23 @@ mean of r is literally constant in n once n passes deg(ptilde), and the
 constant ptilde(1/q) is forced to within 4/sqrt(q) of 1 by the square-root
 bound on prime tallies.  The norm indicator b behaves differently: its mean
 tracks K_E * binom(n + 1/|G| - 1, n).
+
+ptilde and the means of b come from the prime tallies; the means of r and
+the sums of b are read from the interval sieve over I(T^n, n - 1), every
+monic of degree n.
 """
 
 from fractions import Fraction
 
 from ffcheb import make_field, parse_poly
 from ffcheb.covers import kummer
+from ffcheb.factypes import B
 from ffcheb.wreath import rising_binom
 from ffcheb.zeta import (
     K_E,
-    b_direct_sum,
     b_full_mean,
     curve_zeta_numerator,
+    full_degree_mean,
     prime_tallies,
     psi_E,
     ptilde,
@@ -56,8 +61,9 @@ kval, ktail = K_E(cov)
 print(f"K_E truncation = {float(kval):.6f} (tail bound {ktail:.2f})")
 for n in range(1, 6):
     mean = b_full_mean(cov, n)
+    sum_b = int(full_degree_mean(cov, B(), n) * q**n)
     binom = rising_binom(Fraction(1, 2), n)
     print(
-        f"  n={n}: sum b = {b_direct_sum(cov, n):>6d},  mean = {mean},"
+        f"  n={n}: sum b = {sum_b:>6d},  mean = {mean},"
         f"  mean/binom(n-1/2, n) = {float(mean / binom):.4f}"
     )

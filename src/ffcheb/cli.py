@@ -282,6 +282,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_psi_check(args) -> int:
+    if args.max_n < 1:
+        raise DomainError(f"--max-n {args.max_n}: psi_E is defined for degrees n >= 1")
     spec = load_cover(args.cover, args.force_wild)
     q = spec.ctx.q
     size = spec.group.n

@@ -504,25 +504,6 @@ class ArtinSchreierCover(Cover):
     def _ramified_set(self) -> frozenset[Coeffs]:
         return frozenset(P for P, _ in self._poles)
 
-    def _trace(self, P: Coeffs) -> int:
-        """Absolute trace of D mod P as an element of Z/p (P not a pole)."""
-        from .polys import padd
-
-        F = self.ctx
-        num_mod = pmod(F, self.D.num.coeffs, P)
-        den_mod = pmod(F, self.D.den.coeffs, P)
-        inv_den = ppowmod(F, den_mod, F.q ** pdeg(P) - 2, P)
-        x = pmod(F, pmul(F, num_mod, inv_den), P)
-        acc = x
-        cur = x
-        for _ in range(F.k * pdeg(P) - 1):
-            cur = ppowmod(F, cur, F.p, P)
-            acc = padd(F, acc, cur)
-        t = acc[0] if acc else 0
-        if pdeg(acc) > 0 or t >= F.p:
-            raise InvariantViolated("trace is not an element of F_p")
-        return t
-
     def artin_symbol(self, f: Coeffs) -> int:
         """Tr_{F_q/F_p} of the trace of D in the algebra F_q[T]/(f), for any
         monic f coprime to the poles, without a power modulo f.
@@ -530,7 +511,7 @@ class ArtinSchreierCover(Cover):
         Multiplication by T^j on F_q[T]/(f) has trace s_j, the j-th power sum
         of the roots of f, so x = D mod f has trace sum_j x_j s_j.  The
         algebra trace adds over the prime powers dividing f; at a prime P this
-        is `_trace(P)`.
+        is the absolute trace of D mod P.
         """
         if not f or f[-1] != 1:
             raise DomainError("the Artin symbol needs a monic polynomial")

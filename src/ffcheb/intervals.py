@@ -22,6 +22,7 @@ from fractions import Fraction
 from .covers import Cover, SplittingCover, dumps_cover, parse_cover
 from .errors import (
     ContextMismatch,
+    DomainError,
     IntervalDegenerate,
     NotAConjugacyClass,
     TooLarge,
@@ -229,6 +230,8 @@ def interval_lambda_counts(
 ) -> tuple[Counter, int]:
     """Multiset of factorization types over the interval, plus the number of
     excluded polynomials (splitting covers only).  Cached per interval."""
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
     spec.require_validated()
     if I.f0.ctx is not spec.ctx:
         raise ContextMismatch("interval and cover over different fields")
@@ -362,6 +365,21 @@ def _regime_flags(spec: Cover, I: IntervalSpec) -> dict:
 # the experiments
 
 
+def sieved_mean(
+    spec: Cover, fn: ArithFnSpec, I: IntervalSpec, seed: int = 0, threads: int = 1
+) -> tuple[Fraction, int]:
+    """Exact mean of fn over the interval's monics that are not excluded, and
+    the number excluded (splitting covers only)."""
+    counts, excluded = interval_lambda_counts(spec, I, seed, threads)
+    total = Fraction(0)
+    for entries, cnt in counts.items():
+        v = evaluate(fn, FactorizationType(dict(entries)), spec.group)
+        if v:
+            total += v * cnt
+    denom = I.size() - excluded
+    return (total / denom if denom else Fraction(0)), excluded
+
+
 def interval_mean(
     spec: Cover,
     fn: ArithFnSpec,
@@ -370,15 +388,7 @@ def interval_mean(
     threads: int = 1,
 ) -> Report:
     """Empirical interval mean of fn against the exact wreath-product mean."""
-    counts, excluded = interval_lambda_counts(spec, I, seed, threads)
-    size = I.size()
-    total = Fraction(0)
-    for entries, cnt in counts.items():
-        v = evaluate(fn, FactorizationType(dict(entries)), spec.group)
-        if v:
-            total += v * cnt
-    denom = size - excluded
-    empirical = total / denom if denom else Fraction(0)
+    empirical, excluded = sieved_mean(spec, fn, I, seed, threads)
     predicted = mean_class_function(fn, spec.group, I.n)
     return Report(
         command="interval-mean",
@@ -390,7 +400,7 @@ def interval_mean(
         fn_id=fn.describe(),
         empirical_mean=empirical,
         predicted_mean=predicted,
-        excluded_fraction=Fraction(excluded, size),
+        excluded_fraction=Fraction(excluded, I.size()),
         regime=_regime_flags(spec, I),
     )
 

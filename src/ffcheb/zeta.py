@@ -24,6 +24,10 @@ tallies at every degree are checked for integrality, nonnegativity, and the
 class-sum identity against the prime polynomial theorem; a failure means
 the conductor degree (hence the cover model) is wrong and raises
 DegreeBoundViolated.
+
+Means over every monic of degree n (`full_degree_mean`, `r_full_mean`) are
+read from the interval sieve over I(T^n, n - 1); factoring each monic is
+the test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -36,13 +40,15 @@ from fractions import Fraction
 from .covers import ArtinSchreierCover, Cover, KummerCover, ProductCover, TrivialCover
 from .errors import (
     DegreeBoundViolated,
+    DomainError,
     InvariantViolated,
     NotAbelian,
     RamifiedPrime,
     TooLarge,
 )
-from .factypes import check_class, direct_r
-from .polys import ENUMERATION_LIMIT, count_primes, enumerate_monic, enumerate_monic_raw
+from .factypes import EMPTY_TYPE, ArithFnSpec, R, check_class, evaluate
+from .intervals import IntervalSpec, Report, cover_hash, sieved_mean
+from .polys import ENUMERATION_LIMIT, Poly, count_primes, enumerate_monic_raw
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +221,8 @@ def _ldata(spec: Cover) -> AbelianFrobeniusData:
 def count_prime_frobenius_global(spec: Cover, class_index: int, n: int) -> int:
     """pi_{C;q}(n; E): degree-n primes with Frobenius class C (unramified)."""
     check_class(spec.group, class_index)
+    if n < 1:
+        raise DomainError(f"no primes of degree {n}")
     if _is_cyclic_or_product(spec):
         data = _ldata(spec)
         data.ensure(n)
@@ -276,6 +284,8 @@ def _psi_values(spec: Cover, N: int) -> list[int]:
 
 def psi_E(spec: Cover, n: int) -> int:
     """psi_E(n) = sum over d*f | n of d*f*pi_{E;f}(d), all primes included."""
+    if n < 1:
+        raise DomainError(f"psi_E is defined for degrees n >= 1, not {n}")
     return _psi_values(spec, n)[n - 1]
 
 
@@ -288,19 +298,11 @@ def b_series(spec: Cover, N: int) -> Series:
 
 
 def b_full_mean(spec: Cover, n: int) -> Fraction:
+    """Mean of b over the monics of degree n, from the Euler product."""
+    if n < 0:
+        raise DomainError(f"no monics of degree {n}")
     ser = b_series(spec, n)
     return ser.coeffs[n] / Fraction(spec.ctx.q**n)
-
-
-def b_direct_sum(spec: Cover, n: int, seed: int = 0) -> int:
-    """Oracle: sum of the norm indicator over all monics of degree n."""
-    from .factypes import direct_b
-
-    if spec.ctx.q**n > ENUMERATION_LIMIT:
-        raise TooLarge("direct b-enumeration out of budget")
-    if n == 0:
-        return 1
-    return sum(direct_b(spec, f, seed) for f in enumerate_monic(spec.ctx, n))
 
 
 def K_E(spec: Cover, N: int | None = None) -> tuple[Fraction, float]:
@@ -336,20 +338,6 @@ def _k_tail_bound(q: int, genus: int, size: int, N: int) -> float:
 # the Dedekind zeta of O_E and the exact mean of r
 
 
-def dedekind_series(spec: Cover, N: int, seed: int = 0) -> Series:
-    """Coefficient n is the exact sum of r over all monics of degree n,
-    by direct enumeration (the oracle side of the rationality identity)."""
-    if sum(spec.ctx.q**n for n in range(N + 1)) > ENUMERATION_LIMIT:
-        raise TooLarge("direct r-enumeration out of budget")
-    coeffs = [Fraction(1)]
-    for n in range(1, N + 1):
-        total = 0
-        for f in enumerate_monic(spec.ctx, n):
-            total += direct_r(spec, f, seed)
-        coeffs.append(Fraction(total))
-    return Series(coeffs)
-
-
 def dedekind_from_tallies(spec: Cover, N: int) -> Series:
     """The same series from prime tallies via the Euler product: each P below
     g primes of E, each of degree f*deg P."""
@@ -374,7 +362,7 @@ def ptilde(spec: Cover, N: int | None = None) -> list[int]:
     """Numerator of Z_{O_E}(u) = ptilde(u)/(1 - qu): integer coefficients,
     degree exactly bounded by 2*genus + sum of infinite inertia degrees - 1.
     Z is the Euler product over the prime tallies (`dedekind_from_tallies`);
-    enumeration (`dedekind_series`) is its oracle."""
+    `r_full_check` compares ptilde(1/q) with the interval sieve's mean of r."""
     genus = spec.genus()
     inf = spec.infinity_data()
     sum_f_inf = inf.f * inf.g  # g primes above infinity, each inertia degree f
@@ -444,23 +432,33 @@ def curve_zeta_numerator(spec: Cover) -> list[int]:
     return out
 
 
+def full_degree_mean(spec: Cover, fn: ArithFnSpec, n: int, seed: int = 0) -> Fraction:
+    """Exact mean of fn over all monics of degree n, from the interval
+    sieve's tally of I(T^n, n - 1).  Splitting covers are refused: the sieve
+    leaves out their monics that meet a ramified prime."""
+    if n < 0:
+        raise DomainError(f"no monics of degree {n}")
+    if not _is_cyclic_or_product(spec):
+        raise DomainError("a full-degree mean needs (e, f, g) at every prime")
+    if n == 0:
+        return evaluate(fn, EMPTY_TYPE, spec.group)  # the monic 1
+    return sieved_mean(spec, fn, IntervalSpec(Poly.x(spec.ctx) ** n, n - 1), seed)[0]
+
+
 def r_full_mean(spec: Cover, n: int, seed: int = 0) -> Fraction:
-    """Exact mean of r over all monics of degree n (direct enumeration)."""
-    Z = dedekind_series(spec, n, seed)
-    return Z.coeffs[n] / Fraction(spec.ctx.q**n)
+    """Exact mean of r over all monics of degree n, from the interval sieve."""
+    return full_degree_mean(spec, R(), n, seed)
 
 
 def r_full_check(spec: Cover, n: int, seed: int = 0):
     """The rationality identity as a report: for n past deg(ptilde) the mean
     of r over all degree-n monics equals ptilde(1/q) exactly, and the value
-    sits within 4/sqrt(q) of 1.  The mean is enumerated and ptilde comes from
-    the prime tallies, so the two sides are independent routes."""
-    from .intervals import Report, cover_hash
-
+    sits within 4/sqrt(q) of 1.  The mean is the interval sieve's and ptilde
+    comes from the prime tallies, so the two sides are independent routes."""
+    mean = r_full_mean(spec, n, seed)
     q = spec.ctx.q
     pt = ptilde(spec)
     value = sum(Fraction(c, q**i) for i, c in enumerate(pt))
-    mean = r_full_mean(spec, n, seed)
     exact_regime = n >= len(pt) - 1
     if exact_regime and mean != value:
         raise DegreeBoundViolated(

@@ -2,10 +2,14 @@
 
 `oracle_class` reads Frobenius at an unramified prime P from the routes that
 raise to powers modulo P: the power-residue symbol `KummerCover._symbol`
-(D^((|P|-1)/d) mod P) and the per-prime trace `ArtinSchreierCover._trace`
-(sum of the p-th power iterates of D mod P), componentwise for products.
-`coset_class` reads Frobenius by reciprocity and Newton traces instead, so a
-tally built from `oracle_class` checks that route rather than repeating it.
+(D^((|P|-1)/d) mod P) and the per-prime trace `as_trace` (sum of the p-th
+power iterates of D mod P), componentwise for products.  `coset_class` reads
+Frobenius by reciprocity and Newton traces instead, so a tally built from
+`oracle_class` checks that route rather than repeating it.
+
+`dedekind_series` and `b_direct_sum` sum r and b over every monic of a
+degree, one `direct_r`/`direct_b` factorization each; `zeta` reads those
+sums from the interval sieve or the Euler product instead.
 
 `rabin_primes` lists the primes of a degree by a Rabin test on every monic;
 `primes_of_degree` sieves them instead.
@@ -21,8 +25,40 @@ by digit, on the integer encoding; `Field.add`, `Field.sub` and `Field.neg`
 use Zech logarithms instead.
 """
 
+from fractions import Fraction
+
 from ffcheb.covers import ArtinSchreierCover, KummerCover, ProductCover
-from ffcheb.polys import enumerate_monic_raw, factor_raw, is_irreducible_raw, peval
+from ffcheb.factypes import direct_b, direct_r
+from ffcheb.polys import (
+    enumerate_monic,
+    enumerate_monic_raw,
+    factor_raw,
+    is_irreducible_raw,
+    padd,
+    pdeg,
+    peval,
+    pmod,
+    pmul,
+    ppowmod,
+)
+from ffcheb.zeta import Series
+
+
+def as_trace(cov, P):
+    """Absolute trace of D mod P in Z/p, for an Artin-Schreier cover and a
+    prime P that is not a pole: D mod P and its p-th power iterates, added."""
+    F = cov.ctx
+    num_mod = pmod(F, cov.D.num.coeffs, P)
+    den_mod = pmod(F, cov.D.den.coeffs, P)
+    inv_den = ppowmod(F, den_mod, F.q ** pdeg(P) - 2, P)
+    x = pmod(F, pmul(F, num_mod, inv_den), P)
+    acc = cur = x
+    for _ in range(F.k * pdeg(P) - 1):
+        cur = ppowmod(F, cur, F.p, P)
+        acc = padd(F, acc, cur)
+    t = acc[0] if acc else 0
+    assert pdeg(acc) <= 0 and t < F.p, "the trace is not an element of F_p"
+    return t
 
 
 def oracle_element(cov, P):
@@ -30,7 +66,7 @@ def oracle_element(cov, P):
     if isinstance(cov, KummerCover):
         return cov._symbol(cov.D.coeffs, P)
     if isinstance(cov, ArtinSchreierCover):
-        return cov._trace(P)
+        return as_trace(cov, P)
     if isinstance(cov, ProductCover):
         return cov.group.encode_product([oracle_element(c, P) for c in cov.components])
     raise TypeError(f"no oracle for {cov.kind} covers")
@@ -40,6 +76,21 @@ def oracle_class(cov, P):
     """Conjugacy-class index of Frobenius at P, as frobenius_class numbers it."""
     g = oracle_element(cov, P)
     return next(i for i, cls in enumerate(cov.group.classes) if g in cls)
+
+
+def dedekind_series(cov, N, seed=0):
+    """Coefficient n is the sum of r over every monic of degree n <= N."""
+    coeffs = [Fraction(1)]
+    for n in range(1, N + 1):
+        coeffs.append(Fraction(sum(direct_r(cov, f, seed) for f in enumerate_monic(cov.ctx, n))))
+    return Series(coeffs)
+
+
+def b_direct_sum(cov, n, seed=0):
+    """Sum of the norm indicator b over every monic of degree n."""
+    if n == 0:
+        return 1
+    return sum(direct_b(cov, f, seed) for f in enumerate_monic(cov.ctx, n))
 
 
 def rabin_primes(F, n):

@@ -28,7 +28,6 @@ from ffcheb.wreath import (
     wreath_conj,
 )
 from ffcheb.zeta import (
-    b_direct_sum,
     b_full_mean,
     b_series,
     count_prime_frobenius_global,
@@ -37,6 +36,8 @@ from ffcheb.zeta import (
     ptilde,
     r_full_mean,
 )
+
+from oracles import b_direct_sum
 
 D_PATTERN = "T^3-3*T^2+2*T"
 

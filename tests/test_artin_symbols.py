@@ -3,7 +3,7 @@
 `KummerCover.artin_symbol` reads (D/f)_d by d-th power reciprocity and
 `ArtinSchreierCover.artin_symbol` reads the trace of D by Newton power sums;
 `coset_class` runs both at unramified primes.  Here they must agree with
-`KummerCover._symbol` and `ArtinSchreierCover._trace` on every unramified
+`KummerCover._symbol` and the per-prime trace `oracles.as_trace` on every unramified
 prime of small degree, on composite f through the factorization, and inside
 product covers.  The Kummer data carry a nonlinear factor, a non-monic unit
 and, for d > 2, a part of multiplicity 2, and have odd degree, so the unit
@@ -27,7 +27,7 @@ from ffcheb.polys import (
     primes_of_degree,
 )
 
-from oracles import oracle_element
+from oracles import as_trace, oracle_element
 
 FIELDS = {4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2)}
 KUMMER = [(4, 3), (5, 2), (5, 4), (7, 2), (7, 3), (7, 6), (9, 2), (9, 4),
@@ -151,7 +151,7 @@ def test_artin_schreier_primes_vs_trace(p, k, wild):
         for P in primes_of_degree(F, n):
             if P in ram:
                 continue
-            assert cov.artin_symbol(P) == cov._trace(P), (p, k, P)
+            assert cov.artin_symbol(P) == as_trace(cov, P), (p, k, P)
             checked += 1
     assert checked >= F.q - 2
 
@@ -170,7 +170,7 @@ def test_artin_schreier_composite_vs_factorization(p, k):
             with pytest.raises(RamifiedPrime):
                 cov.artin_symbol(f)
             continue
-        assert cov.artin_symbol(f) == sum(e * cov._trace(P) for P, e in parts) % p
+        assert cov.artin_symbol(f) == sum(e * as_trace(cov, P) for P, e in parts) % p
         checked += 1
 
 

@@ -388,6 +388,14 @@ VALUE_ROWS = [
     (["zeta", "--cover", "{s3}"], 2, "NotAbelian"),
     (["psi-check", "--cover", "{kxas}", "--max-n", "3"], 0, None),
     (["frobenius", "--cover", "{shared_t}", "T-2"], 2, "NotComponentwise"),
+    (["psi-check", "--cover", "{cover}", "--max-n", "0"], 2, "DomainError"),
+    (["psi-check", "--cover", "{cover}", "--max-n", "-3"], 2, "DomainError"),
+    ([*_imean("B"), "--threads", "0"], 2, "DomainError"),
+    ([*_imean("B"), "--threads", "-2"], 2, "DomainError"),
+    (["census", "--cover", "{cover}", "--f0", "T^2", "--m", "1", "--threads", "0"], 2, "DomainError"),
+    (["cheb-grid", "--d", "2", "--D", "T", "--qs", "5", "--f0", "T^2", "--m", "1",
+      "--fns", "B", "--threads", "-2"], 2, "DomainError"),
+    (["norms-check", "--cover", "{cover}", "--n", "2", "--threads", "0"], 2, "DomainError"),
 ]
 
 

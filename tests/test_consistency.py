@@ -15,7 +15,6 @@ from ffcheb.ffield import make_field
 from ffcheb.polys import Poly, RationalFn, parse_poly, primes_of_degree
 from ffcheb.zeta import (
     AbelianFrobeniusData,
-    b_direct_sum,
     b_series,
     curve_zeta_numerator,
     psi_E,
@@ -25,7 +24,7 @@ from ffcheb.zeta import (
     rh_root_moduli,
 )
 
-from oracles import oracle_class
+from oracles import b_direct_sum, oracle_class
 
 F5 = make_field(5)
 

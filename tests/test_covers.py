@@ -43,7 +43,7 @@ from ffcheb.polys import (
     primes_of_degree,
 )
 from ffcheb.zeta import count_prime_frobenius_global
-from oracles import brute_embedding, count_zeros, oracle_class, smallest_zero
+from oracles import brute_embedding, count_zeros, dedekind_series, oracle_class, smallest_zero
 
 F5 = make_field(5)
 F3 = make_field(3)
@@ -361,7 +361,7 @@ def test_genus_via_zeta_consistency_quadratic():
     # ptilde has degree 2*genus + sum f_i - 1 (checked inside ptilde, which
     # reads the prime tallies); Z(u)(1 - qu) from enumerating r over every
     # monic is independent of Riemann-Hurwitz and must equal it; genus 0 and 1
-    from ffcheb.zeta import dedekind_series, ptilde
+    from ffcheb.zeta import ptilde
 
     for D, deg in (("T^3-3*T^2+2*T", 2), ("T", 0)):
         cov = kummer(F5, 2, D)
@@ -475,6 +475,17 @@ def test_splitting_s3_cubic():
             continue
         seen.add(spec.frobenius_class(Poly(ctx, Pcs)))
     assert seen <= {0, 1, 2}
+
+
+def test_full_degree_mean_of_r_refuses_a_splitting_cover():
+    # r needs (e, f, g) at every prime, and the interval sieve leaves out the
+    # monics that meet a ramified prime of a splitting cover
+    from ffcheb.zeta import r_full_mean
+
+    spec = validate_cover(_s3_cubic(F5))
+    for n in (1, 2):
+        with pytest.raises(DomainError):
+            r_full_mean(spec, n)
 
 
 #: cycle type of Frobenius from the number of roots of F(t, Y) in F_{q^d}

@@ -6,28 +6,29 @@ from fractions import Fraction
 import pytest
 
 from ffcheb.covers import artin_schreier, kummer, product, trivial
-from ffcheb.errors import DegreeBoundViolated, NotComponentwise, TooLarge
+from ffcheb.errors import DegreeBoundViolated, DomainError, NotComponentwise, TooLarge
+from ffcheb.factypes import B
 from ffcheb.ffield import make_field
-from ffcheb.polys import Poly, RationalFn, count_primes, primes_of_degree
+from ffcheb.polys import Poly, RationalFn, count_primes, parse_poly, primes_of_degree
 from ffcheb.zeta import (
     AbelianFrobeniusData,
     K_E,
     Series,
-    b_direct_sum,
     b_full_mean,
     b_series,
     count_prime_frobenius_global,
     curve_zeta_numerator,
     dedekind_from_tallies,
-    dedekind_series,
+    full_degree_mean,
     prime_tallies,
     psi_E,
     ptilde,
+    r_full_check,
     r_full_mean,
     rh_root_moduli,
 )
 
-from oracles import oracle_class
+from oracles import b_direct_sum, dedekind_series, oracle_class
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -185,10 +186,41 @@ def test_K_E_tail_halves(quad):
 
 # -- the Dedekind identity -------------------------------------------------------
 
-def test_dedekind_direct_vs_euler(quad):
-    direct = dedekind_series(quad, 5)
-    euler = dedekind_from_tallies(quad, 5)
-    assert direct.coeffs == euler.coeffs
+def _one_over(F, text):
+    return RationalFn(Poly.one(F), parse_poly(F, text))
+
+
+def _full_degree_covers():
+    """(label, cover, top degree) for the sums over every monic of a degree."""
+    F2, F4, F9 = make_field(2), make_field(2, 2), make_field(3, 2)
+    return [
+        ("kummer d=2 F5", kummer(F5, 2, "T^3-3*T^2+2*T"), 5),
+        ("kummer d=3 F7", kummer(F7, 3, "T^2+2*T+3"), 4),
+        ("kummer d=4 F5, e=2 at T and e=4 at T-1", kummer(F5, 4, "T^3-T^2"), 5),
+        ("artin-schreier F5", artin_schreier(F5, _one_over(F5, "T^2-T")), 5),
+        ("artin-schreier F4", artin_schreier(F4, _one_over(F4, "T")), 5),
+        ("force-wild artin-schreier F2", artin_schreier(F2, "T", force_wild=True), 5),
+        (
+            "kummer x artin-schreier F5",
+            product([kummer(F5, 2, "T^2-T"), artin_schreier(F5, _one_over(F5, "T"))]),
+            5,
+        ),
+        ("trivial F5", trivial(F5), 5),
+        ("kummer d=2 F9", kummer(F9, 2, "T^3-3*T^2+2*T"), 4),
+    ]
+
+
+def test_dedekind_direct_vs_euler():
+    # the sums of r and b over every monic of degree n, one factorization per
+    # monic (the oracle), against the interval sieve's sums over I(T^n, n - 1)
+    # and, for r, the Euler product over the prime tallies
+    for label, cov, N in _full_degree_covers():
+        q = cov.ctx.q
+        direct = dedekind_series(cov, N).coeffs
+        assert [r_full_mean(cov, n) * q**n for n in range(N + 1)] == direct, label
+        assert dedekind_from_tallies(cov, N).coeffs == direct, label
+        sieved_b = [full_degree_mean(cov, B(), n) * q**n for n in range(N + 1)]
+        assert sieved_b == [b_direct_sum(cov, n) for n in range(N + 1)], label
 
 
 def test_trivial_cover_dedekind():
@@ -218,8 +250,6 @@ def test_curve_numerator_and_rh(quad):
 
 
 def test_r_full_check_report(quad):
-    from ffcheb.zeta import r_full_check
-
     rep = r_full_check(quad, 4)
     assert rep.empirical_mean == rep.predicted_mean == Fraction(8, 5)
     assert rep.regime["exact_identity_regime"] is True
@@ -380,4 +410,34 @@ def test_ensure_computes_each_degree_once(monkeypatch, quad):
 def test_enumeration_budget():
     cov = trivial(make_field(5))
     with pytest.raises(TooLarge):
-        dedekind_series(cov, 12)
+        r_full_mean(cov, 12)
+
+
+# -- degrees outside the domain --------------------------------------------------
+
+
+def test_r_full_mean_refuses_negative_degree(quad):
+    with pytest.raises(DomainError):
+        r_full_mean(quad, -1)
+
+
+def test_b_full_mean_refuses_negative_degree(quad):
+    with pytest.raises(DomainError):
+        b_full_mean(quad, -1)
+
+
+def test_r_full_check_refuses_negative_degree(quad):
+    with pytest.raises(DomainError):
+        r_full_check(quad, -2)
+
+
+def test_psi_E_refuses_degree_below_one(quad):
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            psi_E(quad, n)
+
+
+def test_count_prime_frobenius_global_refuses_degree_below_one(quad):
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            count_prime_frobenius_global(quad, 0, n)

@@ -13,7 +13,7 @@ Four kinds:
     place must have coprime orders.
   * Splitting: the splitting field of a monic-in-Y bivariate F(T, Y), with a
     user-asserted permutation group and a cycle-type -> class table; Frobenius
-    is read off the factorization type of F mod P.
+    is read off the degrees of the factors of F mod P.
 
 Everything a prime can ask for flows through the coset-class catalog of the
 group: `coset_class` returns a catalog index even at ramified primes (cyclic
@@ -51,12 +51,15 @@ from .polys import (
     Coeffs,
     Poly,
     RationalFn,
+    _ddf,
     canonical_key,
     factor_raw,
     is_irreducible_raw,
     parse_poly,
+    pderiv,
     pdeg,
     pdiv,
+    pgcd,
     pinvmod,
     pmod,
     pmul,
@@ -764,14 +767,12 @@ class SplittingCover(Cover):
         ycs = pnorm(tuple(rf.eval_poly(c.coeffs) for c in self.y_coeffs))
         if pdeg(ycs) != self.y_degree:
             raise InvariantViolated("Y-polynomial lost degree in the residue field")
-        _, parts = factor_raw(big, ycs, seed=0)
-        degs = []
-        for Q, m in parts:
-            if m > 1:
-                raise RamifiedSplittingCover(
-                    "F mod P is not squarefree despite P avoiding the Y-discriminant"
-                )
-            degs.append(pdeg(Q))
+        if pdeg(pgcd(big, ycs, pderiv(big, ycs))) > 0:
+            raise RamifiedSplittingCover(
+                "F mod P is not squarefree despite P avoiding the Y-discriminant"
+            )
+        # the cycle type needs only the degrees of the factors of F(t, Y)
+        degs = [d for d, g in _ddf(big, ycs) for _ in range(pdeg(g) // d)]
         part = tuple(sorted(degs, reverse=True))
         if part not in self.cycle_table:
             raise AmbiguousCycleType(f"cycle type {part} absent from the table")

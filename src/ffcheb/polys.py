@@ -5,11 +5,14 @@ first, with no trailing zeros; the empty tuple is the zero polynomial.  The
 module-level functions work on bare tuples (the hot path for interval
 enumeration); the Poly class wraps them for the public API.
 
+One distinct-degree loop, `_ddf`, serves three jobs: the Rabin test
+(`is_irreducible_raw` reads its first part), factoring, and the cycle type of
+a splitting cover's F(t, Y), which needs only the degrees of the factors.
 Factorization is squarefree decomposition (with p-th-power detection when the
-derivative vanishes), then distinct-degree splitting, then randomized
-equal-degree splitting; characteristic 2 uses the trace-map splitter.  The
-randomized stage is seeded from (run seed, polynomial), so factoring is a pure
-function and parallel sweeps are partition-independent.
+derivative vanishes), then `_ddf`, then randomized equal-degree splitting of
+each part; characteristic 2 uses the trace-map splitter.  The randomized stage
+is seeded from (run seed, polynomial), so factoring is a pure function and
+parallel sweeps are partition-independent.
 """
 
 from __future__ import annotations
@@ -347,25 +350,32 @@ def _edf(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
             return _edf(F, h, d, rng) + _edf(F, rest, d, rng)
 
 
-def _split_squarefree(F: Field, m: Coeffs, rng: random.Random) -> list[Coeffs]:
-    """Distinct-degree then equal-degree splitting of a squarefree monic m."""
-    out: list[Coeffs] = []
-    if pdeg(m) <= 0:
-        return out
+def _ddf(F: Field, m: Coeffs) -> Iterator[tuple[int, Coeffs]]:
+    """Distinct-degree split of m: (d, gcd(T^(q^d) - T, m)) for ascending d
+    where that is not 1, dividing it out of m each time, then (deg m, m) for
+    what is left once deg m < 2(d + 1).  For a squarefree m the parts are
+    the products of its primes of each degree and what is left is a prime.
+    Any m of degree >= 1 yields a first part; its d is the smallest degree
+    of a prime factor of m, and d = deg m only when m is irreducible."""
     t: Coeffs = (0, 1)
     h = pmod(F, t, m)
     d = 0
     while pdeg(m) >= 2 * (d + 1):
         d += 1
         h = ppowmod(F, h, F.q, m)
-        g = pgcd(F, psub(F, h, pmod(F, t, m)), m)
+        g = pgcd(F, psub(F, h, t), m)
         if pdeg(g) > 0:
-            out.extend(_edf(F, g, d, rng))
+            yield d, g
             m = pdiv(F, m, g)
             h = pmod(F, h, m)
     if pdeg(m) > 0:
-        out.append(m)
-    return out
+        yield pdeg(m), m
+
+
+def _split_squarefree(F: Field, m: Coeffs, rng: random.Random) -> list[Coeffs]:
+    """Equal-degree splitting of each distinct-degree part of a squarefree
+    monic m."""
+    return [P for d, g in _ddf(F, m) for P in _edf(F, g, d, rng)]
 
 
 def _factor_seed(F: Field, cs: Coeffs, seed: int) -> random.Random:
@@ -415,20 +425,12 @@ def factor_raw(F: Field, cs: Coeffs, seed: int = 0) -> tuple[int, tuple[tuple[Co
 
 
 def is_irreducible_raw(F: Field, cs: Coeffs) -> bool:
-    """True iff cs has no prime factor of degree <= deg/2 (distinct-degree
-    prefix test; early-exits on the common case of a small factor)."""
+    """True iff cs has no prime factor of degree <= deg/2: the first part
+    `_ddf` yields has d = deg cs (read lazily, so a small factor exits early)."""
     n = pdeg(cs)
     if n < 1:
         raise ConstantPolynomial("irreducibility is undefined for constants")
-    if n == 1:
-        return True
-    tm = pmod(F, (0, 1), cs)
-    h = tm
-    for _ in range(n // 2):
-        h = ppowmod(F, h, F.q, cs)
-        if pdeg(pgcd(F, psub(F, h, tm), cs)) > 0:
-            return False
-    return True
+    return next(_ddf(F, cs))[0] == n
 
 
 def mobius(n: int) -> int:

@@ -76,20 +76,6 @@ class Series:
             out[m] = acc / m
         return Series(out)
 
-    def log(self) -> "Series":
-        """log of a series with constant term 1:
-        a_m = b_m - (1/m) sum_{j<m} j a_j b_{m-j}."""
-        n = len(self.coeffs) - 1
-        if self.coeffs[0] != 1:
-            raise InvariantViolated("log needs a series with constant term 1")
-        out = [Fraction(0)] * (n + 1)
-        for m in range(1, n + 1):
-            corr = Fraction(0)
-            for j in range(1, m):
-                corr += out[j] * j * self.coeffs[m - j]
-            out[m] = self.coeffs[m] - corr / m
-        return Series(out)
-
     def eval_at(self, x: Fraction):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -251,6 +237,8 @@ class PrimeTally:
 
 
 def prime_tallies(spec: Cover, N: int) -> PrimeTally:
+    if N < 0:
+        raise DomainError(f"no prime tallies up to degree {N}")
     data = _ldata(spec)
     data.ensure(N)
     G = spec.group

@@ -11,6 +11,8 @@ Frobenius by reciprocity and Newton traces instead, so a tally built from
 degree, one `direct_r`/`direct_b` factorization each; `zeta` reads those
 sums from the interval sieve or the Euler product instead.
 
+`series_log` inverts `Series.exp`; no route in `src` takes a logarithm.
+
 `rabin_primes` lists the primes of a degree by a Rabin test on every monic;
 `primes_of_degree` sieves them instead.
 
@@ -84,6 +86,17 @@ def dedekind_series(cov, N, seed=0):
     for n in range(1, N + 1):
         coeffs.append(Fraction(sum(direct_r(cov, f, seed) for f in enumerate_monic(cov.ctx, n))))
     return Series(coeffs)
+
+
+def series_log(s):
+    """log of a series with constant term 1, by the recurrence
+    a_m = b_m - (1/m) sum_{j<m} j a_j b_{m-j}; the inverse of `Series.exp`."""
+    assert s.coeffs[0] == 1, "log needs a series with constant term 1"
+    out = [Fraction(0)] * len(s.coeffs)
+    for m in range(1, len(s.coeffs)):
+        corr = sum((out[j] * j * s.coeffs[m - j] for j in range(1, m)), Fraction(0))
+        out[m] = s.coeffs[m] - corr / m
+    return Series(out)
 
 
 def b_direct_sum(cov, n, seed=0):

@@ -31,7 +31,7 @@ from ffcheb.errors import (
     WildAtInfinity,
 )
 from ffcheb.ffield import make_field
-from ffcheb.groups import parse_cycles
+from ffcheb.groups import GroupTable, parse_cycles
 from ffcheb.intervals import IntervalSpec, interval_lambda_counts
 from ffcheb.polys import (
     Poly,
@@ -488,28 +488,54 @@ def test_full_degree_mean_of_r_refuses_a_splitting_cover():
             r_full_mean(spec, n)
 
 
-#: cycle type of Frobenius from the number of roots of F(t, Y) in F_{q^d}
-_TYPE_BY_ROOTS = {3: {3: (1, 1, 1), 1: (2, 1), 0: (3,)}, 2: {2: (1, 1), 0: (2,)}}
+#: cycle type of Frobenius from the number of roots of F(t, Y) in F_{q^d},
+#: and for the quartic also in F_{q^2d}: (2, 2) and (4) have no root in
+#: F_{q^d}, and only (2, 2) has four in F_{q^2d}
+_TYPE_BY_ROOTS = {
+    3: {(3,): (1, 1, 1), (1,): (2, 1), (0,): (3,)},
+    2: {(2,): (1, 1), (0,): (2,)},
+    4: {(4, 4): (1, 1, 1, 1), (2, 4): (2, 1, 1), (0, 4): (2, 2), (1, 1): (3, 1), (0, 0): (4,)},
+}
 
 
-@pytest.mark.parametrize("pk", [(5, 1), (7, 1), (3, 2)], ids=["F5", "F7", "F9"])
+def _root_count_cases(F):
+    """(cover, degrees of the primes checked, cycle types that must occur)."""
+    if F.q == 23:  # every cycle type, (1, 1, 1, 1) too, occurs at degree 1
+        return [(validate_cover(_s4_quartic(F)), (1,), set(_TYPE_BY_ROOTS[4].values()))]
+    cases = [
+        (validate_cover(_s3_cubic(F)), (1, 2, 3), set(_TYPE_BY_ROOTS[3].values())),
+        (_quadratic_splitting(F, "T^3-3*T^2+2*T"), (1, 2, 3), set(_TYPE_BY_ROOTS[2].values())),
+    ]
+    if F.q == 7:
+        cases.append((validate_cover(_s4_quartic(F)), (1, 2), {(2, 1, 1), (3, 1), (2, 2), (4,)}))
+    return cases
+
+
+@pytest.mark.parametrize("pk", [(5, 1), (7, 1), (3, 2), (23, 1)], ids=["F5", "F7", "F9", "F23"])
 def test_splitting_class_by_root_count(pk):
     # an oracle without factoring and without the root tables: t is found by
-    # a search over F_{q^d}, and the roots of F(t, Y) are counted there
+    # a search over F_{q^jd}, and the roots of F(t, Y) are counted there
     F = make_field(*pk)
-    for cov in (validate_cover(_s3_cubic(F)), _quadratic_splitting(F, "T^3-3*T^2+2*T")):
+    for cov, degrees, must_occur in _root_count_cases(F):
         ram = cov._ramified_set()
         by_roots = _TYPE_BY_ROOTS[cov.y_degree]
-        for d in (1, 2, 3):
-            big = make_field(F.p, F.k * d)
-            embed = brute_embedding(F, big)
+        steps = (1, 2) if cov.y_degree == 4 else (1,)
+        seen = set()
+        for d in degrees:
+            bigs = [make_field(F.p, F.k * d * j) for j in steps]
+            embeds = [brute_embedding(F, big) for big in bigs]
             for Pcs in primes_of_degree(F, d):
                 if Pcs in ram:
                     continue
-                t = smallest_zero(big, [embed(c) for c in Pcs])
-                ys = [peval(big, [embed(c) for c in a.coeffs], t) for a in cov.y_coeffs]
-                part = by_roots[count_zeros(big, ys)]
+                roots = []
+                for big, embed in zip(bigs, embeds):
+                    t = smallest_zero(big, [embed(c) for c in Pcs])
+                    ys = [peval(big, [embed(c) for c in a.coeffs], t) for a in cov.y_coeffs]
+                    roots.append(count_zeros(big, ys))
+                part = by_roots[tuple(roots)]
+                seen.add(part)
                 assert cov.frobenius_class(Poly._raw(F, Pcs)) == cov.cycle_table[part]
+        assert must_occur <= seen
 
 
 def test_splitting_bad_table_rejected():
@@ -531,6 +557,29 @@ def test_splitting_genus_required():
     spl.declared_genus = None
     with pytest.raises(UserGenusRequired):
         spl.genus()
+
+
+def _s4_quartic(ctx):
+    """Y^4 - T*Y - T with its group S_4, the table keyed by cycle type."""
+    gens = [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)]
+    G = GroupTable.from_perms(gens)
+    mT = parse_poly(ctx, "-1*T")
+    return SplittingCover(
+        ctx,
+        [mT, mT, Poly.zero(ctx), Poly.zero(ctx), Poly.one(ctx)],
+        gens,
+        {G.cycle_type(cls[0]): ci for ci, cls in enumerate(G.classes)},
+        declared_tame_at_infinity=False,
+    )
+
+
+def test_splitting_squarefree_guard():
+    # with the ramified set emptied, T (a factor of the Y-discriminant)
+    # reaches the classification, where Y^2 - T(T-1)(T-2) mod T is Y^2
+    spl = _quadratic_splitting(F5, "T^3-3*T^2+2*T")
+    spl._ram = frozenset()
+    with pytest.raises(RamifiedSplittingCover):
+        spl.coset_class(T5)
 
 
 def _s3_cubic(ctx, gens=("(1 2)", "(1 2 3)"), table=None):

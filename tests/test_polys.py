@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from ffcheb.polys import (
     pmul,
     ppowmod,
     primes_of_degree,
+    pscale,
     residue_field,
 )
 from oracles import brute_embedding, factored_root, rabin_primes, smallest_zero
@@ -128,8 +130,12 @@ def test_is_irreducible_vs_trial_division():
                     Poly(F, tuple(rng.randrange(F.q) for _ in range(deg)) + (1,))
                     for _ in range(sample // maxdeg)
                 )
+            units = itertools.cycle(range(2, F.q))
             for f in pool:
                 assert f.is_irreducible() == _trial_division_irreducible(f)
+                if F.q > 2:  # and a non-monic multiple c*f, c != 0, 1
+                    cf = Poly(F, pscale(F, f.coeffs, next(units)))
+                    assert cf.is_irreducible() == _trial_division_irreducible(cf)
 
 
 def test_prime_counts_match_enumeration():

@@ -294,7 +294,7 @@ class KummerCover(Cover):
         self.group_provenance = "computed"
         self.zeta: FieldElement | None = None
         self._dlog: dict[int, int] = {}
-        self._lin_symbols: list[int] | None = None
+        self._value_dlog: list[int | None] = []
 
     def _validate(self, force_wild: bool) -> None:
         q = self.ctx.q
@@ -313,13 +313,20 @@ class KummerCover(Cover):
             self._dlog[val] = j
             val = F.mul(val, self.zeta.val)
         e = (q - 1) // self.d
-        self._lin_symbols = [F.pow(a, e) if a else 0 for a in range(q)]
+        # dlog of the residue symbol v^((q-1)/d) of every nonzero value v
+        vdlog = self._value_dlog = [None] + [self._dlog[F.pow(a, e)] for a in range(1, q)]
         # artin_symbol's term per degree of f: the unit's symbol and the
         # reciprocity sign of every part Q^m, m * deg Q summing to deg D
-        unit_dlog = self._dlog[F.pow(self.unit, e)]
-        sign_dlog = self._dlog[F.pow(F.neg(1), e)]
+        unit_dlog = vdlog[self.unit]
+        sign_dlog = vdlog[F.neg(1)]
         self._deg_dlog = (unit_dlog + self.D.degree * sign_dlog) % self.d
-        self._lin_parts = tuple((F.neg(Q[0]), m) for Q, m in self.parts if len(Q) == 2)
+        # per linear place T - a of D, of multiplicity m: the table that
+        # takes f(a) to m times the dlog of its symbol
+        self._lin_parts = tuple(
+            (F.neg(Q[0]), [None] + [m * k % self.d for k in vdlog[1:]])
+            for Q, m in self.parts
+            if len(Q) == 2
+        )
         self._nonlin_parts = tuple((Q, m) for Q, m in self.parts if len(Q) > 2)
         self.validated = True
 
@@ -328,7 +335,7 @@ class KummerCover(Cover):
 
     def _symbol_of_value(self, v: int) -> int:
         """dlog of the residue symbol of a nonzero base-field value."""
-        return self._dlog[self.ctx.pow(v, (self.ctx.q - 1) // self.d)]
+        return self._value_dlog[v]
 
     def _symbol(self, numer: Coeffs, P: Coeffs) -> int:
         """dlog of (numer mod P)^((|P|-1)/d); numer must be coprime to P."""
@@ -339,7 +346,7 @@ class KummerCover(Cover):
             acc = 0
             for c in reversed(numer):
                 acc = F.add(F.mul(acc, root), c)
-            return self._dlog[self._lin_symbols[acc]]
+            return self._value_dlog[acc]
         c = ppowmod(F, pmod(F, numer, P), (F.q**dd - 1) // self.d, P)
         if pdeg(c) > 0:
             raise InvariantViolated("power-residue symbol is not a constant")
@@ -354,20 +361,21 @@ class KummerCover(Cover):
         (u/f)_d = (u^((q-1)/d))^(deg f) for a constant u.  Every term is
         multiplicative in f, so f need not be prime; at a prime P this is
         `_symbol(D, P)`.  (f/Q)_d is a table lookup of f(a) when Q = T - a
-        and a power modulo the small fixed Q otherwise.
+        (`_lin_parts`, which the interval sieve reads too) and a power modulo
+        the small fixed Q otherwise.
         """
         if not f or f[-1] != 1:
             raise DomainError("the Artin symbol needs a monic polynomial")
-        F, dlog, lin = self.ctx, self._dlog, self._lin_symbols
+        F = self.ctx
         mul, add = F.mul, F.add
         k = (len(f) - 1) * self._deg_dlog
-        for a, m in self._lin_parts:
+        for a, table in self._lin_parts:
             acc = 0
             for c in reversed(f):
                 acc = add(mul(acc, a), c)
             if not acc:
                 raise RamifiedPrime(f"{Poly._raw(F, f)!r} shares a factor with D")
-            k += m * dlog[lin[acc]]
+            k += table[acc]
         for Q, m in self._nonlin_parts:
             r = pmod(F, f, Q)
             if not r:

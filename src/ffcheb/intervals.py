@@ -3,11 +3,16 @@ against wreath-product predictions.
 
 An interval I(f0, m) is tallied exhaustively (never sampled), one block of
 consecutive elements at a time: each block is sieved by the primes of small
-degree, and only what is left of an element (one prime, or rarely a larger
-cofactor for factor_raw) is classified on its own.  Per-block tallies of
-factorization types merge associatively, so the result is independent of the
-chunking and safe to compute in parallel.  One pass per interval is shared by
-every function evaluated on it.
+degree, and what is left of an element is one prime, or rarely a larger
+cofactor for factor_raw.  On an abelian cover that prime's class is read from
+Artin symbols, Art(f) times Art(Q)^(-e) over the small prime powers found,
+with no division.  Only where the symbol does not give it is the cofactor
+divided out and classified on its own: on splitting covers (Frobenius is a
+cycle type, not a multiplicative symbol), at elements with a ramified factor
+(Art(f) is undefined there) and for the larger cofactors.  Per-block tallies
+of factorization types merge associatively, so the result is independent of
+the chunking and safe to compute in parallel.  One pass per interval is
+shared by every function evaluated on it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .covers import Cover, SplittingCover, dumps_cover, parse_cover
+from .covers import Cover, KummerCover, SplittingCover, dumps_cover, parse_cover
 from .errors import (
     ContextMismatch,
     DomainError,
@@ -30,12 +35,15 @@ from .errors import (
 from .factypes import ArithFnSpec, FactorizationType, evaluate
 from .polys import (
     ENUMERATION_LIMIT,
+    Coeffs,
     Poly,
     _coset_indices,
+    _coset_rows,
     _index,
     factor_raw,
     pdeg,
     pdiv,
+    peval,
     pmod,
     pmul,
     parse_poly,
@@ -86,10 +94,24 @@ class IntervalSpec:
 # "Q^e divides f_b + h" is the affine condition h = -f_b mod Q^e.  The sieve
 # solves it once per block for each monic prime Q of degree <= s and each
 # power with e * deg Q <= n, and records which elements each power hits;
-# polys._coset_indices lists them, as it does for the prime sieve.
+# polys._coset_indices lists them, as it does for the prime sieve.  f_b is
+# f0 plus the block number's digits at T^s .. T^m, so -f_b mod Q^e is
+# -(f0 mod Q^e) minus those digits times T^j mod Q^e: vectors stored once per
+# interval, with the coset rows of Q^e, so a block divides nothing.
+#
 # What is left of an element after its small primes is prime whenever its
-# degree is at most 2s + 1 (a composite would have a factor of degree <= s);
-# larger cofactors, possible only when m + 1 < n // 2, go to factor_raw.
+# degree is at most 2s + 1 (a composite would have a factor of degree <= s).
+# On an abelian cover its class then needs no division: the Artin symbol is
+# multiplicative on monics prime to the ramified primes (reciprocity for
+# Kummer, additivity of the trace for Artin-Schreier), so it is Art(f) times
+# Art(Q)^(-e) over the hits.  A Kummer cover whose places are all linear
+# reads Art(f) from per-interval tables of h(a) over deg h < s, one per place
+# T - a; the other abelian kinds call artin_symbol on the whole element.
+# The cofactor is divided out and classified on its own only where that
+# does not hold: on splitting covers, on elements with a ramified factor
+# (a small hit, or a ramified prime of degree > s found like a hit), and for
+# cofactors of degree > 2s + 1, possible only when m + 1 < n // 2, which go
+# to factor_raw.
 
 
 class _BlockSieve:
@@ -98,23 +120,67 @@ class _BlockSieve:
     def __init__(self, spec: Cover, I: IntervalSpec):
         F = self.F = spec.ctx
         n = self.n = I.n
-        self.s = min(n // 2, I.m + 1)
+        s = self.s = min(n // 2, I.m + 1)
         self.spec = spec
         self.base = list(I.f0.coeffs)
-        self.ramified = (
-            spec._ramified_set() if isinstance(spec, SplittingCover) else frozenset()
-        )
-        # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n)
+        self.excludes = isinstance(spec, SplittingCover)
+        self.ramified = spec._ramified_set()
+        self.tops = range(s, I.m + 1)  # the block digits
+        # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n, and per power
+        # its `_solver`)
         self.small = []
-        for d in range(1, self.s + 1):
+        for d in range(1, s + 1):
             for Q in primes_of_degree(F, d):
                 pows = [Q]
                 while (len(pows) + 1) * d <= n:
                     pows.append(pmul(F, pows[-1], Q))
-                self.small.append((Q, d, pows))
+                self.small.append((Q, d, pows, [self._solver(Qe) for Qe in pows]))
         # ramified primes beyond the small ones that can still divide
-        self.big_ramified = [P for P in self.ramified if self.s < pdeg(P) <= n]
-        self.omega: list[int | None] = [None] * len(self.small)
+        self.big_ramified = [self._solver(P) for P in self.ramified if s < pdeg(P) <= n]
+        # per small prime, on its first hit: (degree, catalog index, and on
+        # an abelian cover at an unramified Q, Art(Q)^(-e) for e = 1, 2, ...)
+        self.hit_data: list[tuple | None] = [None] * len(self.small)
+        self.places = None
+        if isinstance(spec, KummerCover) and not spec._nonlin_parts:
+            add, mul, q = F.add, F.mul, F.q
+            self.places = []
+            for a, table in spec._lin_parts:
+                vals, power = [0], 1  # h(a) over the h of degree < s, by index
+                for _ in range(s):
+                    vals = [add(v, mul(c, power)) for c in range(q) for v in vals]
+                    power = mul(power, a)
+                self.places.append((a, table, array("i", vals)))
+
+    def _solver(self, M: Coeffs) -> tuple:
+        """(deg M, -(f0 mod M), [-(T^j mod M) for each block digit j], the
+        coset rows of M): what solving h = -f_b mod M in a block needs.  The
+        residues are padded to deg M coefficients."""
+        F, D = self.F, len(M) - 1
+        res = []
+        for a in [self.base] + [(0,) * j + (1,) for j in self.tops]:
+            r = pneg(F, pmod(F, a, M))
+            res.append(list(r) + [0] * (D - len(r)))
+        return D, res[0], res[1:], _coset_rows(F, M, max(self.s - D, 0))
+
+    def _hit(self, qi: int) -> tuple:
+        Q, d, pows, _ = self.small[qi]
+        spec = self.spec
+        w = spec.coset_class(Q)
+        if self.excludes or Q in self.ramified:
+            return d, w, None
+        G = spec.group
+        (x,) = G.omega[w].rep  # Frobenius at an unramified prime of an abelian cover
+        return d, w, [G.power(x, -e) for e in range(1, len(pows) + 1)]
+
+    def _element(self, fb: list[int], i: int) -> Coeffs:
+        """f_b + h, h the element of local index i."""
+        q, add = self.F.q, self.F.add
+        cs = list(fb)
+        for k in range(self.s):
+            i, digit = divmod(i, q)
+            if digit:
+                cs[k] = add(cs[k], digit)
+        return tuple(cs)
 
     def tally(self, b: int, lo: int, hi: int, seed: int, counts: Counter) -> int:
         """Add the types of block b's local indices [lo, hi) to counts;
@@ -122,30 +188,41 @@ class _BlockSieve:
         F, s, n = self.F, self.s, self.n
         q = F.q
         size = q**s
-        add = F.add
+        add, mul = F.add, F.mul
         fb = list(self.base)  # f_b: the block number's digits from T^s up
-        j = s
+        digits = []  # (block digit, its value) where nonzero
+        k = 0
         while b:
             b, digit = divmod(b, q)
             if digit:
-                fb[j] = add(fb[j], digit)
-            j += 1
-        fbt = tuple(fb)
+                fb[s + k] = add(fb[s + k], digit)
+                digits.append((k, digit))
+            k += 1
+
+        def residue(r, rows):  # -f_b mod M from -(f0 mod M) and -(T^j mod M)
+            for k, digit in digits:
+                r = [add(x, mul(digit, y)) for x, y in zip(r, rows[k])]
+            return r
+
         # per element: a linked list of hits (prime index, exponent), newest first
         head = array("i", [-1]) * size
         hq, he, hnext = array("i"), array("i"), array("i")
+        # elements with a ramified factor: excluded, or divided on an abelian cover
         bad = bytearray(size) if self.ramified else None
-        for qi, (Q, d, pows) in enumerate(self.small):
+        excludes = self.excludes
+        for qi, (Q, _, _, solvers) in enumerate(self.small):
             ram = Q in self.ramified
-            for e, Qe in enumerate(pows, 1):
-                r = pneg(F, pmod(F, fbt, Qe))
-                if len(r) > s:
+            for e, (D, r0, rows, crows) in enumerate(solvers, 1):
+                r = residue(r0, rows)
+                if any(r[s:]):
                     break  # no element is divisible by Q^e, nor by Q^(e+1)
-                sols = _coset_indices(F, r, Qe, max(s - e * d, 0))
+                sols = _coset_indices(F, r, D, crows)
                 if ram:
+                    sols = list(sols)
                     for i in sols:
                         bad[i] = 1
-                    break
+                    if excludes:
+                        break
                 for i in sols:
                     if e == 1:
                         hq.append(qi)
@@ -154,44 +231,48 @@ class _BlockSieve:
                         head[i] = len(hq) - 1
                     else:  # Q's entry is the element's newest
                         he[head[i]] = e
-        for P in self.big_ramified:
-            r = pneg(F, pmod(F, fbt, P))
-            if len(r) <= s:
+        for D, r0, rows, _ in self.big_ramified:
+            r = residue(r0, rows)
+            if not any(r[s:]):
                 bad[_index(r, q)] = 1
 
         # classify each element from its hits and its cofactor
-        coset = self.spec.coset_class
-        omega, small = self.omega, self.small
+        spec = self.spec
+        coset = spec.coset_class
+        G = spec.group
+        gmul, to_omega = G.table, G.class_to_omega
+        small, hit_data = self.small, self.hit_data
+        if self.places is not None:
+            art0 = n * spec._deg_dlog
+            at = [(table, vals, peval(F, fb, a)) for a, table, vals in self.places]
         excluded = 0
         for i in range(lo, hi):
-            if bad is not None and bad[i]:
+            ramified = bad is not None and bad[i]
+            if ramified and excludes:
                 excluded += 1
                 continue
             types: dict = {}
-            divisors = []
             c = n  # degree of the cofactor
+            g = 0  # the product of Art(Q)^(-e) over the hits
             j = head[i]
             while j >= 0:
                 qi, e = hq[j], he[j]
-                Q, d, pows = small[qi]
-                w = omega[qi]
-                if w is None:
-                    w = omega[qi] = coset(Q)
+                data = hit_data[qi]
+                if data is None:
+                    data = hit_data[qi] = self._hit(qi)
+                d, w, inv = data
                 key = (d, e, w)
                 types[key] = types.get(key, 0) + 1
-                divisors.append(pows[e - 1])
                 c -= d * e
+                if inv is not None:
+                    g = gmul[g][inv[e - 1]]
                 j = hnext[j]
-            if c:
-                cs = list(fb)
-                rem = i
-                for k in range(s):
-                    rem, digit = divmod(rem, q)
-                    if digit:
-                        cs[k] = add(cs[k], digit)
-                f = tuple(cs)
-                for Qe in divisors:
-                    f = pdiv(F, f, Qe)
+            if c and (ramified or excludes or c > 2 * s + 1):
+                f = self._element(fb, i)
+                j = head[i]
+                while j >= 0:
+                    f = pdiv(F, f, small[hq[j]][2][he[j] - 1])
+                    j = hnext[j]
                 if c <= 2 * s + 1:
                     parts = ((f, 1),)
                 else:
@@ -199,6 +280,15 @@ class _BlockSieve:
                 for P, e in parts:
                     key = (pdeg(P), e, coset(P))
                     types[key] = types.get(key, 0) + 1
+            elif c:  # a prime cofactor, prime to the ramified primes, on an abelian cover
+                if self.places is not None:
+                    art = art0
+                    for table, vals, fa in at:
+                        art += table[add(fa, vals[i])]
+                    art %= G.n
+                else:
+                    art = spec.artin_symbol(self._element(fb, i))
+                types[(c, 1, to_omega[gmul[art][g]])] = 1
             counts[tuple(sorted(types.items()))] += 1
         return excluded
 

@@ -478,7 +478,8 @@ def primes_of_degree(ctx: Field, n: int) -> list[Coeffs]:
         tn = (0,) * n + (1,)
         for d in range(1, n // 2 + 1):
             for Q in primes_of_degree(ctx, d):
-                for i in _coset_indices(ctx, pneg(ctx, pmod(ctx, tn, Q)), Q, n - d):
+                r = pneg(ctx, pmod(ctx, tn, Q))
+                for i in _coset_indices(ctx, r, d, _coset_rows(ctx, Q, n - d)):
                     keep[i] = 0
         out = list(itertools.compress(enumerate_monic_raw(ctx, n), keep))
     cache[n] = out
@@ -511,20 +512,28 @@ def _index(cs, q: int) -> int:
     return i
 
 
-def _coset_indices(F: Field, r: Coeffs, Q: Coeffs, t: int) -> Iterable[int]:
-    """Ascending indices of the h = r + Q * k over all k with deg k < t, for a
-    monic Q and r reduced mod Q.
-
-    The low and the high halves of u are spanned apart, and each high part
-    is joined to every low part in turn, so memory stays near q^(t/2)."""
-    q, D = F.q, len(Q) - 1
-    if not t:
-        return [_index(r, q)]
-    rows = []  # -(T^(D+j) mod Q): what digit j of u adds to l
+def _coset_rows(F: Field, Q: Coeffs, t: int) -> list[list[int]]:
+    """-(T^(D+j) mod Q) for j < t, D = deg Q: what digit j of u adds to l.
+    They depend only on Q and t, so a sieve that solves many cosets of one Q
+    builds them once."""
+    D = len(Q) - 1
+    rows = []
     x = (0,) * (D - 1) + (1,)
     for _ in range(t):
         x = pmod(F, (0,) + x, Q)
         rows.append(list(pneg(F, x)) + [0] * (D - len(x)))
+    return rows
+
+
+def _coset_indices(F: Field, r: Sequence[int], D: int, rows: list[list[int]]) -> Iterable[int]:
+    """Ascending indices of the h = r + Q * k over all k with deg k < t, for a
+    monic Q of degree D, rows = _coset_rows(F, Q, t) and r reduced mod Q.
+
+    The low and the high halves of u are spanned apart, and each high part
+    is joined to every low part in turn, so memory stays near q^(t/2)."""
+    q, t = F.q, len(rows)
+    if not t:
+        return [_index(r, q)]
     h = (t + 1) // 2
     low = _span(F, D, list(r) + [0] * (D - len(r)), 0, rows[:h])
     if h == t:

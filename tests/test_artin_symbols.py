@@ -5,7 +5,8 @@
 `coset_class` runs both at unramified primes.  Here they must agree with
 `KummerCover._symbol` and the per-prime trace `oracles.as_trace` on every unramified
 prime of small degree, on composite f through the factorization, and inside
-product covers.  The Kummer data carry a nonlinear factor, a non-monic unit
+product covers.  The Artin-Schreier data have poles of order 1, 2 and 3.
+The Kummer data carry a nonlinear factor, a non-monic unit
 and, for d > 2, a part of multiplicity 2, and have odd degree, so the unit
 term and the sign term (-1)^((q-1)/d * deg f * deg Q) both matter.
 """
@@ -22,6 +23,7 @@ from ffcheb.polys import (
     RationalFn,
     factor_raw,
     is_irreducible_raw,
+    parse_poly,
     pgcd,
     pmul,
     primes_of_degree,
@@ -145,33 +147,55 @@ def test_artin_schreier_primes_vs_trace(p, k, wild):
     assert cov.wild_override == wild
     if p > 2:  # in characteristic 2 the order-2 pole is reduced away
         assert sorted(m for _, m in cov._poles) == [1, 2]
+    check_as_primes(cov)
+
+
+def check_as_primes(cov):
+    """artin_symbol against `as_trace` on every unramified prime of small degree."""
+    F = cov.ctx
     ram = cov._ramified_set()
     checked = 0
     for n in range(1, max_degree(F.q) + 1):
         for P in primes_of_degree(F, n):
             if P in ram:
                 continue
-            assert cov.artin_symbol(P) == as_trace(cov, P), (p, k, P)
+            assert cov.artin_symbol(P) == as_trace(cov, P), (F.q, P)
             checked += 1
     assert checked >= F.q - 2
 
 
-@pytest.mark.parametrize("p, k", AS_FIELDS)
-def test_artin_schreier_composite_vs_factorization(p, k):
-    F = make_field(p, k)
-    cov = artin_schreier(F, as_datum(F, False))
+def check_as_composites(cov, rng, count):
+    """artin_symbol of random monics of degree < 6 against the traces of
+    their prime factors; a factor at a pole must raise."""
+    F = cov.ctx
     ram = cov._ramified_set()
-    rng = random.Random(p * 10 + k)
     checked = 0
-    while checked < 30:
+    while checked < count:
         f = tuple(rng.randrange(F.q) for _ in range(rng.randrange(0, 6))) + (1,)
         _, parts = factor_raw(F, f)
         if any(P in ram for P, _ in parts):
             with pytest.raises(RamifiedPrime):
                 cov.artin_symbol(f)
             continue
-        assert cov.artin_symbol(f) == sum(e * as_trace(cov, P) for P, e in parts) % p
+        assert cov.artin_symbol(f) == sum(e * as_trace(cov, P) for P, e in parts) % F.p
         checked += 1
+
+
+@pytest.mark.parametrize("p, k", AS_FIELDS)
+def test_artin_schreier_composite_vs_factorization(p, k):
+    F = make_field(p, k)
+    check_as_composites(artin_schreier(F, as_datum(F, False)), random.Random(p * 10 + k), 30)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (5, 2)])
+def test_artin_schreier_pole_of_order_three(p, k):
+    # D = 1/T^3 + 1/(T - 1): a pole of order 3, which p = 3 would reduce away
+    F = make_field(p, k)
+    D = RationalFn(parse_poly(F, "T^3+T-1"), parse_poly(F, "T^4-T^3"))
+    cov = artin_schreier(F, D)
+    assert sorted((m, len(P) - 1) for P, m in cov._poles) == [(1, 1), (3, 1)]
+    check_as_primes(cov)
+    check_as_composites(cov, random.Random(p * 100 + k), 40)
 
 
 def test_product_vs_component_oracles():

@@ -93,6 +93,7 @@ def s3_splitting(ctx):
         (25, "T^4+T^2", 1),
         (5, "T^5+3*T^2+1", 1),  # odd n
         (5, "T^4+T^3+2", 0),  # s = 1: quartic cofactors go through factor_raw
+        (5, "T^4+2*T^3+T^2+3", 3),  # two block digits, at T^2 and T^3
     ],
 )
 def test_quadratic_kummer(q, f0, m):
@@ -113,6 +114,27 @@ def test_cubic_kummer():
     check(cov, "T^7+2*T^4+1", 1)  # m + 1 < n // 2 with odd n: factor_raw fallback
 
 
+@pytest.mark.parametrize(
+    "p, d, D, f0, m",
+    [
+        (5, 2, "2*T^3-6*T^2+4*T", "T^4+T^3", 2),  # a non-square unit
+        (7, 3, "T^3-T^2", "T^4+T^3", 2),  # T^2: a linear place of multiplicity 2
+        (5, 2, "T^3-T^2+2*T-2", "T^4+2*T^3", 2),  # (T^2 + 2)(T - 1): a nonlinear place
+    ],
+)
+def test_kummer_places(p, d, D, f0, m):
+    check(kummer(make_field(p), d, D), f0, m)
+
+
+def test_kummer_ramified_prime_beyond_the_sieve():
+    # D = (T + 2)(T^3 + 4T^2 + 3T + 4), the cubic irreducible: with s = 2 the
+    # cubic is no small prime, and (T + 1) times it lies in I(T^4, 2)
+    F5 = make_field(5)
+    cov = kummer(F5, 2, "T^4+T^3+T^2+3")
+    assert max(pdeg(P.coeffs) for P in cov.ramified_primes()) == 3
+    check(cov, "T^4", 2)
+
+
 def test_artin_schreier_tame_and_wild_control():
     F3 = make_field(3)
     tame = artin_schreier(F3, RationalFn(Poly.one(F3), parse_poly(F3, "T^2-T")))
@@ -120,6 +142,12 @@ def test_artin_schreier_tame_and_wild_control():
     F2 = make_field(2)
     wild = artin_schreier(F2, "T", force_wild=True)
     check(wild, "T^5", 3)  # characteristic 2
+
+
+def test_artin_schreier_double_pole():
+    F5 = make_field(5)
+    cov = artin_schreier(F5, RationalFn(Poly.one(F5), parse_poly(F5, "T^2")))
+    check(cov, "T^4+T", 2)
 
 
 def test_characteristic_two_extension_field():

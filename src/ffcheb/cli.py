@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .covers import load_cover
-from .errors import DomainError, ResourceError, TooLarge
+from .errors import DomainError, OutputFileError, ResourceError, TooLarge
 from .factypes import parse_fn
 from .ffield import make_field
 from .groups import GroupTable
@@ -59,9 +59,18 @@ def _field_from_q(q: int):
     return make_field(p, k)
 
 
+def _open_output(path: str, **kw):
+    """Open an --out or --csv file for writing; an unwritable path is a
+    domain error that names it."""
+    try:
+        return open(path, "w", encoding="utf-8", **kw)
+    except OSError as e:
+        raise OutputFileError(f"cannot write {path!r}: {e.strerror}") from None
+
+
 def _out_stream(args):
     if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
+        return _open_output(args.out)
     return sys.stdout
 
 
@@ -150,7 +159,7 @@ def cmd_census(args) -> int:
     result = census(spec, I, args.seed, args.threads)
     _emit(args, result.report.serialize())
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _open_output(args.csv, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lambda", "count", "empirical", "predicted"])
             for row in result.rows:
@@ -199,7 +208,7 @@ def cmd_cheb_grid(args) -> int:
             )
     _emit(args, "\n".join(reports))
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _open_output(args.csv, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(
                 ["q", "fn", "empirical", "predicted", "deviation", "deviation_times_sqrt_q"]
@@ -221,7 +230,7 @@ def cmd_wreath_mean(args) -> int:
         val = mean_class_function(fn, G, args.n)
     print(val)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _open_output(args.csv, newline="") as fh:
             from .factypes import evaluate
 
             w = csv.writer(fh)

@@ -7,7 +7,9 @@ Four kinds:
     symbol of D mod P.
   * ArtinSchreier: y^p - y = D(T) with D a rational function in reduced form
     (no positive-degree monomial with exponent divisible by p, no pole order
-    divisible by p); Frobenius is the absolute trace of D mod P.
+    divisible by p); Frobenius is the absolute trace of D mod P, read by the
+    residue theorem from the poles of D and the power sums of P, with no
+    inverse modulo P.
   * Product: several cyclic covers over the same field, Frobenius taken
     componentwise into the direct product group; components ramified at one
     place must have coprime orders.
@@ -493,9 +495,28 @@ class ArtinSchreierCover(Cover):
         self.wild_override = False
         quo, rem = divmod(self.D.num, self.D.den)
         self._poly_part = quo
-        self._frac = RationalFn(rem, self.D.den)
-        _, parts = factor_raw(ctx, self.D.den.coeffs, seed=0) if self.D.den.degree > 0 else (1, ())
+        den = self.D.den.coeffs
+        _, parts = factor_raw(ctx, den, seed=0) if self.D.den.degree > 0 else (1, ())
         self._poles = tuple(parts)  # (prime, pole multiplicity), all mult coprime to p
+        # the principal part of D at a pole P of order m is w_P / P^m, with
+        # w_P = (D - polynomial part) P^m mod P^m.  At a rational simple pole
+        # T - b keep (b, w_P); at the others keep P^m and the residues
+        # Res_P(T^j D dT) = [T^(N-1)] (w_P T^j mod P^m), N = deg P^m, j < 2N - 1
+        self._simple_poles: list[tuple[int, int]] = []
+        self._pole_parts: list[tuple[Coeffs, list[int]]] = []
+        for P, m in parts:
+            Pm = P
+            for _ in range(m - 1):
+                Pm = pmul(ctx, Pm, P)
+            w = pmod(ctx, pmul(ctx, rem.coeffs, pinvmod(ctx, pdiv(ctx, den, Pm), Pm)), Pm)
+            if len(Pm) == 2:
+                self._simple_poles.append((ctx.neg(P[0]), w[0]))
+                continue
+            N, res = len(Pm) - 1, []
+            for _ in range(2 * N - 1):
+                res.append(w[-1] if len(w) == N else 0)
+                w = pmod(ctx, (0,) + w, Pm)
+            self._pole_parts.append((Pm, res))
 
     def _validate(self, force_wild: bool) -> None:
         if self._poly_part.degree >= 1:
@@ -517,25 +538,45 @@ class ArtinSchreierCover(Cover):
 
     def artin_symbol(self, f: Coeffs) -> int:
         """Tr_{F_q/F_p} of the trace of D in the algebra F_q[T]/(f), for any
-        monic f coprime to the poles, without a power modulo f.
+        monic f coprime to the poles, with no inverse, power or gcd modulo f.
 
-        Multiplication by T^j on F_q[T]/(f) has trace s_j, the j-th power sum
-        of the roots of f, so x = D mod f has trace sum_j x_j s_j.  The
-        algebra trace adds over the prime powers dividing f; at a prime P this
-        is the absolute trace of D mod P.
+        That trace is the sum of D over the roots of f, with multiplicity.
+        The residues of D f'/f dT on P^1 sum to zero (Rosen, GTM 210), so it is
+
+            sum_j c_j s_j - sum_P [T^(N-1)] (w_P f' f^(-1) mod P^m),
+
+        with c_j the coefficients of D's polynomial part (reduced mod f), s_j
+        the Newton power sums of the roots of f, and w_P / P^m the principal
+        part of D at a pole P of order m, N = m deg P.  The only inverse is
+        modulo the fixed P^m.  At a rational simple pole b with residue c the
+        term is c f'(b) / f(b), from one Horner pass.
         """
         if not f or f[-1] != 1:
             raise DomainError("the Artin symbol needs a monic polynomial")
         F = self.ctx
-        try:
-            inv_den = pinvmod(F, self.D.den.coeffs, f)
-        except DivisionByZero:
-            raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a pole of D") from None
-        x = pmod(F, pmul(F, pmod(F, self.D.num.coeffs, f), inv_den), f)
-        mul, add = F.mul, F.add
+        mul, add, sub = F.mul, F.add, F.sub
+        x = pmod(F, self._poly_part.coeffs, f)
         t = 0
         for xj, sj in zip(x, power_sums(F, f, len(x))):
             t = add(t, mul(xj, sj))
+        for b, c in self._simple_poles:
+            v = dv = 0  # f(b) and f'(b), by one Horner pass
+            for a in reversed(f):
+                dv = add(mul(dv, b), v)
+                v = add(mul(v, b), a)
+            if not v:
+                raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a pole of D")
+            t = sub(t, mul(c, F.div(dv, v)))
+        if self._pole_parts:
+            df = pderiv(F, f)
+            for Pm, res in self._pole_parts:
+                try:
+                    inv_f = pinvmod(F, f, Pm)
+                except DivisionByZero:
+                    raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a pole of D") from None
+                # h = f'/f mod P^m, unreduced: Res_P(h D dT) = sum_j h_j Res_P(T^j D dT)
+                for hj, rj in zip(pmul(F, pmod(F, df, Pm), inv_f), res):
+                    t = sub(t, mul(hj, rj))
         acc = t
         for _ in range(F.k - 1):
             t = F.frob(t)

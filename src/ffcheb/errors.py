@@ -129,3 +129,7 @@ class DegreeBoundViolated(DomainError):
 
 class CoverFileError(DomainError):
     pass
+
+
+class OutputFileError(DomainError):
+    pass

@@ -126,15 +126,16 @@ class _BlockSieve:
         self.excludes = isinstance(spec, SplittingCover)
         self.ramified = spec._ramified_set()
         self.tops = range(s, I.m + 1)  # the block digits
-        # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n, and per power
-        # its `_solver`)
+        # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n, and the
+        # `_solver`s of the powers some block has reached: a chain of powers
+        # stops at the first Q^e with no hit, so the rest are built on demand)
         self.small = []
         for d in range(1, s + 1):
             for Q in primes_of_degree(F, d):
                 pows = [Q]
                 while (len(pows) + 1) * d <= n:
                     pows.append(pmul(F, pows[-1], Q))
-                self.small.append((Q, d, pows, [self._solver(Qe) for Qe in pows]))
+                self.small.append((Q, d, pows, []))
         # ramified primes beyond the small ones that can still divide
         self.big_ramified = [self._solver(P) for P in self.ramified if s < pdeg(P) <= n]
         # per small prime, on its first hit: (degree, catalog index, and on
@@ -210,9 +211,12 @@ class _BlockSieve:
         # elements with a ramified factor: excluded, or divided on an abelian cover
         bad = bytearray(size) if self.ramified else None
         excludes = self.excludes
-        for qi, (Q, _, _, solvers) in enumerate(self.small):
+        for qi, (Q, _, pows, solvers) in enumerate(self.small):
             ram = Q in self.ramified
-            for e, (D, r0, rows, crows) in enumerate(solvers, 1):
+            for e, Qe in enumerate(pows, 1):
+                if len(solvers) < e:
+                    solvers.append(self._solver(Qe))
+                D, r0, rows, crows = solvers[e - 1]
                 r = residue(r0, rows)
                 if any(r[s:]):
                     break  # no element is divisible by Q^e, nor by Q^(e+1)

@@ -4,8 +4,9 @@
 raise to powers modulo P: the power-residue symbol `KummerCover._symbol`
 (D^((|P|-1)/d) mod P) and the per-prime trace `as_trace` (sum of the p-th
 power iterates of D mod P), componentwise for products.  `coset_class` reads
-Frobenius by reciprocity and Newton traces instead, so a tally built from
-`oracle_class` checks that route rather than repeating it.
+Frobenius by d-th power reciprocity (Kummer) and by the residue theorem at
+the poles of D (Artin-Schreier) instead, so a tally built from
+`oracle_class` checks those routes rather than repeating them.
 
 `dedekind_series` and `b_direct_sum` sum r and b over every monic of a
 degree, one `direct_r`/`direct_b` factorization each; `zeta` reads those

@@ -1,11 +1,12 @@
 """The Frobenius routes without a power modulo P, against the powmod oracles.
 
 `KummerCover.artin_symbol` reads (D/f)_d by d-th power reciprocity and
-`ArtinSchreierCover.artin_symbol` reads the trace of D by Newton power sums;
-`coset_class` runs both at unramified primes.  Here they must agree with
-`KummerCover._symbol` and the per-prime trace `oracles.as_trace` on every unramified
-prime of small degree, on composite f through the factorization, and inside
-product covers.  The Artin-Schreier data have poles of order 1, 2 and 3.
+`ArtinSchreierCover.artin_symbol` reads the trace of D by the residue theorem
+at its poles; `coset_class` runs both at unramified primes.  Here they must
+agree with `KummerCover._symbol` and the per-prime trace `oracles.as_trace`
+on every unramified prime of small degree, on composite f through the
+factorization, and inside product covers.  The Artin-Schreier data have
+poles of order 1, 2 and 3, at linear, quadratic and cubic primes.
 The Kummer data carry a nonlinear factor, a non-monic unit
 and, for d > 2, a part of multiplicity 2, and have odd degree, so the unit
 term and the sign term (-1)^((q-1)/d * deg f * deg Q) both matter.
@@ -196,6 +197,34 @@ def test_artin_schreier_pole_of_order_three(p, k):
     assert sorted((m, len(P) - 1) for P, m in cov._poles) == [(1, 1), (3, 1)]
     check_as_primes(cov)
     check_as_composites(cov, random.Random(p * 100 + k), 40)
+
+
+def cubic_prime(F):
+    """An irreducible monic cubic, found without listing them all."""
+    return next(
+        (a, b, c, 1) for c in range(F.q) for b in range(F.q) for a in range(F.q)
+        if is_irreducible_raw(F, (a, b, c, 1))
+    )
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (7, 1), (7, 2)])
+def test_artin_schreier_cubic_pole_and_linear_pole_of_higher_order(p, k):
+    # N / (C (T - 1)^m): a simple pole at a cubic C, whose residue is read
+    # modulo C, and m = 2 at a linear place (m = 3 where p = 2, which would
+    # reduce an order-2 pole away), read modulo (T - 1)^m
+    F = make_field(p, k)
+    m = 3 if p == 2 else 2
+    den = cubic_prime(F)
+    for _ in range(m):
+        den = pmul(F, den, (F.neg(1), 1))
+    rng = random.Random(p * 10 + k)
+    num = ()
+    while pgcd(F, num, den) != (1,):  # keep both poles
+        num = tuple(rng.randrange(F.q) for _ in range(len(den) - 2)) + (F.generator,)
+    cov = artin_schreier(F, RationalFn(Poly(F, num), Poly(F, den)))
+    assert sorted((len(P) - 1, e) for P, e in cov._poles) == [(1, m), (3, 1)]
+    check_as_primes(cov)
+    check_as_composites(cov, rng, 30)
 
 
 def test_product_vs_component_oracles():

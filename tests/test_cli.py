@@ -268,6 +268,33 @@ def test_cheb_grid_csv_rows(tmp_path, capsys):
     assert lines[0].startswith("q,fn,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cheb-grid", "--d", "2", "--D", "T", "--qs", "5", "--f0", "T^2", "--m", "1",
+         "--fns", "B", "--csv", "{path}"],
+        ["interval-mean", "--cover", "{cover}", "--f0", "T^2", "--m", "1", "--fns", "B",
+         "--out", "{path}"],
+        ["census", "--cover", "{cover}", "--f0", "T^2", "--m", "1", "--csv", "{path}"],
+        ["wreath-mean", "--group", "cyclic:2", "--n", "2", "--fn", "B", "--csv", "{path}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_path_exit_2(tmp_path, quad_file, argv):
+    # a missing directory: named on stderr, exit 2, no traceback
+    path = str(tmp_path / "missing" / "out.txt")
+    argv = [{"{path}": path, "{cover}": quad_file}.get(a, a) for a in argv]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffcheb.cli", *argv], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("OutputFileError:")
+    assert path in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_norms_check(gen1_file, capsys):
     assert main(["norms-check", "--cover", gen1_file, "--n", "4", "--m", "2", "--threads", "1"]) == 0
     out = capsys.readouterr().out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -60,25 +61,45 @@ def _field_from_q(q: int):
 
 
 def _open_output(path: str, **kw):
-    """Open an --out or --csv file for writing; an unwritable path is a
-    domain error that names it."""
+    """Open an --out or --csv file for appending, which leaves a file that is
+    already there as it is until `_output` empties it; an unwritable path is
+    a domain error that names it."""
     try:
-        return open(path, "w", encoding="utf-8", **kw)
+        return open(path, "a", encoding="utf-8", **kw)
     except OSError as e:
         raise OutputFileError(f"cannot write {path!r}: {e.strerror}") from None
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return _open_output(args.out)
-    return sys.stdout
+def _open_outputs(args, created: list[str]) -> None:
+    """Open the command's --out and --csv files into `args.outputs` before
+    it computes anything, so that an unwritable path ends the run before a
+    report is printed or written; each path this opens anew joins
+    `created`."""
+    for name, kw in (("out", {}), ("csv", {"newline": ""})):
+        path = getattr(args, name, None)
+        if path:
+            existed = os.path.exists(path)
+            args.outputs[name] = _open_output(path, **kw)
+            if not existed:
+                created.append(path)
+
+
+def _output(args, name: str):
+    """The open --out or --csv file, emptied for the report when it is a
+    regular file (a pipe or a device is written as it is), or None."""
+    fh = args.outputs.get(name)
+    if fh is not None and os.path.isfile(fh.name):
+        fh.truncate(0)
+    return fh
 
 
 def _emit(args, text: str) -> None:
-    stream = _out_stream(args)
-    stream.write(text)
-    if stream is not sys.stdout:
-        stream.close()
+    fh = _output(args, "out")
+    if fh is None:
+        sys.stdout.write(text)
+    else:
+        fh.write(text)
+        fh.flush()  # before a --csv at the same path empties it
 
 
 def _parse_group(text: str) -> GroupTable:
@@ -158,22 +179,22 @@ def cmd_census(args) -> int:
     I = IntervalSpec(f0, args.m)
     result = census(spec, I, args.seed, args.threads)
     _emit(args, result.report.serialize())
-    if args.csv:
-        with _open_output(args.csv, newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "count", "empirical", "predicted"])
-            for row in result.rows:
-                w.writerow(
-                    [row.lam.serialize(), row.count, str(row.empirical), str(row.predicted)]
-                )
+    fh = _output(args, "csv")
+    if fh is not None:
+        w = csv.writer(fh)
+        w.writerow(["lambda", "count", "empirical", "predicted"])
+        for row in result.rows:
             w.writerow(
-                [
-                    "nonsquarefree",
-                    result.nonsquarefree_count,
-                    str(result.nonsquarefree_empirical),
-                    "0",
-                ]
+                [row.lam.serialize(), row.count, str(row.empirical), str(row.predicted)]
             )
+        w.writerow(
+            [
+                "nonsquarefree",
+                result.nonsquarefree_count,
+                str(result.nonsquarefree_empirical),
+                "0",
+            ]
+        )
     return 0
 
 
@@ -207,13 +228,13 @@ def cmd_cheb_grid(args) -> int:
                 ]
             )
     _emit(args, "\n".join(reports))
-    if args.csv:
-        with _open_output(args.csv, newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["q", "fn", "empirical", "predicted", "deviation", "deviation_times_sqrt_q"]
-            )
-            w.writerows(rows)
+    fh = _output(args, "csv")
+    if fh is not None:
+        w = csv.writer(fh)
+        w.writerow(
+            ["q", "fn", "empirical", "predicted", "deviation", "deviation_times_sqrt_q"]
+        )
+        w.writerows(rows)
     return 0
 
 
@@ -229,16 +250,16 @@ def cmd_wreath_mean(args) -> int:
     else:
         val = mean_class_function(fn, G, args.n)
     print(val)
-    if args.csv:
-        with _open_output(args.csv, newline="") as fh:
-            from .factypes import evaluate
+    fh = _output(args, "csv")
+    if fh is not None:
+        from .factypes import evaluate
 
-            w = csv.writer(fh)
-            w.writerow(["class_type", "size", "fn_value"])
-            for ct, sz in enumerate_class_types(G, args.n):
-                w.writerow(
-                    [ct.serialize(), sz, str(evaluate(fn, ct.to_lambda(G), G))]
-                )
+        w = csv.writer(fh)
+        w.writerow(["class_type", "size", "fn_value"])
+        for ct, sz in enumerate_class_types(G, args.n):
+            w.writerow(
+                [ct.serialize(), sz, str(evaluate(fn, ct.to_lambda(G), G))]
+            )
     return 0
 
 
@@ -412,14 +433,25 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.outputs, created = {}, []
+    code = 1  # an exception that escapes fails the run too
     try:
-        return args.func(args)
+        _open_outputs(args, created)
+        code = args.func(args)
     except ResourceError as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
-        return 3
+        code = 3
     except DomainError as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
-        return 2
+        code = 2
+    finally:
+        # a run that fails leaves behind no file that it created
+        for fh in args.outputs.values():
+            fh.close()
+        if code:
+            for path in created:
+                os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,14 @@ derivative vanishes), then `_ddf`, then randomized equal-degree splitting of
 each part; characteristic 2 uses the trace-map splitter.  The randomized stage
 is seeded from (run seed, polynomial), so factoring is a pure function and
 parallel sweeps are partition-independent.
+
+Neither loop raises to a q-th power by square-and-multiply.  The p-th power
+map is additive on F_q[T]/(m), so `_frobenius` tabulates X_i = T^(p*i) mod m
+once and sends h to sum h_i^p * X_i; h^q, q = p^k, is that map applied k
+times.  `_ddf` takes T^(q^d) mod m that way, and `_edf` takes
+a^((q^d - 1)/2) as N(a)^((q - 1)/2), with the norm N(a) a product of the
+conjugates a^(q^j), or in characteristic 2 sums the squarings of the trace.
+`ppowmod` stays for other powers: (q - 1)/2 here, and its callers elsewhere.
 """
 
 from __future__ import annotations
@@ -281,6 +289,64 @@ def _mulmod_ext(F: Field, rows, d: int):
     return mulmod
 
 
+def _frobenius(F: Field, m: Coeffs):
+    """The p-th power map sigma_p modulo m, deg m = d >= 1, as
+    sigma(h, times) = h^(p^times) mod m for h of degree < d; the result is a
+    list of length d.
+
+    sigma_p is additive and sends c*T^i to c^p * T^(p*i), so
+    h^p = sum_i frob(h_i)*X_i with X_i = T^(p*i) mod m, where frob(c) = c^p is
+    one log-table lookup and the identity on F_p.  X_1 costs one
+    square-and-multiply with exponent p and each further X_i one product by
+    X_1; they are built as the inputs first reach them, so the image of T
+    needs X_1 alone.  For q = p^k, h^q is sigma_p applied k times (the
+    Frobenius maps of von zur Gathen and Shoup, Comput. Complexity 1992)."""
+    d = pdeg(m)
+    p = F.p
+    xs = [[1] + [0] * (d - 1)]
+    mulmod = None
+
+    def reach(n: int) -> None:
+        nonlocal mulmod
+        if mulmod is None:
+            rows = _reduction_rows(F, m)
+            mulmod = _mulmod_prime(p, rows, d) if F.k == 1 else _mulmod_ext(F, rows, d)
+            xs.append(_square_multiply(mulmod, [0, 1] + [0] * (d - 2), p))
+        while len(xs) < n:
+            xs.append(mulmod(xs[-1], xs[1]))
+
+    if F.k == 1:
+        def sigma(h, times):
+            for _ in range(times):
+                if len(h) > len(xs):
+                    reach(len(h))
+                out = [0] * d
+                for c, x in zip(h, xs):
+                    if c:
+                        out = [o + c * v for o, v in zip(out, x)]
+                h = [o % p for o in out]
+            return h
+    else:
+        exp, log, add = F._exp, F._log, F.add
+        qm1 = F.q - 1
+
+        def sigma(h, times):
+            for _ in range(times):
+                if len(h) > len(xs):
+                    reach(len(h))
+                out = [0] * d
+                for c, x in zip(h, xs):
+                    if c:
+                        lc = log[c] * p % qm1
+                        for j, v in enumerate(x):
+                            if v:
+                                out[j] = add(out[j], exp[lc + log[v]])
+                h = out
+            return h
+
+    return sigma
+
+
 def pderiv(F: Field, a: Coeffs) -> Coeffs:
     mul = F.mul
     return pnorm(mul(c, F.scalar(i)) for i, c in enumerate(a) if i)
@@ -325,10 +391,16 @@ def _rand_poly(F: Field, max_deg: int, rng: random.Random) -> Coeffs:
 
 
 def _edf(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
-    """Split a squarefree product of degree-d primes into its primes."""
+    """Split a squarefree product of degree-d primes into its primes, by
+    gcds with g of a^((q^d - 1)/2) - 1 for random a (Cantor-Zassenhaus,
+    Math. Comp. 1981), or of the trace of a to F_2 when p = 2.  The powers
+    of a come from the p-th power map modulo g (`_frobenius`): for odd p,
+    a^((q^d - 1)/2) = N(a)^((q - 1)/2) with N(a) = a * a^q * ... *
+    a^(q^(d-1)), the same exponent as an integer, so every split is the one
+    square-and-multiply would give."""
     if pdeg(g) == d:
         return [g]
-    q = F.q
+    frob = _frobenius(F, g)
     one: Coeffs = (1,)
     while True:
         a = _rand_poly(F, pdeg(g) - 1, rng)
@@ -336,14 +408,17 @@ def _edf(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
             continue
         if F.p == 2:
             # trace map to F_2 over the degree-(k*d) residue fields
-            t = pmod(F, a, g)
-            c = t
+            t = c = a
             for _ in range(F.k * d - 1):
-                c = pmod(F, pmul(F, c, c), g)
+                c = frob(c, 1)
                 t = padd(F, t, c)
             h = pgcd(F, t, g)
         else:
-            t = ppowmod(F, a, (q**d - 1) // 2, g)
+            n = c = a  # the norm N(a), from its conjugates c = a^(q^j)
+            for _ in range(d - 1):
+                c = frob(c, F.k)
+                n = pmod(F, pmul(F, n, c), g)
+            t = ppowmod(F, n, (F.q - 1) // 2, g)
             h = pgcd(F, psub(F, t, one), g)
         if 0 < pdeg(h) < pdeg(g):
             rest = pdiv(F, g, h)
@@ -356,18 +431,25 @@ def _ddf(F: Field, m: Coeffs) -> Iterator[tuple[int, Coeffs]]:
     what is left once deg m < 2(d + 1).  For a squarefree m the parts are
     the products of its primes of each degree and what is left is a prime.
     Any m of degree >= 1 yields a first part; its d is the smallest degree
-    of a prime factor of m, and d = deg m only when m is irreducible."""
+    of a prime factor of m, and d = deg m only when m is irreducible.
+    Each step raises h = T^(q^(d-1)) to the q-th power as the p-th power map
+    modulo m applied k times, q = p^k (`_frobenius`); the map is tabulated
+    again, lazily, modulo what is left once a part is divided out."""
     t: Coeffs = (0, 1)
     h = pmod(F, t, m)
+    frob = None
     d = 0
     while pdeg(m) >= 2 * (d + 1):
         d += 1
-        h = ppowmod(F, h, F.q, m)
+        if frob is None:
+            frob = _frobenius(F, m)
+        h = pnorm(frob(h, F.k))
         g = pgcd(F, psub(F, h, t), m)
         if pdeg(g) > 0:
             yield d, g
             m = pdiv(F, m, g)
             h = pmod(F, h, m)
+            frob = None
     if pdeg(m) > 0:
         yield pdeg(m), m
 

@@ -293,6 +293,39 @@ def test_unwritable_output_path_exit_2(tmp_path, quad_file, argv):
     assert proc.stderr.startswith("OutputFileError:")
     assert path in proc.stderr
     assert "Traceback" not in proc.stderr
+    # every output opens before the computation, so nothing was printed
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("before", [None, "kept\n"], ids=["new", "existing"])
+def test_unwritable_csv_leaves_out_file_as_it_was(tmp_path, capsys, quad_file, before):
+    outdir = tmp_path / "outputs"
+    outdir.mkdir()
+    out = outdir / "out.txt"
+    if before is not None:
+        out.write_text(before, encoding="utf-8")
+    code = main(["census", "--cover", quad_file, "--f0", "T^2", "--m", "1",
+                 "--out", str(out), "--csv", str(outdir / "missing" / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert os.listdir(outdir) == ([] if before is None else ["out.txt"])
+    if before is not None:
+        assert out.read_text(encoding="utf-8") == before
+
+
+def test_failed_run_creates_no_output_file(tmp_path, capsys, quad_file):
+    out = tmp_path / "out.txt"
+    code = main(["census", "--cover", quad_file, "--f0", "T^2", "--m", "5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("IntervalDegenerate:")
+    assert not out.exists()
+
+
+def test_out_file_is_rewritten(tmp_path, capsys, quad_file):
+    out = tmp_path / "out.txt"
+    out.write_text("an older and much longer report\n" * 50, encoding="utf-8")
+    assert main(["lambda", "--cover", quad_file, "--out", str(out), "T^2"]) == 0
+    assert out.read_text(encoding="utf-8") == "1:2:2=1\n"
 
 
 def test_norms_check(gen1_file, capsys):

@@ -18,13 +18,16 @@ from ffcheb.ffield import Field, make_field
 from ffcheb.polys import (
     Poly,
     RationalFn,
+    _frobenius,
     count_primes,
     enumerate_monic,
     enumerate_monic_raw,
     eval_mod,
+    factor_raw,
     parse_poly,
     pmod,
     pmul,
+    pnorm,
     ppowmod,
     primes_of_degree,
     pscale,
@@ -207,6 +210,61 @@ def test_ppowmod_vs_repeated_multiplication(pk):
             for _ in range(e):
                 want = pmod(F, pmul(F, want, base), mod)
             assert ppowmod(F, base, e, mod) == want
+
+
+# F_2, F_3, F_4, F_8, F_9, F_13, F_25, F_27, F_49, F_729 and F_{13^4}
+FROBENIUS_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (13, 1), (5, 2), (3, 3),
+                    (7, 2), (3, 6), (13, 4)]
+
+
+@pytest.mark.parametrize("pk", FROBENIUS_FIELDS, ids=lambda pk: f"F{pk[0] ** pk[1]}")
+def test_frobenius_map_matches_square_and_multiply(pk):
+    # sigma_p is read off its table X_i = T^(p*i) mod m; square-and-multiply
+    # is the independent route.  m is any monic of degree 1..8, reducible ones
+    # included, and a second input reaches the rows the first did not build
+    p, k = pk
+    F = make_field(p, k)
+    rng = random.Random(f"frobenius/{F.q}")
+    for _ in range(40):
+        d = rng.randrange(1, 9)
+        m = tuple(rng.randrange(F.q) for _ in range(d)) + (1,)
+        sigma = _frobenius(F, m)
+        for _ in range(2):
+            h = pnorm(rng.randrange(F.q) for _ in range(rng.randrange(d + 1)))
+            assert pnorm(sigma(h, 1)) == ppowmod(F, h, p, m)
+            assert pnorm(sigma(h, k)) == ppowmod(F, h, F.q, m)
+
+
+# largest prime degree drawn over each field: primes_of_degree sieves q^n
+# monics, which bounds n over F_729 and F_{13^3}
+FACTOR_ORACLE_FIELDS = {(2, 2): 4, (2, 3): 3, (3, 2): 3, (3, 3): 3, (7, 2): 2, (3, 6): 2,
+                        (13, 3): 1}
+
+
+@pytest.mark.parametrize("pk", list(FACTOR_ORACLE_FIELDS), ids=lambda pk: f"F{pk[0] ** pk[1]}")
+def test_factor_raw_recovers_products_of_sieved_primes(pk):
+    # the prime sieve shares no code with the distinct-degree loop, so the
+    # primes it lists are an independent answer for what factor_raw returns;
+    # each product has several primes of one degree (an equal-degree split)
+    # and a repeated prime, sometimes p or more times (a p-th power part)
+    F = make_field(*pk)
+    top = FACTOR_ORACLE_FIELDS[pk]
+    primes = {n: primes_of_degree(F, n) for n in range(1, top + 1)}
+    rng = random.Random(f"factor-oracle/{F.q}")
+    for _ in range(30):
+        n = rng.randrange(1, top + 1)
+        picks = rng.sample(primes[n], min(3, len(primes[n])))
+        picks += [picks[0]] * rng.randrange(1, F.p + 1)
+        picks += [rng.choice(primes[rng.randrange(1, top + 1)]) for _ in range(rng.randrange(3))]
+        unit = rng.randrange(1, F.q)
+        f = (unit,)
+        want: dict = {}
+        for P in picks:
+            f = pmul(F, f, P)
+            want[P] = want.get(P, 0) + 1
+        got_unit, parts = factor_raw(F, f, seed=rng.randrange(4))
+        assert got_unit == unit
+        assert dict(parts) == want and len(parts) == len(want)
 
 
 def test_count_primes_examples():

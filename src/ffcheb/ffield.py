@@ -3,7 +3,11 @@
 A field context encodes elements as integers in [0, q): the element with
 residue-polynomial coefficients (c_0, ..., c_{k-1}) over F_p is stored as
 sum c_i * p^i.  Multiplication runs through exp/log tables built from the
-canonical primitive root.  Over F_p addition is integer addition mod p; over
+canonical primitive root g.  Only the first m = (q - 1)/(p - 1) powers of g
+are multiplied out: g^m generates F_p^* (the norm to F_p is onto), and a
+scalar of F_p multiplies the encoding digit by digit, so each later power
+g^(i + m) = g^m * g^i is two lookups in a digit table.  The log table is the
+inverse of exp.  Over F_p addition is integer addition mod p; over
 F_{p^k}, k > 1, it runs through a table of Zech logarithms log(1 + g^i) of q
 entries.  Every operation after construction is table lookups and integer
 adds.
@@ -97,6 +101,12 @@ class Field:
         choose add, neg and sub: residues mod p for k == 1, Zech logarithms
         for k > 1.
 
+        exp holds g^i for i < m = (q - 1)/(p - 1) by multiplication, then
+        g^(i + m) = zeta * g^i with zeta = g^m in F_p^*, each read from a
+        digit table of zeta in two lookups; log is filled from exp in one
+        pass.  The same path serves k == 1 (m = 1) and p == 2 (m = q - 1,
+        no scaling).
+
         For k > 1 an element is multiplied as its list of k residue
         coefficients, in F_p[x]/(modulus), by the prime-field kernel of polys;
         polys sits above this module, so it is imported here."""
@@ -140,15 +150,29 @@ class Field:
         if gen is None:  # q == 2
             gen = 1
         self.generator = gen
-        exp = [1] * (2 * (q - 1) + 1)
-        log = [0] * q
+        n = q - 1
+        m = n // (p - 1)
+        exp = [1] * n
         g = cur = rep(gen)
-        for i in range(1, q - 1):
-            exp[i] = v = enc(cur)
-            log[v] = i
+        for i in range(1, m):
+            exp[i] = enc(cur)
             cur = mul(cur, g)
-        for i in range(q - 1, 2 * (q - 1) + 1):
-            exp[i] = exp[i - (q - 1)]
+        # zeta v = lo[v % P] + lo[v // P] * P with P = p^(k // 2), where lo
+        # scales each digit of a number of k - k // 2 digits
+        zeta = enc(cur)
+        lo = digit = [zeta * c % p for c in range(p)]
+        for _ in range(k - k // 2 - 1):
+            lo = [u * p + c for u in lo for c in digit]
+        P = p ** (k // 2)
+        for i in range(m, n):
+            v = exp[i - m]
+            exp[i] = lo[v % P] + lo[v // P] * P
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        # stored twice over and one more, so a sum of two logs indexes it
+        exp += exp
+        exp.append(1)
         self._exp = exp
         self._log = log
         # always None: bench/layers._kernel still reads it to name the kernel

@@ -397,12 +397,21 @@ def _edf(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
     of a come from the p-th power map modulo g (`_frobenius`): for odd p,
     a^((q^d - 1)/2) = N(a)^((q - 1)/2) with N(a) = a * a^q * ... *
     a^(q^(d-1)), the same exponent as an integer, so every split is the one
-    square-and-multiply would give."""
+    square-and-multiply would give.
+
+    A product of r >= 2 such primes splits at each draw with probability at
+    least 1/2, so 64 draws that all fail (probability at most 2^-64) mean g
+    is not such a product: that raises InvariantViolated, as does a degree
+    that d does not divide."""
+    if pdeg(g) % d:
+        raise InvariantViolated(
+            f"a part of degree {pdeg(g)} is not a product of degree-{d} primes"
+        )
     if pdeg(g) == d:
         return [g]
     frob = _frobenius(F, g)
     one: Coeffs = (1,)
-    while True:
+    for _ in range(64):
         a = _rand_poly(F, pdeg(g) - 1, rng)
         if pdeg(a) < 1:
             continue
@@ -423,6 +432,9 @@ def _edf(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
         if 0 < pdeg(h) < pdeg(g):
             rest = pdiv(F, g, h)
             return _edf(F, h, d, rng) + _edf(F, rest, d, rng)
+    raise InvariantViolated(
+        f"64 draws left a part of degree {pdeg(g)} unsplit into degree-{d} primes"
+    )
 
 
 def _ddf(F: Field, m: Coeffs) -> Iterator[tuple[int, Coeffs]]:
@@ -975,9 +987,12 @@ class RationalFn:
 #
 # The roots of the primes of degree d over F_q are the elements of F_{q^d}
 # whose Frobenius orbit x -> x^q has size d, and each orbit is the set of
-# roots of one prime.  One walk over F_{q^d}, orbit by orbit, so finds the
-# smallest root of every prime of degree d.  The root table of degree d holds
-# it at the index (as `_index` numbers them) of the prime's lower
+# roots of one prime.  F_q^* acts on the orbits by x -> c x, and c x is a
+# root of c^d P(Y / c) when x is a root of P.  One walk over F_{q^d}, one
+# orbit per class of that action, so finds the smallest root of every prime
+# of degree d: the orbit's prime by multiplying out its roots, the rest of
+# the class by scaling that prime's coefficients.  The root table of degree d
+# holds the root at the index (as `_index` numbers them) of the prime's lower
 # coefficients, and -1 where the monic there is not irreducible.
 
 
@@ -1004,22 +1019,31 @@ def _root_table(base: Field, d: int) -> tuple[array, list[int] | None]:
             beta_pows.append(big.mul(beta_pows[-1], beta))
         to_base = {_embed(big, beta_pows, base.coeffs(a)): a for a in range(q)}
     n = big.q - 1
+    m = n // (q - 1)
     exp, log, sub, neg = big._exp, big._log, big.sub, big.neg
+    # c = g^(m t), t < q - 1, runs over F_q^* inside F_{q^d}; c^(d - i) for
+    # i < d, read in the base field, scales coefficient i
+    scalars = exp[:n:m]
+    if to_base is not None:
+        scalars = [to_base[c] for c in scalars]
+    scales = [[base.pow(c, d - i) for i in range(d)] for c in scalars]
+    mul = base.mul
     roots = array("i", [-1]) * big.q
     if d == 1:
         roots[0] = 0  # T, the one prime with root 0
-    seen = bytearray(n)
-    for start in range(n):
+    seen = bytearray(m)
+    for start in range(m):
         if seen[start]:
             continue
-        # the orbit by discrete logs: x^q has log q * log x mod q^d - 1
+        # the orbit by discrete logs: x^q has log q * log x mod q^d - 1; the
+        # logs of its scalar multiples c x are those plus multiples of m
         orbit = [start]
         j = start * q % n
         while j != start:
             orbit.append(j)
             j = j * q % n
         for j in orbit:
-            seen[j] = 1
+            seen[j % m] = 1
         if len(orbit) != d:
             continue  # x lies in a smaller field
         c = [1]  # prod (Y - x) over the orbit, lowest coefficient first
@@ -1031,7 +1055,9 @@ def _root_table(base: Field, d: int) -> tuple[array, list[int] | None]:
             c[0] = neg(exp[j + log[c[0]]])
         if to_base is not None:
             c = [to_base[ci] for ci in c]
-        roots[_index(c[:-1], q)] = min(exp[j] for j in orbit)
+        for shift, scale in zip(range(0, n, m), scales):
+            cs = [mul(s, ci) for s, ci in zip(scale, c)]
+            roots[_index(cs, q)] = min([exp[j + shift] for j in orbit])
     cache[d] = roots, beta_pows
     return cache[d]
 

@@ -21,17 +21,21 @@ sums from the interval sieve or the Euler product instead.
 factoring P there, one prime at a time; `smallest_zero` and `count_zeros`
 search F_{q^deg P} element by element, with the base field embedded by
 `brute_embedding`.  `ResidueField` reads its root from a table of Frobenius
-orbits instead.
+orbits instead.  `orbit_root_table` builds that table by multiplying out
+every Frobenius orbit of F_{q^d}; `polys._root_table` multiplies out one
+orbit per class of the scalar action of F_q^* and scales the others.
 
 `digit_add` and `digit_neg` add and negate elements of F_{p^k} base-p digit
 by digit, on the integer encoding; `Field.add`, `Field.sub` and `Field.neg`
 use Zech logarithms instead.
 """
 
+from array import array
 from fractions import Fraction
 
 from ffcheb.covers import ArtinSchreierCover, KummerCover, ProductCover
 from ffcheb.factypes import direct_b, direct_r
+from ffcheb.ffield import make_field
 from ffcheb.polys import (
     enumerate_monic,
     enumerate_monic_raw,
@@ -146,6 +150,39 @@ def brute_embedding(F, big):
         return out
 
     return embed
+
+
+def orbit_root_table(base, d):
+    """The root table of degree d over `base`, laid out as `polys._root_table`
+    lays it out, from one walk over F_{q^d}: every Frobenius orbit x -> x^q of
+    size d is the set of roots of one prime, multiplied out with `pmul`."""
+    q = base.q
+    big = make_field(base.p, base.k * d)
+    embed = brute_embedding(base, big)
+    to_base = {embed(a): a for a in range(q)}
+    n = big.q - 1
+    roots = array("i", [-1]) * big.q
+    if d == 1:
+        roots[0] = 0  # T
+    seen = bytearray(n)
+    for start in range(n):
+        if seen[start]:
+            continue
+        orbit = [start]  # discrete logs: x^q has log q * log x mod q^d - 1
+        j = start * q % n
+        while j != start:
+            orbit.append(j)
+            j = j * q % n
+        for j in orbit:
+            seen[j] = 1
+        if len(orbit) != d:
+            continue
+        prime = (1,)
+        for j in orbit:
+            prime = pmul(big, prime, (big.neg(big._exp[j]), 1))
+        index = sum(to_base[c] * q**i for i, c in enumerate(prime[:-1]))
+        roots[index] = min(big._exp[j] for j in orbit)
+    return roots
 
 
 def digit_add(F, a, b):

@@ -220,3 +220,34 @@ def test_canonical_fields_pinned(pk):
     F = Field(*pk)
     assert (F.modulus, F.generator) == (modulus, generator)
     assert F.order(F.generator) == F.q - 1
+
+
+@pytest.mark.parametrize(
+    "pk",
+    [(7, 1), (13, 1), (2, 1), (2, 6), (3, 3), (5, 3), (13, 4), (5, 6), (3, 8), (2, 14)],
+    ids=lambda pk: f"F{pk[0] ** pk[1]}",
+)
+def test_exp_log_against_digit_powers(pk):
+    # exp[i] against g^i from this test's own product of digit polynomials
+    # modulo F.modulus (T for a prime field), one multiplication by g per i
+    p, k = pk
+    F = Field(p, k)
+    q, n = F.q, F.q - 1
+    mod = F.modulus or (0, 1)
+    g = F.coeffs(F.generator)
+    cur = [1] + [0] * (k - 1)
+    for i in range(n):
+        assert F._exp[i] == sum(c * p**j for j, c in enumerate(cur)), i
+        prod = [0] * (2 * k - 1)
+        for a, x in enumerate(cur):
+            for b, y in enumerate(g):
+                prod[a + b] += x * y
+        for top in range(2 * k - 2, k - 1, -1):  # reduce by the monic modulus
+            c = prod[top]
+            for j in range(k + 1):
+                prod[top - k + j] -= c * mod[j]
+        cur = [c % p for c in prod[:k]]
+    assert cur == [1] + [0] * (k - 1)
+    assert [F._log[F._exp[i]] for i in range(n)] == list(range(n))
+    assert F._exp[n:] == F._exp[: n + 1]
+    assert F._exp[n // (p - 1)] < p

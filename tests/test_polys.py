@@ -9,6 +9,7 @@ import pytest
 
 from ffcheb.errors import (
     ConstantPolynomial,
+    InvariantViolated,
     NotIrreducible,
     PoleAtPrime,
     TooLarge,
@@ -18,7 +19,9 @@ from ffcheb.ffield import Field, make_field
 from ffcheb.polys import (
     Poly,
     RationalFn,
+    _edf,
     _frobenius,
+    _root_table,
     count_primes,
     enumerate_monic,
     enumerate_monic_raw,
@@ -33,7 +36,13 @@ from ffcheb.polys import (
     pscale,
     residue_field,
 )
-from oracles import brute_embedding, factored_root, rabin_primes, smallest_zero
+from oracles import (
+    brute_embedding,
+    factored_root,
+    orbit_root_table,
+    rabin_primes,
+    smallest_zero,
+)
 from test_ffield import CANONICAL_FIELDS
 
 F5 = make_field(5)
@@ -267,6 +276,21 @@ def test_factor_raw_recovers_products_of_sieved_primes(pk):
         assert dict(parts) == want and len(parts) == len(want)
 
 
+@pytest.mark.parametrize("pk", [(5, 1), (2, 2)], ids=["F5", "F4"])
+def test_edf_refuses_a_part_that_is_not_a_product_of_degree_d_primes(pk):
+    # the equal-degree splitter trusts its caller; given a prime quartic as a
+    # product of quadratics, or a cubic with d = 2, it must raise, not draw
+    # forever (over F_4 the trace splitter, over F_5 the norm one)
+    F = make_field(*pk)
+    rng = random.Random(0)
+    quartic = primes_of_degree(F, 4)[0]
+    with pytest.raises(InvariantViolated):
+        _edf(F, quartic, 2, rng)
+    cubic = pmul(F, pmul(F, (0, 1), (1, 1)), primes_of_degree(F, 1)[2])
+    with pytest.raises(InvariantViolated):
+        _edf(F, cubic, 2, rng)
+
+
 def test_count_primes_examples():
     assert count_primes(F5, 2) == 10
     assert count_primes(F5, 1) == 5
@@ -347,12 +371,15 @@ def test_residue_field_extension_base():
 
 
 @pytest.mark.parametrize(
-    "pk, top", [((2, 2), 3), ((5, 1), 4), ((3, 2), 3), ((13, 1), 3)], ids=["F4", "F5", "F9", "F13"]
+    "pk, top, sampled",
+    [((2, 2), 3, 0), ((5, 1), 4, 0), ((3, 2), 3, 0), ((13, 1), 3, 200)],
+    ids=["F4", "F5", "F9", "F13"],
 )
-def test_t_image_is_smallest_root(pk, top):
+def test_t_image_is_smallest_root(pk, top, sampled):
     # every prime of degree <= top: the root table's t_image against the
     # factoring route and a search over F_{q^d}, with an embedding that is
-    # found by search too
+    # found by search too; then a seeded sample of primes of degree top + 1
+    # against the factoring route alone
     F = make_field(*pk)
     for d in range(1, top + 1):
         big = make_field(F.p, F.k * d)
@@ -362,6 +389,28 @@ def test_t_image_is_smallest_root(pk, top):
             cs = tuple(embed(c) for c in Pcs)
             assert rf.t_image == factored_root(big, cs) == smallest_zero(big, cs)
         assert [rf.embed(a) for a in range(F.q)] == [embed(a) for a in range(F.q)]
+    if sampled:
+        big = make_field(F.p, F.k * (top + 1))
+        embed = brute_embedding(F, big)
+        rng = random.Random(f"t_image/{F.q}/{top + 1}")
+        for Pcs in rng.sample(primes_of_degree(F, top + 1), sampled):
+            rf = residue_field(Poly._raw(F, Pcs))
+            assert rf.t_image == factored_root(big, tuple(embed(c) for c in Pcs))
+
+
+@pytest.mark.parametrize(
+    "pk",
+    [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (13, 1), (5, 2), (7, 2)],
+    ids=["F2", "F3", "F4", "F5", "F9", "F13", "F25", "F49"],
+)
+def test_root_table_matches_orbit_walk(pk):
+    # every degree d with q^d <= 30,000: the table built from one orbit per
+    # class of the F_q^* action, against every Frobenius orbit multiplied out
+    base = make_field(*pk)
+    d = 1
+    while base.q**d <= 30000:
+        assert _root_table(base, d)[0] == orbit_root_table(base, d), d
+        d += 1
 
 
 def test_residue_field_refuses_reducible():

@@ -103,9 +103,9 @@ class Field:
 
         exp holds g^i for i < m = (q - 1)/(p - 1) by multiplication, then
         g^(i + m) = zeta * g^i with zeta = g^m in F_p^*, each read from a
-        digit table of zeta in two lookups; log is filled from exp in one
-        pass.  The same path serves k == 1 (m = 1) and p == 2 (m = q - 1,
-        no scaling).
+        digit table of zeta in two lookups (for k == 1, m = 1 and zeta = g
+        multiplies mod p); log is filled from exp in one pass.  p == 2 gives
+        m = q - 1 and no scaling.
 
         For k > 1 an element is multiplied as its list of k residue
         coefficients, in F_p[x]/(modulus), by the prime-field kernel of polys;
@@ -157,16 +157,20 @@ class Field:
         for i in range(1, m):
             exp[i] = enc(cur)
             cur = mul(cur, g)
-        # zeta v = lo[v % P] + lo[v // P] * P with P = p^(k // 2), where lo
-        # scales each digit of a number of k - k // 2 digits
         zeta = enc(cur)
-        lo = digit = [zeta * c % p for c in range(p)]
-        for _ in range(k - k // 2 - 1):
-            lo = [u * p + c for u in lo for c in digit]
-        P = p ** (k // 2)
-        for i in range(m, n):
-            v = exp[i - m]
-            exp[i] = lo[v % P] + lo[v // P] * P
+        if k == 1:  # a digit table of zeta would be as large as the field
+            for i in range(1, n):
+                exp[i] = exp[i - 1] * zeta % p
+        else:
+            # zeta v = lo[v % P] + lo[v // P] * P with P = p^(k // 2), where
+            # lo scales each digit of a number of k - k // 2 digits
+            lo = digit = [zeta * c % p for c in range(p)]
+            for _ in range(k - k // 2 - 1):
+                lo = [u * p + c for u in lo for c in digit]
+            P = p ** (k // 2)
+            for i in range(m, n):
+                v = exp[i - m]
+                exp[i] = lo[v % P] + lo[v // P] * P
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i

@@ -319,11 +319,55 @@ def _chunk_worker(args):
     return dict(counts), excluded
 
 
+#: the fewest interval elements per pool worker.  A pool of 2 on 2 CPUs
+#: breaks even on Kummer covers, the cheapest kind per element, somewhere
+#: from 15,625 to 36,481 elements as the host's load varies, loses below and
+#: wins above (medians of alternated pairs, one process against the pool:
+#: 0.17 s against 0.23 s at 24,389 elements, 0.82 s against 0.49 s at 59,049;
+#: the table is in CHANGES.md), so the costlier kinds stay on the safe side.
+_POOL_FLOOR = 2**14
+
+
+def _usable_cpus() -> int:
+    import os
+
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_counts(spec: Cover, I: IntervalSpec, seed: int, workers: int):
+    """`_count_range` over the whole interval, in a pool of `workers`
+    processes that each tally one contiguous chunk."""
+    import multiprocessing as mp
+
+    size = I.size()
+    text = dumps_cover(spec)
+    force = getattr(spec, "wild_override", False)
+    bounds = [size * i // workers for i in range(workers + 1)]
+    jobs = [
+        (text, force, I.f0.serialize(), I.m, bounds[i], bounds[i + 1], seed)
+        for i in range(workers)
+    ]
+    counts: Counter = Counter()
+    excluded = 0
+    with mp.Pool(workers) as pool:
+        for part, exc in pool.map(_chunk_worker, jobs):
+            counts.update(part)
+            excluded += exc
+    return counts, excluded
+
+
 def interval_lambda_counts(
     spec: Cover, I: IntervalSpec, seed: int = 0, threads: int = 1
 ) -> tuple[Counter, int]:
     """Multiset of factorization types over the interval, plus the number of
-    excluded polynomials (splitting covers only).  Cached per interval."""
+    excluded polynomials (splitting covers only).  Cached per interval.
+
+    `threads` is the most worker processes to use: the interval fans out to
+    min(threads, usable CPUs, size // _POOL_FLOOR) of them when that is at
+    least 2, and counts in this process otherwise.  The result does not
+    depend on the route."""
     if threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
     spec.require_validated()
@@ -338,22 +382,9 @@ def interval_lambda_counts(
     key = (I.f0.coeffs, I.m, seed)
     if key in cache:
         return cache[key]
-    if threads > 1 and size >= 4 * threads:
-        import multiprocessing as mp
-
-        text = dumps_cover(spec)
-        force = getattr(spec, "wild_override", False)
-        bounds = [size * i // threads for i in range(threads + 1)]
-        jobs = [
-            (text, force, I.f0.serialize(), I.m, bounds[i], bounds[i + 1], seed)
-            for i in range(threads)
-        ]
-        counts: Counter = Counter()
-        excluded = 0
-        with mp.Pool(threads) as pool:
-            for part, exc in pool.map(_chunk_worker, jobs):
-                counts.update(part)
-                excluded += exc
+    workers = min(threads, _usable_cpus(), size // _POOL_FLOOR)
+    if workers > 1:
+        counts, excluded = _pool_counts(spec, I, seed, workers)
     else:
         counts, excluded = _count_range(spec, I, 0, size, seed)
     cache[key] = (counts, excluded)

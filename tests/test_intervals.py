@@ -1,22 +1,28 @@
+import multiprocessing
+import os
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ffcheb.covers import artin_schreier, kummer, trivial
+from ffcheb import intervals
+from ffcheb.covers import artin_schreier, kummer, product, trivial
 from ffcheb.errors import IntervalDegenerate, NotAConjugacyClass, TooLarge
 from ffcheb.factypes import B, Delta, FactorizationType, OneC
 from ffcheb.ffield import make_field
 from ffcheb.intervals import (
     IntervalSpec,
     _count_range,
+    _pool_counts,
+    _usable_cpus,
     census,
     count_prime_frobenius_interval,
     interval_lambda_counts,
     interval_mean,
     parse_report,
 )
-from ffcheb.polys import Poly, count_primes, parse_poly
+from ffcheb.polys import Poly, RationalFn, count_primes, parse_poly
+from test_interval_sieve import s3_splitting
 
 F5 = make_field(5)
 
@@ -85,11 +91,108 @@ def test_chunk_order_independence(quad):
 
 
 def test_multiprocessing_matches_serial(quad):
+    # the fan-out itself: the interval is far below the pool's floor, so
+    # interval_lambda_counts would count it in this process
     spec = I("T^4", 1)
-    seq, _ = interval_lambda_counts(quad, spec, seed=0, threads=1)
+    assert _pool_counts(quad, spec, 0, 2) == _count_range(quad, spec, 0, 25, 0)
+
+
+POOL_KINDS = {  # kind: (cover, f0, m), built only when its test runs
+    "artin_schreier": lambda: (
+        artin_schreier(F5, RationalFn(Poly.one(F5), parse_poly(F5, "T^2"))), "T^4+T", 2
+    ),
+    "artin_schreier_wild": lambda: (
+        artin_schreier(make_field(2), "T", force_wild=True), "T^5", 3
+    ),
+    "product": lambda: (
+        product([
+            kummer(F5, 2, "T^3-3*T^2+2*T"),
+            artin_schreier(F5, RationalFn(Poly.one(F5), parse_poly(F5, "T-3"))),
+        ]),
+        "T^4+T",
+        2,
+    ),
+    "splitting": lambda: (s3_splitting(make_field(13)), "T^4+T^3", 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+def test_pool_matches_serial_on_every_kind(kind):
+    # each worker rebuilds the cover from its text, --force-wild included
+    cov, f0, m = POOL_KINDS[kind]()
+    spec = IntervalSpec(parse_poly(cov.ctx, f0), m)
+    got = _pool_counts(cov, spec, 0, 2)
+    assert got == _count_range(cov, spec, 0, spec.size(), 0)
+    if kind == "splitting":
+        assert got[1] > 0  # the workers' excluded counts are summed too
+
+
+def test_no_pool_below_the_floor(quad, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started below the floor")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    spec = I("T^4", 2)
+    assert spec.size() < 2 * intervals._POOL_FLOOR
     quad._interval_cache.clear()
-    par, _ = interval_lambda_counts(quad, spec, seed=0, threads=2)
-    assert seq == par
+    assert interval_lambda_counts(quad, spec, threads=2) == _count_range(quad, spec, 0, 125, 0)
+
+
+class _InlinePool:
+    """A multiprocessing.Pool stand-in that records the requested number of
+    processes, starts none and maps in this process."""
+
+    def __init__(self, requested, processes):
+        requested.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+@pytest.mark.parametrize(
+    "floor, cpus, expected",
+    [(4, 3, 3), (50, 64, 2), (100, 64, None), (4, 1, None)],  # 125 elements
+)
+def test_workers_capped_by_cpus_and_floor(quad, monkeypatch, floor, cpus, expected):
+    requested = []
+    monkeypatch.setattr(multiprocessing, "Pool", lambda n: _InlinePool(requested, n))
+    monkeypatch.setattr(intervals, "_POOL_FLOOR", floor)
+    monkeypatch.setattr(intervals, "_usable_cpus", lambda: cpus)
+    spec = I("T^4", 2)
+    quad._interval_cache.clear()
+    got = interval_lambda_counts(quad, spec, threads=1000)
+    assert requested == ([expected] if expected else [])
+    assert got == _count_range(quad, spec, 0, 125, 0)
+
+
+def test_usable_cpus():
+    assert 1 <= _usable_cpus() <= (os.cpu_count() or 1)
+
+
+def test_threads_above_the_floor(monkeypatch):
+    # the public route through a real 2-worker pool, on any host
+    requested = []
+    real_pool = multiprocessing.Pool
+
+    def pool(n):
+        requested.append(n)
+        return real_pool(n)
+
+    cov = kummer(make_field(191), 2, "T^3-3*T^2+2*T")
+    spec = IntervalSpec(parse_poly(cov.ctx, "T^3+T^2"), 1)
+    assert spec.size() >= 2 * intervals._POOL_FLOOR
+    one = interval_lambda_counts(cov, spec, threads=1)
+    cov._interval_cache.clear()
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    monkeypatch.setattr(intervals, "_usable_cpus", lambda: 2)
+    assert interval_lambda_counts(cov, spec, threads=2) == one
+    assert requested == [2]
 
 
 def test_interval_too_large():

@@ -4,7 +4,9 @@ Four kinds:
 
   * Kummer: y^d = D(T) with d | q-1; the group is Z/d identified through the
     canonical d-th root of unity, and Frobenius at P is the d-th power residue
-    symbol of D mod P.
+    symbol of D mod P, read by reciprocity from the factors Q of D: (P/Q)_d
+    is the norm Res(Q, P) of P mod Q to the power (q-1)/d, so its dlog is the
+    discrete log of Res(Q, P) mod d, with no power modulo P.
   * ArtinSchreier: y^p - y = D(T) with D a rational function in reduced form
     (no positive-degree monomial with exponent divisible by p, no pole order
     divisible by p); Frobenius is the absolute trace of D mod P, read by the
@@ -47,7 +49,7 @@ from .errors import (
     WildAtInfinity,
     ZeroPolynomial,
 )
-from .ffield import Field, FieldElement, prime_factors, root_of_unity
+from .ffield import Field, prime_factors
 from .groups import GroupTable, cycles_text, parse_cycles
 from .polys import (
     Coeffs,
@@ -70,6 +72,7 @@ from .polys import (
     ppowmod,
     primes_of_degree,
     residue_field,
+    resultant_raw,
 )
 
 
@@ -93,6 +96,7 @@ class Cover:
     """Shared plumbing for all cover kinds."""
 
     kind = "abstract"
+    wild_override = False  # validated under force_wild with a wild place at infinity
 
     def __init__(self, ctx: Field):
         self.ctx = ctx
@@ -294,9 +298,6 @@ class KummerCover(Cover):
         self.D = Poly._raw(ctx, cs)
         self.group = GroupTable.cyclic(d)
         self.group_provenance = "computed"
-        self.zeta: FieldElement | None = None
-        self._dlog: dict[int, int] = {}
-        self._value_dlog: list[int | None] = []
 
     def _validate(self, force_wild: bool) -> None:
         q = self.ctx.q
@@ -308,24 +309,16 @@ class KummerCover(Cover):
                     f"D is a constant times a {dp}-th power; the cover is not a "
                     f"geometric Z/{self.d} extension"
                 )
-        self.zeta = root_of_unity(self.ctx, self.d)
-        val, F = 1, self.ctx
-        self._dlog = {}
-        for j in range(self.d):
-            self._dlog[val] = j
-            val = F.mul(val, self.zeta.val)
-        e = (q - 1) // self.d
-        # dlog of the residue symbol v^((q-1)/d) of every nonzero value v
-        vdlog = self._value_dlog = [None] + [self._dlog[F.pow(a, e)] for a in range(1, q)]
+        # dlog of a residue symbol is a log read mod d: the symbol of a
+        # nonzero value v is v^((q-1)/d) = zeta^(log v), zeta = g^((q-1)/d)
+        F, d, log = self.ctx, self.d, self.ctx._log
         # artin_symbol's term per degree of f: the unit's symbol and the
         # reciprocity sign of every part Q^m, m * deg Q summing to deg D
-        unit_dlog = vdlog[self.unit]
-        sign_dlog = vdlog[F.neg(1)]
-        self._deg_dlog = (unit_dlog + self.D.degree * sign_dlog) % self.d
+        self._deg_dlog = (log[self.unit] + self.D.degree * log[F.neg(1)]) % d
         # per linear place T - a of D, of multiplicity m: the table that
         # takes f(a) to m times the dlog of its symbol
         self._lin_parts = tuple(
-            (F.neg(Q[0]), [None] + [m * k % self.d for k in vdlog[1:]])
+            (F.neg(Q[0]), [None] + [m * log[v] % d for v in range(1, q)])
             for Q, m in self.parts
             if len(Q) == 2
         )
@@ -335,25 +328,6 @@ class KummerCover(Cover):
     def _ramified_set(self) -> frozenset[Coeffs]:
         return frozenset(P for P, _ in self.parts)
 
-    def _symbol_of_value(self, v: int) -> int:
-        """dlog of the residue symbol of a nonzero base-field value."""
-        return self._value_dlog[v]
-
-    def _symbol(self, numer: Coeffs, P: Coeffs) -> int:
-        """dlog of (numer mod P)^((|P|-1)/d); numer must be coprime to P."""
-        F = self.ctx
-        dd = pdeg(P)
-        if dd == 1:
-            root = F.neg(P[0])
-            acc = 0
-            for c in reversed(numer):
-                acc = F.add(F.mul(acc, root), c)
-            return self._value_dlog[acc]
-        c = ppowmod(F, pmod(F, numer, P), (F.q**dd - 1) // self.d, P)
-        if pdeg(c) > 0:
-            raise InvariantViolated("power-residue symbol is not a constant")
-        return self._dlog[c[0]]
-
     def artin_symbol(self, f: Coeffs) -> int:
         """dlog of the d-th power residue symbol (D/f)_d, for any monic f
         coprime to D, without a power modulo f.
@@ -361,15 +335,16 @@ class KummerCover(Cover):
         d-th power reciprocity (Rosen, GTM 210, Thm 3.3) gives
         (Q/f)_d = (-1)^((q-1)/d * deg f * deg Q) (f/Q)_d for monic Q, and
         (u/f)_d = (u^((q-1)/d))^(deg f) for a constant u.  Every term is
-        multiplicative in f, so f need not be prime; at a prime P this is
-        `_symbol(D, P)`.  (f/Q)_d is a table lookup of f(a) when Q = T - a
-        (`_lin_parts`, which the interval sieve reads too) and a power modulo
-        the small fixed Q otherwise.
+        multiplicative in f, so f need not be prime.  (f/Q)_d is the norm of
+        f mod Q to the power (q-1)/d, and that norm is the resultant
+        Res(Q, f) (Rosen, ch. 3), so its dlog is log Res(Q, f) mod d: a table
+        lookup of f(a) when Q = T - a (`_lin_parts`, which the interval sieve
+        reads too) and one resultant against the small fixed Q otherwise.
         """
         if not f or f[-1] != 1:
             raise DomainError("the Artin symbol needs a monic polynomial")
         F = self.ctx
-        mul, add = F.mul, F.add
+        mul, add, log = F.mul, F.add, F._log
         k = (len(f) - 1) * self._deg_dlog
         for a, table in self._lin_parts:
             acc = 0
@@ -379,10 +354,10 @@ class KummerCover(Cover):
                 raise RamifiedPrime(f"{Poly._raw(F, f)!r} shares a factor with D")
             k += table[acc]
         for Q, m in self._nonlin_parts:
-            r = pmod(F, f, Q)
+            r = resultant_raw(F, Q, f)
             if not r:
                 raise RamifiedPrime(f"{Poly._raw(F, f)!r} shares a factor with D")
-            k += m * self._symbol(r, Q)
+            k += m * log[r]
         return k % self.d
 
     def _coset_raw(self, P: Coeffs) -> int:
@@ -396,11 +371,14 @@ class KummerCover(Cover):
             return self.group.class_to_omega[self.artin_symbol(P)]
         e = d // math.gcd(d, v)
         step = d // e
-        # unit part with uniformizer pi = P
+        # unit part with uniformizer pi = P, and the dlog of its symbol
         u = self.D.coeffs
         for _ in range(v):
             u = pdiv(F, u, P)
-        ku = self._symbol(u, P)
+        r = resultant_raw(F, P, u)
+        if not r:
+            raise InvariantViolated("the unit part of D is not coprime to P")
+        ku = F._log[r] % d
         coset = frozenset((ku + j * step) % d for j in range(e))
         return self.group.omega_of_coset(coset)
 
@@ -421,7 +399,7 @@ class KummerCover(Cover):
         degD = self.D.degree
         e = d // math.gcd(d, degD)
         step = d // e
-        kc = self._symbol_of_value(self.D.coeffs[-1])
+        kc = self.ctx._log[self.D.coeffs[-1]] % d
         coset = frozenset((kc + j * step) % d for j in range(e))
         return self.group.omega_of_coset(coset)
 
@@ -698,6 +676,10 @@ class ProductCover(Cover):
                 cond[v] = max(cond.get(v, 0), e)
         return cond
 
+    @property
+    def wild_override(self) -> bool:  # type: ignore[override]
+        return any(c.wild_override for c in self.components)
+
     def tame_at_infinity(self) -> bool:
         return all(c.tame_at_infinity() for c in self.components)
 
@@ -931,25 +913,24 @@ def dumps_cover(spec: Cover) -> str:
     """Canonical key-value serialization; round-trips bit-exactly."""
     ctx = spec.ctx
     lines = [f"kind = {spec.kind}", f"p = {ctx.p}", f"k = {ctx.k}"]
+
+    def cyclic(prefix: str, c: KummerCover | ArtinSchreierCover) -> None:
+        if isinstance(c, KummerCover):
+            lines.append(f"{prefix}d = {c.d}")
+            lines.append(f"{prefix}D = {c.D.serialize()}")
+        else:
+            lines.append(f"{prefix}D_num = {c.D.num.serialize()}")
+            lines.append(f"{prefix}D_den = {c.D.den.serialize()}")
+
     if isinstance(spec, TrivialCover):
         pass
-    elif isinstance(spec, KummerCover):
-        lines.append(f"d = {spec.d}")
-        lines.append(f"D = {spec.D.serialize()}")
-    elif isinstance(spec, ArtinSchreierCover):
-        lines.append(f"D_num = {spec.D.num.serialize()}")
-        lines.append(f"D_den = {spec.D.den.serialize()}")
+    elif isinstance(spec, (KummerCover, ArtinSchreierCover)):
+        cyclic("", spec)
     elif isinstance(spec, ProductCover):
         lines.append(f"components = {len(spec.components)}")
         for i, c in enumerate(spec.components, 1):
-            if isinstance(c, KummerCover):
-                lines.append(f"component.{i}.kind = kummer")
-                lines.append(f"component.{i}.d = {c.d}")
-                lines.append(f"component.{i}.D = {c.D.serialize()}")
-            else:
-                lines.append(f"component.{i}.kind = artin_schreier")
-                lines.append(f"component.{i}.D_num = {c.D.num.serialize()}")
-                lines.append(f"component.{i}.D_den = {c.D.den.serialize()}")
+            lines.append(f"component.{i}.kind = {c.kind}")
+            cyclic(f"component.{i}.", c)
     elif isinstance(spec, SplittingCover):
         lines.append(f"y_degree = {spec.y_degree}")
         for j, c in enumerate(spec.y_coeffs):

@@ -343,10 +343,9 @@ def _pool_counts(spec: Cover, I: IntervalSpec, seed: int, workers: int):
 
     size = I.size()
     text = dumps_cover(spec)
-    force = getattr(spec, "wild_override", False)
     bounds = [size * i // workers for i in range(workers + 1)]
     jobs = [
-        (text, force, I.f0.serialize(), I.m, bounds[i], bounds[i + 1], seed)
+        (text, spec.wild_override, I.f0.serialize(), I.m, bounds[i], bounds[i + 1], seed)
         for i in range(workers)
     ]
     counts: Counter = Counter()
@@ -482,7 +481,7 @@ def _regime_flags(spec: Cover, I: IntervalSpec) -> dict:
     return {
         "m_in_theorem_range": lo <= I.m < I.n,
         "tame_at_infinity": spec.tame_at_infinity(),
-        "wild_override": bool(getattr(spec, "wild_override", False)),
+        "wild_override": spec.wild_override,
     }
 
 

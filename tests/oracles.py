@@ -1,12 +1,13 @@
 """Brute-force Frobenius and prime lists, kept for the tests.
 
 `oracle_class` reads Frobenius at an unramified prime P from the routes that
-raise to powers modulo P: the power-residue symbol `KummerCover._symbol`
-(D^((|P|-1)/d) mod P) and the per-prime trace `as_trace` (sum of the p-th
-power iterates of D mod P), componentwise for products.  `coset_class` reads
-Frobenius by d-th power reciprocity (Kummer) and by the residue theorem at
-the poles of D (Artin-Schreier) instead, so a tally built from
-`oracle_class` checks those routes rather than repeating them.
+raise to powers modulo P: the power-residue symbol `power_residue`
+(D^((|P|-1)/d) mod P, read as a power of `root_of_unity`) and the per-prime
+trace `as_trace` (sum of the p-th power iterates of D mod P), componentwise
+for products.  `coset_class` reads Frobenius by d-th power reciprocity and
+the norm as a resultant (Kummer) and by the residue theorem at the poles of
+D (Artin-Schreier) instead, so a tally built from `oracle_class` checks
+those routes rather than repeating them.
 
 `dedekind_series` and `b_direct_sum` sum r and b over every monic of a
 degree, one `direct_r`/`direct_b` factorization each; `zeta` reads those
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 from ffcheb.covers import ArtinSchreierCover, KummerCover, ProductCover
 from ffcheb.factypes import direct_b, direct_r
-from ffcheb.ffield import make_field
+from ffcheb.ffield import make_field, root_of_unity
 from ffcheb.polys import (
     enumerate_monic,
     enumerate_monic_raw,
@@ -68,10 +69,25 @@ def as_trace(cov, P):
     return t
 
 
+def power_residue(cov, numer, P):
+    """dlog of the d-th power residue symbol (numer/P)_d of a Kummer cover,
+    for a prime P and numer coprime to P: numer mod P to the power
+    (|P| - 1)/d, which is a power of the cover's root of unity."""
+    F, d = cov.ctx, cov.d
+    c = ppowmod(F, pmod(F, numer, P), (F.q ** pdeg(P) - 1) // d, P)
+    assert pdeg(c) == 0, "the power-residue symbol is not a constant"
+    zeta, val = root_of_unity(F, d).val, 1
+    for j in range(d):
+        if val == c[0]:
+            return j
+        val = F.mul(val, zeta)
+    raise AssertionError("the power-residue symbol is not a d-th root of unity")
+
+
 def oracle_element(cov, P):
     """Group element of Frobenius at the unramified prime P (coefficients)."""
     if isinstance(cov, KummerCover):
-        return cov._symbol(cov.D.coeffs, P)
+        return power_residue(cov, cov.D.coeffs, P)
     if isinstance(cov, ArtinSchreierCover):
         return as_trace(cov, P)
     if isinstance(cov, ProductCover):

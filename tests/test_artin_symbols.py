@@ -1,17 +1,22 @@
 """The Frobenius routes without a power modulo P, against the powmod oracles.
 
-`KummerCover.artin_symbol` reads (D/f)_d by d-th power reciprocity and
-`ArtinSchreierCover.artin_symbol` reads the trace of D by the residue theorem
-at its poles; `coset_class` runs both at unramified primes.  Here they must
-agree with `KummerCover._symbol` and the per-prime trace `oracles.as_trace`
-on every unramified prime of small degree, on composite f through the
-factorization, and inside product covers.  The Artin-Schreier data have
-poles of order 1, 2 and 3, at linear, quadratic and cubic primes.
-The Kummer data carry a nonlinear factor, a non-monic unit
-and, for d > 2, a part of multiplicity 2, and have odd degree, so the unit
-term and the sign term (-1)^((q-1)/d * deg f * deg Q) both matter.
+`KummerCover.artin_symbol` reads (D/f)_d by d-th power reciprocity, with
+the norm of f modulo each nonlinear factor Q of D taken as the resultant
+Res(Q, f), and `ArtinSchreierCover.artin_symbol` reads the trace of D by the
+residue theorem at its poles; `coset_class` runs both at unramified primes
+and the resultant again at ramified Kummer primes.  Here they must agree
+with the power-residue symbol `oracles.power_residue` and the per-prime
+trace `oracles.as_trace` on every unramified prime of small degree, on
+composite f through the factorization, at ramified primes, and inside
+product covers.  The Artin-Schreier data have poles of order 1, 2 and 3, at
+linear, quadratic and cubic primes.
+The Kummer data carry a nonlinear factor (a cubic one, of odd degree, on
+some fields), a non-monic unit and, for d > 2, a linear and a nonlinear part
+of multiplicity 2, and have odd degree, so the unit term and the sign term
+(-1)^((q-1)/d * deg f * deg Q) both matter.
 """
 
+import math
 import random
 
 import pytest
@@ -25,16 +30,18 @@ from ffcheb.polys import (
     factor_raw,
     is_irreducible_raw,
     parse_poly,
+    pdiv,
     pgcd,
     pmul,
     primes_of_degree,
 )
 
-from oracles import as_trace, oracle_element
+from oracles import as_trace, oracle_element, power_residue
 
 FIELDS = {4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2)}
 KUMMER = [(4, 3), (5, 2), (5, 4), (7, 2), (7, 3), (7, 6), (9, 2), (9, 4),
           (13, 2), (13, 3), (13, 4), (13, 6), (25, 2), (25, 3), (25, 4), (25, 6)]
+CUBIC_FIELDS = (4, 7, 13, 25)  # the Kummer data there carry a cubic factor
 
 
 def max_degree(q):
@@ -50,14 +57,25 @@ def quadratic_prime(F):
     )
 
 
+def cubic_prime(F):
+    """An irreducible monic cubic, found without listing them all."""
+    return next(
+        (a, b, c, 1) for c in range(F.q) for b in range(F.q) for a in range(F.q)
+        if is_irreducible_raw(F, (a, b, c, 1))
+    )
+
+
 def kummer_datum(F, d):
-    """u (T - a)^m Q (T - b) [(T - c)] of odd degree: Q an irreducible
-    quadratic, u a generator of F_q^* (no d-th power), m = 2 when d > 2."""
-    Q = quadratic_prime(F)
+    """u (T - a)^m Q^m [C] (T - b) [(T - c)] of odd degree: Q an irreducible
+    quadratic, C an irreducible cubic where q is in CUBIC_FIELDS, u a
+    generator of F_q^* (no d-th power), m = 2 when d > 2."""
     a, b, c = (F.neg(r) for r in range(3))
     m = 2 if d > 2 else 1
+    parts = [(a, 1), quadratic_prime(F)] * m + [(b, 1)]
+    if F.q in CUBIC_FIELDS:
+        parts.append(cubic_prime(F))
     cs = (F.generator,)
-    for part in [(a, 1)] * m + [Q, (b, 1)]:
+    for part in parts:
         cs = pmul(F, cs, part)
     if (len(cs) - 1) % 2 == 0:
         cs = pmul(F, cs, (c, 1))
@@ -70,12 +88,15 @@ def test_kummer_datum_shape():
         F = make_field(*FIELDS[q])
         cov = kummer(F, d, kummer_datum(F, d))
         assert cov.unit != 1
-        assert any(len(Q) > 2 for Q, _ in cov.parts)
         assert cov.D.degree % 2 == 1
+        degrees = {(len(Q) - 1, m) for Q, m in cov.parts}
+        assert (2, 2 if d > 2 else 1) in degrees
+        assert ((3, 1) in degrees) == (q in CUBIC_FIELDS)
         if d > 2:
-            assert max(m for _, m in cov.parts) == 2
-    # the sign term is nontrivial somewhere: (q-1)/d odd
-    assert any(((q - 1) // d) % 2 for q, d in KUMMER)
+            assert (1, 2) in degrees
+    # the sign term is nontrivial somewhere, (q-1)/d odd, and there too at
+    # a nonlinear factor of odd degree
+    assert any(((q - 1) // d) % 2 and q in CUBIC_FIELDS for q, d in KUMMER)
 
 
 @pytest.mark.parametrize("q, d", KUMMER)
@@ -87,7 +108,7 @@ def test_kummer_primes_vs_powmod_symbol(q, d):
         for P in primes_of_degree(F, n):
             if P in ram:
                 continue
-            assert cov.artin_symbol(P) == cov._symbol(cov.D.coeffs, P), (q, d, P)
+            assert cov.artin_symbol(P) == power_residue(cov, cov.D.coeffs, P), (q, d, P)
 
 
 @pytest.mark.parametrize("q, d", [(q, d) for q, d in KUMMER if max_degree(q) < 4])
@@ -100,7 +121,7 @@ def test_kummer_degree_four_sample(q, d):
     while seen < 60:
         P = tuple(rng.randrange(q) for _ in range(4)) + (1,)
         if is_irreducible_raw(F, P):
-            assert cov.artin_symbol(P) == cov._symbol(cov.D.coeffs, P), (q, d, P)
+            assert cov.artin_symbol(P) == power_residue(cov, cov.D.coeffs, P), (q, d, P)
             seen += 1
 
 
@@ -118,9 +139,34 @@ def test_kummer_composite_vs_factorization(q, d):
             with pytest.raises(RamifiedPrime):
                 cov.artin_symbol(f)
             continue
-        want = sum(e * cov._symbol(cov.D.coeffs, P) for P, e in parts) % d
+        want = sum(e * power_residue(cov, cov.D.coeffs, P) for P, e in parts) % d
         assert cov.artin_symbol(f) == want, (q, d, f)
         checked += 1
+
+
+def test_kummer_ramified_cosets_vs_power_residue():
+    # at a ramified prime P of multiplicity v the Frobenius coset is k + <v>,
+    # k the symbol of the unit part u = D / P^v.  The coset sees k only mod
+    # gcd(v, d), so v = 2 with d even carries the information.  Two cases
+    # must occur: deg P >= 2, and deg P * deg u odd with log(-1) not a
+    # multiple of gcd(v, d), where Res(P, u) and Res(u, P) read differently
+    wide = signed = 0
+    for q, d in KUMMER:
+        F = make_field(*FIELDS[q])
+        cov = kummer(F, d, kummer_datum(F, d))
+        minus_one = power_residue(cov, (F.neg(1),), (0, 1))
+        for P, v in cov.parts:
+            u = cov.D.coeffs
+            for _ in range(v):
+                u = pdiv(F, u, P)
+            k = power_residue(cov, u, P)
+            step = math.gcd(v, d)
+            coset = frozenset((k + j * step) % d for j in range(d // step))
+            assert cov.coset_class(P) == cov.group.omega_of_coset(coset), (q, d, P)
+            if step > 1:
+                wide += len(P) > 2
+                signed += (len(P) - 1) * (len(u) - 1) % 2 and minus_one % step != 0
+    assert wide and signed
 
 
 AS_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)]
@@ -197,14 +243,6 @@ def test_artin_schreier_pole_of_order_three(p, k):
     assert sorted((m, len(P) - 1) for P, m in cov._poles) == [(1, 1), (3, 1)]
     check_as_primes(cov)
     check_as_composites(cov, random.Random(p * 100 + k), 40)
-
-
-def cubic_prime(F):
-    """An irreducible monic cubic, found without listing them all."""
-    return next(
-        (a, b, c, 1) for c in range(F.q) for b in range(F.q) for a in range(F.q)
-        if is_irreducible_raw(F, (a, b, c, 1))
-    )
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (7, 1), (7, 2)])

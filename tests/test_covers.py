@@ -43,7 +43,14 @@ from ffcheb.polys import (
     primes_of_degree,
 )
 from ffcheb.zeta import count_prime_frobenius_global
-from oracles import brute_embedding, count_zeros, dedekind_series, oracle_class, smallest_zero
+from oracles import (
+    brute_embedding,
+    count_zeros,
+    dedekind_series,
+    oracle_class,
+    power_residue,
+    smallest_zero,
+)
 
 F5 = make_field(5)
 F3 = make_field(3)
@@ -242,8 +249,8 @@ def test_ramified_coset_uniformizer_invariance():
     step = d // e
     for c in range(2, 5):
         # unit part w.r.t. pi = c*P is u * c^(-v)
-        ku = cov._symbol(u, P)
-        kc = cov._symbol_of_value(c)
+        ku = power_residue(cov, u, P)
+        kc = power_residue(cov, (c,), P)  # the symbol of the value c
         ku2 = (ku - v * kc) % d
         coset = frozenset((ku2 + j * step) % d for j in range(e))
         assert cov.group.omega_of_coset(coset) == base_omega

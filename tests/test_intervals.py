@@ -112,6 +112,14 @@ POOL_KINDS = {  # kind: (cover, f0, m), built only when its test runs
         "T^4+T",
         2,
     ),
+    "product_wild": lambda: (
+        product([
+            kummer(make_field(5, 2), 2, "T^3+T+1"),
+            artin_schreier(make_field(5, 2), "T", force_wild=True),
+        ]),
+        "T^3",
+        2,
+    ),
     "splitting": lambda: (s3_splitting(make_field(13)), "T^4+T^3", 1),
 }
 
@@ -256,3 +264,13 @@ def test_wild_override_negative_control():
     c1 = count_prime_frobenius_interval(cov, 1, spec)
     assert c0 == 0 or c1 == 0
     assert c0 + c1 > 0
+
+
+
+def test_forced_wild_product_report():
+    # a product is wild when a component was forced wild, and says so
+    cov, f0, m = POOL_KINDS["product_wild"]()
+    rep = interval_mean(cov, OneC(0), IntervalSpec(parse_poly(cov.ctx, f0), m))
+    assert rep.regime["wild_override"] is True
+    assert rep.regime["tame_at_infinity"] is False
+    assert POOL_KINDS["product"]()[0].wild_override is False

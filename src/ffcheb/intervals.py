@@ -2,9 +2,10 @@
 against wreath-product predictions.
 
 An interval I(f0, m) is tallied exhaustively (never sampled), one block of
-consecutive elements at a time: each block is sieved by the primes of small
-degree, and what is left of an element is one prime, or rarely a larger
-cofactor for factor_raw.  On an abelian cover that prime's class is read from
+q^t consecutive elements at a time, t as large as 2^14 elements allow: each
+block is sieved by the primes of degree at most s = min(n // 2, m + 1), and
+what is left of an element is one prime, or rarely a larger cofactor for
+factor_raw.  On an abelian cover that prime's class is read from
 Artin symbols, Art(f) times Art(Q)^(-e) over the small prime powers found,
 with no division.  Only where the symbol does not give it is the cofactor
 divided out and classified on its own: on splitting covers (Frobenius is a
@@ -39,7 +40,6 @@ from .polys import (
     Poly,
     _coset_indices,
     _coset_rows,
-    _index,
     factor_raw,
     pdeg,
     pdiv,
@@ -50,7 +50,7 @@ from .polys import (
     pneg,
     primes_of_degree,
 )
-from .wreath import enumerate_class_types, mean_class_function
+from .wreath import class_type_table, mean_class_function
 
 #: fixed normalization note carried by every norm-related report
 NORM_NOTE = (
@@ -87,17 +87,25 @@ class IntervalSpec:
 #
 # Index idx of the interval stands for f0 + g, where the base-q digits of
 # idx, lowest first, are the coefficients of g (field encodings, added to
-# those of f0).  With s = min(n // 2, m + 1), the q^s consecutive indices of
-# block b share their top m + 1 - s digits, so the block is I(f_b, s - 1):
-# f_b + h with deg h < s, h read off the low s digits.
+# those of f0).  Two quantities shape the sieve:
+#
+# - the sieve degree s = min(n // 2, m + 1): the primes of degree <= s are
+#   the small primes, sieved out of every element;
+# - the block dimension t, the largest with s <= t <= m + 1 and
+#   q^t <= _POOL_FLOOR (t = s when already q^s is larger).  The q^t
+#   consecutive indices of block b share their top m + 1 - t digits, so the
+#   block is I(f_b, t - 1): f_b + h with deg h < t, h read off the low t
+#   digits.  An interval of up to _POOL_FLOOR elements is one block.
 #
 # "Q^e divides f_b + h" is the affine condition h = -f_b mod Q^e.  The sieve
-# solves it once per block for each monic prime Q of degree <= s and each
-# power with e * deg Q <= n, and records which elements each power hits;
-# polys._coset_indices lists them, as it does for the prime sieve.  f_b is
-# f0 plus the block number's digits at T^s .. T^m, so -f_b mod Q^e is
-# -(f0 mod Q^e) minus those digits times T^j mod Q^e: vectors stored once per
-# interval, with the coset rows of Q^e, so a block divides nothing.
+# solves it once per block for each small prime Q and each power with
+# e * deg Q <= n, and records which elements each power hits (q^(t - deg Q^e)
+# of them when deg Q^e <= t, at most one otherwise); polys._coset_indices
+# lists them, as it does for the prime sieve.  f_b is f0 plus the block
+# number's digits at T^t .. T^m, so -f_b mod Q^e is -(f0 mod Q^e) minus those
+# digits times T^j mod Q^e: vectors stored once per interval, with the coset
+# rows of Q^e, so a block divides nothing.  The larger t, the fewer blocks,
+# and each small prime power is solved that many fewer times.
 #
 # What is left of an element after its small primes is prime whenever its
 # degree is at most 2s + 1 (a composite would have a factor of degree <= s).
@@ -105,7 +113,7 @@ class IntervalSpec:
 # multiplicative on monics prime to the ramified primes (reciprocity for
 # Kummer, additivity of the trace for Artin-Schreier), so it is Art(f) times
 # Art(Q)^(-e) over the hits.  A Kummer cover whose places are all linear
-# reads Art(f) from per-interval tables of h(a) over deg h < s, one per place
+# reads Art(f) from per-interval tables of h(a) over deg h < t, one per place
 # T - a; the other abelian kinds call artin_symbol on the whole element.
 # The cofactor is divided out and classified on its own only where that
 # does not hold: on splitting covers, on elements with a ramified factor
@@ -113,19 +121,34 @@ class IntervalSpec:
 # cofactors of degree > 2s + 1, possible only when m + 1 < n // 2, which go
 # to factor_raw.
 
+#: the most elements of one sieve block, and the fewest interval elements per
+#: pool worker, so that a pool chunk is never smaller than a block.  A pool
+#: of 2 on 2 CPUs loses on Kummer covers, the cheapest kind per element, at
+#: 24,389 elements (0.17 s in one process against 0.23 s) and wins at 59,049,
+#: F_9 I(T^6, 4) in 9 blocks of 6,561 (0.59 s against 0.45 s, ahead in 10 of
+#: 13 pairs): medians of alternated pairs, tables in CHANGES.md.  The costlier
+#: kinds gain more per element, so the floor is on the safe side for them.
+_POOL_FLOOR = 2**14
+
 
 class _BlockSieve:
-    """Small-prime data of one interval, shared by the blocks of a range."""
+    """Small-prime data of one interval, shared by the blocks of a range:
+    primes of degree <= s, blocks of q^t elements."""
 
     def __init__(self, spec: Cover, I: IntervalSpec):
         F = self.F = spec.ctx
         n = self.n = I.n
+        q = F.q
         s = self.s = min(n // 2, I.m + 1)
+        t = s
+        while t <= I.m and q ** (t + 1) <= _POOL_FLOOR:
+            t += 1
+        self.t = t
         self.spec = spec
         self.base = list(I.f0.coeffs)
         self.excludes = isinstance(spec, SplittingCover)
         self.ramified = spec._ramified_set()
-        self.tops = range(s, I.m + 1)  # the block digits
+        self.tops = range(t, I.m + 1)  # the block digits
         # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n, and the
         # `_solver`s of the powers some block has reached: a chain of powers
         # stops at the first Q^e with no hit, so the rest are built on demand)
@@ -143,12 +166,13 @@ class _BlockSieve:
         self.hit_data: list[tuple | None] = [None] * len(self.small)
         self.places = None
         if isinstance(spec, KummerCover) and not spec._nonlin_parts:
-            add, mul, q = F.add, F.mul, F.q
+            add, mul = F.add, F.mul
             self.places = []
             for a, table in spec._lin_parts:
-                vals, power = [0], 1  # h(a) over the h of degree < s, by index
-                for _ in range(s):
-                    vals = [add(v, mul(c, power)) for c in range(q) for v in vals]
+                vals, power = [0], 1  # h(a) over the h of degree < t, by index
+                for _ in range(t):
+                    scaled = [mul(c, power) for c in range(q)]
+                    vals = [add(v, x) for x in scaled for v in vals]
                     power = mul(power, a)
                 self.places.append((a, table, array("i", vals)))
 
@@ -161,7 +185,7 @@ class _BlockSieve:
         for a in [self.base] + [(0,) * j + (1,) for j in self.tops]:
             r = pneg(F, pmod(F, a, M))
             res.append(list(r) + [0] * (D - len(r)))
-        return D, res[0], res[1:], _coset_rows(F, M, max(self.s - D, 0))
+        return D, res[0], res[1:], _coset_rows(F, M, max(self.t - D, 0))
 
     def _hit(self, qi: int) -> tuple:
         Q, d, pows, _ = self.small[qi]
@@ -177,7 +201,7 @@ class _BlockSieve:
         """f_b + h, h the element of local index i."""
         q, add = self.F.q, self.F.add
         cs = list(fb)
-        for k in range(self.s):
+        for k in range(self.t):
             i, digit = divmod(i, q)
             if digit:
                 cs[k] = add(cs[k], digit)
@@ -186,17 +210,17 @@ class _BlockSieve:
     def tally(self, b: int, lo: int, hi: int, seed: int, counts: Counter) -> int:
         """Add the types of block b's local indices [lo, hi) to counts;
         return how many of them a splitting cover excludes."""
-        F, s, n = self.F, self.s, self.n
+        F, s, t, n = self.F, self.s, self.t, self.n
         q = F.q
-        size = q**s
+        size = q**t
         add, mul = F.add, F.mul
-        fb = list(self.base)  # f_b: the block number's digits from T^s up
+        fb = list(self.base)  # f_b: the block number's digits from T^t up
         digits = []  # (block digit, its value) where nonzero
         k = 0
         while b:
             b, digit = divmod(b, q)
             if digit:
-                fb[s + k] = add(fb[s + k], digit)
+                fb[t + k] = add(fb[t + k], digit)
                 digits.append((k, digit))
             k += 1
 
@@ -218,7 +242,7 @@ class _BlockSieve:
                     solvers.append(self._solver(Qe))
                 D, r0, rows, crows = solvers[e - 1]
                 r = residue(r0, rows)
-                if any(r[s:]):
+                if any(r[t:]):
                     break  # no element is divisible by Q^e, nor by Q^(e+1)
                 sols = _coset_indices(F, r, D, crows)
                 if ram:
@@ -235,10 +259,11 @@ class _BlockSieve:
                         head[i] = len(hq) - 1
                     else:  # Q's entry is the element's newest
                         he[head[i]] = e
-        for D, r0, rows, _ in self.big_ramified:
+        for D, r0, rows, crows in self.big_ramified:
             r = residue(r0, rows)
-            if not any(r[s:]):
-                bad[_index(r, q)] = 1
+            if not any(r[t:]):  # q^(t - deg P) elements when deg P < t, else one
+                for i in _coset_indices(F, r, D, crows):
+                    bad[i] = 1
 
         # classify each element from its hits and its cofactor
         spec = self.spec
@@ -300,7 +325,7 @@ class _BlockSieve:
 def _count_range(spec: Cover, I: IntervalSpec, start: int, stop: int, seed: int):
     """Tally factorization types for interval indices [start, stop)."""
     sieve = _BlockSieve(spec, I)
-    size = spec.ctx.q**sieve.s
+    size = spec.ctx.q**sieve.t
     counts: Counter = Counter()
     excluded = 0
     for b in range(start // size, -(-stop // size)):
@@ -317,15 +342,6 @@ def _chunk_worker(args):
     I = IntervalSpec(f0, m)
     counts, excluded = _count_range(spec, I, start, stop, seed)
     return dict(counts), excluded
-
-
-#: the fewest interval elements per pool worker.  A pool of 2 on 2 CPUs
-#: breaks even on Kummer covers, the cheapest kind per element, somewhere
-#: from 15,625 to 36,481 elements as the host's load varies, loses below and
-#: wins above (medians of alternated pairs, one process against the pool:
-#: 0.17 s against 0.23 s at 24,389 elements, 0.82 s against 0.49 s at 59,049;
-#: the table is in CHANGES.md), so the costlier kinds stay on the safe side.
-_POOL_FLOOR = 2**14
 
 
 def _usable_cpus() -> int:
@@ -573,8 +589,8 @@ def census(
     n = I.n
     order = G.n**n * math.factorial(n)
     predicted: dict[FactorizationType, Fraction] = {}
-    for ct, sz in enumerate_class_types(G, n):
-        predicted[ct.to_lambda(G)] = Fraction(sz, order)
+    for lam, sz in class_type_table(G, n):
+        predicted[lam] = Fraction(sz, order)
     empirical: dict[FactorizationType, Fraction] = {}
     nsf_count = 0
     for entries, cnt in counts.items():

@@ -213,6 +213,27 @@ def enumerate_class_types(group: GroupTable, n: int) -> list[tuple[ClassType, in
     return out
 
 
+def class_type_table(group: GroupTable, n: int) -> tuple[tuple[FactorizationType, int], ...]:
+    """(factorization type, class size) over the classes of G wr S_n, in the
+    order of enumerate_class_types; built once per (G, n) and kept on the
+    group, for every mean and census over it."""
+    tables = getattr(group, "_class_type_tables", None)
+    if tables is None:
+        tables = group._class_type_tables = {}
+    table = tables.get(n)
+    if table is None:
+        # thousands of types share a few dozen (entry, count) pairs: keeping
+        # one object per pair keeps the table near a third of its size
+        shared: dict = {}
+        rows = []
+        for ct, size in enumerate_class_types(group, n):
+            lam = ct.to_lambda(group)
+            lam.entries = tuple(shared.setdefault(x, x) for x in lam.entries)
+            rows.append((lam, size))
+        table = tables[n] = tuple(rows)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # means
 
@@ -220,8 +241,8 @@ def enumerate_class_types(group: GroupTable, n: int) -> list[tuple[ClassType, in
 def mean_class_function(fn: ArithFnSpec, group: GroupTable, n: int) -> Fraction:
     """Exact average over G wr S_n via the class-type table."""
     total = Fraction(0)
-    for ct, size in enumerate_class_types(group, n):
-        v = evaluate(fn, ct.to_lambda(group), group)
+    for lam, size in class_type_table(group, n):
+        v = evaluate(fn, lam, group)
         if v:
             total += v * size
     return total / (group.n**n * math.factorial(n))

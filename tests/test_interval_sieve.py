@@ -1,16 +1,20 @@
 """The interval sieve against a factor-every-element oracle.
 
-`_count_range` sieves each block of the interval by its small primes; the
-oracle below rebuilds every element from its index, factors it with
-Cantor-Zassenhaus through `lambda_entries_raw`, and excludes it for a
+`_count_range` sieves each block of the interval by its small primes (degree
+<= s); the oracle below rebuilds every element from its index, factors it
+with Cantor-Zassenhaus through `lambda_entries_raw`, and excludes it for a
 splitting cover when it shares a factor with a ramified prime (`pgcd`).
-Tallies and excluded counts must agree exactly.
+Tallies and excluded counts must agree exactly, for each of three block
+layouts (`BOUNDS`): blocks of q^s; blocks of at most 125 elements, so that
+s < t < m + 1 on the larger intervals; and the default bound, under which
+every interval here is one block.
 """
 
 from collections import Counter
 
 import pytest
 
+from ffcheb import intervals
 from ffcheb.covers import (
     SplittingCover,
     artin_schreier,
@@ -26,6 +30,10 @@ from ffcheb.intervals import IntervalSpec, _count_range
 from ffcheb.polys import Poly, RationalFn, parse_poly, pdeg, pgcd
 
 QUAD_D = "T^3-3*T^2+2*T"
+
+#: block bounds: 1 keeps t = s; 125 = 5^3 gives F_5, I(T^4 + ..., 3) five
+#: blocks of 125 (s = 2 < t = 3 < m + 1); the last is the default
+BOUNDS = (1, 125, intervals._POOL_FLOOR)
 
 
 def oracle(spec, I, start, stop, seed=0):
@@ -50,8 +58,12 @@ def oracle(spec, I, start, stop, seed=0):
 def check(spec, f0, m, ranges=None, seed=0):
     I = IntervalSpec(parse_poly(spec.ctx, f0), m)
     for start, stop in ranges or [(0, I.size())]:
-        got = _count_range(spec, I, start, stop, seed)
-        assert got == oracle(spec, I, start, stop, seed), (f0, m, start, stop)
+        want = oracle(spec, I, start, stop, seed)
+        for bound in BOUNDS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(intervals, "_POOL_FLOOR", bound)
+                got = _count_range(spec, I, start, stop, seed)
+            assert got == want, (f0, m, start, stop, bound)
     return got
 
 
@@ -87,13 +99,13 @@ def s3_splitting(ctx):
 @pytest.mark.parametrize(
     "q, f0, m",
     [
-        (5, "T^4", 2),  # m + 1 > n // 2: blocks of q^2
-        (9, "T^4+T", 1),  # m + 1 = n // 2: a single block
+        (5, "T^4", 2),  # m + 1 > n // 2: s = 2, t = 3 unless the bound is q^s
+        (9, "T^4+T", 1),  # m + 1 = n // 2: s = t = 2, a single block
         (13, "T^4+2*T^3+5", 1),
         (25, "T^4+T^2", 1),
         (5, "T^5+3*T^2+1", 1),  # odd n
         (5, "T^4+T^3+2", 0),  # s = 1: quartic cofactors go through factor_raw
-        (5, "T^4+2*T^3+T^2+3", 3),  # two block digits, at T^2 and T^3
+        (5, "T^4+2*T^3+T^2+3", 3),  # s = 2: block digits at T^2 and T^3, or T^3 alone
     ],
 )
 def test_quadratic_kummer(q, f0, m):
@@ -103,7 +115,8 @@ def test_quadratic_kummer(q, f0, m):
 
 def test_quadratic_kummer_q49_m1():
     cov = kummer(make_field(7, 2), 2, QUAD_D)
-    # the interval is one block of 49^2; compare a stretch that cuts it
+    # s = t = 2 under every bound: the interval is one block of 49^2;
+    # compare a stretch inside it
     check(cov, "T^4+3*T^3", 1, ranges=[(700, 1400)])
 
 
@@ -133,6 +146,9 @@ def test_kummer_ramified_prime_beyond_the_sieve():
     cov = kummer(F5, 2, "T^4+T^3+T^2+3")
     assert max(pdeg(P.coeffs) for P in cov.ramified_primes()) == 3
     check(cov, "T^4", 2)
+    # I(T^5, 3): s = 2 < deg 3 < t = 4 under the default bound, so the cubic
+    # divides q^(t - 3) = 5 elements of the one block, not one
+    check(cov, "T^5", 3)
 
 
 def test_artin_schreier_tame_and_wild_control():
@@ -187,6 +203,8 @@ def test_splitting_excludes_ramified_multiples():
 
 
 def test_chunks_that_cut_blocks():
+    # the ranges cut blocks of q^s = 25; under the default bound they cut the
+    # one block of 125
     F5 = make_field(5)
     cov = kummer(F5, 2, QUAD_D)
     check(cov, "T^4", 2, ranges=[(0, 17), (17, 40), (40, 41), (41, 125)])

@@ -8,7 +8,7 @@ import pytest
 from ffcheb import intervals
 from ffcheb.covers import artin_schreier, kummer, product, trivial
 from ffcheb.errors import IntervalDegenerate, NotAConjugacyClass, TooLarge
-from ffcheb.factypes import B, Delta, FactorizationType, OneC
+from ffcheb.factypes import B, Delta, FactorizationType, OneC, R
 from ffcheb.ffield import make_field
 from ffcheb.intervals import (
     IntervalSpec,
@@ -22,6 +22,7 @@ from ffcheb.intervals import (
     parse_report,
 )
 from ffcheb.polys import Poly, RationalFn, count_primes, parse_poly
+from ffcheb.wreath import closed_form_mean, mean_class_function
 from test_interval_sieve import s3_splitting
 
 F5 = make_field(5)
@@ -243,6 +244,26 @@ def test_census_pooled_bucket_small(quad):
     lams = {row.lam for row in result.rows}
     for ct, _ in enumerate_class_types(quad.group, 4):
         assert ct.to_lambda(quad.group) in lams
+
+
+@pytest.mark.parametrize("order", [2, 6, 10])
+def test_class_means_after_a_census(quad, order):
+    # census and mean_class_function read one class-type table kept on the
+    # group; after a census the means still equal their closed forms
+    if order == 2:
+        cov = quad
+    elif order == 6:
+        cov = s3_splitting(make_field(13))
+    else:
+        cov = product([
+            quad,
+            artin_schreier(F5, RationalFn(Poly.one(F5), parse_poly(F5, "T-3"))),
+        ])
+    G = cov.group
+    assert G.n == order
+    census(cov, I("T^3", 1, cov.ctx))
+    for fn in [OneC(ci) for ci in range(len(G.classes))] + [B(), R()]:
+        assert mean_class_function(fn, G, 3) == closed_form_mean(fn, G, 3)
 
 
 def test_census_empirical_masses_sum_to_one(quad):

@@ -4,8 +4,9 @@ against wreath-product predictions.
 An interval I(f0, m) is tallied exhaustively (never sampled), one block of
 q^t consecutive elements at a time, t as large as 2^14 elements allow: each
 block is sieved by the primes of degree at most s = min(n // 2, m + 1), and
-what is left of an element is one prime, or rarely a larger cofactor for
-factor_raw.  On an abelian cover that prime's class is read from
+what is left of an element is one prime, or, when m + 1 < n // 2, a larger
+cofactor of at most c // (s + 1) primes, which polys._factor_rough mostly
+splits without factor_raw.  On an abelian cover that prime's class is read from
 Artin symbols, Art(f) times Art(Q)^(-e) over the small prime powers found,
 with no division.  Only where the symbol does not give it is the cofactor
 divided out and classified on its own: on splitting covers (Frobenius is a
@@ -40,7 +41,7 @@ from .polys import (
     Poly,
     _coset_indices,
     _coset_rows,
-    factor_raw,
+    _factor_rough,
     pdeg,
     pdiv,
     peval,
@@ -118,8 +119,13 @@ class IntervalSpec:
 # The cofactor is divided out and classified on its own only where that
 # does not hold: on splitting covers, on elements with a ramified factor
 # (a small hit, or a ramified prime of degree > s found like a hit), and for
-# cofactors of degree > 2s + 1, possible only when m + 1 < n // 2, which go
-# to factor_raw.
+# cofactors of degree c > 2s + 1, possible only when m + 1 < n // 2.  Those
+# have at most c // (s + 1) primes, and polys._factor_rough splits them:
+# for q odd, disc != 0 and c <= 3s + 2 there are one or two, and the parity
+# of the discriminant's log tells which (Stickelberger); two primes at
+# c = 2s + 2 both have degree s + 1, and one trace modulo the cofactor
+# separates them (polys._split_pair).  Only p = 2, disc = 0, c > 3s + 2 and
+# two primes of unequal degree still go to factor_raw.
 
 #: the most elements of one sieve block, and the fewest interval elements per
 #: pool worker, so that a pool chunk is never smaller than a block.  A pool
@@ -302,11 +308,7 @@ class _BlockSieve:
                 while j >= 0:
                     f = pdiv(F, f, small[hq[j]][2][he[j] - 1])
                     j = hnext[j]
-                if c <= 2 * s + 1:
-                    parts = ((f, 1),)
-                else:
-                    parts = factor_raw(F, f, seed)[1]
-                for P, e in parts:
+                for P, e in _factor_rough(F, f, s, seed):
                     key = (pdeg(P), e, coset(P))
                     types[key] = types.get(key, 0) + 1
             elif c:  # a prime cofactor, prime to the ramified primes, on an abelian cover

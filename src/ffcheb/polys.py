@@ -21,6 +21,11 @@ times.  `_ddf` takes T^(q^d) mod m that way, and `_edf` takes
 a^((q^d - 1)/2) as N(a)^((q - 1)/2), with the norm N(a) a product of the
 conjugates a^(q^j), or in characteristic 2 sums the squarings of the trace.
 `ppowmod` stays for other powers: (q - 1)/2 here, and its callers elsewhere.
+
+`_factor_rough` factors a polynomial known to have no prime factor of degree
+<= s, such as a cofactor the interval sieve leaves, mostly without factor_raw:
+the parity of its number of primes from its discriminant, and `_split_pair`
+for a product of two primes of one degree.
 """
 
 from __future__ import annotations
@@ -437,6 +442,42 @@ def _edf(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
     )
 
 
+def _split_pair(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
+    """Split g, a product of two distinct primes P1, P2 of degree d over F_q
+    with q odd, into them.  For random a, the trace t = a + a^q + ... +
+    a^(q^(d-1)) mod g is a constant c_i modulo P_i, so t^2 = sigma*t - pi
+    mod g with sigma = c1 + c2 and pi = c1*c2.  When c1 != c2 (t is not a
+    constant; a draw misses with probability 1/q) sigma is read off any
+    coefficient of t^2 mod g beyond the constant one, and pi then off the
+    constant one; c1 = sigma/2 + sqrt(sigma^2/4 - pi), one square root from
+    the log table, and gcd(t - c1, g) = P1.  Against `_edf` this takes one
+    product modulo g in place of a power with exponent (q - 1)/2, and
+    succeeds about twice as often per draw.  A draw that gives no factor of
+    degree d is drawn again; 64 in a row raise InvariantViolated, since g
+    was not such a product."""
+    frob = _frobenius(F, g)
+    log, exp = F._log, F._exp
+    for _ in range(64):
+        t = c = _rand_poly(F, pdeg(g) - 1, rng)
+        for _ in range(d - 1):
+            c = frob(c, F.k)
+            t = padd(F, t, c)
+        if pdeg(t) < 1:
+            continue
+        t2 = pmod(F, pmul(F, t, t), g) + (0,) * len(t)
+        i = next(i for i in range(1, len(t)) if t[i])
+        half = F.div(F.div(t2[i], t[i]), 2)  # sigma / 2
+        pi = F.sub(F.mul(F.add(half, half), t[0]), t2[0])
+        rho = F.sub(F.mul(half, half), pi)  # ((c1 - c2) / 2)^2
+        c1 = F.add(half, exp[log[rho] // 2])
+        h = pgcd(F, psub(F, t, (c1,)), g)
+        if pdeg(h) == d:
+            return [h, pdiv(F, g, h)]
+    raise InvariantViolated(
+        f"64 draws left a part of degree {pdeg(g)} unsplit into two degree-{d} primes"
+    )
+
+
 def _ddf(F: Field, m: Coeffs) -> Iterator[tuple[int, Coeffs]]:
     """Distinct-degree split of m: (d, gcd(T^(q^d) - T, m)) for ascending d
     where that is not 1, dividing it out of m each time, then (deg m, m) for
@@ -516,6 +557,33 @@ def factor_raw(F: Field, cs: Coeffs, seed: int = 0) -> tuple[int, tuple[tuple[Co
     fac = _factor_monic(F, m, rng)
     parts = tuple(sorted(fac.items(), key=lambda kv: canonical_key(kv[0])))
     return unit, parts
+
+
+def _factor_rough(F: Field, f: Coeffs, s: int, seed: int) -> tuple[tuple[Coeffs, int], ...]:
+    """factor_raw(F, f, seed)[1] for a monic f of degree c >= 1 with no prime
+    factor of degree <= s, such as a cofactor the interval sieve leaves: f
+    has at most c // (s + 1) primes, so it is prime when c <= 2s + 1.  Up to
+    c = 3s + 2 it has at most two, and for q odd and disc f != 0 their number
+    r has the parity Stickelberger's theorem gives (R. G. Swan, Pacific J.
+    Math. 12, 1962): r = c mod 2 exactly when disc f is a square, that is
+    when its log is even, so f is prime exactly when log(disc f) + c is odd.
+    A nonprime f of degree 2s + 2 is then two distinct primes of degree
+    s + 1, which `_split_pair` separates with no squarefree or
+    distinct-degree pass.  disc f = 0 is tested first, since log[0] reads 0;
+    what is left (p = 2, disc f = 0, c > 3s + 2, or two primes of unequal
+    degree) goes to factor_raw."""
+    c = pdeg(f)
+    if c <= 2 * s + 1:
+        return ((f, 1),)
+    if F.p != 2 and c <= 3 * s + 2:
+        disc = discriminant_raw(F, f)
+        if disc:
+            if (F._log[disc] + c) % 2:
+                return ((f, 1),)
+            if c == 2 * s + 2:
+                primes = _split_pair(F, f, s + 1, _factor_seed(F, f, seed))
+                return tuple((P, 1) for P in sorted(primes, key=canonical_key))
+    return factor_raw(F, f, seed)[1]
 
 
 def is_irreducible_raw(F: Field, cs: Coeffs) -> bool:

@@ -104,12 +104,19 @@ def s3_splitting(ctx):
         (13, "T^4+2*T^3+5", 1),
         (25, "T^4+T^2", 1),
         (5, "T^5+3*T^2+1", 1),  # odd n
-        (5, "T^4+T^3+2", 0),  # s = 1: quartic cofactors go through factor_raw
+        (5, "T^4+T^3+2", 0),  # s = 1: quartic cofactors, one prime or two quadratics
         (5, "T^4+2*T^3+T^2+3", 3),  # s = 2: block digits at T^2 and T^3, or T^3 alone
+        # s = 1: f0 = (T^2 + 2)(T^2 + 3)(T^2 + T + 1), three primes of degree
+        # s + 1 in a cofactor of degree 3s + 3, as odd a count as one prime
+        (5, "T^6+T^5+T^4+T^2+T+1", 0),
+        (5, "T^4+4*T^2+4", 0),  # (T^2 + 2)^2: disc = 0 at degree 2s + 2
+        # -1 is no square in F_27, so the sign of disc decides the parity of
+        # the cofactors of degree 6 and 7 (s = 2)
+        (27, "T^7+T^2+1", 1),
     ],
 )
 def test_quadratic_kummer(q, f0, m):
-    p, k = {5: (5, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2)}[q]
+    p, k = {5: (5, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2), 27: (3, 3)}[q]
     check(kummer(make_field(p, k), 2, QUAD_D), f0, m)
 
 
@@ -124,7 +131,7 @@ def test_cubic_kummer():
     F7 = make_field(7)
     cov = kummer(F7, 3, QUAD_D)
     check(cov, "T^4+T^3", 2)
-    check(cov, "T^7+2*T^4+1", 1)  # m + 1 < n // 2 with odd n: factor_raw fallback
+    check(cov, "T^7+2*T^4+1", 1)  # m + 1 < n // 2 with odd n: cofactors of degree 6 and 7
 
 
 @pytest.mark.parametrize(
@@ -133,6 +140,8 @@ def test_cubic_kummer():
         (5, 2, "2*T^3-6*T^2+4*T", "T^4+T^3", 2),  # a non-square unit
         (7, 3, "T^3-T^2", "T^4+T^3", 2),  # T^2: a linear place of multiplicity 2
         (5, 2, "T^3-T^2+2*T-2", "T^4+2*T^3", 2),  # (T^2 + 2)(T - 1): a nonlinear place
+        # s = 1: ramified elements T - a times a prime quartic, or times two quadratics
+        (5, 2, QUAD_D, "T^5+2*T^3+4*T", 0),
     ],
 )
 def test_kummer_places(p, d, D, f0, m):
@@ -185,7 +194,7 @@ def test_product_cover():
 def test_trivial_cover():
     F5 = make_field(5)
     check(trivial(F5), "T^6+T", 2)  # s = 3
-    check(trivial(F5), "T^6+T", 1)  # s = 2 < n // 2: sextic cofactors fall back
+    check(trivial(F5), "T^6+T", 1)  # s = 2 < n // 2: sextic cofactors
 
 
 def test_splitting_excludes_ramified_multiples():
@@ -199,6 +208,9 @@ def test_splitting_excludes_ramified_multiples():
     _, excluded = check(cov, "T^4+T", 1)
     assert excluded > 0
     _, excluded = check(cov, "T^4+T^3+3*T^2+2*T+4", 0)
+    assert excluded > 0
+    # s = 2: sextic cofactors, a prime by parity or two cubics
+    _, excluded = check(cov, "T^6+T", 1)
     assert excluded > 0
 
 

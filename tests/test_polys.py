@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+from ffcheb import polys
 from ffcheb.errors import (
     ConstantPolynomial,
     InvariantViolated,
@@ -20,14 +22,20 @@ from ffcheb.polys import (
     Poly,
     RationalFn,
     _edf,
+    _factor_rough,
     _frobenius,
     _root_table,
+    _split_pair,
+    canonical_key,
     count_primes,
+    discriminant_raw,
     enumerate_monic,
     enumerate_monic_raw,
     eval_mod,
     factor_raw,
+    is_irreducible_raw,
     parse_poly,
+    pdeg,
     pmod,
     pmul,
     pnorm,
@@ -289,6 +297,105 @@ def test_edf_refuses_a_part_that_is_not_a_product_of_degree_d_primes(pk):
     cubic = pmul(F, pmul(F, (0, 1), (1, 1)), primes_of_degree(F, 1)[2])
     with pytest.raises(InvariantViolated):
         _edf(F, cubic, 2, rng)
+
+
+#: every monic of degree <= top over these fields, for the rough-cofactor
+#: tests: q odd for the parity route (q = 3, 7 have -1 a non-square, so the
+#: sign of the discriminant matters), q even for the fallback
+ROUGH_FIELDS = {(3, 1): 6, (5, 1): 5, (7, 1): 5, (3, 2): 4, (2, 1): 6, (2, 2): 4}
+
+
+@functools.cache
+def factored_monics(pk):
+    """{f: its sorted ((prime, multiplicity), ...)} for every monic f of
+    degree 1 .. top, built by multiplying out sieved primes: the factor list
+    factor_raw returns, found without factoring."""
+    F = make_field(*pk)
+    top = ROUGH_FIELDS[pk]
+    primes = sorted(
+        (P for d in range(1, top + 1) for P in primes_of_degree(F, d)), key=canonical_key
+    )
+    out = {}
+
+    def grow(first, f, parts):
+        if parts:
+            out[f] = tuple(parts)
+        for j in range(first, len(primes)):
+            P = primes[j]
+            if pdeg(f) + pdeg(P) > top:
+                break  # the primes are sorted by degree
+            g, e = f, 0
+            while pdeg(g) + pdeg(P) <= top:
+                g, e = pmul(F, g, P), e + 1
+                grow(j + 1, g, parts + [(P, e)])
+
+    grow(0, (1,), [])
+    assert len(out) == sum(F.q**n for n in range(1, top + 1))
+    return F, out
+
+
+@pytest.mark.parametrize("pk", [pk for pk in ROUGH_FIELDS if pk[0] != 2], ids=lambda pk: f"F{pk[0] ** pk[1]}")
+def test_stickelberger_swan_parity(pk):
+    # a squarefree monic of degree c over F_q, q odd, has r = c mod 2 prime
+    # factors exactly when its discriminant is a square (even log)
+    F, table = factored_monics(pk)
+    for f, parts in table.items():
+        disc = discriminant_raw(F, f)
+        assert (disc == 0) == any(e > 1 for _, e in parts)
+        if disc:
+            assert len(parts) % 2 == (pdeg(f) + F._log[disc]) % 2, f
+
+
+@pytest.mark.parametrize("pk", list(ROUGH_FIELDS), ids=lambda pk: f"F{pk[0] ** pk[1]}")
+def test_factor_rough_matches_factor_raw(pk, monkeypatch):
+    # for each s below the smallest degree of f's primes, _factor_rough gives
+    # f's factor list, and hands f to factor_raw exactly in the cases its
+    # docstring names; factor_raw is replaced by a lookup in the table, which
+    # records each hand-off and keeps the test fast
+    F, table = factored_monics(pk)
+    handed = []
+
+    def from_table(F, f, seed=0):
+        handed.append(f)
+        return 1, table[f]
+
+    monkeypatch.setattr(polys, "factor_raw", from_table)
+    for f, parts in table.items():
+        c = pdeg(f)
+        degrees = sorted(pdeg(P) for P, e in parts for _ in range(e))
+        squarefree = all(e == 1 for _, e in parts)
+        for s in range(degrees[0]):
+            handed.clear()
+            assert _factor_rough(F, f, s, 3) == parts, (f, s)
+            decided = c <= 2 * s + 1 or (
+                F.p != 2 and c <= 3 * s + 2 and squarefree and (len(parts) == 1 or c == 2 * s + 2)
+            )
+            assert handed == ([] if decided else [f]), (f, s)
+
+
+@pytest.mark.parametrize("pk", [(5, 1), (3, 2), (3, 3), (13, 1), (3, 6)], ids=lambda pk: f"F{pk[0] ** pk[1]}")
+def test_split_pair_recovers_pairs_and_refuses_a_prime(pk):
+    # the pair splitter reads one trace modulo g; it must give back two sieved
+    # primes of each degree d from their product, and raise, not loop, on a
+    # prime of degree 2d, whose trace to degree d is no constant mod g.  A
+    # wrong root c1 still ends in a right split when some draw hits c1 by
+    # chance, about 2/q of them; over F_729, 64 draws seldom do
+    F = make_field(*pk)
+    rng = random.Random(f"split-pair/{F.q}")
+    for d in range(1, 4):
+        if F.q**d > 20_000:
+            break
+        primes = primes_of_degree(F, d)
+        for _ in range(10):
+            P1, P2 = rng.sample(primes, 2)
+            got = _split_pair(F, pmul(F, P1, P2), d, rng)
+            assert sorted(got) == sorted([P1, P2])
+        while True:
+            prime = tuple(rng.randrange(F.q) for _ in range(2 * d)) + (1,)
+            if is_irreducible_raw(F, prime):
+                break
+        with pytest.raises(InvariantViolated):
+            _split_pair(F, prime, d, rng)
 
 
 def test_count_primes_examples():

@@ -63,7 +63,6 @@ from .polys import (
     pderiv,
     pdeg,
     pdiv,
-    pgcd,
     pinvmod,
     pmod,
     pmul,
@@ -798,7 +797,9 @@ class SplittingCover(Cover):
         ycs = pnorm(tuple(rf.eval_poly(c.coeffs) for c in self.y_coeffs))
         if pdeg(ycs) != self.y_degree:
             raise InvariantViolated("Y-polynomial lost degree in the residue field")
-        if pdeg(pgcd(big, ycs, pderiv(big, ycs))) > 0:
+        # F is monic in Y, so disc_Y(F)(t) is the discriminant of F(t, Y):
+        # F(t, Y) is squarefree exactly when it is not 0
+        if not rf.eval_poly(self._y_discriminant().coeffs):
             raise RamifiedSplittingCover(
                 "F mod P is not squarefree despite P avoiding the Y-discriminant"
             )

@@ -11,10 +11,13 @@ Artin symbols, Art(f) times Art(Q)^(-e) over the small prime powers found,
 with no division.  Only where the symbol does not give it is the cofactor
 divided out and classified on its own: on splitting covers (Frobenius is a
 cycle type, not a multiplicative symbol), at elements with a ramified factor
-(Art(f) is undefined there) and for the larger cofactors.  Per-block tallies
-of factorization types merge associatively, so the result is independent of
-the chunking and safe to compute in parallel.  One pass per interval is
-shared by every function evaluated on it.
+(Art(f) is undefined there) and for the larger cofactors.  An element's
+factorization type is summed as one integer code, a digit in base n + 1 per
+(degree, exponent, Frobenius) key, and each block decodes its distinct codes
+into sorted types once.  Per-block tallies of factorization types merge
+associatively, so the result is independent of the chunking and safe to
+compute in parallel.  One pass per interval is shared by every function
+evaluated on it.
 """
 
 from __future__ import annotations
@@ -126,6 +129,15 @@ class IntervalSpec:
 # c = 2s + 2 both have degree s + 1, and one trace modulo the cofactor
 # separates them (polys._split_pair).  Only p = 2, disc = 0, c > 3s + 2 and
 # two primes of unequal degree still go to factor_raw.
+#
+# An element's type is tallied as one integer, its code.  The sieve gives
+# each (degree, exponent, omega) key a slot k the first time it meets the
+# key, in no fixed order, and the key weight (n + 1)^k; a code is the sum of
+# the weights of an element's prime powers, so its base-(n + 1) digits are
+# the counts of the keys, each at most n.  A small prime's weights sit in its
+# hit data; a cofactor's prime looks its weight up by key.  A block counts its
+# codes in a dict and decodes each distinct code once into the sorted
+# ((degree, exponent, omega), count) items that the tallies are keyed by.
 
 #: the most elements of one sieve block, and the fewest interval elements per
 #: pool worker, so that a pool chunk is never smaller than a block.  A pool
@@ -167,9 +179,14 @@ class _BlockSieve:
                 self.small.append((Q, d, pows, []))
         # ramified primes beyond the small ones that can still divide
         self.big_ramified = [self._solver(P) for P in self.ramified if s < pdeg(P) <= n]
-        # per small prime, on its first hit: (degree, catalog index, and on
-        # an abelian cover at an unramified Q, Art(Q)^(-e) for e = 1, 2, ...)
+        # per small prime, on its first hit: (degree, the code weights of Q^e
+        # for e = 1, 2, ..., and on an abelian cover at an unramified Q,
+        # Art(Q)^(-e) for e = 1, 2, ...)
         self.hit_data: list[tuple | None] = [None] * len(self.small)
+        # the type code (see the enumeration notes): the key of slot k and
+        # the weight of each key met
+        self.slots: list[tuple] = []
+        self.weights: dict[tuple, int] = {}
         self.places = None
         if isinstance(spec, KummerCover) and not spec._nonlin_parts:
             add, mul = F.add, F.mul
@@ -193,15 +210,36 @@ class _BlockSieve:
             res.append(list(r) + [0] * (D - len(r)))
         return D, res[0], res[1:], _coset_rows(F, M, max(self.t - D, 0))
 
+    def _weight(self, key: tuple) -> int:
+        """The weight of a (degree, exponent, omega) key in a type code: the
+        next free power of n + 1 the first time the key is met."""
+        wt = self.weights.get(key)
+        if wt is None:
+            wt = self.weights[key] = (self.n + 1) ** len(self.slots)
+            self.slots.append(key)
+        return wt
+
+    def _decode(self, code: int) -> tuple:
+        """The sorted ((degree, exponent, omega), count) items of a type code."""
+        base, items = self.n + 1, []
+        for key in self.slots:
+            if not code:
+                break
+            code, k = divmod(code, base)
+            if k:
+                items.append((key, k))
+        return tuple(sorted(items))
+
     def _hit(self, qi: int) -> tuple:
         Q, d, pows, _ = self.small[qi]
         spec = self.spec
         w = spec.coset_class(Q)
+        wts = [self._weight((d, e, w)) for e in range(1, len(pows) + 1)]
         if self.excludes or Q in self.ramified:
-            return d, w, None
+            return d, wts, None
         G = spec.group
         (x,) = G.omega[w].rep  # Frobenius at an unramified prime of an abelian cover
-        return d, w, [G.power(x, -e) for e in range(1, len(pows) + 1)]
+        return d, wts, [G.power(x, -e) for e in range(1, len(pows) + 1)]
 
     def _element(self, fb: list[int], i: int) -> Coeffs:
         """f_b + h, h the element of local index i."""
@@ -280,13 +318,14 @@ class _BlockSieve:
         if self.places is not None:
             art0 = n * spec._deg_dlog
             at = [(table, vals, peval(F, fb, a)) for a, table, vals in self.places]
+        codes: dict[int, int] = {}
         excluded = 0
         for i in range(lo, hi):
             ramified = bad is not None and bad[i]
             if ramified and excludes:
                 excluded += 1
                 continue
-            types: dict = {}
+            code = 0  # the sum of the weights of the element's primes
             c = n  # degree of the cofactor
             g = 0  # the product of Art(Q)^(-e) over the hits
             j = head[i]
@@ -295,9 +334,8 @@ class _BlockSieve:
                 data = hit_data[qi]
                 if data is None:
                     data = hit_data[qi] = self._hit(qi)
-                d, w, inv = data
-                key = (d, e, w)
-                types[key] = types.get(key, 0) + 1
+                d, wts, inv = data
+                code += wts[e - 1]
                 c -= d * e
                 if inv is not None:
                     g = gmul[g][inv[e - 1]]
@@ -309,8 +347,7 @@ class _BlockSieve:
                     f = pdiv(F, f, small[hq[j]][2][he[j] - 1])
                     j = hnext[j]
                 for P, e in _factor_rough(F, f, s, seed):
-                    key = (pdeg(P), e, coset(P))
-                    types[key] = types.get(key, 0) + 1
+                    code += self._weight((pdeg(P), e, coset(P)))
             elif c:  # a prime cofactor, prime to the ramified primes, on an abelian cover
                 if self.places is not None:
                     art = art0
@@ -319,8 +356,10 @@ class _BlockSieve:
                     art %= G.n
                 else:
                     art = spec.artin_symbol(self._element(fb, i))
-                types[(c, 1, to_omega[gmul[art][g]])] = 1
-            counts[tuple(sorted(types.items()))] += 1
+                code += self._weight((c, 1, to_omega[gmul[art][g]]))
+            codes[code] = codes.get(code, 0) + 1
+        for code, cnt in codes.items():
+            counts[self._decode(code)] += cnt
         return excluded
 
 

@@ -692,7 +692,8 @@ def _coset_indices(F: Field, r: Sequence[int], D: int, rows: list[list[int]]) ->
     monic Q of degree D, rows = _coset_rows(F, Q, t) and r reduced mod Q.
 
     The low and the high halves of u are spanned apart, and each high part
-    is joined to every low part in turn, so memory stays near q^(t/2)."""
+    is joined to every low part in turn, so memory stays near q^(t/2).  For
+    D = 1 an l is one digit, its own index, and a join is one addition."""
     q, t = F.q, len(rows)
     if not t:
         return [_index(r, q)]
@@ -702,6 +703,11 @@ def _coset_indices(F: Field, r: Sequence[int], D: int, rows: list[list[int]]) ->
         return [tl + _index(vl, q) for tl, vl in low]
     high = _span(F, D, [0] * D, h, rows[h:])
     add = F.add
+    if D == 1:
+        low = [(tl, a) for tl, (a,) in low]
+        return itertools.chain.from_iterable(
+            [th + tl + add(b, a) for tl, a in low] for th, (b,) in high
+        )
     return itertools.chain.from_iterable(
         [th + tl + _index([add(a, b) for a, b in zip(vh, vl)], q) for tl, vl in low]
         for th, vh in high

@@ -195,6 +195,9 @@ def test_trivial_cover():
     F5 = make_field(5)
     check(trivial(F5), "T^6+T", 2)  # s = 3
     check(trivial(F5), "T^6+T", 1)  # s = 2 < n // 2: sextic cofactors
+    # every quartic: T(T - 1)(T - 2)(T - 3) counts n = 4 primes under one
+    # key, the top digit of a type code in base n + 1
+    check(trivial(F5), "T^4", 3)
 
 
 def test_splitting_excludes_ramified_multiples():

@@ -21,6 +21,8 @@ from ffcheb.ffield import Field, make_field
 from ffcheb.polys import (
     Poly,
     RationalFn,
+    _coset_indices,
+    _coset_rows,
     _edf,
     _factor_rough,
     _frobenius,
@@ -184,6 +186,28 @@ def test_sieved_primes_match_rabin():
             assert got == rabin_primes(G, n), (p, k, n)
             assert len(got) == count_primes(F, n)
             n += 1
+
+
+@pytest.mark.parametrize("pk", [(5, 1), (3, 2), (2, 2), (2, 3)])
+def test_coset_indices_match_brute_force(pk):
+    # every class mod Q of the h of degree < D + t, listed by reducing each
+    # h, against the enumerator, which joins its spans by one addition at D = 1
+    F = make_field(*pk)
+    q = F.q
+    rng = random.Random(f"coset/{q}")
+    for D in (1, 2, 3):
+        Q = tuple(rng.randrange(q) for _ in range(D)) + (1,)
+        for t in range(4):
+            if q ** (D + t) > 15_625:
+                continue  # F_8 and F_9 beyond D + t = 4
+            classes: dict = {}
+            for i in range(q ** (D + t)):
+                h = pnorm(tuple(i // q**j % q for j in range(D + t)))
+                classes.setdefault(pmod(F, h, Q), []).append(i)
+            assert len(classes) == q**D
+            rows = _coset_rows(F, Q, t)
+            for r, want in classes.items():
+                assert list(_coset_indices(F, r, D, rows)) == want, (q, Q, t, r)
 
 
 def test_prime_list_bounded():

@@ -406,8 +406,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--group", required=True, help="cyclic:N, sym:N, or product:a,b")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--fn", required=True)
-    sp.add_argument("--brute", action="store_true")
-    sp.add_argument("--closed", action="store_true")
+    route = sp.add_mutually_exclusive_group()
+    route.add_argument("--brute", action="store_true")
+    route.add_argument("--closed", action="store_true")
     sp.add_argument("--csv", default=None)
     sp.set_defaults(func=cmd_wreath_mean)
 

@@ -56,6 +56,7 @@ from .polys import (
     Poly,
     RationalFn,
     _ddf,
+    _frobenius,
     canonical_key,
     factor_raw,
     is_irreducible_raw,
@@ -68,7 +69,6 @@ from .polys import (
     pmul,
     pnorm,
     power_sums,
-    ppowmod,
     primes_of_degree,
     residue_field,
     resultant_raw,
@@ -445,8 +445,8 @@ def as_reduce(D: RationalFn) -> RationalFn:
             denb = pdiv(F, denb, P)
         num_mod = pmod(F, frac.num.coeffs, P)
         a = pmod(F, pmul(F, num_mod, pinvmod(F, denb, P)), P)
-        # p-th root inside the residue field F_{q^deg P}
-        h = ppowmod(F, a, F.p ** (F.k * pdeg(P) - 1), P)
+        # p-th root inside the residue field F_{q^deg P}: a^(p^(k deg P - 1))
+        h = pnorm(_frobenius(F, P)(a, F.k * pdeg(P) - 1))
         Ppoly = Poly._raw(F, P)
         hpoly = Poly._raw(F, h)
         wp = RationalFn(hpoly**p, Ppoly**m) - RationalFn(hpoly, Ppoly**s)

@@ -127,7 +127,7 @@ class IntervalSpec:
 # for q odd, disc != 0 and c <= 3s + 2 there are one or two, and the parity
 # of the discriminant's log tells which (Stickelberger); two primes at
 # c = 2s + 2 both have degree s + 1, and one trace modulo the cofactor
-# separates them (polys._split_pair).  Only p = 2, disc = 0, c > 3s + 2 and
+# separates them (polys._edf).  Only p = 2, disc = 0, c > 3s + 2 and
 # two primes of unequal degree still go to factor_raw.
 #
 # An element's type is tallied as one integer, its code.  The sieve gives

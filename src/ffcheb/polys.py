@@ -10,21 +10,22 @@ One distinct-degree loop, `_ddf`, serves three jobs: the Rabin test
 a splitting cover's F(t, Y), which needs only the degrees of the factors.
 Factorization is squarefree decomposition (with p-th-power detection when the
 derivative vanishes), then `_ddf`, then randomized equal-degree splitting of
-each part; characteristic 2 uses the trace-map splitter.  The randomized stage
+each part by `_edf`, the one splitter in the package.  The randomized stage
 is seeded from (run seed, polynomial), so factoring is a pure function and
 parallel sweeps are partition-independent.
 
 Neither loop raises to a q-th power by square-and-multiply.  The p-th power
 map is additive on F_q[T]/(m), so `_frobenius` tabulates X_i = T^(p*i) mod m
 once and sends h to sum h_i^p * X_i; h^q, q = p^k, is that map applied k
-times.  `_ddf` takes T^(q^d) mod m that way, and `_edf` takes
-a^((q^d - 1)/2) as N(a)^((q - 1)/2), with the norm N(a) a product of the
-conjugates a^(q^j), or in characteristic 2 sums the squarings of the trace.
-`ppowmod` stays for other powers: (q - 1)/2 here, and its callers elsewhere.
+times.  `_ddf` takes T^(q^d) mod m that way, and `_edf` the trace
+a + a^q + ... + a^(q^(d-1)), a constant of F_q modulo each prime, which it
+reads by its trace to F_2 (p = 2), by one square root (two primes) or by its
+power (q - 1)/2 (three or more).  `ppowmod` stays for that power, whose
+exponent is below q.
 
 `_factor_rough` factors a polynomial known to have no prime factor of degree
 <= s, such as a cofactor the interval sieve leaves, mostly without factor_raw:
-the parity of its number of primes from its discriminant, and `_split_pair`
+the parity of its number of primes from its discriminant, and `_edf` alone
 for a product of two primes of one degree.
 """
 
@@ -396,18 +397,28 @@ def _rand_poly(F: Field, max_deg: int, rng: random.Random) -> Coeffs:
 
 
 def _edf(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
-    """Split a squarefree product of degree-d primes into its primes, by
-    gcds with g of a^((q^d - 1)/2) - 1 for random a (Cantor-Zassenhaus,
-    Math. Comp. 1981), or of the trace of a to F_2 when p = 2.  The powers
-    of a come from the p-th power map modulo g (`_frobenius`): for odd p,
-    a^((q^d - 1)/2) = N(a)^((q - 1)/2) with N(a) = a * a^q * ... *
-    a^(q^(d-1)), the same exponent as an integer, so every split is the one
-    square-and-multiply would give.
+    """Split a squarefree product of r >= 1 primes P_i of degree d into them
+    (Cantor-Zassenhaus, Math. Comp. 1981).  For random a, the trace
+    t = a + a^q + ... + a^(q^(d-1)) mod g is a constant c_i of F_q modulo
+    each P_i, with the c_i independent and uniform, and h = gcd(., g) takes
+    the P_i whose c_i passes one test:
 
-    A product of r >= 2 such primes splits at each draw with probability at
-    least 1/2, so 64 draws that all fail (probability at most 2^-64) mean g
-    is not such a product: that raises InvariantViolated, as does a degree
-    that d does not divide."""
+    - p = 2: h = gcd(t + t^2 + ... + t^(2^(k-1)), g), the c_i of trace 1 to
+      F_2 (this is the trace of a from degree k*d to F_2);
+    - p odd, deg g = 2d: t^2 = sigma*t - pi mod g with sigma = c1 + c2 and
+      pi = c1*c2, so sigma is read off any coefficient of t^2 mod g beyond
+      the constant one, and pi then off the constant one;
+      c1 = sigma/2 + sqrt(sigma^2/4 - pi), one square root from the log
+      table, and h = gcd(t - c1, g) = P1;
+    - p odd, r >= 3: h = gcd(t^((q - 1)/2) - 1, g), the c_i that are
+      nonzero squares.
+
+    The conjugates a^(q^j) come from the p-th power map modulo g
+    (`_frobenius`).  A draw splits g unless every c_i gives the same
+    answer, which has probability at most 1/2 (1/q for a pair: c1 = c2,
+    where t is a constant and is drawn again), so 64 draws that all fail
+    (probability at most 2^-64) mean g is not such a product: that raises
+    InvariantViolated, as does a degree that d does not divide."""
     if pdeg(g) % d:
         raise InvariantViolated(
             f"a part of degree {pdeg(g)} is not a product of degree-{d} primes"
@@ -415,47 +426,7 @@ def _edf(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
     if pdeg(g) == d:
         return [g]
     frob = _frobenius(F, g)
-    one: Coeffs = (1,)
-    for _ in range(64):
-        a = _rand_poly(F, pdeg(g) - 1, rng)
-        if pdeg(a) < 1:
-            continue
-        if F.p == 2:
-            # trace map to F_2 over the degree-(k*d) residue fields
-            t = c = a
-            for _ in range(F.k * d - 1):
-                c = frob(c, 1)
-                t = padd(F, t, c)
-            h = pgcd(F, t, g)
-        else:
-            n = c = a  # the norm N(a), from its conjugates c = a^(q^j)
-            for _ in range(d - 1):
-                c = frob(c, F.k)
-                n = pmod(F, pmul(F, n, c), g)
-            t = ppowmod(F, n, (F.q - 1) // 2, g)
-            h = pgcd(F, psub(F, t, one), g)
-        if 0 < pdeg(h) < pdeg(g):
-            rest = pdiv(F, g, h)
-            return _edf(F, h, d, rng) + _edf(F, rest, d, rng)
-    raise InvariantViolated(
-        f"64 draws left a part of degree {pdeg(g)} unsplit into degree-{d} primes"
-    )
-
-
-def _split_pair(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
-    """Split g, a product of two distinct primes P1, P2 of degree d over F_q
-    with q odd, into them.  For random a, the trace t = a + a^q + ... +
-    a^(q^(d-1)) mod g is a constant c_i modulo P_i, so t^2 = sigma*t - pi
-    mod g with sigma = c1 + c2 and pi = c1*c2.  When c1 != c2 (t is not a
-    constant; a draw misses with probability 1/q) sigma is read off any
-    coefficient of t^2 mod g beyond the constant one, and pi then off the
-    constant one; c1 = sigma/2 + sqrt(sigma^2/4 - pi), one square root from
-    the log table, and gcd(t - c1, g) = P1.  Against `_edf` this takes one
-    product modulo g in place of a power with exponent (q - 1)/2, and
-    succeeds about twice as often per draw.  A draw that gives no factor of
-    degree d is drawn again; 64 in a row raise InvariantViolated, since g
-    was not such a product."""
-    frob = _frobenius(F, g)
+    pair = F.p != 2 and pdeg(g) == 2 * d
     log, exp = F._log, F._exp
     for _ in range(64):
         t = c = _rand_poly(F, pdeg(g) - 1, rng)
@@ -464,17 +435,25 @@ def _split_pair(F: Field, g: Coeffs, d: int, rng: random.Random) -> list[Coeffs]
             t = padd(F, t, c)
         if pdeg(t) < 1:
             continue
-        t2 = pmod(F, pmul(F, t, t), g) + (0,) * len(t)
-        i = next(i for i in range(1, len(t)) if t[i])
-        half = F.div(F.div(t2[i], t[i]), 2)  # sigma / 2
-        pi = F.sub(F.mul(F.add(half, half), t[0]), t2[0])
-        rho = F.sub(F.mul(half, half), pi)  # ((c1 - c2) / 2)^2
-        c1 = F.add(half, exp[log[rho] // 2])
-        h = pgcd(F, psub(F, t, (c1,)), g)
-        if pdeg(h) == d:
-            return [h, pdiv(F, g, h)]
+        if F.p == 2:
+            u = c = t
+            for _ in range(F.k - 1):
+                c = frob(c, 1)
+                u = padd(F, u, c)
+            h = pgcd(F, u, g)
+        elif pair:
+            t2 = pmod(F, pmul(F, t, t), g) + (0,) * len(t)
+            i = next(i for i in range(1, len(t)) if t[i])
+            half = F.div(F.div(t2[i], t[i]), 2)  # sigma / 2
+            pi = F.sub(F.mul(F.add(half, half), t[0]), t2[0])
+            rho = F.sub(F.mul(half, half), pi)  # ((c1 - c2) / 2)^2
+            h = pgcd(F, psub(F, t, (F.add(half, exp[log[rho] // 2]),)), g)
+        else:
+            h = pgcd(F, psub(F, ppowmod(F, t, (F.q - 1) // 2, g), (1,)), g)
+        if 0 < pdeg(h) < pdeg(g):
+            return _edf(F, h, d, rng) + _edf(F, pdiv(F, g, h), d, rng)
     raise InvariantViolated(
-        f"64 draws left a part of degree {pdeg(g)} unsplit into two degree-{d} primes"
+        f"64 draws left a part of degree {pdeg(g)} unsplit into degree-{d} primes"
     )
 
 
@@ -568,7 +547,7 @@ def _factor_rough(F: Field, f: Coeffs, s: int, seed: int) -> tuple[tuple[Coeffs,
     Math. 12, 1962): r = c mod 2 exactly when disc f is a square, that is
     when its log is even, so f is prime exactly when log(disc f) + c is odd.
     A nonprime f of degree 2s + 2 is then two distinct primes of degree
-    s + 1, which `_split_pair` separates with no squarefree or
+    s + 1, which `_edf` separates by one square root, with no squarefree or
     distinct-degree pass.  disc f = 0 is tested first, since log[0] reads 0;
     what is left (p = 2, disc f = 0, c > 3s + 2, or two primes of unequal
     degree) goes to factor_raw."""
@@ -581,7 +560,7 @@ def _factor_rough(F: Field, f: Coeffs, s: int, seed: int) -> tuple[tuple[Coeffs,
             if (F._log[disc] + c) % 2:
                 return ((f, 1),)
             if c == 2 * s + 2:
-                primes = _split_pair(F, f, s + 1, _factor_seed(F, f, seed))
+                primes = _edf(F, f, s + 1, _factor_seed(F, f, seed))
                 return tuple((P, 1) for P in sorted(primes, key=canonical_key))
     return factor_raw(F, f, seed)[1]
 

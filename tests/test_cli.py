@@ -217,6 +217,14 @@ def test_wreath_mean_examples(capsys):
     assert capsys.readouterr().out.strip() == "3/8"
 
 
+def test_wreath_mean_brute_and_closed_exit_1(capsys):
+    # one route per run: the pair is a usage error, not a silent brute force
+    with pytest.raises(SystemExit) as e:
+        main(["wreath-mean", "--group", "cyclic:2", "--n", "2", "--fn", "B", "--brute", "--closed"])
+    assert e.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_wreath_mean_class_type_csv(capsys, tmp_path):
     csvf = tmp_path / "types.csv"
     assert main(

@@ -27,7 +27,6 @@ from ffcheb.polys import (
     _factor_rough,
     _frobenius,
     _root_table,
-    _split_pair,
     canonical_key,
     count_primes,
     discriminant_raw,
@@ -312,7 +311,7 @@ def test_factor_raw_recovers_products_of_sieved_primes(pk):
 def test_edf_refuses_a_part_that_is_not_a_product_of_degree_d_primes(pk):
     # the equal-degree splitter trusts its caller; given a prime quartic as a
     # product of quadratics, or a cubic with d = 2, it must raise, not draw
-    # forever (over F_4 the trace splitter, over F_5 the norm one)
+    # forever (over F_4 by the trace to F_2, over F_5 by a pair's square root)
     F = make_field(*pk)
     rng = random.Random(0)
     quartic = primes_of_degree(F, 4)[0]
@@ -397,29 +396,38 @@ def test_factor_rough_matches_factor_raw(pk, monkeypatch):
             assert handed == ([] if decided else [f]), (f, s)
 
 
-@pytest.mark.parametrize("pk", [(5, 1), (3, 2), (3, 3), (13, 1), (3, 6)], ids=lambda pk: f"F{pk[0] ** pk[1]}")
+#: q odd for the pair's square root and the power (q - 1)/2, q even for the
+#: trace to F_2
+SPLIT_FIELDS = [(5, 1), (3, 2), (3, 3), (13, 1), (3, 6), (2, 1), (2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("pk", SPLIT_FIELDS, ids=lambda pk: f"F{pk[0] ** pk[1]}")
 def test_split_pair_recovers_pairs_and_refuses_a_prime(pk):
-    # the pair splitter reads one trace modulo g; it must give back two sieved
-    # primes of each degree d from their product, and raise, not loop, on a
-    # prime of degree 2d, whose trace to degree d is no constant mod g.  A
-    # wrong root c1 still ends in a right split when some draw hits c1 by
-    # chance, about 2/q of them; over F_729, 64 draws seldom do
+    # the equal-degree splitter reads one trace modulo g; it must give back
+    # r = 2, 3 or 4 sieved primes of each degree d from their product, and
+    # raise, not loop, on a prime of degree 2d, whose trace to degree d is no
+    # constant mod g.  A wrong root c1 for a pair, or the pair's algebra on
+    # three primes, still ends in a right split when some draw hits a c_i by
+    # chance, about r/q of them; over F_729, 64 draws seldom do
     F = make_field(*pk)
     rng = random.Random(f"split-pair/{F.q}")
-    for d in range(1, 4):
+    for d in range(1, 6):
         if F.q**d > 20_000:
             break
         primes = primes_of_degree(F, d)
-        for _ in range(10):
-            P1, P2 = rng.sample(primes, 2)
-            got = _split_pair(F, pmul(F, P1, P2), d, rng)
-            assert sorted(got) == sorted([P1, P2])
+        for r in (2, 3, 4):
+            if r > len(primes):
+                break
+            for _ in range(10):
+                picks = rng.sample(primes, r)
+                g = functools.reduce(functools.partial(pmul, F), picks)
+                assert sorted(_edf(F, g, d, rng)) == sorted(picks)
         while True:
             prime = tuple(rng.randrange(F.q) for _ in range(2 * d)) + (1,)
             if is_irreducible_raw(F, prime):
                 break
         with pytest.raises(InvariantViolated):
-            _split_pair(F, prime, d, rng)
+            _edf(F, prime, d, rng)
 
 
 def test_count_primes_examples():

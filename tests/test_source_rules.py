@@ -19,3 +19,42 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at line(s) {lines}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that nothing in the module reads: no Name node
+    and no entry of `__all__`."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    # a name imported and never read is left over from code that went;
+    # `__init__.py` imports to re-export, so it is exempt
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = _unused_imports(tree)
+    assert unused == [], f"{path.name}: unused import(s) {unused}"
+
+
+def test_unused_import_rule_catches_a_leftover():
+    tree = ast.parse(
+        "import os\nimport a.b\nfrom x import y as z, w\n"
+        "from __future__ import annotations\n__all__ = ['w']\nprint(a)\n"
+    )
+    assert _unused_imports(tree) == ["os (line 1)", "z (line 3)"]

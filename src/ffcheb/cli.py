@@ -31,7 +31,6 @@ from .intervals import (
 from .polys import parse_poly
 from .wreath import (
     GROUP_ORDER_LIMIT,
-    brute_force_mean,
     closed_form_mean,
     enumerate_class_types,
     mean_class_function,
@@ -243,9 +242,7 @@ def cmd_wreath_mean(args) -> int:
         raise DomainError(f"--n {args.n}: the wreath product G wr S_n needs n >= 1")
     G = _parse_group(args.group)
     fn = parse_fn(args.fn)
-    if args.brute:
-        val = brute_force_mean(fn, G, args.n)
-    elif args.closed:
+    if args.closed:
         val = closed_form_mean(fn, G, args.n)
     else:
         val = mean_class_function(fn, G, args.n)
@@ -406,9 +403,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--group", required=True, help="cyclic:N, sym:N, or product:a,b")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--fn", required=True)
-    route = sp.add_mutually_exclusive_group()
-    route.add_argument("--brute", action="store_true")
-    route.add_argument("--closed", action="store_true")
+    sp.add_argument("--closed", action="store_true")
     sp.add_argument("--csv", default=None)
     sp.set_defaults(func=cmd_wreath_mean)
 

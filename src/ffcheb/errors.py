@@ -115,10 +115,6 @@ class TooLarge(ResourceError):
     pass
 
 
-class SizeMismatch(DomainError):
-    pass
-
-
 class IntervalDegenerate(DomainError):
     pass
 

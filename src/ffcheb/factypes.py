@@ -232,6 +232,9 @@ def evaluate(fn: ArithFnSpec, lam: FactorizationType, group: GroupTable) -> Frac
                 val *= Fraction(math.comb(a // oc.f + oc.g - 1, oc.g - 1)) ** (s * cnt)
         return val
     if isinstance(fn, Delta):
+        for (_, _, w), _ in fn.lam.entries:
+            if w >= len(group.omega):
+                raise DomainError(f"no coset class with index {w}")
         return Fraction(1 if lam == fn.lam else 0)
     if isinstance(fn, TableFn):
         for key, v in fn.mapping:

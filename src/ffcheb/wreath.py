@@ -1,9 +1,11 @@
 """Exact combinatorics of G wr S_n.
 
-Elements are (xi, sigma) with xi an n-tuple of group-element indices and sigma
-a permutation; conjugacy classes are exactly the factorization types supported
-on multiplicity 1, counted with an explicit class-size formula that the test
-suite certifies against full enumeration before anything downstream trusts it.
+Conjugacy classes of G wr S_n are exactly the factorization types supported
+on multiplicity 1: colored partitions of n by (cycle length, G-class of the
+cycle product), counted with an explicit class-size formula.  Means of class
+functions are read from that class-type table, or from closed forms.  The
+test suite certifies both against a walk over every element (xi, sigma) of
+G wr S_n, which lives in `tests/oracles.py`, not here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InvariantViolated, SizeMismatch, TooLarge
+from .errors import DomainError, InvariantViolated, TooLarge
 from .factypes import (
     ArithFnSpec,
     B,
@@ -26,105 +28,11 @@ from .factypes import (
 )
 from .groups import GroupTable
 
-#: brute-force enumeration bound on |G|^n * n!
-BRUTE_FORCE_LIMIT = 10**7
-
 #: bound on the number of colored-partition class types
 CLASS_TYPE_LIMIT = 10**6
 
 #: largest |G| the class-type enumeration supports
 GROUP_ORDER_LIMIT = 24
-
-
-@dataclass(frozen=True)
-class WreathElement:
-    """(xi, sigma) in G wr S_n; sigma maps position i to sigma[i]."""
-
-    group: GroupTable
-    xi: tuple[int, ...]
-    sigma: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.xi)
-        if len(self.sigma) != n or sorted(self.sigma) != list(range(n)):
-            raise SizeMismatch("sigma is not a permutation of the xi positions")
-
-    @property
-    def n(self) -> int:
-        return len(self.xi)
-
-
-def _check_same(a: WreathElement, b: WreathElement) -> None:
-    if a.group is not b.group or a.n != b.n:
-        raise SizeMismatch("wreath elements from different groups")
-
-
-def wreath_identity(group: GroupTable, n: int) -> WreathElement:
-    return WreathElement(group, (0,) * n, tuple(range(n)))
-
-
-def wreath_mul(a: WreathElement, b: WreathElement) -> WreathElement:
-    """(xi1, s1)(xi2, s2) = (xi1 * xi2^(s1^-1), s1 s2)."""
-    _check_same(a, b)
-    G = a.group
-    inv_s1 = [0] * a.n
-    for i, v in enumerate(a.sigma):
-        inv_s1[v] = i
-    xi = tuple(G.mul(a.xi[x], b.xi[inv_s1[x]]) for x in range(a.n))
-    sigma = tuple(a.sigma[b.sigma[x]] for x in range(a.n))
-    return WreathElement(G, xi, sigma)
-
-
-def wreath_inv(a: WreathElement) -> WreathElement:
-    G = a.group
-    inv_sigma = [0] * a.n
-    for i, v in enumerate(a.sigma):
-        inv_sigma[v] = i
-    xi = tuple(G.inv(a.xi[a.sigma[y]]) for y in range(a.n))
-    return WreathElement(G, xi, tuple(inv_sigma))
-
-
-def wreath_conj(a: WreathElement, h: WreathElement) -> WreathElement:
-    """h a h^-1."""
-    return wreath_mul(wreath_mul(h, a), wreath_inv(h))
-
-
-def lambda_of_wreath(w: WreathElement) -> FactorizationType:
-    """Cycle data: for each sigma-cycle (j_1 ... j_d), the conjugacy class of
-    xi(j_d) ... xi(j_1), recorded at (d, 1, class-as-coset)."""
-    G = w.group
-    n = w.n
-    seen = [False] * n
-    counts: dict[tuple[int, int, int], int] = {}
-    for start in range(n):
-        if seen[start]:
-            continue
-        prod = 0
-        d = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            prod = G.mul(w.xi[j], prod)
-            j = w.sigma[j]
-            d += 1
-        omega = G.class_to_omega[G.class_of[prod]]
-        key = (d, 1, omega)
-        counts[key] = counts.get(key, 0) + 1
-    return FactorizationType(counts)
-
-
-def is_conjugate(a: WreathElement, b: WreathElement) -> bool:
-    _check_same(a, b)
-    return lambda_of_wreath(a) == lambda_of_wreath(b)
-
-
-def all_elements(group: GroupTable, n: int):
-    total = group.n**n * math.factorial(n)
-    if total > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"{total} wreath elements exceed the enumeration bound")
-    for sigma in itertools.permutations(range(n)):
-        for xi in itertools.product(range(group.n), repeat=n):
-            yield WreathElement(group, xi, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +156,6 @@ def mean_class_function(fn: ArithFnSpec, group: GroupTable, n: int) -> Fraction:
     return total / (group.n**n * math.factorial(n))
 
 
-def brute_force_mean(fn: ArithFnSpec, group: GroupTable, n: int) -> Fraction:
-    """The same average by walking every element; the oracle for the above."""
-    total = Fraction(0)
-    cache: dict[FactorizationType, Fraction] = {}
-    count = 0
-    for w in all_elements(group, n):
-        lam = lambda_of_wreath(w)
-        v = cache.get(lam)
-        if v is None:
-            v = cache[lam] = evaluate(fn, lam, group)
-        total += v
-        count += 1
-    return total / count
-
-
 def rising_binom(x: Fraction, n: int) -> Fraction:
     """binom(n + x - 1, n) = x(x+1)...(x+n-1)/n! for exact rational x."""
     num = Fraction(1)
@@ -282,4 +175,4 @@ def closed_form_mean(fn: ArithFnSpec, group: GroupTable, n: int) -> Fraction:
         s = 0 if isinstance(fn, B) else 1 if isinstance(fn, R) else fn.s
         x = Fraction(N) ** (s - 1)
         return rising_binom(x, n)
-    raise TooLarge(f"no closed form for {fn!r}")
+    raise DomainError(f"no closed form for {fn.describe()}")

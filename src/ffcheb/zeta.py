@@ -473,37 +473,109 @@ def r_full_check(spec: Cover, n: int, seed: int = 0):
 
 
 def rh_root_moduli(coeffs: list[int], q: int) -> list[float]:
-    """|root|^2 * q for each complex root of the curve-zeta numerator; equals
-    1.0 under the Riemann hypothesis.  Diagnostic only (floats)."""
+    """|root|^2 * q for each complex root of the curve-zeta numerator: 1.0
+    for every root, once `_rh_certificate` proves the Riemann hypothesis for
+    the numerator.  One that fails it comes from a wrong tally."""
     deg = len(coeffs) - 1
     if deg <= 0:
         return []
-    roots = _durand_kerner([complex(c) for c in coeffs])
-    return sorted(abs(r) ** 2 * q for r in roots)
+    if not _rh_certificate(coeffs, q):
+        raise InvariantViolated(f"curve numerator {coeffs} over F_{q} breaks the Riemann hypothesis")
+    return [1.0] * deg
 
 
-def _durand_kerner(coeffs: list[complex], iters: int = 200) -> list[complex]:
-    deg = len(coeffs) - 1
-    lead = coeffs[-1]
-    mon = [c / lead for c in coeffs]
+def _rh_certificate(L: list[int], q: int) -> bool:
+    """Every root u of L has |u|^2 = 1/q, decided in exact arithmetic.
 
-    def ev(x):
-        acc = 0j
-        for c in reversed(mon):
-            acc = acc * x + c
+    L, of degree 2g with constant term 1, must satisfy the functional
+    equation c_(2g-i) = q^(g-i) c_i.  Then u^-g L(u) = R(u^-1 + qu), where
+    R = c_g + sum_(j=1..g) c_(g-j) D_j with D_0 = 2, D_1 = y and
+    D_j = y D_(j-1) - q D_(j-2), and the roots of L lie on |u|^2 = 1/q
+    exactly when the roots y of R are real with y^2 <= 4q.  Sturm's theorem
+    counts both: every root of R is real, and every root of
+    S(w) = R(sqrt w) R(-sqrt w) lies in [0, 4q]."""
+    if len(L) % 2 == 0 or L[0] != 1:
+        return False
+    g = len(L) // 2
+    if any(L[2 * g - i] != q ** (g - i) * L[i] for i in range(g + 1)):
+        return False
+    R = [Fraction(L[g])]
+    prev, cur = [Fraction(2)], [Fraction(0), Fraction(1)]
+    for j in range(1, g + 1):
+        R = _padd(R, [L[g - j] * c for c in cur])
+        prev, cur = cur, _padd([Fraction(0)] + cur, [-q * c for c in prev])
+    S = _pmul(R, [c if i % 2 == 0 else -c for i, c in enumerate(R)])[::2]
+    R, S = _squarefree(R), _squarefree(S)
+    return (
+        _real_roots(R, -math.inf, math.inf) == len(R) - 1
+        and _real_roots(S, 0, 4 * q) == len(S) - 1
+    )
+
+
+# polynomials over Q for the certificate: Fraction lists, constant term first
+
+
+def _padd(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+def _pmul(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _pdivmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b (b nonzero); zero is []."""
+    a = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = quo[shift] = a[shift + len(b) - 1] / b[-1]
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
+    rem = a[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def _pderiv(a: list) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _squarefree(a: list) -> list:
+    """a over gcd(a, a'): the same roots, each once."""
+    x, y = a, _pderiv(a)
+    while y:
+        x, y = y, _pdivmod(x, y)[1]
+    return _pdivmod(a, x)[0]
+
+
+def _real_roots(a: list, lo, hi) -> int:
+    """Distinct real roots in [lo, hi] of the square-free a, by Sturm's
+    theorem: V(lo) - V(hi) counts those in (lo, hi]."""
+    chain = [a]
+    r = _pderiv(a)
+    while r:
+        chain.append(r)
+        r = [-c for c in _pdivmod(chain[-2], chain[-1])[1]]
+
+    def value(c, x):
+        if x == math.inf:
+            return c[-1]
+        if x == -math.inf:
+            return c[-1] * (-1) ** (len(c) - 1)
+        acc = Fraction(0)
+        for v in reversed(c):
+            acc = acc * x + v
         return acc
 
-    roots = [(0.4 + 0.9j) ** k for k in range(1, deg + 1)]
-    for _ in range(iters):
-        new = []
-        for i, r in enumerate(roots):
-            denom = 1 + 0j
-            for j, s in enumerate(roots):
-                if i != j:
-                    denom *= r - s
-            new.append(r - ev(r) / denom)
-        if all(abs(a - b) < 1e-14 for a, b in zip(new, roots)):
-            roots = new
-            break
-        roots = new
-    return roots
+    def variations(x):
+        signs = [v > 0 for v in (value(c, x) for c in chain) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi) + (value(a, lo) == 0)

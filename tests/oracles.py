@@ -29,13 +29,23 @@ orbit per class of the scalar action of F_q^* and scales the others.
 `digit_add` and `digit_neg` add and negate elements of F_{p^k} base-p digit
 by digit, on the integer encoding; `Field.add`, `Field.sub` and `Field.neg`
 use Zech logarithms instead.
+
+`WreathElement` models G wr S_n element by element, with `wreath_mul`,
+`wreath_inv`, `wreath_conj` and the cycle data `lambda_of_wreath`;
+`all_elements` walks every element and `brute_force_mean` averages a class
+function over that walk.  `wreath.mean_class_function` reads the same average
+from the class-type table, whose sizes come from a formula instead.
 """
 
+import itertools
+import math
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ffcheb.covers import ArtinSchreierCover, KummerCover, ProductCover
-from ffcheb.factypes import direct_b, direct_r
+from ffcheb.errors import TooLarge
+from ffcheb.factypes import FactorizationType, direct_b, direct_r, evaluate
 from ffcheb.ffield import make_field, root_of_unity
 from ffcheb.polys import (
     enumerate_monic,
@@ -224,3 +234,113 @@ def digit_neg(F, a):
         a //= p
         mult *= p
     return out
+
+
+#: bound on |G|^n * n! for a walk over every element of G wr S_n
+BRUTE_FORCE_LIMIT = 10**7
+
+
+@dataclass(frozen=True)
+class WreathElement:
+    """(xi, sigma) in G wr S_n; sigma maps position i to sigma[i]."""
+
+    group: object
+    xi: tuple
+    sigma: tuple
+
+    def __post_init__(self):
+        n = len(self.xi)
+        if len(self.sigma) != n or sorted(self.sigma) != list(range(n)):
+            raise ValueError("sigma is not a permutation of the xi positions")
+
+    @property
+    def n(self):
+        return len(self.xi)
+
+
+def _check_same(a, b):
+    if a.group is not b.group or a.n != b.n:
+        raise ValueError("wreath elements from different groups")
+
+
+def wreath_identity(group, n):
+    return WreathElement(group, (0,) * n, tuple(range(n)))
+
+
+def wreath_mul(a, b):
+    """(xi1, s1)(xi2, s2) = (xi1 * xi2^(s1^-1), s1 s2)."""
+    _check_same(a, b)
+    G = a.group
+    inv_s1 = [0] * a.n
+    for i, v in enumerate(a.sigma):
+        inv_s1[v] = i
+    xi = tuple(G.mul(a.xi[x], b.xi[inv_s1[x]]) for x in range(a.n))
+    sigma = tuple(a.sigma[b.sigma[x]] for x in range(a.n))
+    return WreathElement(G, xi, sigma)
+
+
+def wreath_inv(a):
+    G = a.group
+    inv_sigma = [0] * a.n
+    for i, v in enumerate(a.sigma):
+        inv_sigma[v] = i
+    xi = tuple(G.inv(a.xi[a.sigma[y]]) for y in range(a.n))
+    return WreathElement(G, xi, tuple(inv_sigma))
+
+
+def wreath_conj(a, h):
+    """h a h^-1."""
+    return wreath_mul(wreath_mul(h, a), wreath_inv(h))
+
+
+def lambda_of_wreath(w):
+    """Cycle data: for each sigma-cycle (j_1 ... j_d), the conjugacy class of
+    xi(j_d) ... xi(j_1), recorded at (d, 1, class-as-coset)."""
+    G = w.group
+    n = w.n
+    seen = [False] * n
+    counts = {}
+    for start in range(n):
+        if seen[start]:
+            continue
+        prod = 0
+        d = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            prod = G.mul(w.xi[j], prod)
+            j = w.sigma[j]
+            d += 1
+        omega = G.class_to_omega[G.class_of[prod]]
+        key = (d, 1, omega)
+        counts[key] = counts.get(key, 0) + 1
+    return FactorizationType(counts)
+
+
+def is_conjugate(a, b):
+    _check_same(a, b)
+    return lambda_of_wreath(a) == lambda_of_wreath(b)
+
+
+def all_elements(group, n):
+    total = group.n**n * math.factorial(n)
+    if total > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"{total} wreath elements exceed the enumeration bound")
+    for sigma in itertools.permutations(range(n)):
+        for xi in itertools.product(range(group.n), repeat=n):
+            yield WreathElement(group, xi, sigma)
+
+
+def brute_force_mean(fn, group, n):
+    """Average of fn over G wr S_n by walking every element."""
+    total = Fraction(0)
+    cache = {}
+    count = 0
+    for w in all_elements(group, n):
+        lam = lambda_of_wreath(w)
+        v = cache.get(lam)
+        if v is None:
+            v = cache[lam] = evaluate(fn, lam, group)
+        total += v
+        count += 1
+    return total / count

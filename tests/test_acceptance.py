@@ -18,14 +18,10 @@ from ffcheb.groups import GroupTable
 from ffcheb.intervals import IntervalSpec, census, interval_mean
 from ffcheb.polys import enumerate_monic, parse_poly, peval
 from ffcheb.wreath import (
-    all_elements,
-    brute_force_mean,
     closed_form_mean,
     enumerate_class_types,
-    lambda_of_wreath,
     mean_class_function,
     rising_binom,
-    wreath_conj,
 )
 from ffcheb.zeta import (
     b_full_mean,
@@ -37,7 +33,13 @@ from ffcheb.zeta import (
     r_full_mean,
 )
 
-from oracles import b_direct_sum
+from oracles import (
+    all_elements,
+    b_direct_sum,
+    brute_force_mean,
+    lambda_of_wreath,
+    wreath_conj,
+)
 
 D_PATTERN = "T^3-3*T^2+2*T"
 

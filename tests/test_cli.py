@@ -213,16 +213,18 @@ def test_unknown_command_exit_1():
 def test_wreath_mean_examples(capsys):
     assert main(["wreath-mean", "--group", "cyclic:2", "--n", "3", "--fn", "1C:1"]) == 0
     assert capsys.readouterr().out.strip() == "1/6"
-    assert main(["wreath-mean", "--group", "cyclic:2", "--n", "2", "--fn", "B", "--brute"]) == 0
+    assert main(["wreath-mean", "--group", "cyclic:2", "--n", "2", "--fn", "B", "--closed"]) == 0
     assert capsys.readouterr().out.strip() == "3/8"
 
 
 def test_wreath_mean_brute_and_closed_exit_1(capsys):
-    # one route per run: the pair is a usage error, not a silent brute force
-    with pytest.raises(SystemExit) as e:
-        main(["wreath-mean", "--group", "cyclic:2", "--n", "2", "--fn", "B", "--brute", "--closed"])
-    assert e.value.code == 1
-    assert "not allowed with argument" in capsys.readouterr().err
+    # the walk over every element of G wr S_n is a test oracle, not a route:
+    # --brute is an unknown flag, alone or beside --closed
+    for route in (["--brute", "--closed"], ["--brute"]):
+        with pytest.raises(SystemExit) as e:
+            main(["wreath-mean", "--group", "cyclic:12", "--n", "8", "--fn", "R", *route])
+        assert e.value.code == 1
+        assert "unrecognized arguments: --brute" in capsys.readouterr().err
 
 
 def test_wreath_mean_class_type_csv(capsys, tmp_path):
@@ -233,10 +235,6 @@ def test_wreath_mean_class_type_csv(capsys, tmp_path):
     lines = csvf.read_text().strip().splitlines()
     assert lines[0] == "class_type,size,fn_value"
     assert len(lines) == 6  # header + the five class types of Z/2 wr S_2
-
-
-def test_wreath_mean_too_large_exit_3(capsys):
-    assert main(["wreath-mean", "--group", "cyclic:12", "--n", "8", "--fn", "R", "--brute"]) == 3
 
 
 def test_interval_mean_reruns_byte_identical(gen1_file, tmp_path):
@@ -361,6 +359,17 @@ def test_zeta_command_genus1_artin_schreier_f9(tmp_path, capsys):
     assert "rh_root_moduli_times_q = [1.000000000,1.000000000]\n" in out
 
 
+def test_zeta_rh_line_at_a_fourfold_root(tmp_path, capsys):
+    # y^2 = T^5 - T over F_25: the numerator is (1 - 5u)^4, whose one root
+    # has |u|^2 = 1/q exactly, four times over
+    f = tmp_path / "t5.cov"
+    f.write_text("kind = kummer\np = 5\nk = 2\nd = 2\nD = [0,-1,0,0,0,1]\n")
+    assert main(["zeta", "--cover", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "curve_numerator = [1,-20,150,-500,625]\n" in out
+    assert "rh_root_moduli_times_q = [1.000000000,1.000000000,1.000000000,1.000000000]\n" in out
+
+
 def test_zeta_and_psi_check_genus6_artin_schreier_f49(tmp_path, capsys):
     # y^7 - y = 1/(T(T-1)) over F_49 has genus 6; its tallies sweep only the
     # monics below the conductor degree 4, not the primes to degree 2g + 2
@@ -444,7 +453,7 @@ VALUE_ROWS = [
     # new rows go last: a row's test id is its index
     (_wreath("cyclic:2", "1C:0", "0", "--closed"), 2, "DomainError"),
     (_wreath("cyclic:2", "B", "-1", "--closed"), 2, "DomainError"),
-    (_wreath("cyclic:2", "B", "-2", "--brute"), 2, "DomainError"),
+    (_wreath("cyclic:2", "B", "-2"), 2, "DomainError"),
     (_wreath("cyclic:2", "B", "0"), 2, "DomainError"),
     (_wreath("cyclic:2", "1C:5", "1", "--closed"), 2, "NotAConjugacyClass"),
     (_wreath(group="sym:30"), 3, "TooLarge"),
@@ -464,6 +473,9 @@ VALUE_ROWS = [
     (["cheb-grid", "--d", "2", "--D", "T", "--qs", "5", "--f0", "T^2", "--m", "1",
       "--fns", "B", "--threads", "-2"], 2, "DomainError"),
     (["norms-check", "--cover", "{cover}", "--n", "2", "--threads", "0"], 2, "DomainError"),
+    (_wreath("cyclic:2", "delta:1:1:0=2", "2", "--closed"), 2, "DomainError"),
+    (_wreath("cyclic:2", "delta:1:1:9=2", "2"), 2, "DomainError"),
+    (_imean("delta:1:1:9=2"), 2, "DomainError"),
 ]
 
 

@@ -58,3 +58,39 @@ def test_unused_import_rule_catches_a_leftover():
         "from __future__ import annotations\n__all__ = ['w']\nprint(a)\n"
     )
     assert _unused_imports(tree) == ["os (line 1)", "z (line 3)"]
+
+
+def _unused_errors(errors: ast.Module, others: list[ast.Module]) -> list[str]:
+    """Exception classes that `errors` defines and no module raises or
+    subclasses: raising means `raise X` or `raise X(...)`, also through a
+    module attribute."""
+    defined = [n.name for n in errors.body if isinstance(n, ast.ClassDef)]
+    used = set()
+    for tree in [errors, *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                used |= {b.id if isinstance(b, ast.Name) else b.attr for b in node.bases}
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    used.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    used.add(exc.attr)
+    return [name for name in defined if name not in used]
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    # an error class that nothing raises is left over from code that went
+    errors = SRC / "errors.py"
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
+    others = [tree for p, tree in trees.items() if p != errors]
+    assert _unused_errors(trees[errors], others) == []
+
+
+def test_unused_error_rule_catches_a_leftover():
+    errors = ast.parse(
+        "class Base(Exception): pass\nclass A(Base): pass\nclass B(Base): pass\n"
+        "class C(Base): pass\nclass D(Base): pass\n"
+    )
+    others = [ast.parse("raise A('x')\nraise errors.B\nclass E(C): pass\ntry:\n    f()\nexcept D:\n    pass\n")]
+    assert _unused_errors(errors, others) == ["D"]

@@ -5,19 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from ffcheb.errors import SizeMismatch, TooLarge
+from ffcheb.errors import DomainError, TooLarge
 from ffcheb.factypes import B, Delta, OneC, R, RPower
 from ffcheb.groups import GroupTable
 from ffcheb.wreath import (
+    closed_form_mean,
+    enumerate_class_types,
+    mean_class_function,
+    rising_binom,
+)
+
+from oracles import (
     WreathElement,
     all_elements,
     brute_force_mean,
-    closed_form_mean,
-    enumerate_class_types,
     is_conjugate,
     lambda_of_wreath,
-    mean_class_function,
-    rising_binom,
     wreath_conj,
     wreath_identity,
     wreath_inv,
@@ -65,7 +68,7 @@ def test_associativity_random():
 
 
 def test_size_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(ValueError):
         wreath_mul(wreath_identity(Z2, 2), wreath_identity(Z2, 3))
 
 
@@ -205,3 +208,8 @@ def test_brute_force_bound():
 def test_class_type_group_bound():
     with pytest.raises(TooLarge):
         enumerate_class_types(GroupTable.cyclic(30), 2)
+
+
+def test_no_closed_form_is_a_domain_error():
+    with pytest.raises(DomainError, match="no closed form"):
+        closed_form_mean(Delta(enumerate_class_types(Z2, 2)[0][0].to_lambda(Z2)), Z2, 2)

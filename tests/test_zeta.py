@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from ffcheb.covers import artin_schreier, kummer, product, trivial
-from ffcheb.errors import DegreeBoundViolated, DomainError, NotComponentwise, TooLarge
+from ffcheb.errors import (
+    DegreeBoundViolated,
+    DomainError,
+    InvariantViolated,
+    NotComponentwise,
+    TooLarge,
+)
 from ffcheb.factypes import B
 from ffcheb.ffield import make_field
 from ffcheb.polys import Poly, RationalFn, count_primes, parse_poly, primes_of_degree
@@ -239,6 +245,31 @@ def test_curve_numerator_and_rh(quad):
     assert curve == [1, 2, 5]
     for m in rh_root_moduli(curve, 5):
         assert abs(m - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "curve, q",
+    [
+        ([1, -20, 150, -500, 625], 25),  # (1 - 5u)^4: a fourfold root
+        ([1, 10, 25], 25),  # trace -10 = -2 sqrt(q), on the band's edge
+        ([1, 0, 25], 25),
+    ],
+)
+def test_rh_certificate_accepts(curve, q):
+    assert rh_root_moduli(curve, q) == [1.0] * (len(curve) - 1)
+
+
+@pytest.mark.parametrize(
+    "curve, q",
+    [
+        ([1, 11, 25], 25),  # trace -11, outside +-10
+        ([1, 4, 6, 12, 9], 3),  # functional equation holds, a trace -4 is outside +-2 sqrt 3
+        ([1, 0, 5], 25),  # the roots lie on |u|^2 = 1/5: no functional equation over F_25
+    ],
+)
+def test_rh_certificate_refuses_tampered_numerators(curve, q):
+    with pytest.raises(InvariantViolated):
+        rh_root_moduli(curve, q)
 
 
 def test_r_full_check_report(quad):

@@ -227,6 +227,12 @@ def test_wreath_mean_brute_and_closed_exit_1(capsys):
         assert "unrecognized arguments: --brute" in capsys.readouterr().err
 
 
+def test_wreath_mean_too_large_exit_3(capsys):
+    # the class-type table of G wr S_n stops at |G| = GROUP_ORDER_LIMIT
+    assert main(["wreath-mean", "--group", "cyclic:25", "--n", "2", "--fn", "R"]) == 3
+    assert "TooLarge" in capsys.readouterr().err
+
+
 def test_wreath_mean_class_type_csv(capsys, tmp_path):
     csvf = tmp_path / "types.csv"
     assert main(

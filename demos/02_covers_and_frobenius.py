@@ -23,7 +23,7 @@ print("\nFrobenius and splitting at the degree-1 primes:")
 for a in range(5):
     P = T - a
     sd = cov.splitting_data(P)
-    if P.coeffs in cov._ramified_set():
+    if P in cov.ramified_primes():
         print(f"  {P}: ramified, (e,f,g) = {sd.as_tuple()}")
     else:
         cls = cov.frobenius_class(P)

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .covers import load_cover
-from .errors import DomainError, OutputFileError, ResourceError, TooLarge
+from .errors import DegreeTooLarge, DomainError, OutputFileError, ResourceError, TooLarge
 from .factypes import parse_fn
 from .ffield import make_field
 from .groups import GroupTable
@@ -35,6 +35,7 @@ from .wreath import (
     enumerate_class_types,
     mean_class_function,
 )
+from . import ffield
 from . import zeta as zeta_mod
 
 
@@ -48,6 +49,8 @@ class _Parser(argparse.ArgumentParser):
 def _field_from_q(q: int):
     if q < 2:
         raise DomainError(f"{q} is not a prime power")
+    if q > ffield.MAX_Q:  # before the trial division, which takes sqrt(q) steps
+        raise DegreeTooLarge(f"q = {q} exceeds the configured bound {ffield.MAX_Q}")
     p = next((cand for cand in range(2, math.isqrt(q) + 1) if q % cand == 0), q)
     k = 0
     m = q

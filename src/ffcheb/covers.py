@@ -22,6 +22,10 @@ Four kinds:
 Everything a prime can ask for flows through the coset-class catalog of the
 group: `coset_class` returns a catalog index even at ramified primes (cyclic
 and product covers), which is what the norm-counting functions consume.
+Each cover fixes its ramified primes once, in `_ram`, and the abelian kinds
+share one coset path: the Artin symbol off `_ram`, and on it the kind's
+`_ramified_omega` (the inertia coset of a Kummer cover, the whole group of an
+Artin-Schreier cover, the componentwise product of a product cover).
 """
 
 from __future__ import annotations
@@ -96,6 +100,7 @@ class Cover:
 
     kind = "abstract"
     wild_override = False  # validated under force_wild with a wild place at infinity
+    _ram: frozenset[Coeffs] = frozenset()  # the ramified finite primes
 
     def __init__(self, ctx: Field):
         self.ctx = ctx
@@ -107,8 +112,15 @@ class Cover:
     def _validate(self, force_wild: bool) -> None:
         raise NotImplementedError
 
-    def _coset_raw(self, P: Coeffs) -> int:
+    def _ramified_omega(self, P: Coeffs) -> int:
         raise NotImplementedError
+
+    def _coset_raw(self, P: Coeffs) -> int:
+        """The one coset path of the abelian kinds: Art(P) off `_ram`, and
+        the kind's `_ramified_omega` on it."""
+        if P in self._ram:
+            return self._ramified_omega(P)
+        return self.group.class_to_omega[self.artin_symbol(P)]
 
     # -- shared API
 
@@ -142,7 +154,7 @@ class Cover:
         cs = self._prime_coeffs(P)
         if not is_irreducible_raw(self.ctx, cs):
             raise NotIrreducible(f"{Poly._raw(self.ctx, cs)!r} is not a prime of F_q[T]")
-        if cs in self._ramified_set():
+        if cs in self._ram:
             raise RamifiedPrime(f"{Poly._raw(self.ctx, cs)!r} ramifies in the cover")
         return self.group.omega_to_class[self.coset_class(cs)]
 
@@ -150,11 +162,10 @@ class Cover:
         """Number of unramified primes of degree n whose Frobenius lies in
         each conjugacy class, indexed by class."""
         self.require_validated()
-        ram = self._ramified_set()
         to_class = self.group.omega_to_class
         counts = [0] * len(self.group.classes)
         for P in primes_of_degree(self.ctx, n):
-            if P not in ram:
+            if P not in self._ram:
                 counts[to_class[self.coset_class(P)]] += 1
         return counts
 
@@ -175,11 +186,8 @@ class Cover:
         self.require_validated()
         return [
             Poly._raw(self.ctx, cs)
-            for cs in sorted(self._ramified_set(), key=canonical_key)
+            for cs in sorted(self._ram, key=canonical_key)
         ]
-
-    def _ramified_set(self) -> frozenset[Coeffs]:
-        raise NotImplementedError
 
     def _character_conductor(self, a: int) -> dict[Place, int]:
         """{place: exponent} of the conductor of the character indexed by
@@ -238,12 +246,6 @@ class TrivialCover(Cover):
     def _validate(self, force_wild: bool) -> None:
         self.validated = True
 
-    def _ramified_set(self) -> frozenset[Coeffs]:
-        return frozenset()
-
-    def _coset_raw(self, P: Coeffs) -> int:
-        return self.group.class_to_omega[0]
-
     def artin_symbol(self, f: Coeffs) -> int:
         return 0
 
@@ -285,10 +287,14 @@ class KummerCover(Cover):
             raise ZeroPolynomial("Kummer datum D must be nonzero")
         if d < 2:
             raise DomainError("Kummer degree must be >= 2")
+        # before the group table, whose cost grows with d
+        if (ctx.q - 1) % d != 0:
+            raise NotDividing(f"d = {d} does not divide q - 1 = {ctx.q - 1}")
         self.d = d
         unit, parts = factor_raw(ctx, D.coeffs, seed=0)
         reduced = [(P, m % d) for P, m in parts if m % d != 0]
         self.parts = tuple(reduced)
+        self._ram = frozenset(P for P, _ in reduced)
         self.unit = unit
         cs: Coeffs = (unit,)
         for P, m in reduced:
@@ -300,8 +306,6 @@ class KummerCover(Cover):
 
     def _validate(self, force_wild: bool) -> None:
         q = self.ctx.q
-        if (q - 1) % self.d != 0:
-            raise NotDividing(f"d = {self.d} does not divide q - 1 = {q - 1}")
         for dp in prime_factors(self.d):
             if all(m % dp == 0 for _, m in self.parts):
                 raise NotGeometric(
@@ -323,9 +327,6 @@ class KummerCover(Cover):
         )
         self._nonlin_parts = tuple((Q, m) for Q, m in self.parts if len(Q) > 2)
         self.validated = True
-
-    def _ramified_set(self) -> frozenset[Coeffs]:
-        return frozenset(P for P, _ in self.parts)
 
     def artin_symbol(self, f: Coeffs) -> int:
         """dlog of the d-th power residue symbol (D/f)_d, for any monic f
@@ -359,15 +360,10 @@ class KummerCover(Cover):
             k += m * log[r]
         return k % self.d
 
-    def _coset_raw(self, P: Coeffs) -> int:
+    def _ramified_omega(self, P: Coeffs) -> int:
+        """The inertia coset at a part P of D, of multiplicity v."""
         d, F = self.d, self.ctx
-        v = 0
-        for Q, m in self.parts:
-            if Q == P:
-                v = m
-                break
-        if v == 0:
-            return self.group.class_to_omega[self.artin_symbol(P)]
+        v = next(m for Q, m in self.parts if Q == P)
         e = d // math.gcd(d, v)
         step = d // e
         # unit part with uniformizer pi = P, and the dlog of its symbol
@@ -475,6 +471,7 @@ class ArtinSchreierCover(Cover):
         den = self.D.den.coeffs
         _, parts = factor_raw(ctx, den, seed=0) if self.D.den.degree > 0 else (1, ())
         self._poles = tuple(parts)  # (prime, pole multiplicity), all mult coprime to p
+        self._ram = frozenset(P for P, _ in parts)
         # the principal part of D at a pole P of order m is w_P / P^m, with
         # w_P = (D - polynomial part) P^m mod P^m.  At a rational simple pole
         # T - b keep (b, w_P); at the others keep P^m and the residues
@@ -509,9 +506,6 @@ class ArtinSchreierCover(Cover):
                 "extension or splits completely"
             )
         self.validated = True
-
-    def _ramified_set(self) -> frozenset[Coeffs]:
-        return frozenset(P for P, _ in self._poles)
 
     def artin_symbol(self, f: Coeffs) -> int:
         """Tr_{F_q/F_p} of the trace of D in the algebra F_q[T]/(f), for any
@@ -560,11 +554,9 @@ class ArtinSchreierCover(Cover):
             acc = add(acc, t)
         return acc
 
-    def _coset_raw(self, P: Coeffs) -> int:
-        if P in self._ramified_set():
-            coset = frozenset(range(self.ctx.p))
-            return self.group.omega_of_coset(coset)
-        return self.group.class_to_omega[self.artin_symbol(P)]
+    def _ramified_omega(self, P: Coeffs) -> int:
+        """Inertia is the whole group at a pole of D."""
+        return self.group.omega_of_coset(frozenset(range(self.ctx.p)))
 
     def _character_conductor(self, a: int) -> dict[Place, int]:
         """Every nontrivial character has the same conductor: a pole of order
@@ -623,6 +615,7 @@ class ProductCover(Cover):
             raise DomainError("product components must be cyclic covers")
         super().__init__(ctx)
         self.components = tuple(components)
+        self._ram = frozenset().union(*(c._ram for c in components))
         self.group = GroupTable.direct_product([c.group for c in components])
         self.group_provenance = "computed"
 
@@ -644,12 +637,6 @@ class ProductCover(Cover):
                 orders[v] = n * c.group.n
         self.validated = True
 
-    def _ramified_set(self) -> frozenset[Coeffs]:
-        out: set[Coeffs] = set()
-        for c in self.components:
-            out |= c._ramified_set()
-        return frozenset(out)
-
     def _product_omega(self, omegas: list[int]) -> int:
         """Catalog index of the componentwise product of the components'
         cosets, each given by its catalog index."""
@@ -659,7 +646,7 @@ class ProductCover(Cover):
         )
         return self.group.omega_of_coset(members)
 
-    def _coset_raw(self, P: Coeffs) -> int:
+    def _ramified_omega(self, P: Coeffs) -> int:
         return self._product_omega([c._coset_raw(P) for c in self.components])
 
     def artin_symbol(self, f: Coeffs) -> int:
@@ -783,9 +770,6 @@ class SplittingCover(Cover):
                     f"asserted group (class {ci}: saw {counts[ci]}, "
                     f"expected {exp:.1f} of {total})"
                 )
-
-    def _ramified_set(self) -> frozenset[Coeffs]:
-        return self._ram
 
     def _coset_raw(self, P: Coeffs) -> int:
         if P in self._ram:

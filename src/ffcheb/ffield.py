@@ -81,13 +81,16 @@ class Field:
     """
 
     def __init__(self, p: int, k: int):
+        # before the primality test; 2^k > MAX_Q decides a large k without p^k
+        if p > 1 and k >= 1 and (k >= MAX_Q.bit_length() or p**k > MAX_Q):
+            raise DegreeTooLarge(
+                f"p = {p}, k = {k}: q = p^k exceeds the configured bound {MAX_Q}"
+            )
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise DegreeTooLarge("extension degree must be >= 1")
         q = p**k
-        if q > MAX_Q:
-            raise DegreeTooLarge(f"q = {q} exceeds the configured bound {MAX_Q}")
         self.p = p
         self.k = k
         self.q = q

@@ -34,7 +34,6 @@ from .errors import (
     ContextMismatch,
     DomainError,
     IntervalDegenerate,
-    NotAConjugacyClass,
     TooLarge,
 )
 from .factypes import ArithFnSpec, FactorizationType, evaluate
@@ -165,7 +164,7 @@ class _BlockSieve:
         self.spec = spec
         self.base = list(I.f0.coeffs)
         self.excludes = isinstance(spec, SplittingCover)
-        self.ramified = spec._ramified_set()
+        self.ramified = spec._ram
         self.tops = range(t, I.m + 1)  # the block digits
         # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n, and the
         # `_solver`s of the powers some block has reached: a chain of powers
@@ -584,17 +583,6 @@ def interval_mean(
         excluded_fraction=Fraction(excluded, I.size()),
         regime=_regime_flags(spec, I),
     )
-
-
-def count_prime_frobenius_interval(
-    spec: Cover, class_index: int, I: IntervalSpec, seed: int = 0, threads: int = 1
-) -> int:
-    """Exact count of primes in the interval with Frobenius class C."""
-    if not 0 <= class_index < len(spec.group.classes):
-        raise NotAConjugacyClass(f"no conjugacy class with index {class_index}")
-    counts, _ = interval_lambda_counts(spec, I, seed, threads)
-    target = (((I.n, 1, spec.group.class_to_omega[class_index]), 1),)
-    return counts.get(target, 0)
 
 
 @dataclass

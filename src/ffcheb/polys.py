@@ -596,10 +596,9 @@ def primes_of_degree(ctx: Field, n: int) -> list[Coeffs]:
     """All monic irreducibles of degree n, in the order of
     `enumerate_monic_raw` (lowest coefficient varying fastest).
 
-    Degree n >= 2 is sieved: the monics of degree n are I(T^n, n - 1), and
-    the multiples there of a prime Q of degree d <= n/2 are the coset
-    h = -T^n mod Q, n - d digits free.  Cached on the field context, so the
-    interval sieve and every cover over the same field share the lists.
+    Degree n >= 2 is sieved by the primes of degree d <= n/2
+    (`_coprime_monics`).  Cached on the field context, so the interval sieve
+    and every cover over the same field share the lists.
     """
     cache = getattr(ctx, "_prime_cache", None)
     if cache is None:
@@ -615,16 +614,25 @@ def primes_of_degree(ctx: Field, n: int) -> list[Coeffs]:
         size = q**n
         if size > ENUMERATION_LIMIT:
             raise TooLarge(f"listing the primes of degree {n} sieves {size} monics")
-        keep = bytearray(b"\x01") * size
-        tn = (0,) * n + (1,)
-        for d in range(1, n // 2 + 1):
-            for Q in primes_of_degree(ctx, d):
-                r = pneg(ctx, pmod(ctx, tn, Q))
-                for i in _coset_indices(ctx, r, d, _coset_rows(ctx, Q, n - d)):
-                    keep[i] = 0
-        out = list(itertools.compress(enumerate_monic_raw(ctx, n), keep))
+        small = (Q for d in range(1, n // 2 + 1) for Q in primes_of_degree(ctx, d))
+        out = list(_coprime_monics(ctx, n, small))
     cache[n] = out
     return out
+
+
+def _coprime_monics(ctx: Field, n: int, primes: Iterable[Coeffs]) -> Iterator[Coeffs]:
+    """The monics of degree n that no prime in `primes` divides, in the order
+    of `enumerate_monic_raw`.  The multiples of a prime Q of degree d <= n
+    among them are the coset h = -T^n mod Q of I(T^n, n - 1), n - d digits
+    free, so each Q marks one coset."""
+    keep = bytearray(b"\x01") * ctx.q**n
+    tn = (0,) * n + (1,)
+    for Q in primes:
+        d = len(Q) - 1
+        r = pneg(ctx, pmod(ctx, tn, Q))
+        for i in _coset_indices(ctx, r, d, _coset_rows(ctx, Q, n - d)):
+            keep[i] = 0
+    return itertools.compress(enumerate_monic_raw(ctx, n), keep)
 
 
 def enumerate_monic_raw(F: Field, n: int) -> Iterator[Coeffs]:

@@ -18,12 +18,14 @@ polynomial of degree below n0, the degree of the lcm of the characters'
 finite conductors plus any wild excess at infinity (Rosen, GTM 210, ch. 4),
 and the trivial one is prod_{ram}(1 - u^{deg P}) / (1 - qu).  So below n0
 Z_n is swept, the Artin symbol of every monic of degree n prime to the
-ramified primes, and from n0 on Z_n is N_n / |A| on every element, where
-N_n, the number of those monics, is [u^n] of the trivial component.  The
-tallies at every degree are checked for integrality, nonnegativity, and the
-class-sum identity against the prime polynomial theorem; a failure means
-the conductor degree (hence the cover model) is wrong and raises
-DegreeBoundViolated.
+ramified primes.  Those monics are what the coset sieve that lists the
+primes (`polys._coprime_monics`) leaves when it runs on the ramified primes
+of degree <= n, so no monic that meets one is classified.  From n0 on Z_n
+is N_n / |A| on every element, where N_n, the number of those monics, is
+[u^n] of the trivial component.  The tallies at every degree are checked
+for integrality, nonnegativity, and the class-sum identity against the
+prime polynomial theorem; a failure means the conductor degree (hence the
+cover model) is wrong and raises DegreeBoundViolated.
 
 Means over every monic of degree n (`full_degree_mean`, `r_full_mean`) are
 read from the interval sieve over I(T^n, n - 1); factoring each monic is
@@ -43,12 +45,11 @@ from .errors import (
     DomainError,
     InvariantViolated,
     NotAbelian,
-    RamifiedPrime,
     TooLarge,
 )
 from .factypes import EMPTY_TYPE, ArithFnSpec, R, check_class, evaluate
 from .intervals import IntervalSpec, Report, cover_hash, sieved_mean
-from .polys import ENUMERATION_LIMIT, Poly, count_primes, enumerate_monic_raw
+from .polys import ENUMERATION_LIMIT, Poly, _coprime_monics, count_primes
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +134,13 @@ class AbelianFrobeniusData:
         self.ensure(self.J)
 
     def _swept(self, n: int) -> list[int]:
-        """Z_n below n0: the Artin symbols of the monics of degree n."""
+        """Z_n below n0: the Artin symbols of the monics of degree n that no
+        ramified prime of degree <= n divides."""
         row = [0] * self.group.n
-        for f in enumerate_monic_raw(self.ctx, n):
-            try:
-                row[self.spec.artin_symbol(f)] += 1
-            except RamifiedPrime:
-                pass  # not prime to the ramified primes
+        art = self.spec.artin_symbol
+        ram = [P for P in self.spec._ram if len(P) - 1 <= n]
+        for f in _coprime_monics(self.ctx, n, ram):
+            row[art(f)] += 1
         return row
 
     def _convolve(self, n: int, kmax: int) -> list[int]:

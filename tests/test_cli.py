@@ -66,6 +66,16 @@ component.2.d = 2
 component.2.D = [0,4,1]
 """
 
+# cover files refused before any costly step: d = 3000 does not divide
+# q - 1 = 4 (the group table of Z/3000 alone would take hours), a prime p
+# far above the field bound (trial division up to sqrt(p) would not end),
+# and q = 2^20000 (too many digits to print)
+BAD_FIELD_COVERS = {
+    "{d3000}": "kind = kummer\np = 5\nd = 3000\nD = T\n",
+    "{p_huge}": "kind = trivial\np = 1000000000000000003\n",
+    "{k_huge}": "kind = kummer\np = 2\nk = 20000\nd = 2\nD = T\n",
+}
+
 
 @pytest.fixture()
 def quad_file(tmp_path):
@@ -78,7 +88,8 @@ def quad_file(tmp_path):
 def cover_files(tmp_path, quad_file):
     """Placeholders in the error tables and the cover files they stand for."""
     files = {"{cover}": quad_file}
-    for key, text in (("{s3}", S3_CUBIC), ("{kxas}", KUMMER_X_AS), ("{shared_t}", SHARED_T)):
+    named = {"{s3}": S3_CUBIC, "{kxas}": KUMMER_X_AS, "{shared_t}": SHARED_T, **BAD_FIELD_COVERS}
+    for key, text in named.items():
         f = tmp_path / (key.strip("{}") + ".cov")
         f.write_text(text)
         files[key] = str(f)
@@ -105,10 +116,16 @@ def test_factor_bad_q(capsys):
 
 @pytest.mark.parametrize(
     "q, code, name",
-    [("1", 2, "DomainError"), ("0", 2, "DomainError"), ("1000000007", 3, "DegreeTooLarge")],
+    [
+        ("1", 2, "DomainError"),
+        ("0", 2, "DomainError"),
+        ("1000000007", 3, "DegreeTooLarge"),
+        ("1000000000000000003", 3, "DegreeTooLarge"),
+    ],
 )
 def test_factor_q_out_of_range(capsys, q, code, name):
-    # a large prime q is rejected by the field bound, without trial division up to q
+    # a q above the field bound is refused before any trial division, which
+    # would take sqrt(q) steps
     assert main(["factor", "--q", q, "T+1"]) == code
     assert capsys.readouterr().err.startswith(f"{name}:")
 
@@ -482,6 +499,9 @@ VALUE_ROWS = [
     (_wreath("cyclic:2", "delta:1:1:0=2", "2", "--closed"), 2, "DomainError"),
     (_wreath("cyclic:2", "delta:1:1:9=2", "2"), 2, "DomainError"),
     (_imean("delta:1:1:9=2"), 2, "DomainError"),
+    (["psi-check", "--cover", "{d3000}", "--max-n", "2"], 2, "NotDividing"),
+    (["frobenius", "--cover", "{p_huge}", "T"], 3, "DegreeTooLarge"),
+    (["frobenius", "--cover", "{k_huge}", "T"], 3, "DegreeTooLarge"),
 ]
 
 

@@ -56,7 +56,7 @@ def test_composite_kummer_yd_oracle_d4():
 
     F13 = make_field(13)
     cov = kummer(F13, 4, "T^2+T+1")
-    ram = cov._ramified_set()
+    ram = cov._ram
     for deg in (1, 2):
         for Pcs in primes_of_degree(F13, deg):
             if Pcs in ram:
@@ -83,7 +83,7 @@ def test_artin_schreier_even_char_extension_field():
     for n in (1, 2, 3):
         row = [0, 0]
         for P in primes_of_degree(F4, n):
-            if P in cov._ramified_set():
+            if P in cov._ram:
                 continue
             row[oracle_class(cov, P)] += 1
         assert row == data.tallies[n]
@@ -111,7 +111,7 @@ def test_artin_schreier_reduction_with_divisible_pole_even_char():
     for deg in (1, 2, 3):
         for Pcs in primes_of_degree(F4, deg):
             Pp = Poly(F4, Pcs)
-            if (raw.den % Pp).is_zero() or Pcs in cov._ramified_set():
+            if (raw.den % Pp).is_zero() or Pcs in cov._ram:
                 continue
             x = eval_mod(raw, Pp)
             big = x.ctx
@@ -170,7 +170,7 @@ def test_random_ldata_vs_enumeration():
                 for n in (4, 5):
                     row = [0] * d
                     for P in primes_of_degree(F, n):
-                        if P in cov._ramified_set():
+                        if P in cov._ram:
                             continue
                         row[oracle_class(cov, P)] += 1
                     assert row == data.tallies[n], (q, d, cs, n)
@@ -187,7 +187,7 @@ def test_product_tallies_vs_enumeration():
     for n in (4, 5):
         row = [0] * 4
         for P in primes_of_degree(F5, n):
-            if P in pc._ramified_set():
+            if P in pc._ram:
                 continue
             row[oracle_class(pc, P)] += 1
         assert row == data.tallies[n]

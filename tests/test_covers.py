@@ -150,7 +150,7 @@ def test_as_reduce_preserves_frobenius():
     for deg in (1, 2, 3, 4, 5, 6):
         for Pcs in primes_of_degree(F3, deg):
             Pp = Poly(F3, Pcs)
-            if (den % Pp).is_zero() or Pp.coeffs in cov._ramified_set():
+            if (den % Pp).is_zero() or Pp.coeffs in cov._ram:
                 continue
             x = eval_mod(raw, Pp)
             big = x.ctx
@@ -185,7 +185,7 @@ def test_kummer_splitting_examples():
 
 def test_efg_product_and_unramified_e():
     cov = kummer(F5, 4, "T^2+2")
-    ram = cov._ramified_set()
+    ram = cov._ram
     for deg in (1, 2):
         for Pcs in primes_of_degree(F5, deg):
             sd = cov.splitting_data(Poly(F5, Pcs))
@@ -199,7 +199,7 @@ def test_kummer_frobenius_order_equals_f():
     for F in (F5, make_field(3, 2)):
         d = 2
         cov = kummer(F, d, "T^3-3*T^2+2*T")
-        ram = cov._ramified_set()
+        ram = cov._ram
         for deg in (1, 2, 3):
             for Pcs in primes_of_degree(F, deg):
                 if Pcs in ram:
@@ -216,7 +216,7 @@ def test_kummer_splitting_oracle_yd_minus_d():
 
     for (F, d, Dtext) in ((F5, 2, "T^3-3*T^2+2*T"), (make_field(7), 3, "T^2+T+3"), (make_field(3, 2), 2, "T^3+2*T")):
         cov = kummer(F, d, Dtext)
-        ram = cov._ramified_set()
+        ram = cov._ram
         for deg in (1, 2):
             for Pcs in primes_of_degree(F, deg):
                 if Pcs in ram:
@@ -459,7 +459,7 @@ def _quadratic_splitting(ctx, Dtext):
 def test_splitting_matches_kummer_quadratic():
     spl = _quadratic_splitting(F5, "T^3-3*T^2+2*T")
     kum = kummer(F5, 2, "T^3-3*T^2+2*T")
-    ram = kum._ramified_set()
+    ram = kum._ram
     for deg in (1, 2):
         for Pcs in primes_of_degree(F5, deg):
             if Pcs in ram:
@@ -478,7 +478,7 @@ def test_splitting_s3_cubic():
     # observed cycle types all in the table (validation already samples)
     seen = set()
     for Pcs in primes_of_degree(ctx, 2):
-        if Pcs in spec._ramified_set():
+        if Pcs in spec._ram:
             continue
         seen.add(spec.frobenius_class(Poly(ctx, Pcs)))
     assert seen <= {0, 1, 2}
@@ -524,7 +524,7 @@ def test_splitting_class_by_root_count(pk):
     # a search over F_{q^jd}, and the roots of F(t, Y) are counted there
     F = make_field(*pk)
     for cov, degrees, must_occur in _root_count_cases(F):
-        ram = cov._ramified_set()
+        ram = cov._ram
         by_roots = _TYPE_BY_ROOTS[cov.y_degree]
         steps = (1, 2) if cov.y_degree == 4 else (1,)
         seen = set()
@@ -638,7 +638,7 @@ def test_failed_validation_leaves_cover_unvalidated():
 )
 def test_class_counts_match_oracle(make):
     cov = make()
-    ram = cov._ramified_set()
+    ram = cov._ram
     for n in (1, 2, 3):
         want = [0] * len(cov.group.classes)
         for P in primes_of_degree(cov.ctx, n):
@@ -660,7 +660,7 @@ S3_COUNTS = {
 def test_s3_class_counts(q):
     ctx = make_field(q)
     spec = validate_cover(_s3_cubic(ctx))
-    ram_degrees = Counter(len(P) - 1 for P in spec._ramified_set())
+    ram_degrees = Counter(len(P) - 1 for P in spec._ram)
     for n, want in enumerate(S3_COUNTS[q], 1):
         counts = spec.class_counts(n)
         assert sum(counts) == count_primes(ctx, n) - ram_degrees[n]

@@ -37,6 +37,11 @@ def test_machine_bound():
         make_field(2, 21)  # 2^21 exceeds the default bound
     with pytest.raises(DegreeTooLarge):
         make_field(5, 0)
+    # refused at once, naming p and k: no primality test of a large p and no
+    # p^k of a large k
+    for p, k in ((1000000000000000003, 1), (10**18, 1), (2, 20000)):
+        with pytest.raises(DegreeTooLarge, match=f"p = {p}, k = {k}:"):
+            make_field(p, k)
 
 
 def test_make_field_deterministic():

@@ -39,7 +39,7 @@ BOUNDS = (1, 125, intervals._POOL_FLOOR)
 def oracle(spec, I, start, stop, seed=0):
     ctx = spec.ctx
     q = ctx.q
-    ram = spec._ramified_set() if isinstance(spec, SplittingCover) else ()
+    ram = spec._ram if isinstance(spec, SplittingCover) else ()
     counts, excluded = Counter(), 0
     for idx in range(start, stop):
         cs = list(I.f0.coeffs)

@@ -16,7 +16,6 @@ from ffcheb.intervals import (
     _pool_counts,
     _usable_cpus,
     census,
-    count_prime_frobenius_interval,
     interval_lambda_counts,
     interval_mean,
     parse_report,
@@ -72,13 +71,20 @@ def test_delta_empty_is_zero(quad):
     assert rep.empirical_mean == 0 and rep.predicted_mean == 0
 
 
+def _primes_of_class(cov, ci, I):
+    """Primes of the interval with Frobenius class ci, read from its tally of
+    factorization types."""
+    counts, _ = interval_lambda_counts(cov, I)
+    return counts.get((((I.n, 1, cov.group.class_to_omega[ci]), 1),), 0)
+
+
 def test_count_prime_frobenius_interval_n1():
     cov = kummer(F5, 2, "T")
     full = IntervalSpec(Poly.x(F5), 0)
-    assert count_prime_frobenius_interval(cov, 1, full) == 2  # non-residues 2, 3
-    assert count_prime_frobenius_interval(cov, 0, full) == 2  # residues 1, 4
+    assert _primes_of_class(cov, 1, full) == 2  # non-residues 2, 3
+    assert _primes_of_class(cov, 0, full) == 2  # residues 1, 4
     with pytest.raises(NotAConjugacyClass):
-        count_prime_frobenius_interval(cov, 7, full)
+        interval_mean(cov, OneC(7), full)
 
 
 def test_chunk_order_independence(quad):
@@ -281,8 +287,8 @@ def test_wild_override_negative_control():
     assert rep.regime["tame_at_infinity"] is False
     # the wild cover pins Frobenius to the top fixed coefficient: within one
     # interval every prime gets the same class, so no equidistribution
-    c0 = count_prime_frobenius_interval(cov, 0, spec)
-    c1 = count_prime_frobenius_interval(cov, 1, spec)
+    c0 = _primes_of_class(cov, 0, spec)
+    c1 = _primes_of_class(cov, 1, spec)
     assert c0 == 0 or c1 == 0
     assert c0 + c1 > 0
 

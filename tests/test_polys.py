@@ -21,6 +21,7 @@ from ffcheb.ffield import Field, make_field
 from ffcheb.polys import (
     Poly,
     RationalFn,
+    _coprime_monics,
     _coset_indices,
     _coset_rows,
     _edf,
@@ -37,6 +38,7 @@ from ffcheb.polys import (
     is_irreducible_raw,
     parse_poly,
     pdeg,
+    pgcd,
     pmod,
     pmul,
     pnorm,
@@ -207,6 +209,23 @@ def test_coset_indices_match_brute_force(pk):
             rows = _coset_rows(F, Q, t)
             for r, want in classes.items():
                 assert list(_coset_indices(F, r, D, rows)) == want, (q, Q, t, r)
+
+
+@pytest.mark.parametrize("pk", [(2, 2), (5, 1), (3, 2)], ids=["F4", "F5", "F9"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coprime_monics_match_gcd(pk, n):
+    # the coset sieve against a gcd with every given prime: primes of degree
+    # 1, of degree n and, from n = 2 on, of degree 2
+    F = make_field(*pk)
+    rng = random.Random(f"coprime/{F.q}/{n}")
+    degrees = {1, min(2, n), n}
+    primes = [P for d in sorted(degrees) for P in rng.sample(primes_of_degree(F, d), 2)]
+    want = [
+        f for f in enumerate_monic_raw(F, n)
+        if all(pgcd(F, f, P) == (1,) for P in primes)
+    ]
+    assert list(_coprime_monics(F, n, primes)) == want
+    assert len(want) < F.q**n  # each prime divides some monic of degree n
 
 
 def test_prime_list_bounded():

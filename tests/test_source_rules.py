@@ -94,3 +94,34 @@ def test_unused_error_rule_catches_a_leftover():
     )
     others = [ast.parse("raise A('x')\nraise errors.B\nclass E(C): pass\ntry:\n    f()\nexcept D:\n    pass\n")]
     assert _unused_errors(errors, others) == ["D"]
+
+
+def _caught_names(tree: ast.Module, name: str) -> list[int]:
+    """Lines of the `except` clauses that name the class `name`, alone, in a
+    tuple or through a module attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {t.id if isinstance(t, ast.Name) else getattr(t, "attr", None) for t in types}
+            if name in names:
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_catches_ramified_prime(path):
+    # a sweep skips the monics that meet a ramified prime by sieving them
+    # out, not by catching the error of each one's Artin symbol
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _caught_names(tree, "RamifiedPrime")
+    assert lines == [], f"{path.name}: except RamifiedPrime at line(s) {lines}"
+
+
+def test_caught_names_rule_catches_a_handler():
+    tree = ast.parse(
+        "try:\n    f()\nexcept RamifiedPrime:\n    pass\n"
+        "try:\n    f()\nexcept (KeyError, errors.RamifiedPrime):\n    pass\n"
+        "try:\n    f()\nexcept DomainError:\n    pass\n"
+    )
+    assert _caught_names(tree, "RamifiedPrime") == [3, 7]

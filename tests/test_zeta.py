@@ -68,7 +68,7 @@ def test_tallies_match_enumeration(quad):
     for n in (5, 6):
         row = [0, 0]
         for P in primes_of_degree(F5, n):
-            if P in quad._ramified_set():
+            if P in quad._ram:
                 continue
             row[oracle_class(quad, P)] += 1
         assert row == data.tallies[n]
@@ -303,7 +303,7 @@ def test_artin_schreier_tallies():
     for n in (1, 2, 3, 4):
         row = [0, 0, 0]
         for P in primes_of_degree(F3, n):
-            if P in cov._ramified_set():
+            if P in cov._ram:
                 continue
             row[oracle_class(cov, P)] += 1
         assert row == data.tallies[n]
@@ -314,7 +314,7 @@ def test_artin_schreier_tallies():
 def _oracle_row(cov, n):
     row = [0] * cov.group.n
     for P in primes_of_degree(cov.ctx, n):
-        if P not in cov._ramified_set():
+        if P not in cov._ram:
             row[oracle_class(cov, P)] += 1
     return row
 

@@ -17,7 +17,9 @@ Four kinds:
     place must have coprime orders.
   * Splitting: the splitting field of a monic-in-Y bivariate F(T, Y), with a
     user-asserted permutation group and a cycle-type -> class table; Frobenius
-    is read off the degrees of the factors of F mod P.
+    is read off the degrees of the factors of F mod P, or, for p odd, off its
+    sign where the sign leaves one cycle type: the quadratic symbol of
+    disc_Y(F), read by the Kummer reciprocity of `KummerCover.artin_symbol`.
 
 Everything a prime can ask for flows through the coset-class catalog of the
 group: `coset_class` returns a catalog index even at ramified primes (cyclic
@@ -54,7 +56,14 @@ from .errors import (
     ZeroPolynomial,
 )
 from .ffield import Field, prime_factors
-from .groups import GroupTable, cycles_text, parse_cycles
+from .groups import (
+    GroupTable,
+    cycle_type,
+    cycles_text,
+    parse_cycles,
+    partition_parity,
+    partitions,
+)
 from .polys import (
     Coeffs,
     Poly,
@@ -291,6 +300,8 @@ class KummerCover(Cover):
         if (ctx.q - 1) % d != 0:
             raise NotDividing(f"d = {d} does not divide q - 1 = {ctx.q - 1}")
         self.d = d
+        self.group = GroupTable.cyclic(d)
+        self.group_provenance = "computed"
         unit, parts = factor_raw(ctx, D.coeffs, seed=0)
         reduced = [(P, m % d) for P, m in parts if m % d != 0]
         self.parts = tuple(reduced)
@@ -301,20 +312,24 @@ class KummerCover(Cover):
             for _ in range(m):
                 cs = pmul(ctx, cs, P)
         self.D = Poly._raw(ctx, cs)
-        self.group = GroupTable.cyclic(d)
-        self.group_provenance = "computed"
 
     def _validate(self, force_wild: bool) -> None:
-        q = self.ctx.q
         for dp in prime_factors(self.d):
             if all(m % dp == 0 for _, m in self.parts):
                 raise NotGeometric(
                     f"D is a constant times a {dp}-th power; the cover is not a "
                     f"geometric Z/{self.d} extension"
                 )
+        self._symbol_tables()
+        self.validated = True
+
+    def _symbol_tables(self) -> None:
+        """What `artin_symbol` reads, built once.  It needs no geometric D:
+        a splitting cover's sign character is the symbol of y^2 = disc, where
+        disc may be a constant times a square."""
         # dlog of a residue symbol is a log read mod d: the symbol of a
         # nonzero value v is v^((q-1)/d) = zeta^(log v), zeta = g^((q-1)/d)
-        F, d, log = self.ctx, self.d, self.ctx._log
+        F, d, log, q = self.ctx, self.d, self.ctx._log, self.ctx.q
         # artin_symbol's term per degree of f: the unit's symbol and the
         # reciprocity sign of every part Q^m, m * deg Q summing to deg D
         self._deg_dlog = (log[self.unit] + self.D.degree * log[F.neg(1)]) % d
@@ -326,7 +341,6 @@ class KummerCover(Cover):
             if len(Q) == 2
         )
         self._nonlin_parts = tuple((Q, m) for Q, m in self.parts if len(Q) > 2)
-        self.validated = True
 
     def artin_symbol(self, f: Coeffs) -> int:
         """dlog of the d-th power residue symbol (D/f)_d, for any monic f
@@ -461,10 +475,10 @@ class ArtinSchreierCover(Cover):
             D = RationalFn(D)
         if D.ctx is not ctx:
             raise ContextMismatch("D over the wrong field")
-        self.raw = D
-        self.D = as_reduce(D)
         self.group = GroupTable.cyclic(ctx.p)
         self.group_provenance = "computed"
+        self.raw = D
+        self.D = as_reduce(D)
         self.wild_override = False
         quo, rem = divmod(self.D.num, self.D.den)
         self._poly_part = quo
@@ -706,6 +720,10 @@ class SplittingCover(Cover):
         self.declared_genus = declared_genus
         self.declared_tame_at_infinity = declared_tame_at_infinity
         self._disc: Poly | None = None
+        # the sign character, and the cycle type that each sign leaves, if
+        # only one (see `_sign_character`)
+        self._sign: KummerCover | None = None
+        self._pinned: tuple = ()
 
     def _y_discriminant(self) -> Poly:
         """disc_Y(F) as an element of F_q[T], via Euclid over F_q(T)."""
@@ -745,8 +763,45 @@ class SplittingCover(Cover):
                     )
         unit, parts = factor_raw(self.ctx, disc.coeffs, seed=0)
         self._ram = frozenset(P for P, _ in parts)
+        if self.ctx.p != 2:
+            self._sign_character(disc)
         self.validated = True
         self._sampling_check()
+
+    def _sign_character(self, disc: Poly) -> None:
+        """The sign of Frobenius as a quadratic symbol (p odd), and the exact
+        parity refusals.
+
+        At an unramified P, Frobenius is an even permutation of the roots
+        exactly when disc_Y(F) is a square mod P (Stickelberger; R. Swan,
+        Pacific J. Math. 12, 1962).  So its sign is the Artin symbol at P of
+        the quadratic Kummer cover y^2 = disc, read by reciprocity and
+        multiplicative in P.  Where disc is c times a square, that cover has
+        no parts, and the symbol is deg P * [c is not a square] mod 2.  The
+        same test places G: G lies in A_k exactly when disc is a square in
+        F_q(T), so a group whose generators say otherwise is refused."""
+        sign = KummerCover(self.ctx, 2, disc)
+        sign._symbol_tables()
+        square = not sign.parts and not sign._deg_dlog
+        odd = [i for i, g in enumerate(self.generators, 1) if partition_parity(cycle_type(g))]
+        if square and odd:
+            raise AmbiguousCycleType(
+                f"disc_Y(F) is a square in F_q(T), so the group lies in A_{self.y_degree}, "
+                f"but generator {odd[0]} is an odd permutation"
+            )
+        if not square and not odd:
+            raise AmbiguousCycleType(
+                f"disc_Y(F) is not a square in F_q(T), so the group does not lie in "
+                f"A_{self.y_degree}, but every generator is an even permutation"
+            )
+        # the partitions of k of each sign: k = 2 has one of each, k = 3 one
+        # odd one, (2, 1), and from k = 4 on neither sign pins the type
+        by_sign: tuple[list, list] = ([], [])
+        for part in partitions(self.y_degree):
+            by_sign[partition_parity(part)].append(part)
+        pinned = tuple(parts[0] if len(parts) == 1 else None for parts in by_sign)
+        if any(pinned):
+            self._sign, self._pinned = sign, pinned
 
     def _sampling_check(self) -> None:
         """Necessary-condition census: observed cycle types must be in the
@@ -772,10 +827,33 @@ class SplittingCover(Cover):
                 )
 
     def _coset_raw(self, P: Coeffs) -> int:
+        """The cycle type of Frobenius at P, from its sign where that leaves
+        one type, and from the residue field otherwise."""
         if P in self._ram:
             raise RamifiedSplittingCover(
                 f"{Poly._raw(self.ctx, P)!r} divides the Y-discriminant"
             )
+        if self._pinned:
+            # membership, not the symbol's RamifiedPrime, guards a P that
+            # meets the sign datum
+            if P in self._sign._ram:
+                raise RamifiedSplittingCover(
+                    f"{Poly._raw(self.ctx, P)!r} divides the Y-discriminant's sign datum"
+                )
+            part = self._pinned[self._sign.artin_symbol(P)]
+            if part is not None:
+                return self._type_omega(part)
+        return self._type_omega(self._residue_cycle_type(P))
+
+    def _type_omega(self, part: tuple[int, ...]) -> int:
+        """Catalog index of the class with cycle type `part`."""
+        if part not in self.cycle_table:
+            raise AmbiguousCycleType(f"cycle type {part} absent from the table")
+        return self.group.class_to_omega[self.cycle_table[part]]
+
+    def _residue_cycle_type(self, P: Coeffs) -> tuple[int, ...]:
+        """The cycle type of Frobenius at an unramified P, from the degrees
+        of the factors of F(t, Y) over the residue field F_q[T]/(P)."""
         rf = residue_field(Poly._raw(self.ctx, P))
         big = rf.field
         ycs = pnorm(tuple(rf.eval_poly(c.coeffs) for c in self.y_coeffs))
@@ -789,10 +867,7 @@ class SplittingCover(Cover):
             )
         # the cycle type needs only the degrees of the factors of F(t, Y)
         degs = [d for d, g in _ddf(big, ycs) for _ in range(pdeg(g) // d)]
-        part = tuple(sorted(degs, reverse=True))
-        if part not in self.cycle_table:
-            raise AmbiguousCycleType(f"cycle type {part} absent from the table")
-        return self.group.class_to_omega[self.cycle_table[part]]
+        return tuple(sorted(degs, reverse=True))
 
     def tame_at_infinity(self) -> bool:
         return self.declared_tame_at_infinity

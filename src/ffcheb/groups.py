@@ -11,12 +11,26 @@ and `omega_to_class` inverts it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
-from .errors import DomainError, InvariantViolated
+from .errors import DomainError, InvariantViolated, TooLarge
 
 _PERM_CHECK_LIMIT = 24
+
+#: the most elements of a group that is tabulated.  The catalog walks every
+#: subgroup, so the cost grows with their number as well as with the order:
+#: (Z/2)^4 x Z/3 and S_4 x Z/2, both of order 48, take 1.0-1.1 s, but Z/64
+#: takes 0.3 s and (Z/2)^6, order 64, 24 s (2 vCPUs, CPython 3.11)
+TABLE_ORDER_LIMIT = 48
+
+
+def _refuse_order(n: int) -> None:
+    if n > TABLE_ORDER_LIMIT:
+        raise TooLarge(
+            f"a group of order {n} exceeds the table bound of {TABLE_ORDER_LIMIT} elements"
+        )
 
 
 @dataclass(frozen=True)
@@ -232,6 +246,7 @@ class GroupTable:
 
     @staticmethod
     def cyclic(d: int) -> "GroupTable":
+        _refuse_order(d)
         return GroupTable([[(i + j) % d for j in range(d)] for i in range(d)])
 
     @staticmethod
@@ -252,6 +267,7 @@ class GroupTable:
                     if prod not in elems:
                         elems.add(prod)
                         new.append(prod)
+            _refuse_order(len(elems))
             frontier = new
         perms = sorted(elems)
         if perms[0] != ident:
@@ -264,6 +280,7 @@ class GroupTable:
 
     @staticmethod
     def symmetric(m: int) -> "GroupTable":
+        _refuse_order(math.factorial(m))
         perms = sorted(itertools.permutations(range(m)))
         index = {p: i for i, p in enumerate(perms)}
         table = [
@@ -273,6 +290,7 @@ class GroupTable:
 
     @staticmethod
     def direct_product(factors: list["GroupTable"]) -> "GroupTable":
+        _refuse_order(math.prod(G.n for G in factors))
         # element tuples in mixed-radix order, the first factor most significant
         elems = list(itertools.product(*(range(G.n) for G in factors)))
         index = {t: i for i, t in enumerate(elems)}
@@ -304,22 +322,47 @@ class GroupTable:
         """Descending cycle type of a permutation-backed element."""
         if self.perms is None:
             raise DomainError("group has no permutation representation")
-        p = self.perms[i]
-        seen = [False] * len(p)
-        parts = []
-        for s in range(len(p)):
-            if seen[s]:
-                continue
-            ln, cur = 0, s
-            while not seen[cur]:
-                seen[cur] = True
-                cur = p[cur]
-                ln += 1
-            parts.append(ln)
-        return tuple(sorted(parts, reverse=True))
+        return cycle_type(self.perms[i])
 
     def __repr__(self) -> str:
         return f"GroupTable(order {self.n})"
+
+
+def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Descending cycle type of a permutation."""
+    seen = [False] * len(p)
+    parts = []
+    for s in range(len(p)):
+        if seen[s]:
+            continue
+        ln, cur = 0, s
+        while not seen[cur]:
+            seen[cur] = True
+            cur = p[cur]
+            ln += 1
+        parts.append(ln)
+    return tuple(sorted(parts, reverse=True))
+
+
+def partition_parity(part: tuple[int, ...]) -> int:
+    """0 for the cycle type of an even permutation, 1 for an odd one: a cycle
+    of length l is l - 1 transpositions."""
+    return (sum(part) - len(part)) % 2
+
+
+def partitions(n: int):
+    """Partitions of n as descending tuples."""
+    if n == 0:
+        yield ()
+        return
+    def rec(remaining, maxpart):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, maxpart), 0, -1):
+            for rest in rec(remaining - part, part):
+                yield (part,) + rest
+    yield from rec(n, n)
 
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:

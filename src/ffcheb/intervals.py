@@ -8,16 +8,18 @@ what is left of an element is one prime, or, when m + 1 < n // 2, a larger
 cofactor of at most c // (s + 1) primes, which polys._factor_rough mostly
 splits without factor_raw.  On an abelian cover that prime's class is read from
 Artin symbols, Art(f) times Art(Q)^(-e) over the small prime powers found,
-with no division.  Only where the symbol does not give it is the cofactor
-divided out and classified on its own: on splitting covers (Frobenius is a
-cycle type, not a multiplicative symbol), at elements with a ramified factor
-(Art(f) is undefined there) and for the larger cofactors.  An element's
-factorization type is summed as one integer code, a digit in base n + 1 per
-(degree, exponent, Frobenius) key, and each block decodes its distinct codes
-into sorted types once.  Per-block tallies of factorization types merge
-associatively, so the result is independent of the chunking and safe to
-compute in parallel.  One pass per interval is shared by every function
-evaluated on it.
+with no division.  On a splitting cover (p odd) the same product, for the
+quadratic symbol of disc_Y(F), is the sign of Frobenius, and gives the cycle
+type where the sign leaves one: any prime of a quadratic cover, and an odd
+prime of a cubic.  Only where the symbols do not give it is the cofactor
+divided out and classified on its own: at the other primes of splitting
+covers, at elements with a ramified factor (Art(f) is undefined there) and
+for the larger cofactors.  An element's factorization type is summed as one
+integer code, a digit in base n + 1 per (degree, exponent, Frobenius) key,
+and each block decodes its distinct codes into sorted types once.  Per-block
+tallies of factorization types merge associatively, so the result is
+independent of the chunking and safe to compute in parallel.  One pass per
+interval is shared by every function evaluated on it.
 """
 
 from __future__ import annotations
@@ -118,11 +120,17 @@ class IntervalSpec:
 # Art(Q)^(-e) over the hits.  A Kummer cover whose places are all linear
 # reads Art(f) from per-interval tables of h(a) over deg h < t, one per place
 # T - a; the other abelian kinds call artin_symbol on the whole element.
-# The cofactor is divided out and classified on its own only where that
-# does not hold: on splitting covers, on elements with a ramified factor
-# (a small hit, or a ramified prime of degree > s found like a hit), and for
-# cofactors of degree c > 2s + 1, possible only when m + 1 < n // 2.  Those
-# have at most c // (s + 1) primes, and polys._factor_rough splits them:
+# A splitting cover with p odd does the same for its sign character, the
+# Kummer cover y^2 = disc_Y(F) (covers.SplittingCover._sign_character): the
+# hits' signs add up in Z/2, and the cofactor's sign, Art(f) less theirs,
+# gives its cycle type where the sign leaves one (k = 2, or k = 3 and odd).
+# That test sits inside the division branch, which abelian elements do not
+# enter.  The cofactor is divided out and classified on its own only where
+# none of this holds: on the other splitting cofactors, on elements with a
+# ramified factor (a small hit, or a ramified prime of degree > s found like
+# a hit), and for cofactors of degree c > 2s + 1, possible only when
+# m + 1 < n // 2.  Those have at most c // (s + 1) primes, and
+# polys._factor_rough splits them:
 # for q odd, disc != 0 and c <= 3s + 2 there are one or two, and the parity
 # of the discriminant's log tells which (Stickelberger); two primes at
 # c = 2s + 2 both have degree s + 1, and one trace modulo the cofactor
@@ -164,6 +172,11 @@ class _BlockSieve:
         self.spec = spec
         self.base = list(I.f0.coeffs)
         self.excludes = isinstance(spec, SplittingCover)
+        # the cycle type each sign leaves on a splitting cover, if only one
+        self.pinned = spec._pinned if self.excludes else ()
+        # the cover whose Artin symbols the hits multiply: the cover itself,
+        # or the sign character of a splitting cover
+        self.art = spec._sign if self.pinned else spec
         self.ramified = spec._ram
         self.tops = range(t, I.m + 1)  # the block digits
         # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n, and the
@@ -179,18 +192,18 @@ class _BlockSieve:
         # ramified primes beyond the small ones that can still divide
         self.big_ramified = [self._solver(P) for P in self.ramified if s < pdeg(P) <= n]
         # per small prime, on its first hit: (degree, the code weights of Q^e
-        # for e = 1, 2, ..., and on an abelian cover at an unramified Q,
-        # Art(Q)^(-e) for e = 1, 2, ...)
+        # for e = 1, 2, ..., and at an unramified Q, Art(Q)^(-e) for
+        # e = 1, 2, ... when the cover is abelian or its sign pins a type)
         self.hit_data: list[tuple | None] = [None] * len(self.small)
         # the type code (see the enumeration notes): the key of slot k and
         # the weight of each key met
         self.slots: list[tuple] = []
         self.weights: dict[tuple, int] = {}
         self.places = None
-        if isinstance(spec, KummerCover) and not spec._nonlin_parts:
+        if isinstance(self.art, KummerCover) and not self.art._nonlin_parts:
             add, mul = F.add, F.mul
             self.places = []
-            for a, table in spec._lin_parts:
+            for a, table in self.art._lin_parts:
                 vals, power = [0], 1  # h(a) over the h of degree < t, by index
                 for _ in range(t):
                     scaled = [mul(c, power) for c in range(q)]
@@ -234,10 +247,9 @@ class _BlockSieve:
         spec = self.spec
         w = spec.coset_class(Q)
         wts = [self._weight((d, e, w)) for e in range(1, len(pows) + 1)]
-        if self.excludes or Q in self.ramified:
+        if Q in self.ramified or (self.excludes and not self.pinned):
             return d, wts, None
-        G = spec.group
-        (x,) = G.omega[w].rep  # Frobenius at an unramified prime of an abelian cover
+        G, x = self.art.group, self.art.artin_symbol(Q)
         return d, wts, [G.power(x, -e) for e in range(1, len(pows) + 1)]
 
     def _element(self, fb: list[int], i: int) -> Coeffs:
@@ -309,13 +321,13 @@ class _BlockSieve:
                     bad[i] = 1
 
         # classify each element from its hits and its cofactor
-        spec = self.spec
+        spec, art_cover, pinned = self.spec, self.art, self.pinned
         coset = spec.coset_class
-        G = spec.group
+        G = art_cover.group
         gmul, to_omega = G.table, G.class_to_omega
         small, hit_data = self.small, self.hit_data
         if self.places is not None:
-            art0 = n * spec._deg_dlog
+            art0 = n * art_cover._deg_dlog
             at = [(table, vals, peval(F, fb, a)) for a, table, vals in self.places]
         codes: dict[int, int] = {}
         excluded = 0
@@ -340,13 +352,28 @@ class _BlockSieve:
                     g = gmul[g][inv[e - 1]]
                 j = hnext[j]
             if c and (ramified or excludes or c > 2 * s + 1):
-                f = self._element(fb, i)
-                j = head[i]
-                while j >= 0:
-                    f = pdiv(F, f, small[hq[j]][2][he[j] - 1])
-                    j = hnext[j]
-                for P, e in _factor_rough(F, f, s, seed):
-                    code += self._weight((pdeg(P), e, coset(P)))
+                part = None
+                if pinned and c <= 2 * s + 1:
+                    # a prime cofactor on a splitting cover (an element with
+                    # a ramified factor is excluded): its sign is Art(f) * g
+                    # in Z/2, read as on an abelian cover below
+                    if self.places is not None:
+                        art = art0
+                        for table, vals, fa in at:
+                            art += table[add(fa, vals[i])]
+                    else:
+                        art = art_cover.artin_symbol(self._element(fb, i))
+                    part = pinned[gmul[art % 2][g]]
+                if part is not None:  # the sign leaves one cycle type
+                    code += self._weight((c, 1, spec._type_omega(part)))
+                else:
+                    f = self._element(fb, i)
+                    j = head[i]
+                    while j >= 0:
+                        f = pdiv(F, f, small[hq[j]][2][he[j] - 1])
+                        j = hnext[j]
+                    for P, e in _factor_rough(F, f, s, seed):
+                        code += self._weight((pdeg(P), e, coset(P)))
             elif c:  # a prime cofactor, prime to the ramified primes, on an abelian cover
                 if self.places is not None:
                     art = art0
@@ -354,7 +381,7 @@ class _BlockSieve:
                         art += table[add(fa, vals[i])]
                     art %= G.n
                 else:
-                    art = spec.artin_symbol(self._element(fb, i))
+                    art = art_cover.artin_symbol(self._element(fb, i))
                 code += self._weight((c, 1, to_omega[gmul[art][g]]))
             codes[code] = codes.get(code, 0) + 1
         for code, cnt in codes.items():

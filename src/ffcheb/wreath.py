@@ -26,7 +26,7 @@ from .factypes import (
     check_class,
     evaluate,
 )
-from .groups import GroupTable
+from .groups import GroupTable, partitions
 
 #: bound on the number of colored-partition class types
 CLASS_TYPE_LIMIT = 10**6
@@ -73,21 +73,6 @@ class ClassType:
         return ";".join(f"{d}:{c}*{m}" for (d, c), m in self.parts)
 
 
-def _partitions(n: int):
-    """Partitions of n as descending tuples."""
-    if n == 0:
-        yield ()
-        return
-    def rec(remaining, maxpart):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-    yield from rec(n, n)
-
-
 def enumerate_class_types(group: GroupTable, n: int) -> list[tuple[ClassType, int]]:
     """All conjugacy classes of G wr S_n with exact sizes; sizes sum to
     |G|^n * n!."""
@@ -97,7 +82,7 @@ def enumerate_class_types(group: GroupTable, n: int) -> list[tuple[ClassType, in
         raise TooLarge(f"class-type enumeration supports |G| <= {GROUP_ORDER_LIMIT}")
     ncls = len(group.classes)
     out: list[tuple[ClassType, int]] = []
-    for partition in _partitions(n):
+    for partition in partitions(n):
         # multiplicity per distinct part length
         by_len: dict[int, int] = {}
         for part in partition:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,14 @@ BAD_FIELD_COVERS = {
     "{k_huge}": "kind = kummer\np = 2\nk = 20000\nd = 2\nD = T\n",
 }
 
+# cover files whose group is above the table bound, refused before the
+# table is built: Z/192 from d = q - 1 over F_193, and Z/211 from an
+# Artin-Schreier cover over F_211
+BIG_GROUP_COVERS = {
+    "{k192}": "kind = kummer\np = 193\nd = 192\nD = T\n",
+    "{as211}": "kind = artin_schreier\np = 211\nD_num = [1]\nD_den = [0,1]\n",
+}
+
 
 @pytest.fixture()
 def quad_file(tmp_path):
@@ -88,7 +97,13 @@ def quad_file(tmp_path):
 def cover_files(tmp_path, quad_file):
     """Placeholders in the error tables and the cover files they stand for."""
     files = {"{cover}": quad_file}
-    named = {"{s3}": S3_CUBIC, "{kxas}": KUMMER_X_AS, "{shared_t}": SHARED_T, **BAD_FIELD_COVERS}
+    named = {
+        "{s3}": S3_CUBIC,
+        "{kxas}": KUMMER_X_AS,
+        "{shared_t}": SHARED_T,
+        **BAD_FIELD_COVERS,
+        **BIG_GROUP_COVERS,
+    }
     for key, text in named.items():
         f = tmp_path / (key.strip("{}") + ".cov")
         f.write_text(text)
@@ -502,6 +517,8 @@ VALUE_ROWS = [
     (["psi-check", "--cover", "{d3000}", "--max-n", "2"], 2, "NotDividing"),
     (["frobenius", "--cover", "{p_huge}", "T"], 3, "DegreeTooLarge"),
     (["frobenius", "--cover", "{k_huge}", "T"], 3, "DegreeTooLarge"),
+    (["frobenius", "--cover", "{k192}", "T-1"], 3, "TooLarge"),
+    (["frobenius", "--cover", "{as211}", "T-1"], 3, "TooLarge"),
 ]
 
 
@@ -553,6 +570,14 @@ def test_error_table_under_optimize(cover_files):
     got = json.loads(proc.stdout)
     assert got["optimize"] == 1
     assert got["rows"] == [[code, name] for _, code, name in table]
+
+
+@pytest.mark.parametrize("key", sorted(BIG_GROUP_COVERS))
+def test_big_group_refused_quickly(capsys, cover_files, key):
+    start = time.perf_counter()
+    assert main(["frobenius", "--cover", cover_files[key], "T-1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("TooLarge:")
 
 
 def test_malformed_cover_polynomial_is_cover_file_error(tmp_path, capsys):

@@ -509,6 +509,15 @@ def _root_count_cases(F):
     """(cover, degrees of the primes checked, cycle types that must occur)."""
     if F.q == 23:  # every cycle type, (1, 1, 1, 1) too, occurs at degree 1
         return [(validate_cover(_s4_quartic(F)), (1,), set(_TYPE_BY_ROOTS[4].values()))]
+    if F.p == 2:  # Y^2 + T*Y + T: no sign character, every prime by its residue field
+        quad = SplittingCover(
+            F,
+            [Poly.x(F), Poly.x(F), Poly.one(F)],
+            [parse_cycles("(1 2)", 2)],
+            {(1, 1): 0, (2,): 1},
+            declared_genus=0,
+        )
+        return [(validate_cover(quad), (1, 2, 3), set(_TYPE_BY_ROOTS[2].values()))]
     cases = [
         (validate_cover(_s3_cubic(F)), (1, 2, 3), set(_TYPE_BY_ROOTS[3].values())),
         (_quadratic_splitting(F, "T^3-3*T^2+2*T"), (1, 2, 3), set(_TYPE_BY_ROOTS[2].values())),
@@ -518,7 +527,9 @@ def _root_count_cases(F):
     return cases
 
 
-@pytest.mark.parametrize("pk", [(5, 1), (7, 1), (3, 2), (23, 1)], ids=["F5", "F7", "F9", "F23"])
+@pytest.mark.parametrize(
+    "pk", [(5, 1), (7, 1), (3, 2), (23, 1), (2, 2)], ids=["F5", "F7", "F9", "F23", "F4"]
+)
 def test_splitting_class_by_root_count(pk):
     # an oracle without factoring and without the root tables: t is found by
     # a search over F_{q^jd}, and the roots of F(t, Y) are counted there

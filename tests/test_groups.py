@@ -1,7 +1,9 @@
 import pytest
 
-from ffcheb.errors import DomainError
-from ffcheb.groups import GroupTable, cycles_text, parse_cycles
+import time
+
+from ffcheb.errors import DomainError, TooLarge
+from ffcheb.groups import TABLE_ORDER_LIMIT, GroupTable, cycles_text, parse_cycles
 
 
 def test_cyclic_basic():
@@ -103,3 +105,25 @@ def test_direct_product_matches_componentwise_table():
 def test_omega_to_class_inverts_class_to_omega():
     G = GroupTable.symmetric(3)
     assert [G.omega_to_class[w] for w in G.class_to_omega] == list(range(len(G.classes)))
+
+
+def test_group_tables_are_bounded():
+    # refused before tabulating: Z/192 alone took 10 s, and (Z/2)^6, of
+    # order 64, 24 s
+    big = TABLE_ORDER_LIMIT + 1
+    Z2 = GroupTable.cyclic(2)
+    s5 = [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)]
+    refusals = [
+        lambda: GroupTable.cyclic(big),
+        lambda: GroupTable.cyclic(192),
+        lambda: GroupTable.direct_product([Z2] * 6),
+        lambda: GroupTable.from_perms(s5),  # the closure stops at the bound
+        lambda: GroupTable.symmetric(5),
+    ]
+    for make in refusals:
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            make()
+        assert time.perf_counter() - start < 1.0
+    assert GroupTable.cyclic(TABLE_ORDER_LIMIT).n == TABLE_ORDER_LIMIT
+    assert GroupTable.direct_product([GroupTable.cyclic(6), GroupTable.cyclic(5)]).n == 30

@@ -81,19 +81,22 @@ def quadratic_splitting(ctx, Dtext):
     )
 
 
-def s3_splitting(ctx):
-    """Splitting field of Y^3 - T*Y - T with group S_3."""
-    minus_t = parse_poly(ctx, "-1*T")
+def cubic_splitting(ctx, a0, a1):
+    """Splitting field of Y^3 + a1*Y + a0 with group S_3."""
     return validate_cover(
         SplittingCover(
             ctx,
-            [minus_t, minus_t, Poly.zero(ctx), Poly.one(ctx)],
+            [parse_poly(ctx, a0), parse_poly(ctx, a1), Poly.zero(ctx), Poly.one(ctx)],
             [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)],
             {(1, 1, 1): 0, (2, 1): 1, (3,): 2},
             declared_genus=0,
-            declared_tame_at_infinity=False,
         )
     )
+
+
+def s3_splitting(ctx):
+    """Splitting field of Y^3 - T*Y - T with group S_3."""
+    return cubic_splitting(ctx, "-1*T", "-1*T")
 
 
 @pytest.mark.parametrize(
@@ -215,6 +218,44 @@ def test_splitting_excludes_ramified_multiples():
     # s = 2: sextic cofactors, a prime by parity or two cubics
     _, excluded = check(cov, "T^6+T", 1)
     assert excluded > 0
+
+
+def counting_divisions(mp):
+    """Count the elements the sieve divides: its calls to _factor_rough."""
+    calls = []
+    rough = intervals._factor_rough
+
+    def counted(*args):
+        calls.append(args[1])
+        return rough(*args)
+
+    mp.setattr(intervals, "_factor_rough", counted)
+    return calls
+
+
+def test_splitting_cofactors_by_sign(monkeypatch):
+    # a prime cofactor of a splitting cover takes its sign from Art(f) of the
+    # quadratic symbol of disc_Y(F), less its hits' signs; where the sign
+    # leaves one cycle type the element is not divided
+    calls = counting_divisions(monkeypatch)
+    F5 = make_field(5)
+    # k = 2: every sign pins the type, so no element with m + 1 >= n // 2 is divided
+    _, excluded = check(quadratic_splitting(F5, "T^3-3*T^2+2*T"), "T^4+T", 2)
+    assert excluded > 0 and calls == []
+    check(quadratic_splitting(F5, "T^2+2"), "T^5+3*T", 2)  # a nonlinear place
+    assert calls == []
+    # k = 3: odd cofactors take the sign, even ones are divided
+    for cov, f0, m in [
+        (s3_splitting(make_field(13)), "T^4+T^3", 1),
+        (s3_splitting(make_field(7)), "T^5+T^2+3", 2),
+        (cubic_splitting(F5, "1", "T"), "T^4+2*T", 2),  # disc (T + 2)(T^2 + 3T + 4)
+        (cubic_splitting(make_field(7), "1", "T"), "T^4+T^2", 2),  # disc 3T^3 + 1, a cubic place
+        (cubic_splitting(F5, "T", "0"), "T^4+T^3+1", 2),  # disc 3T^2: sign deg f mod 2
+    ]:
+        del calls[:]
+        _, excluded = check(cov, f0, m)
+        elements = len(BOUNDS) * (cov.ctx.q ** (m + 1) - excluded)
+        assert 0 < len(calls) < elements // 2, (cov.ctx.q, f0, len(calls), elements)
 
 
 def test_chunks_that_cut_blocks():

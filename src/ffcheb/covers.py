@@ -24,10 +24,15 @@ Four kinds:
 Everything a prime can ask for flows through the coset-class catalog of the
 group: `coset_class` returns a catalog index even at ramified primes (cyclic
 and product covers), which is what the norm-counting functions consume.
-Each cover fixes its ramified primes once, in `_ram`, and the abelian kinds
-share one coset path: the Artin symbol off `_ram`, and on it the kind's
+Each cover fixes its ramified primes once, in `_ram`, and every kind shares
+one coset path, through `symbol_cover()`: a cover whose Artin symbol is
+multiplicative off its `_ram` (an abelian kind itself, a splitting cover its
+sign character) and the catalog index of each symbol value, None where the
+symbol leaves the class open.  On `_ram` the path takes the kind's
 `_ramified_omega` (the inertia coset of a Kummer cover, the whole group of an
-Artin-Schreier cover, the componentwise product of a product cover).
+Artin-Schreier cover, the componentwise product of a product cover), and at
+a None the kind's `_residue_omega`.  Other modules ask `abelian`, never the
+class of a cover.
 """
 
 from __future__ import annotations
@@ -108,6 +113,8 @@ class Cover:
     """Shared plumbing for all cover kinds."""
 
     kind = "abstract"
+    abelian = True  # Frobenius is an element, (e, f, g) known at every place
+    group_provenance = "computed"
     wild_override = False  # validated under force_wild with a wild place at infinity
     _ram: frozenset[Coeffs] = frozenset()  # the ramified finite primes
 
@@ -124,12 +131,25 @@ class Cover:
     def _ramified_omega(self, P: Coeffs) -> int:
         raise NotImplementedError
 
+    def _residue_omega(self, P: Coeffs) -> int:
+        raise NotImplementedError
+
+    def symbol_cover(self) -> tuple[Cover | None, tuple]:
+        """(the cover whose Artin symbol is multiplicative on the monics
+        prime to its `_ram`, the catalog index of each symbol value or None
+        where the symbol leaves the class open); (None, ()) when no symbol
+        helps.  An abelian kind is its own symbol cover."""
+        return self, self.group.class_to_omega
+
     def _coset_raw(self, P: Coeffs) -> int:
-        """The one coset path of the abelian kinds: Art(P) off `_ram`, and
-        the kind's `_ramified_omega` on it."""
-        if P in self._ram:
+        """The one coset path: the kind's `_ramified_omega` at a P in `_ram`
+        or in the symbol cover's, else the omega of P's symbol, else, where
+        the symbol leaves the class open, the kind's `_residue_omega`."""
+        art, table = self.symbol_cover()
+        if P in self._ram or art is not None and P in art._ram:
             return self._ramified_omega(P)
-        return self.group.class_to_omega[self.artin_symbol(P)]
+        w = table[art.artin_symbol(P)] if art is not None else None
+        return self._residue_omega(P) if w is None else w
 
     # -- shared API
 
@@ -238,7 +258,7 @@ class Cover:
             "group_order": self.group.n,
             "genus": g,
             "tame_at_infinity": self.tame_at_infinity(),
-            "group_provenance": getattr(self, "group_provenance", "computed"),
+            "group_provenance": self.group_provenance,
         }
 
 
@@ -250,7 +270,6 @@ class TrivialCover(Cover):
     def __init__(self, ctx: Field):
         super().__init__(ctx)
         self.group = GroupTable.cyclic(1)
-        self.group_provenance = "computed"
 
     def _validate(self, force_wild: bool) -> None:
         self.validated = True
@@ -301,7 +320,6 @@ class KummerCover(Cover):
             raise NotDividing(f"d = {d} does not divide q - 1 = {ctx.q - 1}")
         self.d = d
         self.group = GroupTable.cyclic(d)
-        self.group_provenance = "computed"
         unit, parts = factor_raw(ctx, D.coeffs, seed=0)
         reduced = [(P, m % d) for P, m in parts if m % d != 0]
         self.parts = tuple(reduced)
@@ -476,7 +494,6 @@ class ArtinSchreierCover(Cover):
         if D.ctx is not ctx:
             raise ContextMismatch("D over the wrong field")
         self.group = GroupTable.cyclic(ctx.p)
-        self.group_provenance = "computed"
         self.raw = D
         self.D = as_reduce(D)
         self.wild_override = False
@@ -631,7 +648,6 @@ class ProductCover(Cover):
         self.components = tuple(components)
         self._ram = frozenset().union(*(c._ram for c in components))
         self.group = GroupTable.direct_product([c.group for c in components])
-        self.group_provenance = "computed"
 
     def _validate(self, force_wild: bool) -> None:
         for c in self.components:
@@ -696,6 +712,8 @@ class SplittingCover(Cover):
     user-asserted Galois group given as a permutation group on the roots."""
 
     kind = "splitting"
+    abelian = False
+    group_provenance = "user-asserted"
 
     def __init__(
         self,
@@ -713,17 +731,16 @@ class SplittingCover(Cover):
         self.y_degree = len(y_coeffs) - 1
         self.group = GroupTable.from_perms(generators)
         self.generators = tuple(generators)
-        self.group_provenance = "user-asserted"
         self.cycle_table = {
             tuple(sorted(part, reverse=True)): ci for part, ci in cycle_table.items()
         }
         self.declared_genus = declared_genus
         self.declared_tame_at_infinity = declared_tame_at_infinity
         self._disc: Poly | None = None
-        # the sign character, and the cycle type that each sign leaves, if
-        # only one (see `_sign_character`)
+        # the sign character, and the catalog index of the cycle type that
+        # each sign leaves, if only one (see `_sign_character`)
         self._sign: KummerCover | None = None
-        self._pinned: tuple = ()
+        self._sign_omegas: tuple = ()
 
     def _y_discriminant(self) -> Poly:
         """disc_Y(F) as an element of F_q[T], via Euclid over F_q(T)."""
@@ -763,14 +780,14 @@ class SplittingCover(Cover):
                     )
         unit, parts = factor_raw(self.ctx, disc.coeffs, seed=0)
         self._ram = frozenset(P for P, _ in parts)
-        if self.ctx.p != 2:
-            self._sign_character(disc)
+        sign = self._sign_character(disc) if self.ctx.p != 2 else None
         self.validated = True
-        self._sampling_check()
+        # disc a non-square constant times a square: the sign of P is deg P mod 2
+        self._sampling_check(sign is not None and not sign.parts and sign._deg_dlog == 1)
 
-    def _sign_character(self, disc: Poly) -> None:
-        """The sign of Frobenius as a quadratic symbol (p odd), and the exact
-        parity refusals.
+    def _sign_character(self, disc: Poly) -> KummerCover:
+        """The sign of Frobenius as a quadratic symbol (p odd), returned, and
+        the exact parity refusals.
 
         At an unramified P, Frobenius is an even permutation of the roots
         exactly when disc_Y(F) is a square mod P (Stickelberger; R. Swan,
@@ -799,24 +816,40 @@ class SplittingCover(Cover):
         by_sign: tuple[list, list] = ([], [])
         for part in partitions(self.y_degree):
             by_sign[partition_parity(part)].append(part)
-        pinned = tuple(parts[0] if len(parts) == 1 else None for parts in by_sign)
-        if any(pinned):
-            self._sign, self._pinned = sign, pinned
+        # the catalog index of the one type a sign leaves; one missing from
+        # the table is left to the residue route, which refuses it at a prime
+        table, to_omega = self.cycle_table, self.group.class_to_omega
+        omegas = tuple(
+            to_omega[table[parts[0]]] if len(parts) == 1 and parts[0] in table else None
+            for parts in by_sign
+        )
+        if any(w is not None for w in omegas):
+            self._sign, self._sign_omegas = sign, omegas
+        return sign
 
-    def _sampling_check(self) -> None:
+    def _sampling_check(self, by_degree: bool) -> None:
         """Necessary-condition census: observed cycle types must be in the
-        table, with frequencies within 5 sigma of the class proportions."""
+        table, with frequencies within 5 sigma of the class proportions.
+        Where the sign of every P is deg P mod 2 (`by_degree`), the primes of
+        each degree are compared only with the classes of that parity."""
         G = self.group
         counts = [0] * len(G.classes)
+        seen = [0, 0]  # primes counted, by parity of degree
         for deg in (1, 2, 3):
             if sum(counts) >= 200:
                 break
-            counts = [a + b for a, b in zip(counts, self.class_counts(deg))]
+            row = self.class_counts(deg)
+            counts = [a + b for a, b in zip(counts, row)]
+            seen[deg % 2] += sum(row)
         total = sum(counts)
         if total == 0:
             return
         for ci, cls in enumerate(G.classes):
-            frac = len(cls) / G.n
+            if by_degree:  # an odd class at odd degrees, an even one at even
+                total = seen[partition_parity(G.cycle_type(cls[0]))]
+                frac = 2 * len(cls) / G.n
+            else:
+                frac = len(cls) / G.n
             exp = total * frac
             sigma = math.sqrt(total * frac * (1 - frac)) or 1.0
             if abs(counts[ci] - exp) > 5 * sigma:
@@ -826,23 +859,17 @@ class SplittingCover(Cover):
                     f"expected {exp:.1f} of {total})"
                 )
 
-    def _coset_raw(self, P: Coeffs) -> int:
-        """The cycle type of Frobenius at P, from its sign where that leaves
-        one type, and from the residue field otherwise."""
-        if P in self._ram:
-            raise RamifiedSplittingCover(
-                f"{Poly._raw(self.ctx, P)!r} divides the Y-discriminant"
-            )
-        if self._pinned:
-            # membership, not the symbol's RamifiedPrime, guards a P that
-            # meets the sign datum
-            if P in self._sign._ram:
-                raise RamifiedSplittingCover(
-                    f"{Poly._raw(self.ctx, P)!r} divides the Y-discriminant's sign datum"
-                )
-            part = self._pinned[self._sign.artin_symbol(P)]
-            if part is not None:
-                return self._type_omega(part)
+    def symbol_cover(self) -> tuple[Cover | None, tuple]:
+        """The sign character, and the catalog index of the cycle type each
+        sign pins (k = 2, and an odd sign at k = 3); (None, ()) when no sign
+        pins a type of the table, as for k >= 4 and p = 2."""
+        return self._sign, self._sign_omegas
+
+    def _ramified_omega(self, P: Coeffs) -> int:
+        """A prime of the Y-discriminant, the sign datum's included, has none."""
+        raise RamifiedSplittingCover(f"{Poly._raw(self.ctx, P)!r} divides the Y-discriminant")
+
+    def _residue_omega(self, P: Coeffs) -> int:
         return self._type_omega(self._residue_cycle_type(P))
 
     def _type_omega(self, part: tuple[int, ...]) -> int:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import Cover, SplittingCover
+from .covers import Cover
 from .errors import DomainError, InvariantViolated, NotAConjugacyClass, ZeroPolynomial
 from .groups import GroupTable
 from .polys import Coeffs, Poly, factor_raw, pdeg
@@ -250,7 +250,7 @@ def evaluate(fn: ArithFnSpec, lam: FactorizationType, group: GroupTable) -> Frac
 
 def direct_b(spec: Cover, f: Poly, seed: int = 0) -> int:
     """1 iff (f) is a norm of an ideal, straight from splitting data."""
-    if isinstance(spec, SplittingCover):
+    if not spec.abelian:
         raise DomainError("direct_b needs (e, f, g) at every prime; use a cyclic or product cover")
     _, parts = factor_raw(spec.ctx, f.coeffs, seed)
     for P, a in parts:
@@ -262,7 +262,7 @@ def direct_b(spec: Cover, f: Poly, seed: int = 0) -> int:
 
 def direct_r(spec: Cover, f: Poly, seed: int = 0) -> int:
     """Number of ideals of norm (f), straight from splitting data."""
-    if isinstance(spec, SplittingCover):
+    if not spec.abelian:
         raise DomainError("direct_r needs (e, f, g) at every prime; use a cyclic or product cover")
     _, parts = factor_raw(spec.ctx, f.coeffs, seed)
     out = 1

@@ -6,15 +6,17 @@ q^t consecutive elements at a time, t as large as 2^14 elements allow: each
 block is sieved by the primes of degree at most s = min(n // 2, m + 1), and
 what is left of an element is one prime, or, when m + 1 < n // 2, a larger
 cofactor of at most c // (s + 1) primes, which polys._factor_rough mostly
-splits without factor_raw.  On an abelian cover that prime's class is read from
-Artin symbols, Art(f) times Art(Q)^(-e) over the small prime powers found,
-with no division.  On a splitting cover (p odd) the same product, for the
-quadratic symbol of disc_Y(F), is the sign of Frobenius, and gives the cycle
-type where the sign leaves one: any prime of a quadratic cover, and an odd
-prime of a cubic.  Only where the symbols do not give it is the cofactor
-divided out and classified on its own: at the other primes of splitting
-covers, at elements with a ramified factor (Art(f) is undefined there) and
-for the larger cofactors.  An element's factorization type is summed as one
+splits without factor_raw.  That prime's class is read, with no division,
+from the Artin symbol of the cover's symbol cover (`Cover.symbol_cover`),
+Art(f) times Art(Q)^(-e) over the small prime powers found, through the
+cover's table of symbol values.  An abelian cover is its own symbol cover;
+a splitting cover's (p odd) is the quadratic symbol of disc_Y(F), the sign
+of Frobenius, and its table gives the cycle type where the sign leaves one:
+any prime of a quadratic cover, and an odd prime of a cubic.  Only where
+the table does not give it is the cofactor divided out and classified on
+its own: at the other primes of splitting covers, at elements with a
+ramified factor (Art(f) is undefined there) and for the larger cofactors.
+An element's factorization type is summed as one
 integer code, a digit in base n + 1 per (degree, exponent, Frobenius) key,
 and each block decodes its distinct codes into sorted types once.  Per-block
 tallies of factorization types merge associatively, so the result is
@@ -31,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .covers import Cover, KummerCover, SplittingCover, dumps_cover, parse_cover
+from .covers import Cover, KummerCover, dumps_cover, parse_cover
 from .errors import (
     ContextMismatch,
     DomainError,
@@ -114,28 +116,29 @@ class IntervalSpec:
 #
 # What is left of an element after its small primes is prime whenever its
 # degree is at most 2s + 1 (a composite would have a factor of degree <= s).
-# On an abelian cover its class then needs no division: the Artin symbol is
+# Its class then needs no division where the cover's symbol cover
+# (Cover.symbol_cover) decides it: that cover's Artin symbol is
 # multiplicative on monics prime to the ramified primes (reciprocity for
-# Kummer, additivity of the trace for Artin-Schreier), so it is Art(f) times
-# Art(Q)^(-e) over the hits.  A Kummer cover whose places are all linear
-# reads Art(f) from per-interval tables of h(a) over deg h < t, one per place
-# T - a; the other abelian kinds call artin_symbol on the whole element.
-# A splitting cover with p odd does the same for its sign character, the
-# Kummer cover y^2 = disc_Y(F) (covers.SplittingCover._sign_character): the
-# hits' signs add up in Z/2, and the cofactor's sign, Art(f) less theirs,
-# gives its cycle type where the sign leaves one (k = 2, or k = 3 and odd).
-# That test sits inside the division branch, which abelian elements do not
-# enter.  The cofactor is divided out and classified on its own only where
-# none of this holds: on the other splitting cofactors, on elements with a
-# ramified factor (a small hit, or a ramified prime of degree > s found like
-# a hit), and for cofactors of degree c > 2s + 1, possible only when
-# m + 1 < n // 2.  Those have at most c // (s + 1) primes, and
-# polys._factor_rough splits them:
-# for q odd, disc != 0 and c <= 3s + 2 there are one or two, and the parity
-# of the discriminant's log tells which (Stickelberger); two primes at
+# Kummer, additivity of the trace for Artin-Schreier), so the cofactor's
+# symbol is Art(f) times Art(Q)^(-e) over the hits, and the cover's table
+# takes it to an omega, or to None.  An abelian cover is its own symbol
+# cover and its table decides every value.  A splitting cover with p odd
+# has its sign character, the Kummer cover y^2 = disc_Y(F)
+# (covers.SplittingCover._sign_character): the hits' signs add up in Z/2,
+# and the table gives the cycle type where the sign leaves one (k = 2, or
+# k = 3 and odd).  A symbol cover that is a Kummer cover whose places are
+# all linear reads Art(f) from per-interval tables of h(a) over deg h < t,
+# one per place T - a; the others call artin_symbol on the whole element.
+# The cofactor is divided out and classified on its own only where none of
+# this holds: where the table says None, on elements with a ramified factor
+# (a small hit, or a ramified prime of degree > s found like a hit), and
+# for cofactors of degree c > 2s + 1, possible only when m + 1 < n // 2.
+# Those have at most c // (s + 1) primes, and polys._factor_rough splits
+# them: for q odd, disc != 0 and c <= 3s + 2 there are one or two, and the
+# parity of the discriminant's log tells which (Stickelberger); two primes at
 # c = 2s + 2 both have degree s + 1, and one trace modulo the cofactor
-# separates them (polys._edf).  Only p = 2, disc = 0, c > 3s + 2 and
-# two primes of unequal degree still go to factor_raw.
+# separates them (polys._edf).  Only p = 2, disc = 0, c > 3s + 2 and two
+# primes of unequal degree still go to factor_raw.
 #
 # An element's type is tallied as one integer, its code.  The sieve gives
 # each (degree, exponent, omega) key a slot k the first time it meets the
@@ -171,12 +174,10 @@ class _BlockSieve:
         self.t = t
         self.spec = spec
         self.base = list(I.f0.coeffs)
-        self.excludes = isinstance(spec, SplittingCover)
-        # the cycle type each sign leaves on a splitting cover, if only one
-        self.pinned = spec._pinned if self.excludes else ()
-        # the cover whose Artin symbols the hits multiply: the cover itself,
-        # or the sign character of a splitting cover
-        self.art = spec._sign if self.pinned else spec
+        # the cover whose Artin symbols the hits multiply (the cover itself,
+        # or the sign character of a splitting cover), and the omega of each
+        # symbol value, None where it leaves the class open
+        self.symbol, self.omegas = spec.symbol_cover()
         self.ramified = spec._ram
         self.tops = range(t, I.m + 1)  # the block digits
         # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n, and the
@@ -193,17 +194,17 @@ class _BlockSieve:
         self.big_ramified = [self._solver(P) for P in self.ramified if s < pdeg(P) <= n]
         # per small prime, on its first hit: (degree, the code weights of Q^e
         # for e = 1, 2, ..., and at an unramified Q, Art(Q)^(-e) for
-        # e = 1, 2, ... when the cover is abelian or its sign pins a type)
+        # e = 1, 2, ... on the symbol cover, if there is one)
         self.hit_data: list[tuple | None] = [None] * len(self.small)
         # the type code (see the enumeration notes): the key of slot k and
         # the weight of each key met
         self.slots: list[tuple] = []
         self.weights: dict[tuple, int] = {}
         self.places = None
-        if isinstance(self.art, KummerCover) and not self.art._nonlin_parts:
+        if isinstance(self.symbol, KummerCover) and not self.symbol._nonlin_parts:
             add, mul = F.add, F.mul
             self.places = []
-            for a, table in self.art._lin_parts:
+            for a, table in self.symbol._lin_parts:
                 vals, power = [0], 1  # h(a) over the h of degree < t, by index
                 for _ in range(t):
                     scaled = [mul(c, power) for c in range(q)]
@@ -247,9 +248,9 @@ class _BlockSieve:
         spec = self.spec
         w = spec.coset_class(Q)
         wts = [self._weight((d, e, w)) for e in range(1, len(pows) + 1)]
-        if Q in self.ramified or (self.excludes and not self.pinned):
+        if Q in self.ramified or self.symbol is None:
             return d, wts, None
-        G, x = self.art.group, self.art.artin_symbol(Q)
+        G, x = self.symbol.group, self.symbol.artin_symbol(Q)
         return d, wts, [G.power(x, -e) for e in range(1, len(pows) + 1)]
 
     def _element(self, fb: list[int], i: int) -> Coeffs:
@@ -264,7 +265,7 @@ class _BlockSieve:
 
     def tally(self, b: int, lo: int, hi: int, seed: int, counts: Counter) -> int:
         """Add the types of block b's local indices [lo, hi) to counts;
-        return how many of them a splitting cover excludes."""
+        return how many of them a cover that is not abelian excludes."""
         F, s, t, n = self.F, self.s, self.t, self.n
         q = F.q
         size = q**t
@@ -289,7 +290,7 @@ class _BlockSieve:
         hq, he, hnext = array("i"), array("i"), array("i")
         # elements with a ramified factor: excluded, or divided on an abelian cover
         bad = bytearray(size) if self.ramified else None
-        excludes = self.excludes
+        excludes = not self.spec.abelian
         for qi, (Q, _, pows, solvers) in enumerate(self.small):
             ram = Q in self.ramified
             for e, Qe in enumerate(pows, 1):
@@ -321,13 +322,15 @@ class _BlockSieve:
                     bad[i] = 1
 
         # classify each element from its hits and its cofactor
-        spec, art_cover, pinned = self.spec, self.art, self.pinned
-        coset = spec.coset_class
-        G = art_cover.group
-        gmul, to_omega = G.table, G.class_to_omega
+        symbol, omegas = self.symbol, self.omegas
+        coset = self.spec.coset_class
+        if symbol is not None:
+            order, gmul = symbol.group.n, symbol.group.table
+        # the largest cofactor that is one prime, read from its symbol
+        prime = 2 * s + 1 if symbol is not None else 0
         small, hit_data = self.small, self.hit_data
         if self.places is not None:
-            art0 = n * art_cover._deg_dlog
+            art0 = n * symbol._deg_dlog
             at = [(table, vals, peval(F, fb, a)) for a, table, vals in self.places]
         codes: dict[int, int] = {}
         excluded = 0
@@ -351,38 +354,28 @@ class _BlockSieve:
                 if inv is not None:
                     g = gmul[g][inv[e - 1]]
                 j = hnext[j]
-            if c and (ramified or excludes or c > 2 * s + 1):
-                part = None
-                if pinned and c <= 2 * s + 1:
-                    # a prime cofactor on a splitting cover (an element with
-                    # a ramified factor is excluded): its sign is Art(f) * g
-                    # in Z/2, read as on an abelian cover below
-                    if self.places is not None:
-                        art = art0
-                        for table, vals, fa in at:
-                            art += table[add(fa, vals[i])]
-                    else:
-                        art = art_cover.artin_symbol(self._element(fb, i))
-                    part = pinned[gmul[art % 2][g]]
-                if part is not None:  # the sign leaves one cycle type
-                    code += self._weight((c, 1, spec._type_omega(part)))
-                else:
-                    f = self._element(fb, i)
-                    j = head[i]
-                    while j >= 0:
-                        f = pdiv(F, f, small[hq[j]][2][he[j] - 1])
-                        j = hnext[j]
-                    for P, e in _factor_rough(F, f, s, seed):
-                        code += self._weight((pdeg(P), e, coset(P)))
-            elif c:  # a prime cofactor, prime to the ramified primes, on an abelian cover
+            w = None
+            if 0 < c <= prime and not ramified:
+                # a prime cofactor, prime to the ramified primes: its symbol
+                # is Art(f) * g
                 if self.places is not None:
                     art = art0
                     for table, vals, fa in at:
                         art += table[add(fa, vals[i])]
-                    art %= G.n
+                    art %= order
                 else:
-                    art = art_cover.artin_symbol(self._element(fb, i))
-                code += self._weight((c, 1, to_omega[gmul[art][g]]))
+                    art = symbol.artin_symbol(self._element(fb, i))
+                w = omegas[gmul[art][g]]
+            if w is not None:
+                code += self._weight((c, 1, w))
+            elif c:  # divided out and classified prime by prime
+                f = self._element(fb, i)
+                j = head[i]
+                while j >= 0:
+                    f = pdiv(F, f, small[hq[j]][2][he[j] - 1])
+                    j = hnext[j]
+                for P, e in _factor_rough(F, f, s, seed):
+                    code += self._weight((pdeg(P), e, coset(P)))
             codes[code] = codes.get(code, 0) + 1
         for code, cnt in codes.items():
             counts[self._decode(code)] += cnt

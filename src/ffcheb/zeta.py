@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import ArtinSchreierCover, Cover, KummerCover, ProductCover, TrivialCover
+from .covers import Cover
 from .errors import (
     DegreeBoundViolated,
     DomainError,
@@ -91,12 +91,6 @@ class Series:
 # abelian Frobenius tallies with rationality-based extension
 
 
-def _is_cyclic_or_product(spec: Cover) -> bool:
-    return isinstance(
-        spec, (KummerCover, ArtinSchreierCover, ProductCover, TrivialCover)
-    )
-
-
 class AbelianFrobeniusData:
     """Exact per-class prime tallies for an abelian cover, any degree.
 
@@ -109,7 +103,7 @@ class AbelianFrobeniusData:
     """
 
     def __init__(self, spec: Cover):
-        if not _is_cyclic_or_product(spec):
+        if not spec.abelian:
             raise NotAbelian("exact global tallies need a cyclic or product cover")
         spec.require_validated()
         G = spec.group
@@ -210,7 +204,7 @@ def count_prime_frobenius_global(spec: Cover, class_index: int, n: int) -> int:
     check_class(spec.group, class_index)
     if n < 1:
         raise DomainError(f"no primes of degree {n}")
-    if _is_cyclic_or_product(spec):
+    if spec.abelian:
         data = _ldata(spec)
         data.ensure(n)
         row = data.tallies[n]
@@ -258,32 +252,42 @@ def prime_tallies(spec: Cover, N: int) -> PrimeTally:
     return PrimeTally(unram, ram, N)
 
 
-def _psi_values(spec: Cover, N: int) -> list[int]:
-    """[psi_E(1), ..., psi_E(N)] from one prime tally: a prime of degree d
-    with residue degree f adds d*f to psi_E(n) for every multiple n of d*f."""
+def _euler_sums(spec: Cover, N: int, above: bool) -> list[int]:
+    """[0, s(1), ..., s(N)] from one prime tally, where s(n) u^n / n is the
+    u^n term of the log of an Euler product: a prime of degree d and residue
+    degree f adds d*f to s(n) at every multiple n of d*f, once, or, when
+    `above`, once per prime of E above it (g of them, |G|/f unramified)."""
     tally = prime_tallies(spec, N)
-    psis = [0] * (N + 1)
-    weights = [(d * f, cnt) for (d, f), cnt in tally.unramified.items()]
-    weights += [(d * f, cnt) for (d, _, f, _), cnt in tally.ramified.items()]
+    size = spec.group.n
+    sums = [0] * (N + 1)
+    weights = [
+        (d * f, cnt * (size // f if above else 1)) for (d, f), cnt in tally.unramified.items()
+    ]
+    weights += [
+        (d * f, cnt * (g if above else 1)) for (d, _, f, g), cnt in tally.ramified.items()
+    ]
     for j, cnt in weights:
         for n in range(j, N + 1, j):
-            psis[n] += j * cnt
-    return psis[1:]
+            sums[n] += j * cnt
+    return sums
+
+
+def _exp_series(sums: list) -> Series:
+    """exp(sum over n >= 1 of sums[n] u^n / n) mod u^len(sums)."""
+    return Series([Fraction(0)] + [Fraction(sums[n]) / n for n in range(1, len(sums))]).exp()
 
 
 def psi_E(spec: Cover, n: int) -> int:
     """psi_E(n) = sum over d*f | n of d*f*pi_{E;f}(d), all primes included."""
     if n < 1:
         raise DomainError(f"psi_E is defined for degrees n >= 1, not {n}")
-    return _psi_values(spec, n)[n - 1]
+    return _euler_sums(spec, n, False)[n]
 
 
 def b_series(spec: Cover, N: int) -> Series:
     """exp(sum psi_E(n) u^n / n) mod u^(N+1): sum of b over monics of each
     degree, as exact rationals (they are integers)."""
-    psis = _psi_values(spec, N)
-    logd = Series([Fraction(0)] + [Fraction(psis[n - 1], n) for n in range(1, N + 1)])
-    return logd.exp()
+    return _exp_series(_euler_sums(spec, N, False))
 
 
 def b_full_mean(spec: Cover, n: int) -> Fraction:
@@ -304,9 +308,8 @@ def K_E(spec: Cover, N: int | None = None) -> tuple[Fraction, float]:
     if N < 2 * genus + size:
         raise TooLarge(f"truncation depth {N} below the floor {2 * genus + size}")
     q = spec.ctx.q
-    psis = _psi_values(spec, N)
-    es = [Fraction(psis[n - 1]) - Fraction(q**n, size) for n in range(1, N + 1)]
-    a = Series([Fraction(0)] + [es[n - 1] / n for n in range(1, N + 1)]).exp()
+    psis = _euler_sums(spec, N, False)
+    a = _exp_series([psi - Fraction(q**n, size) for n, psi in enumerate(psis)])
     value = a.eval_at(Fraction(1, q))
     tail = _k_tail_bound(q, genus, size, N)
     return value, tail
@@ -330,21 +333,7 @@ def _k_tail_bound(q: int, genus: int, size: int, N: int) -> float:
 def dedekind_from_tallies(spec: Cover, N: int) -> Series:
     """The same series from prime tallies via the Euler product: each P below
     g primes of E, each of degree f*deg P."""
-    tally = prime_tallies(spec, N)
-    size = spec.group.n
-    logc = [Fraction(0)] * (N + 1)
-    for n in range(1, N + 1):
-        total = Fraction(0)
-        for (d, f), cnt in tally.unramified.items():
-            j = d * f
-            if n % j == 0:
-                total += Fraction(cnt * (size // f) * j)
-        for (d, e, f, g), cnt in tally.ramified.items():
-            j = d * f
-            if n % j == 0:
-                total += Fraction(cnt * g * j)
-        logc[n] = total / n
-    return Series(logc).exp()
+    return _exp_series(_euler_sums(spec, N, True))
 
 
 def ptilde(spec: Cover, N: int | None = None) -> list[int]:
@@ -427,7 +416,7 @@ def full_degree_mean(spec: Cover, fn: ArithFnSpec, n: int, seed: int = 0) -> Fra
     leaves out their monics that meet a ramified prime."""
     if n < 0:
         raise DomainError(f"no monics of degree {n}")
-    if not _is_cyclic_or_product(spec):
+    if not spec.abelian:
         raise DomainError("a full-degree mean needs (e, f, g) at every prime")
     if n == 0:
         return evaluate(fn, EMPTY_TYPE, spec.group)  # the monic 1

@@ -125,3 +125,49 @@ def test_caught_names_rule_catches_a_handler():
         "try:\n    f()\nexcept DomainError:\n    pass\n"
     )
     assert _caught_names(tree, "RamifiedPrime") == [3, 7]
+
+
+#: cover classes that only `covers.py` may name: the others ask a cover
+#: `abelian` and `symbol_cover()`; the interval sieve's place tables read
+#: a `KummerCover`'s linear places, so that one is allowed
+COVER_KINDS = ("SplittingCover", "ArtinSchreierCover", "ProductCover", "TrivialCover")
+
+
+def _named_cover_kinds(tree: ast.Module) -> list[str]:
+    """`name (line)` for each import, name or attribute of a class in
+    `COVER_KINDS`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.split(".")[-1] for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{n} (line {node.lineno})" for n in names if n in COVER_KINDS]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "covers.py"], ids=lambda p: p.name
+)
+def test_only_covers_names_a_cover_kind(path):
+    # a consumer that tests the class of a cover decides in its own module
+    # what the cover's classification contract already says
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = _named_cover_kinds(tree)
+    assert found == [], f"{path.name}: names {found}"
+
+
+def test_cover_kind_rule_catches_a_name():
+    tree = ast.parse(
+        "from .covers import Cover, KummerCover, SplittingCover as S\n"
+        "import ffcheb.covers\n"
+        "isinstance(c, (covers.ProductCover, TrivialCover))\n"
+        "x = KummerCover\n"
+    )
+    assert _named_cover_kinds(tree) == [
+        "SplittingCover (line 1)", "ProductCover (line 3)", "TrivialCover (line 3)"
+    ]

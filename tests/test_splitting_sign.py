@@ -1,4 +1,5 @@
-"""The sign of Frobenius on splitting covers, and the exact parity refusals.
+"""The sign of Frobenius on splitting covers, the exact parity refusals, and
+the census where the sign is deg P mod 2.
 
 For p odd, `SplittingCover` reads the sign of Frobenius at P as the quadratic
 symbol of disc_Y(F) (Stickelberger; Swan 1962), by the reciprocity of
@@ -36,13 +37,23 @@ def splitting(F, ys, group=S3):
     )
 
 
+def census_cubic(F):
+    """w^3 - 3N^2 w - N^2 (2T^2 + 6), N = T^2 - 3, asserted as S_3.  Its
+    Galois closure contains a constant-field extension wherever disc is a
+    non-square constant times a square, so there Frobenius is odd exactly at
+    the primes of odd degree."""
+    N = parse_poly(F, "T^2-3")
+    a1 = N * N * parse_poly(F, "-3")
+    a0 = -(N * N * parse_poly(F, "2*T^2+6"))
+    return splitting(F, [a0.coeffs, a1.coeffs, "0", "1"])
+
+
 #: per field: Y^3 - T*Y - T; a cubic whose discriminant has an irreducible
 #: nonlinear factor to an odd power (no linear place table in the sieve);
 #: over F_5, Y^3 + T, whose discriminant -27*T^2 = 3*T^2 is a non-square
 #: constant times a square (so the sign of P is deg P mod 2).  Over
-#: q = 1 mod 3, -27 is a square, and a cubic with disc = (non-square
-#: constant) * (square) has its Frobenius tied to the parity of deg P,
-#: which the frequency census refuses.
+#: q = 1 mod 3, -27 is a square; `census_cubic` above has
+#: disc = (non-square constant) * (square) over F_7 and F_19.
 S3_CUBIC = ["-1*T", "-1*T", "0", "1"]
 COVERS = {
     # disc (T + 2)(T^2 + 3T + 4), and 3T^2
@@ -73,7 +84,7 @@ def test_sign_route_matches_the_residue_field(pk):
                     continue
                 want = cov._residue_cycle_type(P)
                 assert G.omega_to_class[cov.coset_class(P)] == cov.cycle_table[want], (pk, P)
-                pinned += want in cov._pinned
+                pinned += cov._type_omega(want) in cov._sign_omegas
         assert pinned > 0, pk  # some primes took the sign route
     assert (True, True) in kinds  # a discriminant with a nonlinear place
     assert (True, False) in kinds  # one with linear places only
@@ -109,7 +120,8 @@ def test_residue_route_where_the_sign_leaves_a_choice():
     # an even cubic, a quartic and p = 2 keep the residue field (the root
     # counts of test_covers check that route)
     F7 = make_field(7)
-    assert validate_cover(splitting(F7, S3_CUBIC))._pinned == (None, (2, 1))
+    cubic = validate_cover(splitting(F7, S3_CUBIC))
+    assert cubic._sign_omegas == (None, cubic._type_omega((2, 1)))
     gens = ("(1 2)", "(1 2 3 4)")
     quartic = splitting(F7, ["-1*T", "-1*T", "0", "0", "1"], (gens, {}))
     G = quartic.group
@@ -117,7 +129,7 @@ def test_residue_route_where_the_sign_leaves_a_choice():
     F4 = make_field(2, 2)
     for cov in (quartic, splitting(F4, ["T", "T", "1"], S2)):  # Y^2 + TY + T
         validate_cover(cov)
-        assert cov._pinned == () and cov._sign is None
+        assert cov._sign_omegas == () and cov._sign is None
 
 
 def test_a_prime_meeting_the_sign_datum_is_refused():
@@ -146,5 +158,34 @@ def test_nonsquare_discriminant_refuses_an_even_group():
     F = make_field(5)
     spec = splitting(F, QUADRATIC, (("()",), {(1, 1): 0}))
     with pytest.raises(AmbiguousCycleType, match="not a square.*every generator is an even"):
+        validate_cover(spec)
+    assert not spec.validated
+
+
+@pytest.mark.parametrize("p", [7, 19])
+def test_census_counts_each_degree_against_its_parity(p):
+    # the census compares the primes of degree d only with the classes of
+    # parity d mod 2; counted against all of S_3 at once, every prime of odd
+    # degree in (2, 1) looks like an excess of odd classes
+    F = make_field(p)
+    cov = validate_cover(census_cubic(F))
+    assert not cov._sign.parts and cov._sign._deg_dlog == 1
+    checked = 0
+    for d in (1, 2, 3, 4):
+        if F.q**d > 2500:
+            break
+        for P in primes_of_degree(F, d):
+            if P not in cov._ram:
+                want = cov.cycle_table[cov._residue_cycle_type(P)]
+                assert cov.group.omega_to_class[cov.coset_class(P)] == want, (p, P)
+                checked += 1
+    assert checked > 150
+
+
+def test_census_cubic_with_a_square_discriminant_is_refused():
+    # over F_13 the census cubic's discriminant is a square, so S_3 is
+    # refused before any census
+    spec = census_cubic(make_field(13))
+    with pytest.raises(AmbiguousCycleType, match="is a square.*generator 1 is an odd"):
         validate_cover(spec)
     assert not spec.validated

@@ -51,15 +51,10 @@ def _field_from_q(q: int):
         raise DomainError(f"{q} is not a prime power")
     if q > ffield.MAX_Q:  # before the trial division, which takes sqrt(q) steps
         raise DegreeTooLarge(f"q = {q} exceeds the configured bound {ffield.MAX_Q}")
-    p = next((cand for cand in range(2, math.isqrt(q) + 1) if q % cand == 0), q)
-    k = 0
-    m = q
-    while m % p == 0 and m > 1:
-        m //= p
-        k += 1
-    if m != 1:
+    ps = ffield.prime_factors(q)
+    if len(ps) != 1:
         raise DomainError(f"{q} is not a prime power")
-    return make_field(p, k)
+    return make_field(ps[0], round(math.log(q, ps[0])))
 
 
 def _open_output(path: str, **kw):

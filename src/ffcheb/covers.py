@@ -394,10 +394,8 @@ class KummerCover(Cover):
 
     def _ramified_omega(self, P: Coeffs) -> int:
         """The inertia coset at a part P of D, of multiplicity v."""
-        d, F = self.d, self.ctx
+        F = self.ctx
         v = next(m for Q, m in self.parts if Q == P)
-        e = d // math.gcd(d, v)
-        step = d // e
         # unit part with uniformizer pi = P, and the dlog of its symbol
         u = self.D.coeffs
         for _ in range(v):
@@ -405,9 +403,13 @@ class KummerCover(Cover):
         r = resultant_raw(F, P, u)
         if not r:
             raise InvariantViolated("the unit part of D is not coprime to P")
-        ku = F._log[r] % d
-        coset = frozenset((ku + j * step) % d for j in range(e))
-        return self.group.omega_of_coset(coset)
+        return self._inertia_omega(F._log[r], v)
+
+    def _inertia_omega(self, k: int, v: int) -> int:
+        """The class of the coset k + <gcd(d, v)> of Z/d: Frobenius k over the
+        inertia group of a place where D has valuation v."""
+        step = math.gcd(self.d, v)
+        return self.group.omega_of_coset(range(k % step, self.d, step))
 
     def _character_conductor(self, a: int) -> dict[Place, int]:
         """Every ramified place is tame: exponent 1 where the character is
@@ -422,13 +424,7 @@ class KummerCover(Cover):
         return True  # d | q-1 forces d coprime to p
 
     def _infinity_omega(self) -> int:
-        d = self.d
-        degD = self.D.degree
-        e = d // math.gcd(d, degD)
-        step = d // e
-        kc = self.ctx._log[self.D.coeffs[-1]] % d
-        coset = frozenset((kc + j * step) % d for j in range(e))
-        return self.group.omega_of_coset(coset)
+        return self._inertia_omega(self.ctx._log[self.D.coeffs[-1]], self.D.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +575,7 @@ class ArtinSchreierCover(Cover):
                 # h = f'/f mod P^m, unreduced: Res_P(h D dT) = sum_j h_j Res_P(T^j D dT)
                 for hj, rj in zip(pmul(F, pmod(F, df, Pm), inv_f), res):
                     t = sub(t, mul(hj, rj))
-        acc = t
-        for _ in range(F.k - 1):
-            t = F.frob(t)
-            acc = add(acc, t)
-        return acc
+        return F.trace(t)
 
     def _ramified_omega(self, P: Coeffs) -> int:
         """Inertia is the whole group at a pole of D."""
@@ -609,15 +601,10 @@ class ArtinSchreierCover(Cover):
             return self.group.omega_of_coset(frozenset(range(p)))
         num, den = self.D.num, self.D.den
         if num.degree < den.degree:
-            t = 0
-        else:  # equal degrees after reduction
-            F = self.ctx
-            c = F.div(num.coeffs[-1], den.coeffs[-1])
-            acc = 0
-            for i in range(F.k):
-                acc = F.add(acc, F.pow(c, F.p**i))
-            t = acc
-        return self.group.class_to_omega[t]
+            return self.group.class_to_omega[0]
+        # equal degrees after reduction
+        F = self.ctx
+        return self.group.class_to_omega[F.trace(F.div(num.coeffs[-1], den.coeffs[-1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ class Field:
             self.modulus = next(
                 f for f in polys.enumerate_monic_raw(Fp, k) if polys.is_irreducible_raw(Fp, f)
             )
-            mul = polys._mulmod_prime(p, polys._reduction_rows(Fp, self.modulus), k)
+            mul = polys._mulmod(Fp, self.modulus)
             weights = [p**i for i in range(k)]
 
             def rep(a):
@@ -264,6 +264,15 @@ class Field:
 
     def frob(self, a: int) -> int:
         return self.pow(a, self.p)
+
+    def trace(self, a: int) -> int:
+        """Tr_{F_q/F_p}(a) = a + a^p + ... + a^(p^(k-1)), an element of F_p
+        (encoded as its residue)."""
+        t = a
+        for _ in range(self.k - 1):
+            a = self.frob(a)
+            t = self.add(t, a)
+        return t
 
     def pth_root(self, a: int) -> int:
         """Unique b with b^p = a (Frobenius is bijective)."""

@@ -38,10 +38,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from . import ffield
 from .errors import (
     ConstantPolynomial,
     ContextMismatch,
+    DegreeTooLarge,
     DivisionByZero,
+    DomainError,
     InvariantViolated,
     NotIrreducible,
     PoleAtPrime,
@@ -201,9 +204,7 @@ def ppowmod(F: Field, base: Coeffs, e: int, mod: Coeffs) -> Coeffs:
         if d == 1:
             return (F.pow(base[0], e),)
         return base
-    rows = _reduction_rows(F, mod)
-    mulmod = _mulmod_prime(F.p, rows, d) if F.k == 1 else _mulmod_ext(F, rows, d)
-    return pnorm(_square_multiply(mulmod, list(base) + [0] * (d - len(base)), e))
+    return pnorm(_square_multiply(_mulmod(F, mod), list(base) + [0] * (d - len(base)), e))
 
 
 def _square_multiply(mulmod, a: list[int], e: int) -> list[int]:
@@ -235,7 +236,14 @@ def _reduction_rows(F: Field, mod: Coeffs) -> list[list[int]]:
 
 
 # Two kernels for the product of two residues (length-d lists) modulo a
-# degree-d polynomial given by its reduction rows; ppowmod picks one by field.
+# degree-d polynomial given by its reduction rows; `_mulmod` picks one by field.
+
+
+def _mulmod(F: Field, m: Coeffs):
+    """The product of two residues modulo m, deg m = d >= 1, as a function
+    of two length-d lists: the F_p kernel for k == 1, else the F_{p^k} one."""
+    rows, d = _reduction_rows(F, m), pdeg(m)
+    return _mulmod_prime(F.p, rows, d) if F.k == 1 else _mulmod_ext(F, rows, d)
 
 
 def _mulmod_prime(p: int, rows, d: int):
@@ -315,8 +323,7 @@ def _frobenius(F: Field, m: Coeffs):
     def reach(n: int) -> None:
         nonlocal mulmod
         if mulmod is None:
-            rows = _reduction_rows(F, m)
-            mulmod = _mulmod_prime(p, rows, d) if F.k == 1 else _mulmod_ext(F, rows, d)
+            mulmod = _mulmod(F, m)
             xs.append(_square_multiply(mulmod, [0, 1] + [0] * (d - 2), p))
         while len(xs) < n:
             xs.append(mulmod(xs[-1], xs[1]))
@@ -596,8 +603,8 @@ def primes_of_degree(ctx: Field, n: int) -> list[Coeffs]:
     """All monic irreducibles of degree n, in the order of
     `enumerate_monic_raw` (lowest coefficient varying fastest).
 
-    Degree n >= 2 is sieved by the primes of degree d <= n/2
-    (`_coprime_monics`).  Cached on the field context, so the interval sieve
+    Each degree is sieved by the primes of degree d <= n/2 (`_coprime_monics`;
+    none for n = 1).  Cached on the field context, so the interval sieve
     and every cover over the same field share the lists.
     """
     cache = getattr(ctx, "_prime_cache", None)
@@ -607,15 +614,11 @@ def primes_of_degree(ctx: Field, n: int) -> list[Coeffs]:
         return cache[n]
     if n < 1:
         raise ConstantPolynomial("primes have degree >= 1")
-    q = ctx.q
-    if n == 1:
-        out = [(ctx.neg(a), 1) for a in range(q)]
-    else:
-        size = q**n
-        if size > ENUMERATION_LIMIT:
-            raise TooLarge(f"listing the primes of degree {n} sieves {size} monics")
-        small = (Q for d in range(1, n // 2 + 1) for Q in primes_of_degree(ctx, d))
-        out = list(_coprime_monics(ctx, n, small))
+    size = ctx.q**n
+    if size > ENUMERATION_LIMIT:
+        raise TooLarge(f"listing the primes of degree {n} sieves {size} monics")
+    small = (Q for d in range(1, n // 2 + 1) for Q in primes_of_degree(ctx, d))
+    out = list(_coprime_monics(ctx, n, small))
     cache[n] = out
     return out
 
@@ -858,14 +861,9 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int):
-        acc = Poly.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        if e < 0:
+            raise DomainError(f"a polynomial has no power {e}")
+        return _square_multiply(Poly.__mul__, self, e) if e else Poly.one(self.ctx)
 
     def gcd(self, other) -> "Poly":
         return Poly._raw(self.ctx, pgcd(self.ctx, self.coeffs, self._other(other)))
@@ -1149,6 +1147,11 @@ class ResidueField:
         dd = pdeg(monic)
         if dd < 1:
             raise ConstantPolynomial("a residue field needs a prime of degree >= 1")
+        if base.q**dd > ffield.MAX_Q:
+            raise DegreeTooLarge(
+                f"a prime of degree {dd} over F_{base.q} has a residue field of "
+                f"{base.q}^{dd} elements, above the configured bound {ffield.MAX_Q}"
+            )
         roots, self._beta_pows = _root_table(base, dd)
         t = roots[_index(monic[:-1], base.q)]
         if t < 0:

@@ -373,41 +373,24 @@ def curve_zeta_numerator(spec: Cover) -> list[int]:
     """P_E(u): divide the infinite-place cyclotomic factor out of ptilde.
 
     ptilde = P_E * [prod_{i=1..g_inf}(1 - u^{f_inf})] / (1 - u); the division
-    must be exact over the integers, else the cover model is inconsistent."""
+    must be exact, else the cover model is inconsistent.  It runs over Q,
+    and the quotient is integral because the divisor has constant term 1."""
     pt = ptilde(spec)
     inf = spec.infinity_data()
-    cyc = [1]
+    cyc = [Fraction(1)]
     for _ in range(inf.g):
-        nxt = [0] * (len(cyc) + inf.f)
-        for i, c in enumerate(cyc):
-            nxt[i] += c
-            nxt[i + inf.f] -= c
-        cyc = nxt
-    # divide the cyclotomic product by (1 - u): prefix sums
-    den = []
-    run = 0
-    for c in cyc[:-1]:
-        run += c
-        den.append(run)
-    if run + cyc[-1] != 0:
+        cyc = _pmul(cyc, [1] + [0] * (inf.f - 1) + [-1])
+    den, rem = _pdivmod(cyc, [1, -1])
+    if rem:
         raise DegreeBoundViolated("infinite-place factor is not divisible by 1 - u")
-    while len(den) > 1 and den[-1] == 0:
-        den.pop()
-    # exact long division pt / den over Z (den has constant term 1)
     if den[0] != 1:
         raise DegreeBoundViolated("infinite-place factor is not monic at u^0")
     if len(pt) < len(den):
         raise DegreeBoundViolated("ptilde has lower degree than the infinite-place factor")
-    out = []
-    rems = list(pt)
-    for i in range(len(pt) - len(den) + 1):
-        c = rems[i]
-        out.append(c)
-        for j, dc in enumerate(den):
-            rems[i + j] -= c * dc
-    if any(r != 0 for r in rems):
+    out, rem = _pdivmod(pt, den)
+    if rem:
         raise DegreeBoundViolated("infinite-place factor does not divide ptilde")
-    return out
+    return [int(c) for c in out]
 
 
 def full_degree_mean(spec: Cover, fn: ArithFnSpec, n: int, seed: int = 0) -> Fraction:

@@ -580,6 +580,17 @@ def test_big_group_refused_quickly(capsys, cover_files, key):
     assert capsys.readouterr().err.startswith("TooLarge:")
 
 
+def test_residue_field_above_the_bound_exit_3(capsys, cover_files):
+    # the S_3 cover classifies the sextic T^6 + 2 in F_(13^6), above MAX_Q;
+    # the refusal names the prime's degree and the base field
+    argv = ["interval-mean", "--cover", cover_files["{s3}"], "--f0", "T^6+2", "--m", "0",
+            "--fns", "B,R"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("DegreeTooLarge: a prime of degree 6 over F_13 has a residue field")
+    assert "13^6" in err
+
+
 def test_malformed_cover_polynomial_is_cover_file_error(tmp_path, capsys):
     f = tmp_path / "bad.cov"
     f.write_text("kind = kummer\np = 5\nd = 2\nD = (T+1)^2\n")

@@ -120,6 +120,20 @@ def test_frobenius_additive_multiplicative():
             assert F.frob(F.mul(x, y)) == F.mul(F.frob(x), F.frob(y))
 
 
+def test_trace_to_the_prime_field():
+    # Tr is F_p-linear and onto F_p, so it takes each value q/p times, and it
+    # is k*c on a scalar c
+    for p, k in ((5, 1), (3, 2), (2, 3), (5, 2), (3, 3)):
+        F = make_field(p, k)
+        traces = [F.trace(a) for a in range(F.q)]
+        assert sorted(traces) == sorted(list(range(p)) * (F.q // p))
+        for x in range(0, F.q, 7):
+            for y in range(0, F.q, 5):
+                assert F.trace(F.add(x, y)) == (traces[x] + traces[y]) % p
+        for c in range(p):
+            assert F.trace(c) == k * c % p
+
+
 def test_pth_root_inverts_frobenius():
     for p, k in ((3, 2), (2, 3), (5, 2)):
         F = make_field(p, k)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import time
@@ -127,3 +129,38 @@ def test_group_tables_are_bounded():
         assert time.perf_counter() - start < 1.0
     assert GroupTable.cyclic(TABLE_ORDER_LIMIT).n == TABLE_ORDER_LIMIT
     assert GroupTable.direct_product([GroupTable.cyclic(6), GroupTable.cyclic(5)]).n == 30
+
+
+def _perm_group(*cycles, degree):
+    return GroupTable.from_perms([parse_cycles(c, degree) for c in cycles])
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: GroupTable.symmetric(3), 6),
+        (lambda: _perm_group("(1 2 3)", "(1 2)(3 4)", degree=4), 10),  # A_4
+        (lambda: _perm_group("(1 2 3 4)", "(1 3)", degree=4), 10),  # D_4
+        (lambda: GroupTable.symmetric(4), 30),
+        (lambda: GroupTable.direct_product([GroupTable.cyclic(2)] * 3), 16),
+        (lambda: GroupTable.cyclic(12), 6),
+    ],
+    ids=["S3", "A4", "D4", "S4", "Z2^3", "Z12"],
+)
+def test_subgroup_counts(make, count):
+    G = make()
+    assert len(G.subgroups) == count
+    # each one closed under the product and listed once
+    assert len(set(G.subgroups)) == count
+    for H in G.subgroups:
+        assert all(G.mul(a, b) in H for a in H for b in H)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_symmetric_is_the_table_of_sorted_permutations(m):
+    perms = sorted(itertools.permutations(range(m)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(m))] for b in perms] for a in perms]
+    G = GroupTable.symmetric(m)
+    assert G.perms == tuple(perms)
+    assert G.table == tuple(tuple(row) for row in table)

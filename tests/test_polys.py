@@ -11,6 +11,7 @@ import pytest
 from ffcheb import polys
 from ffcheb.errors import (
     ConstantPolynomial,
+    DomainError,
     InvariantViolated,
     NotIrreducible,
     PoleAtPrime,
@@ -178,15 +179,27 @@ def test_sieved_primes_match_rabin():
     fields = sorted(CANONICAL_FIELDS) + [(p, 1) for p in (2, 3, 5, 7, 11, 13)]
     for p, k in fields:
         q = p**k
-        if q * q > 5_000:
-            continue  # no degree n >= 2 with q^n <= 5000
+        if q > 5_000:
+            continue  # no degree n with q^n <= 5000
         F, G = Field(p, k), Field(p, k)
-        n = 2
+        n = 1
         while q**n <= 5_000:
             got = primes_of_degree(F, n)
             assert got == rabin_primes(G, n), (p, k, n)
             assert len(got) == count_primes(F, n)
             n += 1
+
+
+def test_polynomial_powers():
+    # a negative exponent is refused at once, not looped on (-1 >> 1 == -1)
+    f = parse_poly(make_field(3, 2), "T^2+(0,1)*T+1")
+    with pytest.raises(DomainError):
+        f ** -1
+    assert f**0 == Poly.one(f.ctx)
+    acc = Poly.one(f.ctx)
+    for e in range(1, 9):
+        acc = acc * f
+        assert f**e == acc
 
 
 @pytest.mark.parametrize("pk", [(5, 1), (3, 2), (2, 2), (2, 3)])

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ffcheb.covers import artin_schreier, kummer, product, trivial
+from ffcheb import zeta as zeta_mod
+from ffcheb.covers import SplittingData, artin_schreier, kummer, product, trivial
 from ffcheb.errors import (
     DegreeBoundViolated,
     DomainError,
@@ -245,6 +246,27 @@ def test_curve_numerator_and_rh(quad):
     assert curve == [1, 2, 5]
     for m in rh_root_moduli(curve, 5):
         assert abs(m - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "pt, inf, want",
+    [
+        ([1, 3, 7, 5], (1, 2, 1), [1, 2, 5]),  # (1 + u)(1 + 2u + 5u^2)
+        ([1, 1, 3, -5], (1, 1, 2), [1, 2, 5]),  # (1 - u)(1 + 2u + 5u^2)
+        ([1, 3, 7, 6], (1, 2, 1), "does not divide ptilde"),
+        ([1, 1], (1, 3, 1), "lower degree"),
+        ([1, 2, 5], (1, 1, 0), "not divisible by 1 - u"),
+    ],
+)
+def test_curve_numerator_divides_out_the_infinite_places(monkeypatch, quad, pt, inf, want):
+    # ptilde = P_E * prod_(g_inf) (1 - u^f_inf) / (1 - u), divided exactly
+    monkeypatch.setattr(zeta_mod, "ptilde", lambda spec: pt)
+    monkeypatch.setattr(quad, "infinity_data", lambda: SplittingData(*inf))
+    if isinstance(want, list):
+        assert curve_zeta_numerator(quad) == want
+    else:
+        with pytest.raises(DegreeBoundViolated, match=want):
+            curve_zeta_numerator(quad)
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,15 @@ symbol leaves the class open.  On `_ram` the path takes the kind's
 Artin-Schreier cover, the componentwise product of a product cover), and at
 a None the kind's `_residue_omega`.  Other modules ask `abelian`, never the
 class of a cover.
+
+A cover is checked when it is built, so every cover that exists is one the
+counts hold for: each constructor refuses a cover that is not geometric, a
+wild place at infinity without `force_wild`, components that do not combine
+componentwise, and a splitting cover whose asserted group or cycle-type
+table its discriminant or census contradicts.  Kummer is the one exception:
+`KummerCover` is also the quadratic residue symbol of a splitting cover's
+discriminant, which may be a constant times a square, so `kummer()`, which
+`parse_cover` builds through, refuses a non-geometric D.
 """
 
 from __future__ import annotations
@@ -115,18 +124,14 @@ class Cover:
     kind = "abstract"
     abelian = True  # Frobenius is an element, (e, f, g) known at every place
     group_provenance = "computed"
-    wild_override = False  # validated under force_wild with a wild place at infinity
+    wild_override = False  # built under force_wild with a wild place at infinity
     _ram: frozenset[Coeffs] = frozenset()  # the ramified finite primes
 
     def __init__(self, ctx: Field):
         self.ctx = ctx
-        self.validated = False
         self._omega_cache: dict[Coeffs, int] = {}
 
     # -- subclass hooks
-
-    def _validate(self, force_wild: bool) -> None:
-        raise NotImplementedError
 
     def _ramified_omega(self, P: Coeffs) -> int:
         raise NotImplementedError
@@ -153,10 +158,6 @@ class Cover:
 
     # -- shared API
 
-    def require_validated(self) -> None:
-        if not self.validated:
-            raise DomainError("cover has not been validated; call validate_cover")
-
     def _prime_coeffs(self, P) -> Coeffs:
         if isinstance(P, Poly):
             cs = P.coeffs
@@ -170,7 +171,6 @@ class Cover:
 
     def coset_class(self, P) -> int:
         """Catalog index in Omega_G of the Frobenius coset at P."""
-        self.require_validated()
         cs = self._prime_coeffs(P)
         cached = self._omega_cache.get(cs)
         if cached is None:
@@ -179,7 +179,6 @@ class Cover:
 
     def frobenius_class(self, P) -> int:
         """Conjugacy-class index of Frobenius at an unramified prime."""
-        self.require_validated()
         cs = self._prime_coeffs(P)
         if not is_irreducible_raw(self.ctx, cs):
             raise NotIrreducible(f"{Poly._raw(self.ctx, cs)!r} is not a prime of F_q[T]")
@@ -190,7 +189,6 @@ class Cover:
     def class_counts(self, n: int) -> list[int]:
         """Number of unramified primes of degree n whose Frobenius lies in
         each conjugacy class, indexed by class."""
-        self.require_validated()
         to_class = self.group.omega_to_class
         counts = [0] * len(self.group.classes)
         for P in primes_of_degree(self.ctx, n):
@@ -199,12 +197,10 @@ class Cover:
         return counts
 
     def splitting_data(self, P) -> SplittingData:
-        self.require_validated()
         oc = self.group.omega[self.coset_class(P)]
         return SplittingData(oc.e, oc.f, oc.g)
 
     def infinity_data(self) -> SplittingData:
-        self.require_validated()
         oc = self.group.omega[self._infinity_omega()]
         return SplittingData(oc.e, oc.f, oc.g)
 
@@ -212,7 +208,6 @@ class Cover:
         raise NotImplementedError
 
     def ramified_primes(self) -> list[Poly]:
-        self.require_validated()
         return [
             Poly._raw(self.ctx, cs)
             for cs in sorted(self._ram, key=canonical_key)
@@ -227,7 +222,6 @@ class Cover:
     def genus(self) -> int:
         """Conductor-discriminant genus of an abelian kind:
         2g - 2 = -2|G| + sum over chi != 1 of deg f_chi."""
-        self.require_validated()
         total = -2 * self.group.n
         for a in range(1, self.group.n):
             cond = self._character_conductor(a)
@@ -247,7 +241,6 @@ class Cover:
         return sum(e * pdeg(P) for P, e in top.items()) + wild
 
     def summary(self) -> dict:
-        self.require_validated()
         try:
             g = self.genus()
         except UserGenusRequired:
@@ -271,9 +264,6 @@ class TrivialCover(Cover):
         super().__init__(ctx)
         self.group = GroupTable.cyclic(1)
 
-    def _validate(self, force_wild: bool) -> None:
-        self.validated = True
-
     def artin_symbol(self, f: Coeffs) -> int:
         return 0
 
@@ -285,7 +275,7 @@ class TrivialCover(Cover):
 
 
 def trivial(ctx: Field) -> TrivialCover:
-    return validate_cover(TrivialCover(ctx))  # type: ignore[return-value]
+    return TrivialCover(ctx)
 
 
 def _genus_from_total(total: int) -> int:
@@ -303,11 +293,15 @@ def _genus_from_total(total: int) -> int:
 
 
 class KummerCover(Cover):
-    """y^d = D(T), d | q-1.  D is stored with multiplicities reduced mod d."""
+    """y^d = D(T), d | q-1.  D is stored with multiplicities reduced mod d.
+
+    The constructor takes any nonzero D, as the residue symbol of y^d = D;
+    `kummer()` refuses a D that gives no geometric cover.  `factored` is D's
+    `factor_raw`, where the caller has it already."""
 
     kind = "kummer"
 
-    def __init__(self, ctx: Field, d: int, D: Poly):
+    def __init__(self, ctx: Field, d: int, D: Poly, factored: tuple | None = None):
         super().__init__(ctx)
         if D.ctx is not ctx:
             raise ContextMismatch("D over the wrong field")
@@ -320,7 +314,7 @@ class KummerCover(Cover):
             raise NotDividing(f"d = {d} does not divide q - 1 = {ctx.q - 1}")
         self.d = d
         self.group = GroupTable.cyclic(d)
-        unit, parts = factor_raw(ctx, D.coeffs, seed=0)
+        unit, parts = factored or factor_raw(ctx, D.coeffs, seed=0)
         reduced = [(P, m % d) for P, m in parts if m % d != 0]
         self.parts = tuple(reduced)
         self._ram = frozenset(P for P, _ in reduced)
@@ -330,35 +324,21 @@ class KummerCover(Cover):
             for _ in range(m):
                 cs = pmul(ctx, cs, P)
         self.D = Poly._raw(ctx, cs)
-
-    def _validate(self, force_wild: bool) -> None:
-        for dp in prime_factors(self.d):
-            if all(m % dp == 0 for _, m in self.parts):
-                raise NotGeometric(
-                    f"D is a constant times a {dp}-th power; the cover is not a "
-                    f"geometric Z/{self.d} extension"
-                )
-        self._symbol_tables()
-        self.validated = True
-
-    def _symbol_tables(self) -> None:
-        """What `artin_symbol` reads, built once.  It needs no geometric D:
-        a splitting cover's sign character is the symbol of y^2 = disc, where
-        disc may be a constant times a square."""
-        # dlog of a residue symbol is a log read mod d: the symbol of a
-        # nonzero value v is v^((q-1)/d) = zeta^(log v), zeta = g^((q-1)/d)
-        F, d, log, q = self.ctx, self.d, self.ctx._log, self.ctx.q
+        # what `artin_symbol` reads.  The dlog of a residue symbol is a log
+        # read mod d: the symbol of a nonzero value v is v^((q-1)/d) =
+        # zeta^(log v), zeta = g^((q-1)/d)
+        log, q = ctx._log, ctx.q
         # artin_symbol's term per degree of f: the unit's symbol and the
         # reciprocity sign of every part Q^m, m * deg Q summing to deg D
-        self._deg_dlog = (log[self.unit] + self.D.degree * log[F.neg(1)]) % d
+        self._deg_dlog = (log[unit] + self.D.degree * log[ctx.neg(1)]) % d
         # per linear place T - a of D, of multiplicity m: the table that
         # takes f(a) to m times the dlog of its symbol
         self._lin_parts = tuple(
-            (F.neg(Q[0]), [None] + [m * log[v] % d for v in range(1, q)])
-            for Q, m in self.parts
+            (ctx.neg(Q[0]), [None] + [m * log[v] % d for v in range(1, q)])
+            for Q, m in reduced
             if len(Q) == 2
         )
-        self._nonlin_parts = tuple((Q, m) for Q, m in self.parts if len(Q) > 2)
+        self._nonlin_parts = tuple((Q, m) for Q, m in reduced if len(Q) > 2)
 
     def artin_symbol(self, f: Coeffs) -> int:
         """dlog of the d-th power residue symbol (D/f)_d, for any monic f
@@ -483,7 +463,7 @@ class ArtinSchreierCover(Cover):
 
     kind = "artin_schreier"
 
-    def __init__(self, ctx: Field, D: RationalFn | Poly):
+    def __init__(self, ctx: Field, D: RationalFn | Poly, force_wild: bool = False):
         super().__init__(ctx)
         if isinstance(D, Poly):
             D = RationalFn(D)
@@ -492,8 +472,19 @@ class ArtinSchreierCover(Cover):
         self.group = GroupTable.cyclic(ctx.p)
         self.raw = D
         self.D = as_reduce(D)
-        self.wild_override = False
         quo, rem = divmod(self.D.num, self.D.den)
+        if quo.degree >= 1:
+            if not force_wild:
+                raise WildAtInfinity(
+                    "reduced datum has a pole at infinity; the cover is wildly "
+                    "ramified there"
+                )
+            self.wild_override = True
+        elif self.D.den.degree == 0:
+            raise NotGeometric(
+                "reduced datum is constant: the cover is a constant-field "
+                "extension or splits completely"
+            )
         self._poly_part = quo
         den = self.D.den.coeffs
         _, parts = factor_raw(ctx, den, seed=0) if self.D.den.degree > 0 else (1, ())
@@ -518,21 +509,6 @@ class ArtinSchreierCover(Cover):
                 res.append(w[-1] if len(w) == N else 0)
                 w = pmod(ctx, (0,) + w, Pm)
             self._pole_parts.append((Pm, res))
-
-    def _validate(self, force_wild: bool) -> None:
-        if self._poly_part.degree >= 1:
-            if not force_wild:
-                raise WildAtInfinity(
-                    "reduced datum has a pole at infinity; the cover is wildly "
-                    "ramified there"
-                )
-            self.wild_override = True
-        elif self.D.den.degree == 0:
-            raise NotGeometric(
-                "reduced datum is constant: the cover is a constant-field "
-                "extension or splits completely"
-            )
-        self.validated = True
 
     def artin_symbol(self, f: Coeffs) -> int:
         """Tr_{F_q/F_p} of the trace of D in the algebra F_q[T]/(f), for any
@@ -618,7 +594,7 @@ class ProductCover(Cover):
     verified; the equidistribution census is the detector.  At ramified
     places the inertia/Frobenius coset is taken componentwise, which is
     exact when the components ramified at a place have pairwise coprime
-    orders; validation refuses any other product.
+    orders; the constructor refuses any other product.
     """
 
     kind = "product"
@@ -635,24 +611,18 @@ class ProductCover(Cover):
         self.components = tuple(components)
         self._ram = frozenset().union(*(c._ram for c in components))
         self.group = GroupTable.direct_product([c.group for c in components])
-
-    def _validate(self, force_wild: bool) -> None:
-        for c in self.components:
-            if not c.validated:
-                c._validate(force_wild)
         # a component ramifies where its faithful character 1 has a conductor
         orders: dict[Place, int] = {}
-        for c in self.components:
+        for c in components:
             for v in c._character_conductor(1):
                 n = orders.get(v, 1)
                 if math.gcd(n, c.group.n) > 1:
-                    place = v if v == INFINITY else repr(Poly._raw(self.ctx, v))
+                    place = v if v == INFINITY else repr(Poly._raw(ctx, v))
                     raise NotComponentwise(
                         f"components of non-coprime orders ramify at {place}; the "
                         f"local data there are not componentwise"
                     )
                 orders[v] = n * c.group.n
-        self.validated = True
 
     def _product_omega(self, omegas: list[int]) -> int:
         """Catalog index of the componentwise product of the components'
@@ -696,7 +666,11 @@ class ProductCover(Cover):
 
 class SplittingCover(Cover):
     """Splitting field of F(T, Y), monic of degree k in Y, with a
-    user-asserted Galois group given as a permutation group on the roots."""
+    user-asserted Galois group given as a permutation group on the roots.
+
+    The constructor refuses F not squarefree in Y, a cycle-type table that
+    disagrees with the group, for p odd generators whose parity contradicts
+    the discriminant, and a group that the Frobenius census contradicts."""
 
     kind = "splitting"
     abelian = False
@@ -723,17 +697,7 @@ class SplittingCover(Cover):
         }
         self.declared_genus = declared_genus
         self.declared_tame_at_infinity = declared_tame_at_infinity
-        self._disc: Poly | None = None
-        # the sign character, and the catalog index of the cycle type that
-        # each sign leaves, if only one (see `_sign_character`)
-        self._sign: KummerCover | None = None
-        self._sign_omegas: tuple = ()
-
-    def _y_discriminant(self) -> Poly:
-        """disc_Y(F) as an element of F_q[T], via Euclid over F_q(T)."""
-        if self._disc is not None:
-            return self._disc
-        ctx = self.ctx
+        # disc_Y(F) as an element of F_q[T], via Euclid over F_q(T)
         f = [RationalFn(c) for c in self.y_coeffs]
         fp = [RationalFn(c * i) for i, c in enumerate(self.y_coeffs) if i >= 1]
         res = _rf_resultant(f, fp)
@@ -743,17 +707,13 @@ class SplittingCover(Cover):
         if res.den.degree != 0:
             raise InvariantViolated("Y-discriminant is not a polynomial")
         self._disc = res.num
-        return self._disc
-
-    def _validate(self, force_wild: bool) -> None:
-        disc = self._y_discriminant()
-        if disc.is_zero():
+        if self._disc.is_zero():
             raise NotGeometric("F is not squarefree in Y over F_q(T)")
         # injectivity and consistency of the cycle-type table
         seen_classes: dict[int, tuple[int, ...]] = {}
         for part, ci in self.cycle_table.items():
-            if sum(part) != self.y_degree:
-                raise AmbiguousCycleType(f"partition {part} does not sum to {self.y_degree}")
+            if sum(part) != n:
+                raise AmbiguousCycleType(f"partition {part} does not sum to {n}")
             if not 0 <= ci < len(self.group.classes):
                 raise AmbiguousCycleType(f"class index {ci} out of range")
             if ci in seen_classes and seen_classes[ci] != part:
@@ -765,14 +725,17 @@ class SplittingCover(Cover):
                         f"class {ci} has cycle type {self.group.cycle_type(x)}, "
                         f"table says {part}"
                     )
-        unit, parts = factor_raw(self.ctx, disc.coeffs, seed=0)
-        self._ram = frozenset(P for P, _ in parts)
-        sign = self._sign_character(disc) if self.ctx.p != 2 else None
-        self.validated = True
+        factored = factor_raw(ctx, self._disc.coeffs, seed=0)
+        self._ram = frozenset(P for P, _ in factored[1])
+        # the sign character, and the catalog index of the cycle type that
+        # each sign leaves, if only one (see `_sign_character`)
+        self._sign: KummerCover | None = None
+        self._sign_omegas: tuple = ()
+        sign = self._sign_character(factored) if ctx.p != 2 else None
         # disc a non-square constant times a square: the sign of P is deg P mod 2
         self._sampling_check(sign is not None and not sign.parts and sign._deg_dlog == 1)
 
-    def _sign_character(self, disc: Poly) -> KummerCover:
+    def _sign_character(self, factored: tuple) -> KummerCover:
         """The sign of Frobenius as a quadratic symbol (p odd), returned, and
         the exact parity refusals.
 
@@ -783,9 +746,9 @@ class SplittingCover(Cover):
         multiplicative in P.  Where disc is c times a square, that cover has
         no parts, and the symbol is deg P * [c is not a square] mod 2.  The
         same test places G: G lies in A_k exactly when disc is a square in
-        F_q(T), so a group whose generators say otherwise is refused."""
-        sign = KummerCover(self.ctx, 2, disc)
-        sign._symbol_tables()
+        F_q(T), so a group whose generators say otherwise is refused.
+        `factored` is disc's `factor_raw`, which fixed `_ram`."""
+        sign = KummerCover(self.ctx, 2, self._disc, factored)
         square = not sign.parts and not sign._deg_dlog
         odd = [i for i, g in enumerate(self.generators, 1) if partition_parity(cycle_type(g))]
         if square and odd:
@@ -875,7 +838,7 @@ class SplittingCover(Cover):
             raise InvariantViolated("Y-polynomial lost degree in the residue field")
         # F is monic in Y, so disc_Y(F)(t) is the discriminant of F(t, Y):
         # F(t, Y) is squarefree exactly when it is not 0
-        if not rf.eval_poly(self._y_discriminant().coeffs):
+        if not rf.eval_poly(self._disc.coeffs):
             raise RamifiedSplittingCover(
                 "F mod P is not squarefree despite P avoiding the Y-discriminant"
             )
@@ -890,7 +853,6 @@ class SplittingCover(Cover):
         raise NotAbelian("splitting covers carry no splitting data (e, f, g) at infinity")
 
     def genus(self) -> int:
-        self.require_validated()
         if self.declared_genus is None:
             raise UserGenusRequired("declare the genus for splitting covers")
         return self.declared_genus
@@ -947,36 +909,40 @@ def _rf_resultant(f: list[RationalFn], g: list[RationalFn]) -> RationalFn:
 
 
 # ---------------------------------------------------------------------------
-# validation entry point
+# builders
 
 
-def validate_cover(spec: Cover, force_wild: bool = False) -> Cover:
-    """Run the kind-specific checks; idempotent, returns the spec.  A spec
-    whose checks fail stays unvalidated, even where a check (the splitting
-    census) needed the flag set to classify primes."""
-    if not spec.validated:
-        try:
-            spec._validate(force_wild)
-        except BaseException:
-            spec.validated = False
-            raise
+def validate_cover(spec: Cover) -> Cover:
+    """The spec itself: every cover is checked when it is built.  Kept for
+    callers written when validation was a separate step, such as the
+    benchmark's splitting cover."""
     return spec
 
 
 def kummer(ctx: Field, d: int, D: Poly | str) -> KummerCover:
+    """The Kummer cover y^d = D, refused unless it is a geometric Z/d
+    extension: D must not be a constant times a p-th power for any prime
+    p | d."""
     if isinstance(D, str):
         D = parse_poly(ctx, D)
-    return validate_cover(KummerCover(ctx, d, D))  # type: ignore[return-value]
+    cov = KummerCover(ctx, d, D)
+    for dp in prime_factors(d):
+        if all(m % dp == 0 for _, m in cov.parts):
+            raise NotGeometric(
+                f"D is a constant times a {dp}-th power; the cover is not a "
+                f"geometric Z/{d} extension"
+            )
+    return cov
 
 
 def artin_schreier(ctx: Field, D, force_wild: bool = False) -> ArtinSchreierCover:
     if isinstance(D, str):
         D = parse_poly(ctx, D)
-    return validate_cover(ArtinSchreierCover(ctx, D), force_wild)  # type: ignore[return-value]
+    return ArtinSchreierCover(ctx, D, force_wild)
 
 
 def product(components: list[Cover]) -> ProductCover:
-    return validate_cover(ProductCover(components))  # type: ignore[return-value]
+    return ProductCover(components)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,24 +1027,24 @@ def parse_cover(text: str, force_wild: bool = False) -> Cover:
 
     def build(prefix: str, kd: str) -> Cover:
         if kd == "kummer":
-            return KummerCover(ctx, integer(prefix + "d"), poly(prefix + "D"))
+            return kummer(ctx, integer(prefix + "d"), poly(prefix + "D"))
         if kd == "artin_schreier":
             num = poly(prefix + "D_num")
             den = poly(prefix + "D_den", "[1]")
-            return ArtinSchreierCover(ctx, RationalFn(num, den))
+            return ArtinSchreierCover(ctx, RationalFn(num, den), force_wild)
         raise CoverFileError(f"unknown cover kind {kd!r}")
 
     if kind == "trivial":
-        spec = TrivialCover(ctx)
-    elif kind in ("kummer", "artin_schreier"):
-        spec = build("", kind)
-    elif kind == "product":
+        return TrivialCover(ctx)
+    if kind in ("kummer", "artin_schreier"):
+        return build("", kind)
+    if kind == "product":
         comps = [
             build(f"component.{i}.", value(f"component.{i}.kind"))
             for i in range(1, integer("components") + 1)
         ]
-        spec = ProductCover(comps)
-    elif kind == "splitting":
+        return ProductCover(comps)
+    if kind == "splitting":
         ydeg = integer("y_degree")
         ycs = [poly(f"F.{j}") for j in range(ydeg + 1)]
         gens = []
@@ -1096,10 +1062,8 @@ def parse_cover(text: str, force_wild: bool = False) -> Cover:
                 table[part] = integer(key)
         genus = integer("genus") if "genus" in kv else None
         tame = kv.get("tame_at_infinity", "true").lower() == "true"
-        spec = SplittingCover(ctx, ycs, gens, table, genus, tame)
-    else:
-        raise CoverFileError(f"unknown cover kind {kind!r}")
-    return validate_cover(spec, force_wild)
+        return SplittingCover(ctx, ycs, gens, table, genus, tame)
+    raise CoverFileError(f"unknown cover kind {kind!r}")
 
 
 def load_cover(path: str, force_wild: bool = False) -> Cover:

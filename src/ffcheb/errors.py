@@ -45,8 +45,8 @@ class ZeroElement(DomainError):
     pass
 
 
-class DNotDividingQMinus1(DomainError):
-    pass
+class NotDividing(DomainError):
+    """d does not divide q - 1: no d-th roots of unity in F_q."""
 
 
 class ZeroPolynomial(DomainError):
@@ -79,10 +79,6 @@ class WildAtInfinity(DomainError):
 
 
 class AmbiguousCycleType(DomainError):
-    pass
-
-
-class NotDividing(DomainError):
     pass
 
 

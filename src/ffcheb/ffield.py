@@ -31,7 +31,7 @@ from .errors import (
     ContextMismatch,
     DegreeTooLarge,
     DivisionByZero,
-    DNotDividingQMinus1,
+    NotDividing,
     NotPrime,
     ZeroElement,
 )
@@ -425,5 +425,5 @@ def make_field(p: int, k: int = 1) -> Field:
 def root_of_unity(ctx: Field, d: int) -> FieldElement:
     """zeta = g^((q-1)/d) for the canonical primitive root g; order exactly d."""
     if d < 1 or (ctx.q - 1) % d != 0:
-        raise DNotDividingQMinus1(f"{d} does not divide q-1 = {ctx.q - 1}")
+        raise NotDividing(f"d = {d} does not divide q - 1 = {ctx.q - 1}")
     return FieldElement(ctx, ctx._exp[(ctx.q - 1) // d])

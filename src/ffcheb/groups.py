@@ -4,8 +4,8 @@ catalog needed to label Frobenius data at ramified primes.
 The catalog indexes conjugacy classes of cosets sigma*I (I a subgroup) and
 stores the splitting triple per class: e = |I|, f = [<sigma, I> : I],
 g = |G| / (e*f).  Conjugacy classes of elements are the cosets of the trivial
-subgroup, so they embed into the catalog; `class_to_omega` records that map
-and `omega_to_class` inverts it.
+subgroup, so they are read from the catalog; `class_to_omega` records where
+each lies and `omega_to_class` inverts it.
 """
 
 from __future__ import annotations
@@ -60,13 +60,18 @@ class GroupTable:
         self._check_axioms()
         self.inverse = self._build_inverses()
         self.element_orders = tuple(self._order_of(i) for i in range(self.n))
-        self.classes = self._conjugacy_classes()
+        self.subgroups = self._all_subgroups()
+        self._build_omega()
+        # the conjugacy classes are the catalog's cosets of the trivial
+        # subgroup, ordered by their least element
+        trivial = sorted((oc for oc in self.omega if oc.e == 1), key=lambda oc: oc.rep)
+        self.classes = tuple(tuple(x for (x,) in oc.members) for oc in trivial)
+        self.class_to_omega = tuple(oc.index for oc in trivial)
+        self.omega_to_class = {w: ci for ci, w in enumerate(self.class_to_omega)}
         self.class_of = [0] * self.n
         for ci, cls in enumerate(self.classes):
             for x in cls:
                 self.class_of[x] = ci
-        self.subgroups = self._all_subgroups()
-        self._build_omega()
 
     # ---- construction checks ------------------------------------------
 
@@ -132,19 +137,6 @@ class GroupTable:
             cur = t[cur][a]
             k += 1
         return k
-
-    def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.n
-        classes = []
-        for x in range(self.n):
-            if seen[x]:
-                continue
-            orbit = sorted({self.conj(g, x) for g in range(self.n)})
-            for y in orbit:
-                seen[y] = True
-            classes.append(tuple(orbit))
-        classes.sort(key=lambda c: c[0])
-        return tuple(classes)
 
     # ---- subgroups and the coset-class catalog ---------------------------
 
@@ -219,10 +211,6 @@ class GroupTable:
         for oc in self.omega:
             for S in oc.members:
                 self._coset_to_omega[frozenset(S)] = oc.index
-        self.class_to_omega = tuple(
-            self._coset_to_omega[frozenset({c[0]})] for c in self.classes
-        )
-        self.omega_to_class = {w: ci for ci, w in enumerate(self.class_to_omega)}
 
     def omega_of_coset(self, coset) -> int:
         """Catalog index of the conjugacy class of a coset, given as a set."""

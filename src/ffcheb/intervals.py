@@ -445,7 +445,6 @@ def interval_lambda_counts(
     depend on the route."""
     if threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
-    spec.require_validated()
     if I.f0.ctx is not spec.ctx:
         raise ContextMismatch("interval and cover over different fields")
     size = I.size()

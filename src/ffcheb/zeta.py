@@ -105,7 +105,6 @@ class AbelianFrobeniusData:
     def __init__(self, spec: Cover):
         if not spec.abelian:
             raise NotAbelian("exact global tallies need a cyclic or product cover")
-        spec.require_validated()
         G = spec.group
         if any(len(c) != 1 for c in G.classes):
             raise InvariantViolated("cover group must be abelian")

@@ -16,7 +16,6 @@ from ffcheb.covers import (
     parse_cover,
     product,
     trivial,
-    validate_cover,
 )
 from ffcheb.errors import (
     AmbiguousCycleType,
@@ -66,7 +65,7 @@ def quad_T():
 
 def test_validate_kummer_ok():
     cov = quad_T()
-    assert cov.validated and cov.group.n == 2
+    assert cov.group.n == 2 and cov.parts == ((Poly.x(F5).coeffs, 1),)
 
 
 def test_validate_kummer_constant_rejected():
@@ -105,6 +104,28 @@ def test_validate_as_constant_rejected():
         artin_schreier(F2, "T^2+T")  # = wp(T), trivial
     with pytest.raises(NotGeometric):
         artin_schreier(F3, "[1]")
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: kummer(F5, 2, "[2]"), NotGeometric),
+        (lambda: artin_schreier(F3, "[1]"), NotGeometric),
+        (lambda: artin_schreier(F2, "T"), WildAtInfinity),
+        (lambda: product([kummer(F5, 2, "T"), kummer(F5, 2, "T-1")]), NotComponentwise),
+        # the S_3 cubic with the classes of (2, 1) and (3) swapped
+        (lambda: _s3_cubic(F5, table={(1, 1, 1): 0, (2, 1): 2, (3,): 1}), AmbiguousCycleType),
+    ],
+    ids=["kummer-constant", "as-constant", "as-wild", "product-shared-place", "splitting-table"],
+)
+def test_refused_at_build_time(build, error):
+    # no unchecked cover is ever returned: the builder raises, and raises
+    # the same error on a second build
+    with pytest.raises(error) as first:
+        build()
+    with pytest.raises(error) as second:
+        build()
+    assert str(second.value) == str(first.value)
 
 
 # -- as_reduce ------------------------------------------------------------------
@@ -444,15 +465,13 @@ def test_product_cover_zeta_corroborates_genus():
 
 def _quadratic_splitting(ctx, Dtext):
     D = parse_poly(ctx, Dtext)
-    return validate_cover(
-        SplittingCover(
-            ctx,
-            [-D, Poly.zero(ctx), Poly.one(ctx)],  # Y^2 - D
-            [parse_cycles("(1 2)", 2)],
-            {(1, 1): 0, (2,): 1},
-            declared_genus=1,
-            declared_tame_at_infinity=True,
-        )
+    return SplittingCover(
+        ctx,
+        [-D, Poly.zero(ctx), Poly.one(ctx)],  # Y^2 - D
+        [parse_cycles("(1 2)", 2)],
+        {(1, 1): 0, (2,): 1},
+        declared_genus=1,
+        declared_tame_at_infinity=True,
     )
 
 
@@ -473,9 +492,9 @@ def test_splitting_matches_kummer_quadratic():
 def test_splitting_s3_cubic():
     # Y^3 - T*Y - T: generic cubic with group S_3
     ctx = F5
-    spec = validate_cover(_s3_cubic(ctx))
+    spec = _s3_cubic(ctx)
     assert spec.group.n == 6
-    # observed cycle types all in the table (validation already samples)
+    # observed cycle types all in the table (the constructor already samples)
     seen = set()
     for Pcs in primes_of_degree(ctx, 2):
         if Pcs in spec._ram:
@@ -489,7 +508,7 @@ def test_full_degree_mean_of_r_refuses_a_splitting_cover():
     # monics that meet a ramified prime of a splitting cover
     from ffcheb.zeta import r_full_mean
 
-    spec = validate_cover(_s3_cubic(F5))
+    spec = _s3_cubic(F5)
     for n in (1, 2):
         with pytest.raises(DomainError):
             r_full_mean(spec, n)
@@ -508,7 +527,7 @@ _TYPE_BY_ROOTS = {
 def _root_count_cases(F):
     """(cover, degrees of the primes checked, cycle types that must occur)."""
     if F.q == 23:  # every cycle type, (1, 1, 1, 1) too, occurs at degree 1
-        return [(validate_cover(_s4_quartic(F)), (1,), set(_TYPE_BY_ROOTS[4].values()))]
+        return [(_s4_quartic(F), (1,), set(_TYPE_BY_ROOTS[4].values()))]
     if F.p == 2:  # Y^2 + T*Y + T: no sign character, every prime by its residue field
         quad = SplittingCover(
             F,
@@ -517,13 +536,13 @@ def _root_count_cases(F):
             {(1, 1): 0, (2,): 1},
             declared_genus=0,
         )
-        return [(validate_cover(quad), (1, 2, 3), set(_TYPE_BY_ROOTS[2].values()))]
+        return [(quad, (1, 2, 3), set(_TYPE_BY_ROOTS[2].values()))]
     cases = [
-        (validate_cover(_s3_cubic(F)), (1, 2, 3), set(_TYPE_BY_ROOTS[3].values())),
+        (_s3_cubic(F), (1, 2, 3), set(_TYPE_BY_ROOTS[3].values())),
         (_quadratic_splitting(F, "T^3-3*T^2+2*T"), (1, 2, 3), set(_TYPE_BY_ROOTS[2].values())),
     ]
     if F.q == 7:
-        cases.append((validate_cover(_s4_quartic(F)), (1, 2), {(2, 1, 1), (3, 1), (2, 2), (4,)}))
+        cases.append((_s4_quartic(F), (1, 2), {(2, 1, 1), (3, 1), (2, 2), (4,)}))
     return cases
 
 
@@ -554,20 +573,6 @@ def test_splitting_class_by_root_count(pk):
                 seen.add(part)
                 assert cov.frobenius_class(Poly._raw(F, Pcs)) == cov.cycle_table[part]
         assert must_occur <= seen
-
-
-def test_splitting_bad_table_rejected():
-    ctx = F5
-    with pytest.raises(AmbiguousCycleType):
-        validate_cover(
-            SplittingCover(
-                ctx,
-                [parse_poly(ctx, "-1*T"), parse_poly(ctx, "-1*T"), Poly.zero(ctx), Poly.one(ctx)],
-                [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)],
-                {(1, 1, 1): 0, (2, 1): 2, (3,): 1},  # classes swapped
-                declared_genus=0,
-            )
-        )
 
 
 def test_splitting_genus_required():
@@ -613,18 +618,14 @@ def _s3_cubic(ctx, gens=("(1 2)", "(1 2 3)"), table=None):
 
 
 def test_failed_validation_leaves_cover_unvalidated():
-    # the census raises after the flag it needs was set; a second call must
-    # raise again, and the cover must refuse to classify
+    # the census refuses the cover from inside its constructor, so no
+    # unchecked cover is left behind, and a second build raises again
     F13 = make_field(13)
-    spec = _s3_cubic(F13, ("(1 2 3)",), {(1, 1, 1): 0, (3,): 1})  # declared C_3
     with pytest.raises(AmbiguousCycleType) as first:
-        validate_cover(spec)
-    assert not spec.validated
+        _s3_cubic(F13, ("(1 2 3)",), {(1, 1, 1): 0, (3,): 1})  # declared C_3
     with pytest.raises(AmbiguousCycleType) as second:
-        validate_cover(spec)
+        _s3_cubic(F13, ("(1 2 3)",), {(1, 1, 1): 0, (3,): 1})
     assert str(second.value) == str(first.value)
-    with pytest.raises(DomainError, match="not been validated"):
-        spec.frobenius_class(parse_poly(F13, "T-2"))
 
 
 # -- prime counts by Frobenius class --------------------------------------------------
@@ -670,7 +671,7 @@ S3_COUNTS = {
 @pytest.mark.parametrize("q", sorted(S3_COUNTS))
 def test_s3_class_counts(q):
     ctx = make_field(q)
-    spec = validate_cover(_s3_cubic(ctx))
+    spec = _s3_cubic(ctx)
     ram_degrees = Counter(len(P) - 1 for P in spec._ram)
     for n, want in enumerate(S3_COUNTS[q], 1):
         counts = spec.class_counts(n)
@@ -680,13 +681,13 @@ def test_s3_class_counts(q):
 
 def test_s3_global_count_above_the_bound_is_too_large():
     # 13^7 monics exceed ENUMERATION_LIMIT; the prime list refuses them
-    spec = validate_cover(_s3_cubic(make_field(13)))
+    spec = _s3_cubic(make_field(13))
     with pytest.raises(TooLarge):
         count_prime_frobenius_global(spec, 0, 7)
 
 
 def test_splitting_primes_classified_once(monkeypatch):
-    # the validation census and the interval sieve share the cover's cache,
+    # the constructor's census and the interval sieve share the cover's cache,
     # so each prime reaches the expensive classification at most once
     calls = Counter()
     raw = SplittingCover._coset_raw
@@ -696,7 +697,7 @@ def test_splitting_primes_classified_once(monkeypatch):
         return raw(self, P)
 
     monkeypatch.setattr(SplittingCover, "_coset_raw", counted)
-    spec = validate_cover(_s3_cubic(F5))
+    spec = _s3_cubic(F5)
     census_primes = set(calls)
     assert census_primes
     interval_lambda_counts(spec, IntervalSpec(parse_poly(F5, "T^4"), 2))

@@ -5,7 +5,7 @@ import pytest
 from ffcheb.errors import (
     ContextMismatch,
     DivisionByZero,
-    DNotDividingQMinus1,
+    NotDividing,
     NotPrime,
     ZeroElement,
 )
@@ -98,7 +98,7 @@ def test_root_of_unity_examples():
     assert root_of_unity(F5, 4).val == 2
     assert root_of_unity(F5, 1).val == 1
     assert root_of_unity(F5, 2).order() == 2
-    with pytest.raises(DNotDividingQMinus1):
+    with pytest.raises(NotDividing):
         root_of_unity(F5, 3)
 
 

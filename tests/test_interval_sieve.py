@@ -21,7 +21,6 @@ from ffcheb.covers import (
     kummer,
     product,
     trivial,
-    validate_cover,
 )
 from ffcheb.factypes import lambda_entries_raw
 from ffcheb.ffield import make_field
@@ -70,27 +69,23 @@ def check(spec, f0, m, ranges=None, seed=0):
 def quadratic_splitting(ctx, Dtext):
     """Splitting field of Y^2 - D with group S_2."""
     D = parse_poly(ctx, Dtext)
-    return validate_cover(
-        SplittingCover(
-            ctx,
-            [-D, Poly.zero(ctx), Poly.one(ctx)],
-            [parse_cycles("(1 2)", 2)],
-            {(1, 1): 0, (2,): 1},
-            declared_genus=0,
-        )
+    return SplittingCover(
+        ctx,
+        [-D, Poly.zero(ctx), Poly.one(ctx)],
+        [parse_cycles("(1 2)", 2)],
+        {(1, 1): 0, (2,): 1},
+        declared_genus=0,
     )
 
 
 def cubic_splitting(ctx, a0, a1):
     """Splitting field of Y^3 + a1*Y + a0 with group S_3."""
-    return validate_cover(
-        SplittingCover(
-            ctx,
-            [parse_poly(ctx, a0), parse_poly(ctx, a1), Poly.zero(ctx), Poly.one(ctx)],
-            [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)],
-            {(1, 1, 1): 0, (2, 1): 1, (3,): 2},
-            declared_genus=0,
-        )
+    return SplittingCover(
+        ctx,
+        [parse_poly(ctx, a0), parse_poly(ctx, a1), Poly.zero(ctx), Poly.one(ctx)],
+        [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)],
+        {(1, 1, 1): 0, (2, 1): 1, (3,): 2},
+        declared_genus=0,
     )
 
 

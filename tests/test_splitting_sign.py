@@ -11,11 +11,11 @@ oracle here.
 
 import pytest
 
-from ffcheb.covers import SplittingCover, validate_cover
+from ffcheb.covers import SplittingCover
 from ffcheb.errors import AmbiguousCycleType, RamifiedSplittingCover
 from ffcheb.ffield import make_field
-from ffcheb.groups import parse_cycles
-from ffcheb.polys import Poly, parse_poly, primes_of_degree
+from ffcheb.groups import GroupTable, parse_cycles
+from ffcheb.polys import Poly, factor_raw, parse_poly, primes_of_degree
 
 S3 = (("(1 2)", "(1 2 3)"), {(1, 1, 1): 0, (2, 1): 1, (3,): 2})
 S2 = (("(1 2)",), {(1, 1): 0, (2,): 1})
@@ -69,8 +69,8 @@ QUADRATIC = ["-1*T^3+3*T^2-2*T", "0", "1"]  # Y^2 - T(T - 1)(T - 2)
 @pytest.mark.parametrize("pk", sorted(COVERS), ids=lambda pk: f"F{pk[0] ** pk[1]}")
 def test_sign_route_matches_the_residue_field(pk):
     F = make_field(*pk)
-    covers = [validate_cover(splitting(F, ys)) for ys in COVERS[pk]]
-    covers.append(validate_cover(splitting(F, QUADRATIC, S2)))
+    covers = [splitting(F, ys) for ys in COVERS[pk]]
+    covers.append(splitting(F, QUADRATIC, S2))
     kinds = set()
     for cov in covers:
         kinds.add((bool(cov._sign.parts), bool(cov._sign._nonlin_parts)))
@@ -92,11 +92,25 @@ def test_sign_route_matches_the_residue_field(pk):
         assert (False, False) in kinds  # disc = c * square: no Kummer datum
 
 
+def test_discriminant_factored_once(monkeypatch):
+    # the ramified primes and the sign character share one factoring of
+    # disc_Y(F)
+    calls = []
+
+    def counted(F, f, seed=0):
+        calls.append(f)
+        return factor_raw(F, f, seed=seed)
+
+    monkeypatch.setattr("ffcheb.covers.factor_raw", counted)
+    splitting(make_field(13), S3_CUBIC)
+    assert len(calls) == 1
+
+
 def test_disc_with_a_nonsquare_constant():
     # Y^3 + T over F_5: the sign of P is deg P mod 2, so every prime of odd
     # degree has cycle type (2, 1) (one cube root: 3 is prime to 5^d - 1)
     F = make_field(5)
-    cov = validate_cover(splitting(F, ["T", "0", "0", "1"]))
+    cov = splitting(F, ["T", "0", "0", "1"])
     assert not cov._sign.parts and cov._sign._deg_dlog == 1
     for d in (1, 3):
         for P in primes_of_degree(F, d):
@@ -109,7 +123,7 @@ def test_quadratic_needs_no_residue_field(monkeypatch):
     # prime of degree <= 3 builds a root table
     F = make_field(7)
     monkeypatch.setattr(F, "_residue_cache", {}, raising=False)
-    cov = validate_cover(splitting(F, QUADRATIC, S2))
+    cov = splitting(F, QUADRATIC, S2)
     for d in (1, 2, 3):
         unramified = [P for P in primes_of_degree(F, d) if P not in cov._ram]
         assert sum(cov.class_counts(d)) == len(unramified)
@@ -120,15 +134,14 @@ def test_residue_route_where_the_sign_leaves_a_choice():
     # an even cubic, a quartic and p = 2 keep the residue field (the root
     # counts of test_covers check that route)
     F7 = make_field(7)
-    cubic = validate_cover(splitting(F7, S3_CUBIC))
+    cubic = splitting(F7, S3_CUBIC)
     assert cubic._sign_omegas == (None, cubic._type_omega((2, 1)))
     gens = ("(1 2)", "(1 2 3 4)")
-    quartic = splitting(F7, ["-1*T", "-1*T", "0", "0", "1"], (gens, {}))
-    G = quartic.group
-    quartic.cycle_table = {G.cycle_type(c[0]): i for i, c in enumerate(G.classes)}
+    G = GroupTable.from_perms([parse_cycles(g, 4) for g in gens])
+    table = {G.cycle_type(c[0]): i for i, c in enumerate(G.classes)}
+    quartic = splitting(F7, ["-1*T", "-1*T", "0", "0", "1"], (gens, table))
     F4 = make_field(2, 2)
     for cov in (quartic, splitting(F4, ["T", "T", "1"], S2)):  # Y^2 + TY + T
-        validate_cover(cov)
         assert cov._sign_omegas == () and cov._sign is None
 
 
@@ -136,7 +149,7 @@ def test_a_prime_meeting_the_sign_datum_is_refused():
     # with the ramified set emptied, T + 2, a simple factor of the
     # discriminant 4T^3 - 27T^2 = 4T^2(T + 2) over F_7, reaches the sign
     F = make_field(7)
-    cov = validate_cover(splitting(F, S3_CUBIC))
+    cov = splitting(F, S3_CUBIC)
     P = parse_poly(F, "T+2").coeffs
     assert P in cov._sign._ram
     cov._ram = frozenset()
@@ -147,19 +160,15 @@ def test_a_prime_meeting_the_sign_datum_is_refused():
 def test_square_discriminant_refuses_an_odd_generator():
     # Y^3 - T over F_7: disc = -27T^2 = T^2, a square, so G lies in A_3
     F = make_field(7)
-    spec = splitting(F, ["-1*T", "0", "0", "1"])
     with pytest.raises(AmbiguousCycleType, match="is a square.*generator 1 is an odd"):
-        validate_cover(spec)
-    assert not spec.validated
+        splitting(F, ["-1*T", "0", "0", "1"])
 
 
 def test_nonsquare_discriminant_refuses_an_even_group():
     # Y^2 - T(T - 1)(T - 2) asserted with the trivial group
     F = make_field(5)
-    spec = splitting(F, QUADRATIC, (("()",), {(1, 1): 0}))
     with pytest.raises(AmbiguousCycleType, match="not a square.*every generator is an even"):
-        validate_cover(spec)
-    assert not spec.validated
+        splitting(F, QUADRATIC, (("()",), {(1, 1): 0}))
 
 
 @pytest.mark.parametrize("p", [7, 19])
@@ -168,7 +177,7 @@ def test_census_counts_each_degree_against_its_parity(p):
     # parity d mod 2; counted against all of S_3 at once, every prime of odd
     # degree in (2, 1) looks like an excess of odd classes
     F = make_field(p)
-    cov = validate_cover(census_cubic(F))
+    cov = census_cubic(F)
     assert not cov._sign.parts and cov._sign._deg_dlog == 1
     checked = 0
     for d in (1, 2, 3, 4):
@@ -185,7 +194,5 @@ def test_census_counts_each_degree_against_its_parity(p):
 def test_census_cubic_with_a_square_discriminant_is_refused():
     # over F_13 the census cubic's discriminant is a square, so S_3 is
     # refused before any census
-    spec = census_cubic(make_field(13))
     with pytest.raises(AmbiguousCycleType, match="is a square.*generator 1 is an odd"):
-        validate_cover(spec)
-    assert not spec.validated
+        census_cubic(make_field(13))

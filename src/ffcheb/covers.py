@@ -20,6 +20,9 @@ Four kinds:
     is read off the degrees of the factors of F mod P, or, for p odd, off its
     sign where the sign leaves one cycle type: the quadratic symbol of
     disc_Y(F), read by the Kummer reciprocity of `KummerCover.artin_symbol`.
+    disc_Y(F) is computed in F_q[T], never over F_q(T): the power sums of the
+    roots by Newton's identities, then their Hankel determinant by exact
+    Bareiss elimination (`_y_discriminant`).
 
 Everything a prime can ask for flows through the coset-class catalog of the
 group: `coset_class` returns a catalog index even at ramified primes (cyclic
@@ -41,7 +44,8 @@ componentwise, and a splitting cover whose asserted group or cycle-type
 table its discriminant or census contradicts.  Kummer is the one exception:
 `KummerCover` is also the quadratic residue symbol of a splitting cover's
 discriminant, which may be a constant times a square, so `kummer()`, which
-`parse_cover` builds through, refuses a non-geometric D.
+`parse_cover` builds through, and `ProductCover`, for each Kummer component,
+refuse a non-geometric D.
 """
 
 from __future__ import annotations
@@ -91,12 +95,15 @@ from .polys import (
     pderiv,
     pdeg,
     pdiv,
+    pdivmod,
     pinvmod,
     pmod,
     pmul,
     pnorm,
     power_sums,
     primes_of_degree,
+    pscale,
+    psub,
     residue_field,
     resultant_raw,
 )
@@ -296,8 +303,9 @@ class KummerCover(Cover):
     """y^d = D(T), d | q-1.  D is stored with multiplicities reduced mod d.
 
     The constructor takes any nonzero D, as the residue symbol of y^d = D;
-    `kummer()` refuses a D that gives no geometric cover.  `factored` is D's
-    `factor_raw`, where the caller has it already."""
+    `kummer()` and `ProductCover` refuse, by `require_geometric`, a D that
+    gives no geometric cover.  `factored` is D's `factor_raw`, where the
+    caller has it already."""
 
     kind = "kummer"
 
@@ -339,6 +347,16 @@ class KummerCover(Cover):
             if len(Q) == 2
         )
         self._nonlin_parts = tuple((Q, m) for Q, m in reduced if len(Q) > 2)
+
+    def require_geometric(self) -> None:
+        """Refuse a D that gives no geometric Z/d extension: a constant times
+        a dp-th power for a prime dp | d."""
+        for dp in prime_factors(self.d):
+            if all(m % dp == 0 for _, m in self.parts):
+                raise NotGeometric(
+                    f"D is a constant times a {dp}-th power; the cover is not a "
+                    f"geometric Z/{self.d} extension"
+                )
 
     def artin_symbol(self, f: Coeffs) -> int:
         """dlog of the d-th power residue symbol (D/f)_d, for any monic f
@@ -594,7 +612,8 @@ class ProductCover(Cover):
     verified; the equidistribution census is the detector.  At ramified
     places the inertia/Frobenius coset is taken componentwise, which is
     exact when the components ramified at a place have pairwise coprime
-    orders; the constructor refuses any other product.
+    orders; the constructor refuses any other product, and a Kummer
+    component that is not geometric.
     """
 
     kind = "product"
@@ -607,6 +626,9 @@ class ProductCover(Cover):
             raise ContextMismatch("components over different fields")
         if any(not isinstance(c, (KummerCover, ArtinSchreierCover)) for c in components):
             raise DomainError("product components must be cyclic covers")
+        for c in components:
+            if isinstance(c, KummerCover):
+                c.require_geometric()
         super().__init__(ctx)
         self.components = tuple(components)
         self._ram = frozenset().union(*(c._ram for c in components))
@@ -697,18 +719,12 @@ class SplittingCover(Cover):
         }
         self.declared_genus = declared_genus
         self.declared_tame_at_infinity = declared_tame_at_infinity
-        # disc_Y(F) as an element of F_q[T], via Euclid over F_q(T)
-        f = [RationalFn(c) for c in self.y_coeffs]
-        fp = [RationalFn(c * i) for i, c in enumerate(self.y_coeffs) if i >= 1]
-        res = _rf_resultant(f, fp)
-        n = self.y_degree
-        if (n * (n - 1) // 2) % 2 == 1:
-            res = RationalFn(-res.num, res.den)
-        if res.den.degree != 0:
-            raise InvariantViolated("Y-discriminant is not a polynomial")
-        self._disc = res.num
+        # disc_Y(F) in F_q[T] (`_y_discriminant`): its primes are `_ram`,
+        # its quadratic symbol the sign of Frobenius
+        self._disc = Poly._raw(ctx, _y_discriminant(ctx, [c.coeffs for c in y_coeffs]))
         if self._disc.is_zero():
             raise NotGeometric("F is not squarefree in Y over F_q(T)")
+        n = self.y_degree
         # injectivity and consistency of the cycle-type table
         seen_classes: dict[int, tuple[int, ...]] = {}
         for part, ci in self.cycle_table.items():
@@ -858,54 +874,35 @@ class SplittingCover(Cover):
         return self.declared_genus
 
 
-def _rf_resultant(f: list[RationalFn], g: list[RationalFn]) -> RationalFn:
-    """Resultant of polynomials in Y with F_q(T)-coefficients (low first)."""
-    ctx = f[0].ctx
-
-    def norm(h):
-        while h and h[-1].num.is_zero():
-            h.pop()
-        return h
-
-    def divmod_(a, b):
-        a = list(a)
-        db = len(b) - 1
-        inv_lead = RationalFn(b[-1].den, b[-1].num)
-        while a and len(a) - 1 >= db:
-            c = a[-1] * inv_lead
-            sh = len(a) - 1 - db
-            for j in range(db + 1):
-                a[sh + j] = a[sh + j] - c * b[j]
-            a.pop()  # the top coefficient cancels exactly
-            a = norm(a)
-        return a
-
-    f = norm(list(f))
-    g = norm(list(g))
-    one = RationalFn(Poly.one(ctx))
-    zero = RationalFn(Poly.zero(ctx))
-    if not f or not g:
-        return zero
-    if len(f) == 1 and len(g) == 1:
-        return one
-    res = one
-    while len(g) - 1 > 0:
-        r = divmod_(f, g)
-        if not r:
-            return zero
-        power = (len(f) - 1) - (len(r) - 1)
-        lead_pow = g[-1]
-        acc = one
-        for _ in range(power):
-            acc = acc * lead_pow
-        res = res * acc
-        if ((len(f) - 1) * (len(g) - 1)) % 2 == 1:
-            res = RationalFn(-res.num, res.den)
-        f, g = g, r
-    acc = one
-    for _ in range(len(f) - 1):
-        acc = acc * g[0]
-    return res * acc
+def _y_discriminant(ctx: Field, a: list[Coeffs]) -> Coeffs:
+    """disc_Y(F) = prod_{i<j} (y_i - y_j)^2 in F_q[T], for F = sum a_j Y^j
+    monic of degree k in Y: det(s_{i+j})_{i,j<k} over the power sums s_m of
+    its roots, which Newton's identities give with no division, by Bareiss
+    elimination, each step divided exactly by the previous pivot.  A zero
+    pivot (s_0 = k when p | k) swaps in a row below and flips the sign."""
+    k = len(a) - 1
+    if k < 1:
+        return ()  # F = 1: Res(F, F') with F' = 0
+    s = [pnorm((ctx.scalar(k),))]
+    for m in range(1, 2 * k - 1):
+        acc = pscale(ctx, a[k - m], ctx.scalar(-m)) if m <= k else ()
+        for i in range(1, min(m, k + 1)):
+            acc = psub(ctx, acc, pmul(ctx, a[k - i], s[m - i]))
+        s.append(acc)
+    M, sign, prev = [s[i : i + k] for i in range(k)], 1, (1,)
+    for c in range(k - 1):
+        r = next((r for r in range(c, k) if M[r][c]), None)
+        if r is None:
+            return ()
+        if r != c:
+            M[c], M[r], sign = M[r], M[c], -sign
+        for i, j in itertools.product(range(c + 1, k), repeat=2):
+            num = psub(ctx, pmul(ctx, M[c][c], M[i][j]), pmul(ctx, M[i][c], M[c][j]))
+            M[i][j], rem = pdivmod(ctx, num, prev)
+            if rem:
+                raise InvariantViolated("a Bareiss step of disc_Y(F) is not exact")
+        prev = M[c][c]
+    return M[-1][-1] if sign > 0 else psub(ctx, (), M[-1][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -926,12 +923,7 @@ def kummer(ctx: Field, d: int, D: Poly | str) -> KummerCover:
     if isinstance(D, str):
         D = parse_poly(ctx, D)
     cov = KummerCover(ctx, d, D)
-    for dp in prime_factors(d):
-        if all(m % dp == 0 for _, m in cov.parts):
-            raise NotGeometric(
-                f"D is a constant times a {dp}-th power; the cover is not a "
-                f"geometric Z/{d} extension"
-            )
+    cov.require_geometric()
     return cov
 
 

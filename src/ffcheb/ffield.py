@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
 
 from .errors import (
     ContextMismatch,
@@ -294,9 +293,6 @@ class Field:
         """Image of the integer n under Z -> F_p -> F_{p^k}."""
         return n % self.p
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
-
     def elem(self, v) -> "FieldElement":
         """Wrap an element: an encoded int (reduced mod p when k == 1), or a
         coefficient sequence."""
@@ -314,9 +310,6 @@ class Field:
 
     def serialize_elem(self, a: int) -> str:
         return ",".join(str(c) for c in self.coeffs(a))
-
-    def parse_elem(self, text: str) -> int:
-        return self.from_coeffs([int(t) for t in text.split(",")])
 
     # -- misc ---------------------------------------------------------------
 

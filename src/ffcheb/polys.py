@@ -813,10 +813,6 @@ class Poly:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return FieldElement(self.ctx, self.coeffs[-1])
 
-    def monic(self) -> "Poly":
-        _, m = pmonic(self.ctx, self.coeffs)
-        return Poly._raw(self.ctx, m)
-
     # ---- arithmetic
 
     def _other(self, other) -> Coeffs:
@@ -868,9 +864,6 @@ class Poly:
     def gcd(self, other) -> "Poly":
         return Poly._raw(self.ctx, pgcd(self.ctx, self.coeffs, self._other(other)))
 
-    def derivative(self) -> "Poly":
-        return Poly._raw(self.ctx, pderiv(self.ctx, self.coeffs))
-
     def __call__(self, x) -> FieldElement:
         xv = x.val if isinstance(x, FieldElement) else self.ctx.elem(x).val
         return FieldElement(self.ctx, peval(self.ctx, self.coeffs, xv))
@@ -888,6 +881,9 @@ class Poly:
         return is_irreducible_raw(self.ctx, self.coeffs)
 
     def is_squarefree(self) -> bool:
+        """gcd(f, f') = 1: the gcd route against which
+        `test_discriminant_vanishes_iff_not_squarefree` checks
+        `discriminant_raw`."""
         d = pderiv(self.ctx, self.coeffs)
         return bool(d) and pdeg(pgcd(self.ctx, self.coeffs, d)) == 0
 

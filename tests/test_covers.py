@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from ffcheb.covers import (
+    KummerCover,
     SplittingCover,
     artin_schreier,
     as_reduce,
@@ -113,10 +114,19 @@ def test_validate_as_constant_rejected():
         (lambda: artin_schreier(F3, "[1]"), NotGeometric),
         (lambda: artin_schreier(F2, "T"), WildAtInfinity),
         (lambda: product([kummer(F5, 2, "T"), kummer(F5, 2, "T-1")]), NotComponentwise),
+        # a constant Kummer component built without kummer()
+        (lambda: product([KummerCover(F5, 2, Poly(F5, (2,))), kummer(F5, 4, "T")]), NotGeometric),
         # the S_3 cubic with the classes of (2, 1) and (3) swapped
         (lambda: _s3_cubic(F5, table={(1, 1, 1): 0, (2, 1): 2, (3,): 1}), AmbiguousCycleType),
     ],
-    ids=["kummer-constant", "as-constant", "as-wild", "product-shared-place", "splitting-table"],
+    ids=[
+        "kummer-constant",
+        "as-constant",
+        "as-wild",
+        "product-shared-place",
+        "product-kummer-constant",
+        "splitting-table",
+    ],
 )
 def test_refused_at_build_time(build, error):
     # no unchecked cover is ever returned: the builder raises, and raises

@@ -96,6 +96,68 @@ def test_unused_error_rule_catches_a_leftover():
     assert _unused_errors(errors, others) == ["D"]
 
 
+#: the trees that may read a package definition
+READERS = sorted(
+    p for d in ("src", "tests", "bench", "demos") for p in (SRC.parent.parent / d).rglob("*.py")
+)
+
+#: read from outside the repository: argparse calls `error` on a bad
+#: command line
+CALLED_FROM_OUTSIDE = {"cli._Parser.error"}
+
+
+def _dead_definitions(defining: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """`module.name` of each top-level function or class, and
+    `module.Class.method` of each method whose name does not start with
+    `__`, that no reader reads: a method counts as read through an
+    attribute read, a function or class through a name, an attribute or an
+    import."""
+    names, attrs = set(), set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {a.name.split(".")[-1] for a in node.names}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    dead = []
+    for mod, tree in defining.items():
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)) and node.name not in names | attrs:
+                dead.append(f"{mod}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [
+                    f"{mod}.{node.name}.{m.name}"
+                    for m in node.body
+                    if isinstance(m, functions) and not m.name.startswith("__")
+                    and m.name not in attrs
+                ]
+    return dead
+
+
+def test_every_definition_is_read():
+    # a function, class or method that nothing reads is left over from code
+    # that went
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in READERS}
+    defining = {p.stem: trees[p] for p in MODULES}
+    dead = _dead_definitions(defining, list(trees.values()))
+    assert [d for d in dead if d not in CALLED_FROM_OUTSIDE] == []
+
+
+def test_dead_definition_rule_catches_a_leftover():
+    defining = {
+        "m": ast.parse(
+            "def used(): pass\ndef dead(): pass\nclass C:\n    def read(self): pass\n"
+            "    def unread(self): pass\n    def __repr__(self): pass\n"
+            "class Imported: pass\nclass ByAttr: pass\n"
+        )
+    }
+    readers = [ast.parse("from m import Imported\nused()\nx.read()\nm.ByAttr\nunread = 1\n")]
+    assert _dead_definitions(defining, readers) == ["m.dead", "m.C", "m.C.unread"]
+
+
 def _caught_names(tree: ast.Module, name: str) -> list[int]:
     """Lines of the `except` clauses that name the class `name`, alone, in a
     tuple or through a module attribute."""

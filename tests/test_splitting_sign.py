@@ -9,13 +9,23 @@ residue-field route (`_residue_cycle_type`) classifies the rest and is the
 oracle here.
 """
 
+import random
+
 import pytest
 
-from ffcheb.covers import SplittingCover
-from ffcheb.errors import AmbiguousCycleType, RamifiedSplittingCover
+from ffcheb.covers import SplittingCover, _y_discriminant
+from ffcheb.errors import AmbiguousCycleType, NotGeometric, RamifiedSplittingCover
 from ffcheb.ffield import make_field
 from ffcheb.groups import GroupTable, parse_cycles
-from ffcheb.polys import Poly, factor_raw, parse_poly, primes_of_degree
+from ffcheb.polys import (
+    Poly,
+    discriminant_raw,
+    factor_raw,
+    parse_poly,
+    peval,
+    pnorm,
+    primes_of_degree,
+)
 
 S3 = (("(1 2)", "(1 2 3)"), {(1, 1, 1): 0, (2, 1): 1, (3,): 2})
 S2 = (("(1 2)",), {(1, 1): 0, (2,): 1})
@@ -90,6 +100,37 @@ def test_sign_route_matches_the_residue_field(pk):
     assert (True, False) in kinds  # one with linear places only
     if pk == (5, 1):
         assert (False, False) in kinds  # disc = c * square: no Kummer datum
+
+
+@pytest.mark.parametrize(
+    "pk",
+    [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1)],
+    ids=lambda pk: f"F{pk[0] ** pk[1]}",
+)
+def test_y_discriminant_matches_every_fibre(pk):
+    # disc_Y(F) evaluated at t is the discriminant of F(t, Y), which Euclid
+    # over F_q computes independently; k runs over 2..6, so p | k (a zero
+    # first pivot s_0 = k, and a row swap) comes up over F_3, F_9 and F_5
+    F = make_field(*pk)
+    rng = random.Random(F.q)
+    for k in range(2, 7):
+        for _ in range(4):
+            ys = [tuple(rng.randrange(F.q) for _ in range(rng.randrange(4))) for _ in range(k)]
+            ys = [pnorm(c) for c in ys] + [(1,)]
+            disc = _y_discriminant(F, ys)
+            for t in range(F.q):
+                fibre = pnorm([peval(F, c, t) for c in ys])
+                assert peval(F, disc, t) == discriminant_raw(F, fibre), (pk, ys, t)
+
+
+def test_y_discriminant_examples():
+    F13 = make_field(13)
+    cubic = [parse_poly(F13, c).coeffs for c in S3_CUBIC]  # Y^3 - T*Y - T
+    assert _y_discriminant(F13, cubic) == parse_poly(F13, "4*T^3-27*T^2").coeffs
+    for p, group in ((2, S2), (3, S3), (5, S3)):  # Y^p - T is inseparable
+        F = make_field(p)
+        with pytest.raises(NotGeometric, match="not squarefree"):
+            splitting(F, ["-1*T"] + ["0"] * (p - 1) + ["1"], group)
 
 
 def test_discriminant_factored_once(monkeypatch):

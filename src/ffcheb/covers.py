@@ -7,11 +7,11 @@ Four kinds:
     symbol of D mod P, read by reciprocity from the factors Q of D: (P/Q)_d
     is the norm Res(Q, P) of P mod Q to the power (q-1)/d, so its dlog is the
     discrete log of Res(Q, P) mod d, with no power modulo P.
-  * ArtinSchreier: y^p - y = D(T) with D a rational function in reduced form
-    (no positive-degree monomial with exponent divisible by p, no pole order
-    divisible by p); Frobenius is the absolute trace of D mod P, read by the
-    residue theorem from the poles of D and the power sums of P, with no
-    inverse modulo P.
+  * ArtinSchreier: y^p - y = D(T) with D a rational function, reduced pole
+    by pole from one partial-fraction decomposition (no positive-degree
+    monomial with exponent divisible by p, no pole order divisible by p);
+    Frobenius is the absolute trace of D mod P, read by the residue theorem
+    from those poles and the power sums of P, with no inverse modulo P.
   * Product: several cyclic covers over the same field, Frobenius taken
     componentwise into the direct product group; components ramified at one
     place must have coprime orders.
@@ -91,6 +91,7 @@ from .polys import (
     canonical_key,
     factor_raw,
     is_irreducible_raw,
+    padd,
     parse_poly,
     pderiv,
     pdeg,
@@ -101,6 +102,7 @@ from .polys import (
     pmul,
     pnorm,
     power_sums,
+    ppow,
     primes_of_degree,
     pscale,
     psub,
@@ -429,51 +431,52 @@ class KummerCover(Cover):
 # Artin-Schreier covers
 
 
-def as_reduce(D: RationalFn) -> RationalFn:
-    """Reduce D modulo p-th powers of the Weierstrass operator g^p - g.
+def _as_parts(D: RationalFn) -> tuple[Coeffs, tuple[tuple[Coeffs, int, Coeffs], ...]]:
+    """(poly, ((P, m, w), ...)): D = poly + sum over its poles P of w / P^m
+    modulo g^p - g, reduced: no monomial c T^j of poly with p | j >= 1, no
+    pole order m divisible by p, deg w < m deg P and P not dividing w.
 
-    The result has no positive-degree monomial with exponent divisible by p
-    in its polynomial part, and every finite pole order is indivisible by p.
-    Each elimination strictly lowers a degree, so this terminates.
-    """
-    F = D.ctx
-    p = F.p
-    quo, rem = divmod(D.num, D.den)
-    poly = list(quo.coeffs)
-    j = len(poly) - 1
-    while j >= 1:
+    D's denominator is factored once.  c T^(pj) becomes c^(1/p) T^j.  At a
+    pole of order m = ps, with h^p = w mod P in F_q[T]/P, h^p / P^m - h / P^s
+    has no other pole and no polynomial part, and subtracting it leaves a
+    numerator divisible by P: each pole is lowered on its own."""
+    F, p = D.ctx, D.ctx.p
+    quo, rem = pdivmod(F, D.num.coeffs, D.den.coeffs)
+    poly = list(quo)
+    for j in range(len(poly) - 1, 0, -1):  # T^j moves down to T^(j/p), read later
         if j % p == 0 and poly[j]:
-            c = poly[j]
+            poly[j // p] = F.add(poly[j // p], F.pth_root(poly[j]))
             poly[j] = 0
-            r = F.pth_root(c)
-            poly[j // p] = F.add(poly[j // p], r)
-            while poly and poly[-1] == 0:
-                poly.pop()
-            j = min(j, len(poly) - 1)
-        else:
-            j -= 1
-    frac = RationalFn(rem, D.den)
-    while True:
-        if frac.num.is_zero():
-            break
-        _, parts = factor_raw(F, frac.den.coeffs, seed=0)
-        target = next(((P, m) for P, m in parts if m % p == 0), None)
-        if target is None:
-            break
-        P, m = target
-        s = m // p
-        denb = frac.den.coeffs
-        for _ in range(m):
-            denb = pdiv(F, denb, P)
-        num_mod = pmod(F, frac.num.coeffs, P)
-        a = pmod(F, pmul(F, num_mod, pinvmod(F, denb, P)), P)
-        # p-th root inside the residue field F_{q^deg P}: a^(p^(k deg P - 1))
-        h = pnorm(_frobenius(F, P)(a, F.k * pdeg(P) - 1))
-        Ppoly = Poly._raw(F, P)
-        hpoly = Poly._raw(F, h)
-        wp = RationalFn(hpoly**p, Ppoly**m) - RationalFn(hpoly, Ppoly**s)
-        frac = frac - wp
-    return RationalFn(Poly(F, poly) * frac.den + frac.num, frac.den)
+    den = D.den.coeffs
+    poles = []
+    for P, m in factor_raw(F, den, seed=0)[1] if len(den) > 1 else ():
+        Pm = ppow(F, P, m)
+        w = pmod(F, pmul(F, rem, pinvmod(F, pdiv(F, den, Pm), Pm)), Pm)
+        while w and m % p == 0:
+            # the p-th root inside the residue field F_{q^deg P}: a^(p^(k deg P - 1))
+            h = pnorm(_frobenius(F, P)(pmod(F, w, P), F.k * pdeg(P) - 1))
+            w = padd(F, psub(F, w, ppow(F, h, p)), pmul(F, h, ppow(F, P, m - m // p)))
+            if pmod(F, w, P):
+                raise InvariantViolated("an Artin-Schreier step did not lower a pole order")
+            while w and not pmod(F, w, P):
+                w, m = pdiv(F, w, P), m - 1
+        if w:
+            poles.append((P, m, w))
+    return pnorm(poly), tuple(poles)
+
+
+def as_reduce(D: RationalFn, parts: tuple | None = None) -> RationalFn:
+    """D reduced modulo g^p - g, pole by pole from one partial-fraction
+    decomposition (`_as_parts`; `parts` where the caller has it already),
+    as one fraction: no positive-degree monomial of its polynomial part has
+    an exponent divisible by p, and no finite pole an order divisible by p."""
+    F = D.ctx
+    num, poles = parts or _as_parts(D)
+    den: Coeffs = (1,)
+    for P, m, w in poles:
+        Pm = ppow(F, P, m)
+        num, den = padd(F, pmul(F, num, Pm), pmul(F, w, den)), pmul(F, den, Pm)
+    return RationalFn(Poly._raw(F, num), Poly._raw(F, den))
 
 
 class ArtinSchreierCover(Cover):
@@ -488,40 +491,33 @@ class ArtinSchreierCover(Cover):
         if D.ctx is not ctx:
             raise ContextMismatch("D over the wrong field")
         self.group = GroupTable.cyclic(ctx.p)
-        self.raw = D
-        self.D = as_reduce(D)
-        quo, rem = divmod(self.D.num, self.D.den)
-        if quo.degree >= 1:
+        poly, poles = _as_parts(D)
+        if len(poly) > 1:
             if not force_wild:
                 raise WildAtInfinity(
                     "reduced datum has a pole at infinity; the cover is wildly "
                     "ramified there"
                 )
             self.wild_override = True
-        elif self.D.den.degree == 0:
+        elif not poles:
             raise NotGeometric(
                 "reduced datum is constant: the cover is a constant-field "
                 "extension or splits completely"
             )
-        self._poly_part = quo
-        den = self.D.den.coeffs
-        _, parts = factor_raw(ctx, den, seed=0) if self.D.den.degree > 0 else (1, ())
-        self._poles = tuple(parts)  # (prime, pole multiplicity), all mult coprime to p
-        self._ram = frozenset(P for P, _ in parts)
-        # the principal part of D at a pole P of order m is w_P / P^m, with
-        # w_P = (D - polynomial part) P^m mod P^m.  At a rational simple pole
-        # T - b keep (b, w_P); at the others keep P^m and the residues
-        # Res_P(T^j D dT) = [T^(N-1)] (w_P T^j mod P^m), N = deg P^m, j < 2N - 1
+        self.D = as_reduce(D, (poly, poles))
+        self._poly_part = poly
+        self._poles = tuple((P, m) for P, m, _ in poles)  # all m coprime to p
+        self._ram = frozenset(P for P, _, _ in poles)
+        # at a rational simple pole T - b keep (b, w); at the others P^m and
+        # the residues Res_P(T^j D dT) = [T^(N-1)] (w T^j mod P^m), N = deg P^m,
+        # j < 2N - 1
         self._simple_poles: list[tuple[int, int]] = []
         self._pole_parts: list[tuple[Coeffs, list[int]]] = []
-        for P, m in parts:
-            Pm = P
-            for _ in range(m - 1):
-                Pm = pmul(ctx, Pm, P)
-            w = pmod(ctx, pmul(ctx, rem.coeffs, pinvmod(ctx, pdiv(ctx, den, Pm), Pm)), Pm)
-            if len(Pm) == 2:
+        for P, m, w in poles:
+            if len(P) == 2 and m == 1:
                 self._simple_poles.append((ctx.neg(P[0]), w[0]))
                 continue
+            Pm = ppow(ctx, P, m)
             N, res = len(Pm) - 1, []
             for _ in range(2 * N - 1):
                 res.append(w[-1] if len(w) == N else 0)
@@ -547,7 +543,7 @@ class ArtinSchreierCover(Cover):
             raise DomainError("the Artin symbol needs a monic polynomial")
         F = self.ctx
         mul, add, sub = F.mul, F.add, F.sub
-        x = pmod(F, self._poly_part.coeffs, f)
+        x = pmod(F, self._poly_part, f)
         t = 0
         for xj, sj in zip(x, power_sums(F, f, len(x))):
             t = add(t, mul(xj, sj))
@@ -583,22 +579,18 @@ class ArtinSchreierCover(Cover):
             return {}
         cond: dict[Place, int] = {P: m + 1 for P, m in self._poles}
         if self.wild_override:
-            cond[INFINITY] = self._poly_part.degree + 1
+            cond[INFINITY] = pdeg(self._poly_part) + 1
         return cond
 
     def tame_at_infinity(self) -> bool:
         return not self.wild_override
 
     def _infinity_omega(self) -> int:
-        p = self.ctx.p
         if self.wild_override:
-            return self.group.omega_of_coset(frozenset(range(p)))
-        num, den = self.D.num, self.D.den
-        if num.degree < den.degree:
-            return self.group.class_to_omega[0]
-        # equal degrees after reduction
-        F = self.ctx
-        return self.group.class_to_omega[F.trace(F.div(num.coeffs[-1], den.coeffs[-1]))]
+            return self.group.omega_of_coset(frozenset(range(self.ctx.p)))
+        # tame: D at infinity is the constant of its polynomial part
+        c = self._poly_part[0] if self._poly_part else 0
+        return self.group.class_to_omega[self.ctx.trace(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +682,10 @@ class SplittingCover(Cover):
     """Splitting field of F(T, Y), monic of degree k in Y, with a
     user-asserted Galois group given as a permutation group on the roots.
 
-    The constructor refuses F not squarefree in Y, a cycle-type table that
-    disagrees with the group, for p odd generators whose parity contradicts
-    the discriminant, and a group that the Frobenius census contradicts."""
+    The constructor refuses F of degree 0 or not squarefree in Y, a
+    cycle-type table that disagrees with the group, for p odd generators
+    whose parity contradicts the discriminant, and a group that the
+    Frobenius census contradicts."""
 
     kind = "splitting"
     abelian = False
@@ -710,6 +703,8 @@ class SplittingCover(Cover):
         super().__init__(ctx)
         if not y_coeffs or y_coeffs[-1] != Poly.one(ctx):
             raise DomainError("F must be monic in Y (last coefficient 1)")
+        if len(y_coeffs) < 2:
+            raise NotGeometric("F must have degree >= 1 in Y")
         self.y_coeffs = tuple(y_coeffs)
         self.y_degree = len(y_coeffs) - 1
         self.group = GroupTable.from_perms(generators)
@@ -876,13 +871,11 @@ class SplittingCover(Cover):
 
 def _y_discriminant(ctx: Field, a: list[Coeffs]) -> Coeffs:
     """disc_Y(F) = prod_{i<j} (y_i - y_j)^2 in F_q[T], for F = sum a_j Y^j
-    monic of degree k in Y: det(s_{i+j})_{i,j<k} over the power sums s_m of
-    its roots, which Newton's identities give with no division, by Bareiss
-    elimination, each step divided exactly by the previous pivot.  A zero
-    pivot (s_0 = k when p | k) swaps in a row below and flips the sign."""
+    monic of degree k >= 1 in Y: det(s_{i+j})_{i,j<k} over the power sums
+    s_m of its roots, which Newton's identities give with no division, by
+    Bareiss elimination, each step divided exactly by the previous pivot.  A
+    zero pivot (s_0 = k when p | k) swaps in a row below and flips the sign."""
     k = len(a) - 1
-    if k < 1:
-        return ()  # F = 1: Res(F, F') with F' = 0
     s = [pnorm((ctx.scalar(k),))]
     for m in range(1, 2 * k - 1):
         acc = pscale(ctx, a[k - m], ctx.scalar(-m)) if m <= k else ()

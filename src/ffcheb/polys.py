@@ -114,6 +114,11 @@ def pscale(F: Field, a: Coeffs, c: int) -> Coeffs:
     return tuple(mul(x, c) for x in a)
 
 
+def ppow(F: Field, a: Coeffs, e: int) -> Coeffs:
+    """a^e in F_q[T], e >= 0."""
+    return _square_multiply(lambda x, y: pmul(F, x, y), a, e) if e else (1,)
+
+
 def pdivmod(F: Field, a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
     if not b:
         raise DivisionByZero("polynomial division by zero")
@@ -859,7 +864,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise DomainError(f"a polynomial has no power {e}")
-        return _square_multiply(Poly.__mul__, self, e) if e else Poly.one(self.ctx)
+        return Poly._raw(self.ctx, ppow(self.ctx, self.coeffs, e))
 
     def gcd(self, other) -> "Poly":
         return Poly._raw(self.ctx, pgcd(self.ctx, self.coeffs, self._other(other)))
@@ -1012,14 +1017,6 @@ class RationalFn:
         return RationalFn(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.num, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return (

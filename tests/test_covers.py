@@ -37,9 +37,11 @@ from ffcheb.polys import (
     Poly,
     RationalFn,
     count_primes,
+    eval_mod,
     factor_raw,
     parse_poly,
     peval,
+    pmod,
     primes_of_degree,
 )
 from ffcheb.zeta import count_prime_frobenius_global
@@ -108,16 +110,34 @@ def test_validate_as_constant_rejected():
 
 
 @pytest.mark.parametrize(
-    "build, error",
+    "build, error, message",
     [
-        (lambda: kummer(F5, 2, "[2]"), NotGeometric),
-        (lambda: artin_schreier(F3, "[1]"), NotGeometric),
-        (lambda: artin_schreier(F2, "T"), WildAtInfinity),
-        (lambda: product([kummer(F5, 2, "T"), kummer(F5, 2, "T-1")]), NotComponentwise),
+        (lambda: kummer(F5, 2, "[2]"), NotGeometric, "constant times a 2-th power"),
+        (lambda: artin_schreier(F3, "[1]"), NotGeometric, "reduced datum is constant"),
+        (lambda: artin_schreier(F2, "T"), WildAtInfinity, "pole at infinity"),
+        (
+            lambda: product([kummer(F5, 2, "T"), kummer(F5, 2, "T-1")]),
+            NotComponentwise,
+            "non-coprime orders",
+        ),
         # a constant Kummer component built without kummer()
-        (lambda: product([KummerCover(F5, 2, Poly(F5, (2,))), kummer(F5, 4, "T")]), NotGeometric),
+        (
+            lambda: product([KummerCover(F5, 2, Poly(F5, (2,))), kummer(F5, 4, "T")]),
+            NotGeometric,
+            "constant times a 2-th power",
+        ),
         # the S_3 cubic with the classes of (2, 1) and (3) swapped
-        (lambda: _s3_cubic(F5, table={(1, 1, 1): 0, (2, 1): 2, (3,): 1}), AmbiguousCycleType),
+        (
+            lambda: _s3_cubic(F5, table={(1, 1, 1): 0, (2, 1): 2, (3,): 1}),
+            AmbiguousCycleType,
+            "class 2 has cycle type",
+        ),
+        # F = 1 has no roots
+        (
+            lambda: parse_cover("kind = splitting\np = 5\ny_degree = 0\nF.0 = [1]\ngenerator.1 = ()\n"),
+            NotGeometric,
+            "degree >= 1 in Y",
+        ),
     ],
     ids=[
         "kummer-constant",
@@ -126,12 +146,13 @@ def test_validate_as_constant_rejected():
         "product-shared-place",
         "product-kummer-constant",
         "splitting-table",
+        "splitting-degree-0",
     ],
 )
-def test_refused_at_build_time(build, error):
+def test_refused_at_build_time(build, error, message):
     # no unchecked cover is ever returned: the builder raises, and raises
     # the same error on a second build
-    with pytest.raises(error) as first:
+    with pytest.raises(error, match=message) as first:
         build()
     with pytest.raises(error) as second:
         build()
@@ -149,7 +170,7 @@ def test_as_reduce_examples():
 
 def test_as_reduce_idempotent():
     rng = random.Random(0)
-    for F in (F2, F3):
+    for F in (F2, F3, make_field(2, 2), make_field(3, 2)):
         for _ in range(60):
             num = Poly(F, tuple(rng.randrange(F.q) for _ in range(rng.randrange(1, 7))))
             den = Poly(F, tuple(rng.randrange(F.q) for _ in range(rng.randrange(0, 3))) + (1,))
@@ -175,8 +196,6 @@ def test_as_reduce_preserves_frobenius():
     raw = RationalFn(num, den)
     cov = artin_schreier(F3, raw)
     assert cov.D != raw  # the reduction was nontrivial
-    from ffcheb.polys import eval_mod
-
     checked = 0
     for deg in (1, 2, 3, 4, 5, 6):
         for Pcs in primes_of_degree(F3, deg):
@@ -195,6 +214,69 @@ def test_as_reduce_preserves_frobenius():
             if checked >= 100:
                 return
     assert checked >= 100
+
+
+def _as_gate_data(F):
+    """(raw D, force_wild) over F_q, q = p^k with k > 1, with c = the
+    generator of F_q over F_p: monomials c T^(pj), j = 1, 2, p, and c T^p
+    cancelling to a tame datum, and poles of order p, 2p and p^2 at the
+    linear T - c and at a quadratic prime."""
+    p, c = F.p, F.generator
+    T, one = Poly.x(F), Poly.one(F)
+    cT = Poly(F, (c,))
+    root = Poly(F, (F.pth_root(c),))
+    Q = Poly(F, next(iter(primes_of_degree(F, 2))))
+    data = [
+        (RationalFn(sum((cT * T ** (p * j) for j in sorted({1, 2, p})), Poly.zero(F))), True),
+        (RationalFn(cT * T**p - root * T) + RationalFn(one, T - 1), False),
+    ]
+    for m in (p, 2 * p, p * p):
+        data.append(
+            (RationalFn(cT, (T - cT) ** m) + RationalFn(cT * T + 1, Q**m), False)
+        )
+    return data
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_reduction_keeps_the_trace_of_the_raw_datum(p, k):
+    # the reduced cover's Frobenius against the absolute trace of the raw
+    # datum in the residue field, at every unramified prime of degree <= 3
+    # with q^d <= 3000: the p-th roots that reduction takes in F_q and in
+    # F_q[T]/P are the identity over F_p, so only k > 1 tests them
+    F = make_field(p, k)
+    primes = [P for d in (1, 2, 3) if F.q**d <= 3000 for P in primes_of_degree(F, d)]
+    for raw, wild in _as_gate_data(F):
+        cov = artin_schreier(F, raw, force_wild=wild)
+        assert cov.wild_override == wild and cov.D != raw
+        checked = 0
+        for P in primes:
+            if P in cov._ram or not pmod(F, raw.den.coeffs, P):
+                continue
+            x = eval_mod(raw, Poly(F, P))
+            assert cov.frobenius_class(P) == x.ctx.trace(x.val), (F.q, raw, P)
+            checked += 1
+        assert checked >= len(primes) - 3
+
+
+def test_artin_schreier_factors_its_denominator_once(monkeypatch):
+    # one partial-fraction decomposition reduces every pole; a polynomial
+    # datum is not factored at all
+    calls = []
+
+    def counted(F, f, seed=0):
+        calls.append(f)
+        return factor_raw(F, f, seed=seed)
+
+    monkeypatch.setattr("ffcheb.covers.factor_raw", counted)
+    den = parse_poly(F3, "T^2+1") ** 3
+    for D, count in [
+        (RationalFn(Poly.one(F3), Poly.x(F3)), 1),
+        (RationalFn(parse_poly(F3, "T^3-T") * den + 1, den), 1),
+        (RationalFn(parse_poly(F3, "T^4+T")), 0),
+    ]:
+        calls.clear()
+        artin_schreier(F3, D, force_wild=True)
+        assert len(calls) == count, D
 
 
 # -- Frobenius and splitting data -------------------------------------------------

@@ -158,6 +158,47 @@ def test_dead_definition_rule_catches_a_leftover():
     assert _dead_definitions(defining, readers) == ["m.dead", "m.C", "m.C.unread"]
 
 
+def _unread_attributes(defining: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """`module.attr (line n)` of each attribute that `defining` stores,
+    `x.attr = ...`, and no reader reads: through an attribute load, or a
+    string constant such as a `getattr`/`hasattr` name or a `__slots__`
+    entry."""
+    read = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [
+        f"{mod}.{node.attr} (line {node.lineno})"
+        for mod, tree in defining.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr not in read
+    ]
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute that is stored and never read is left over from code
+    # that went
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in READERS}
+    defining = {p.stem: trees[p] for p in MODULES}
+    assert _unread_attributes(defining, list(trees.values())) == []
+
+
+def test_unread_attribute_rule_catches_a_leftover():
+    defining = {
+        "m": ast.parse(
+            "class C:\n    __slots__ = ('slot',)\n    def __init__(self):\n"
+            "        self.used = self.slot = self.cached = 1\n"
+            "        self.raw, self.dead = 2, 3\n"
+        )
+    }
+    readers = [ast.parse("c.used\ngetattr(c, 'cached', None)\nraw = 1\n"), *defining.values()]
+    assert _unread_attributes(defining, readers) == ["m.raw (line 5)", "m.dead (line 5)"]
+
+
 def _caught_names(tree: ast.Module, name: str) -> list[int]:
     """Lines of the `except` clauses that name the class `name`, alone, in a
     tuple or through a module attribute."""

@@ -479,6 +479,18 @@ def as_reduce(D: RationalFn, parts: tuple | None = None) -> RationalFn:
     return RationalFn(Poly._raw(F, num), Poly._raw(F, den))
 
 
+def _taylor(F: Field, f: Coeffs, b: int, count: int) -> list[int]:
+    """The first `count` Taylor coefficients of f at b, the a_k of
+    f = sum a_k (T - b)^k: one Horner pass carrying `count` accumulators."""
+    acc = [0] * count
+    mul, add = F.mul, F.add
+    for c in reversed(f):
+        for k in range(count - 1, 0, -1):
+            acc[k] = add(mul(acc[k], b), acc[k - 1])
+        acc[0] = add(mul(acc[0], b), c)
+    return acc
+
+
 class ArtinSchreierCover(Cover):
     """y^p - y = D(T) in characteristic p; stores the reduced datum."""
 
@@ -508,14 +520,22 @@ class ArtinSchreierCover(Cover):
         self._poly_part = poly
         self._poles = tuple((P, m) for P, m, _ in poles)  # all m coprime to p
         self._ram = frozenset(P for P, _, _ in poles)
-        # at a rational simple pole T - b keep (b, w); at the others P^m and
-        # the residues Res_P(T^j D dT) = [T^(N-1)] (w T^j mod P^m), N = deg P^m,
+        # at a rational simple pole T - b keep (b, w); at a rational pole of
+        # order m > 1, b and the principal part w / (T - b)^m as the
+        # coefficients c_1 .. c_m of (T - b)^(-1) .. (T - b)^(-m), c_i the
+        # Taylor coefficient m - i of w at b; at the others P^m and the
+        # residues Res_P(T^j D dT) = [T^(N-1)] (w T^j mod P^m), N = deg P^m,
         # j < 2N - 1
         self._simple_poles: list[tuple[int, int]] = []
+        self._rational_poles: list[tuple[int, list[int]]] = []
         self._pole_parts: list[tuple[Coeffs, list[int]]] = []
         for P, m, w in poles:
-            if len(P) == 2 and m == 1:
-                self._simple_poles.append((ctx.neg(P[0]), w[0]))
+            if len(P) == 2:
+                b = ctx.neg(P[0])
+                if m == 1:
+                    self._simple_poles.append((b, w[0]))
+                else:
+                    self._rational_poles.append((b, _taylor(ctx, w, b, m)[::-1]))
                 continue
             Pm = ppow(ctx, P, m)
             N, res = len(Pm) - 1, []
@@ -537,7 +557,10 @@ class ArtinSchreierCover(Cover):
         the Newton power sums of the roots of f, and w_P / P^m the principal
         part of D at a pole P of order m, N = m deg P.  The only inverse is
         modulo the fixed P^m.  At a rational simple pole b with residue c the
-        term is c f'(b) / f(b), from one Horner pass.
+        term is c f'(b) / f(b), from one Horner pass.  At a rational pole b
+        of order m > 1 it is sum_i c_i g_(i-1), with c_i the coefficient of
+        (T - b)^(-i) in D and g_j those of (T - b)^j in f'/f, read from the
+        Taylor coefficients of f at b with one inverse, of f(b).
         """
         if not f or f[-1] != 1:
             raise DomainError("the Artin symbol needs a monic polynomial")
@@ -555,6 +578,18 @@ class ArtinSchreierCover(Cover):
             if not v:
                 raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a pole of D")
             t = sub(t, mul(c, F.div(dv, v)))
+        for b, c in self._rational_poles:
+            a = _taylor(F, f, b, len(c) + 1)
+            if not a[0]:
+                raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a pole of D")
+            inv, g = F.inv(a[0]), []
+            for j, cj in enumerate(c):
+                # f' has Taylor coefficient (j + 1) a_(j+1), and f g = f'
+                x = mul(F.scalar(j + 1), a[j + 1])
+                for i in range(1, j + 1):
+                    x = sub(x, mul(a[i], g[j - i]))
+                g.append(mul(x, inv))
+                t = sub(t, mul(cj, g[j]))
         if self._pole_parts:
             df = pderiv(F, f)
             for Pm, res in self._pole_parts:

@@ -6,22 +6,25 @@ q^t consecutive elements at a time, t as large as 2^14 elements allow: each
 block is sieved by the primes of degree at most s = min(n // 2, m + 1), and
 what is left of an element is one prime, or, when m + 1 < n // 2, a larger
 cofactor of at most c // (s + 1) primes, which polys._factor_rough mostly
-splits without factor_raw.  That prime's class is read, with no division,
-from the Artin symbol of the cover's symbol cover (`Cover.symbol_cover`),
-Art(f) times Art(Q)^(-e) over the small prime powers found, through the
-cover's table of symbol values.  An abelian cover is its own symbol cover;
-a splitting cover's (p odd) is the quadratic symbol of disc_Y(F), the sign
-of Frobenius, and its table gives the cycle type where the sign leaves one:
-any prime of a quadratic cover, and an odd prime of a cubic.  Only where
-the table does not give it is the cofactor divided out and classified on
-its own: at the other primes of splitting covers, at elements with a
-ramified factor (Art(f) is undefined there) and for the larger cofactors.
-An element's factorization type is summed as one
-integer code, a digit in base n + 1 per (degree, exponent, Frobenius) key,
-and each block decodes its distinct codes into sorted types once.  Per-block
-tallies of factorization types merge associatively, so the result is
-independent of the chunking and safe to compute in parallel.  One pass per
-interval is shared by every function evaluated on it.
+splits without factor_raw.  The sieve keeps its residues per degree, as
+columns over all the small primes of that degree, so a block updates them
+with one pass per digit; a small prime as long as the block divides exactly
+one element, read off its residue.  A prime cofactor's class is read, with
+no division, from the Artin symbol of the cover's symbol cover
+(`Cover.symbol_cover`), Art(f) times Art(Q)^(-e) over the small prime powers
+found, through the cover's table of symbol values.  An abelian cover is its
+own symbol cover; a splitting cover's (p odd) is the quadratic symbol of
+disc_Y(F), the sign of Frobenius, and its table gives the cycle type where
+the sign leaves one: any prime of a quadratic cover, and an odd prime of a
+cubic.  Only where the table does not give it is the cofactor divided out
+and classified on its own: at the other primes of splitting covers, at
+elements with a ramified factor (Art(f) is undefined there) and for the
+larger cofactors.  An element's factorization type is summed as one integer
+code, a digit in base n + 1 per (degree, exponent, Frobenius) key, and each
+block decodes its distinct codes into sorted types once.  Per-block tallies
+of factorization types merge associatively, so the result is independent of
+the chunking and safe to compute in parallel.  One pass per interval is
+shared by every function evaluated on it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .covers import Cover, KummerCover, dumps_cover, parse_cover
 from .errors import (
@@ -47,6 +51,7 @@ from .polys import (
     Poly,
     _coset_indices,
     _coset_rows,
+    _divmod_columns,
     _factor_rough,
     pdeg,
     pdiv,
@@ -55,6 +60,7 @@ from .polys import (
     pmul,
     parse_poly,
     pneg,
+    ppow,
     primes_of_degree,
 )
 from .wreath import class_type_table, mean_class_function
@@ -104,15 +110,28 @@ class IntervalSpec:
 #   block is I(f_b, t - 1): f_b + h with deg h < t, h read off the low t
 #   digits.  An interval of up to _POOL_FLOOR elements is one block.
 #
-# "Q^e divides f_b + h" is the affine condition h = -f_b mod Q^e.  The sieve
-# solves it once per block for each small prime Q and each power with
-# e * deg Q <= n, and records which elements each power hits (q^(t - deg Q^e)
-# of them when deg Q^e <= t, at most one otherwise); polys._coset_indices
-# lists them, as it does for the prime sieve.  f_b is f0 plus the block
-# number's digits at T^t .. T^m, so -f_b mod Q^e is -(f0 mod Q^e) minus those
-# digits times T^j mod Q^e: vectors stored once per interval, with the coset
-# rows of Q^e, so a block divides nothing.  The larger t, the fewer blocks,
-# and each small prime power is solved that many fewer times.
+# "Q^e divides f_b + h" is the affine condition h = -f_b mod Q^e, and
+# f_b is f0 plus the block number's digits at T^t .. T^m, so -f_b mod Q is
+# -(f0 mod Q) plus those digits times -(T^j mod Q).  The sieve keeps these
+# per degree d <= s as columns over all the primes of degree d (column k
+# holds coefficient k of every residue), each from one column-wise division
+# (polys._divmod_columns) in the constructor, and a block updates them with
+# one pass per digit.  Two kinds of prime then differ:
+#
+# - deg Q = t, which a small prime reaches only when s = t: Q divides
+#   exactly one element of the block, f_b + h with h = -f_b mod Q, whose
+#   index is read off that residue, column by column.  Then f_b + h =
+#   Q (f_b div Q), so Q^e divides f_b + h exactly when Q^(e-1) divides f_b
+#   div Q: the quotients -(f0 div Q) and -(T^j div Q) come from the same
+#   divisions, and are divided by Q again, column by column, while e deg Q
+#   <= n.
+# - deg Q < t: the q^(t - deg Q) solutions form a coset, listed by
+#   polys._coset_indices as for the prime sieve, from coset rows built once
+#   per prime.  Q^e (e * deg Q <= n) is built, with its rows, only once
+#   Q^(e-1) has hit, and is solved from -f_b mod Q^e; a chain stops at the
+#   first power with no hit.
+#
+# The larger t, the fewer blocks, and the fewer times each residue is updated.
 #
 # What is left of an element after its small primes is prime whenever its
 # degree is at most 2s + 1 (a composite would have a factor of degree <= s).
@@ -145,7 +164,10 @@ class IntervalSpec:
 # key, in no fixed order, and the key weight (n + 1)^k; a code is the sum of
 # the weights of an element's prime powers, so its base-(n + 1) digits are
 # the counts of the keys, each at most n.  A small prime's weights sit in its
-# hit data; a cofactor's prime looks its weight up by key.  A block counts its
+# hit data, made on its first hit; on an abelian cover its omega there is
+# read from the Artin symbol that the hit data keep anyway, and only a
+# ramified prime, or any prime of a splitting cover, asks coset_class.  A
+# cofactor's prime looks its weight up by key.  A block counts its
 # codes in a dict and decodes each distinct code once into the sorted
 # ((degree, exponent, omega), count) items that the tallies are keyed by.
 
@@ -179,19 +201,31 @@ class _BlockSieve:
         # symbol value, None where it leaves the class open
         self.symbol, self.omegas = spec.symbol_cover()
         self.ramified = spec._ram
-        self.tops = range(t, I.m + 1)  # the block digits
-        # (prime, degree, [Q, Q^2, ...] while e * deg Q <= n, and the
-        # `_solver`s of the powers some block has reached: a chain of powers
-        # stops at the first Q^e with no hit, so the rest are built on demand)
-        self.small = []
+        # the small primes, by degree; per degree d, the index of its first
+        # prime, its primes as columns (all but the leading 1), the
+        # (quotient, remainder) columns of -f0 and of -T^j per block digit j
+        # divided by them, and for d < t, per prime, the chain
+        # [(Q, its coset rows), (Q^2, ...), ...] of the powers some block has
+        # reached
+        self.small: list[Coeffs] = []
+        self.degrees = []
         for d in range(1, s + 1):
-            for Q in primes_of_degree(F, d):
-                pows = [Q]
-                while (len(pows) + 1) * d <= n:
-                    pows.append(pmul(F, pows[-1], Q))
-                self.small.append((Q, d, pows, []))
-        # ramified primes beyond the small ones that can still divide
-        self.big_ramified = [self._solver(P) for P in self.ramified if s < pdeg(P) <= n]
+            primes = primes_of_degree(F, d)
+            cols = [list(c) for c in zip(*primes)][:d]
+            divs = [
+                _divmod_columns(F, [[c] * len(primes) for c in pneg(F, a)], cols)
+                for a in [self.base] + [(0,) * j + (1,) for j in range(t, I.m + 1)]
+            ]
+            chains = [[(Q, _coset_rows(F, Q, t - d))] for Q in primes] if d < t else None
+            self.degrees.append((d, len(self.small), cols, divs, chains))
+            self.small.extend(primes)
+        # ramified primes beyond the small ones that can still divide, with
+        # their coset rows
+        self.big_ramified = [
+            (P, _coset_rows(F, P, max(t - pdeg(P), 0)))
+            for P in self.ramified
+            if s < pdeg(P) <= n
+        ]
         # per small prime, on its first hit: (degree, the code weights of Q^e
         # for e = 1, 2, ..., and at an unramified Q, Art(Q)^(-e) for
         # e = 1, 2, ... on the symbol cover, if there is one)
@@ -212,16 +246,13 @@ class _BlockSieve:
                     power = mul(power, a)
                 self.places.append((a, table, array("i", vals)))
 
-    def _solver(self, M: Coeffs) -> tuple:
-        """(deg M, -(f0 mod M), [-(T^j mod M) for each block digit j], the
-        coset rows of M): what solving h = -f_b mod M in a block needs.  The
-        residues are padded to deg M coefficients."""
+    def _solve(self, fb: list[int], M: Coeffs, rows: list) -> Iterable[int] | None:
+        """The local indices of the block's elements f_b + h that M divides,
+        the coset h = -f_b mod M; None when -f_b mod M has degree >= t."""
         F, D = self.F, len(M) - 1
-        res = []
-        for a in [self.base] + [(0,) * j + (1,) for j in self.tops]:
-            r = pneg(F, pmod(F, a, M))
-            res.append(list(r) + [0] * (D - len(r)))
-        return D, res[0], res[1:], _coset_rows(F, M, max(self.t - D, 0))
+        r = list(pneg(F, pmod(F, fb, M)))
+        r += [0] * (D - len(r))
+        return None if any(r[self.t:]) else _coset_indices(F, r, D, rows)
 
     def _weight(self, key: tuple) -> int:
         """The weight of a (degree, exponent, omega) key in a type code: the
@@ -244,14 +275,18 @@ class _BlockSieve:
         return tuple(sorted(items))
 
     def _hit(self, qi: int) -> tuple:
-        Q, d, pows, _ = self.small[qi]
-        spec = self.spec
-        w = spec.coset_class(Q)
-        wts = [self._weight((d, e, w)) for e in range(1, len(pows) + 1)]
+        """The hit data of small prime qi (see `hit_data`)."""
+        Q = self.small[qi]
+        d = len(Q) - 1
+        exps = range(1, self.n // d + 1)
         if Q in self.ramified or self.symbol is None:
-            return d, wts, None
-        G, x = self.symbol.group, self.symbol.artin_symbol(Q)
-        return d, wts, [G.power(x, -e) for e in range(1, len(pows) + 1)]
+            w, inv = self.spec.coset_class(Q), None
+        else:
+            # an abelian cover's class is its symbol's value in the table
+            G, x = self.symbol.group, self.symbol.artin_symbol(Q)
+            w = self.omegas[x] if self.spec.abelian else self.spec.coset_class(Q)
+            inv = [G.power(x, -e) for e in exps]
+        return d, [self._weight((d, e, w)) for e in exps], inv
 
     def _element(self, fb: list[int], i: int) -> Coeffs:
         """f_b + h, h the element of local index i."""
@@ -280,46 +315,82 @@ class _BlockSieve:
                 digits.append((k, digit))
             k += 1
 
-        def residue(r, rows):  # -f_b mod M from -(f0 mod M) and -(T^j mod M)
-            for k, digit in digits:
-                r = [add(x, mul(digit, y)) for x, y in zip(r, rows[k])]
-            return r
-
         # per element: a linked list of hits (prime index, exponent), newest first
         head = array("i", [-1]) * size
         hq, he, hnext = array("i"), array("i"), array("i")
         # elements with a ramified factor: excluded, or divided on an abelian cover
         bad = bytearray(size) if self.ramified else None
         excludes = not self.spec.abelian
-        for qi, (Q, _, pows, solvers) in enumerate(self.small):
-            ram = Q in self.ramified
-            for e, Qe in enumerate(pows, 1):
-                if len(solvers) < e:
-                    solvers.append(self._solver(Qe))
-                D, r0, rows, crows = solvers[e - 1]
-                r = residue(r0, rows)
-                if any(r[t:]):
-                    break  # no element is divisible by Q^e, nor by Q^(e+1)
-                sols = _coset_indices(F, r, D, crows)
-                if ram:
+        small, ram = self.small, self.ramified
+
+        def of_block(divs, part):
+            """The columns of -f_b div Q (part 0) or -f_b mod Q (part 1):
+            those of -f0 plus each block digit times those of its -T^j."""
+            cols = divs[0][part]
+            for k, digit in digits:
+                dcols = divs[k + 1][part]
+                cols = [
+                    [add(x, mul(digit, y)) for x, y in zip(col, dcol)]
+                    for col, dcol in zip(cols, dcols)
+                ] + cols[len(dcols):]
+            return cols
+
+        for d, first, cols, divs, chains in self.degrees:
+            rem = of_block(divs, 1)
+            if chains is None:
+                # d = s = t (t >= s >= d): Q divides exactly one element,
+                # f_b + h with h = -f_b mod Q, whose index is that residue's
+                # digits.  Then f_b + h = Q (f_b div Q), so Q^e divides it
+                # exactly when Q^(e-1) divides f_b div Q
+                idx = rem[-1]
+                for col in reversed(rem[:-1]):
+                    idx = [x * q + y for x, y in zip(idx, col)]
+                exps = [1] * len(idx)
+                if 2 * d <= n:
+                    quo = of_block(divs, 0)
+                    for e in range(2, n // d + 1):
+                        quo, r = _divmod_columns(F, quo, cols)
+                        exps = [x + (x == e - 1 and not any(v)) for x, v in zip(exps, zip(*r))]
+                for i, j in enumerate(idx):
+                    qi = first + i
+                    if small[qi] in ram:
+                        bad[j] = 1
+                        if excludes:
+                            continue
+                    hq.append(qi)
+                    he.append(exps[i])
+                    hnext.append(head[j])
+                    head[j] = len(hq) - 1
+                continue
+            for i, chain in enumerate(chains):
+                qi = first + i
+                Q, rows = chain[0]
+                sols = _coset_indices(F, [col[i] for col in rem], d, rows)
+                if Q in ram:
                     sols = list(sols)
-                    for i in sols:
-                        bad[i] = 1
+                    for j in sols:
+                        bad[j] = 1
                     if excludes:
+                        continue
+                for j in sols:
+                    hq.append(qi)
+                    he.append(1)
+                    hnext.append(head[j])
+                    head[j] = len(hq) - 1
+                e = 1
+                while (e + 1) * d <= n:  # Q^e is built once Q^(e-1) has hit
+                    e += 1
+                    if len(chain) < e:
+                        Qe = pmul(F, chain[-1][0], Q)
+                        chain.append((Qe, _coset_rows(F, Qe, max(t - e * d, 0))))
+                    sols = self._solve(fb, *chain[e - 1])
+                    if sols is None:
                         break
-                for i in sols:
-                    if e == 1:
-                        hq.append(qi)
-                        he.append(1)
-                        hnext.append(head[i])
-                        head[i] = len(hq) - 1
-                    else:  # Q's entry is the element's newest
-                        he[head[i]] = e
-        for D, r0, rows, crows in self.big_ramified:
-            r = residue(r0, rows)
-            if not any(r[t:]):  # q^(t - deg P) elements when deg P < t, else one
-                for i in _coset_indices(F, r, D, crows):
-                    bad[i] = 1
+                    for j in sols:  # Q's entry is the element's newest
+                        he[head[j]] = e
+        for P, rows in self.big_ramified:
+            for j in self._solve(fb, P, rows) or ():
+                bad[j] = 1
 
         # classify each element from its hits and its cofactor
         symbol, omegas = self.symbol, self.omegas
@@ -328,7 +399,7 @@ class _BlockSieve:
             order, gmul = symbol.group.n, symbol.group.table
         # the largest cofactor that is one prime, read from its symbol
         prime = 2 * s + 1 if symbol is not None else 0
-        small, hit_data = self.small, self.hit_data
+        hit_data = self.hit_data
         if self.places is not None:
             art0 = n * symbol._deg_dlog
             at = [(table, vals, peval(F, fb, a)) for a, table, vals in self.places]
@@ -372,7 +443,7 @@ class _BlockSieve:
                 f = self._element(fb, i)
                 j = head[i]
                 while j >= 0:
-                    f = pdiv(F, f, small[hq[j]][2][he[j] - 1])
+                    f = pdiv(F, f, ppow(F, small[hq[j]], he[j]))
                     j = hnext[j]
                 for P, e in _factor_rough(F, f, s, seed):
                     code += self._weight((pdeg(P), e, coset(P)))

@@ -709,6 +709,21 @@ def _coset_indices(F: Field, r: Sequence[int], D: int, rows: list[list[int]]) ->
     )
 
 
+def _divmod_columns(F: Field, a: list[list[int]], cols: list[list[int]]) -> tuple[list, list]:
+    """Many divisions by monic polynomials of one degree d at once, column by
+    column: a[i] holds coefficient i of every dividend and cols[k]
+    coefficient k of every divisor (k < d); the quotients and the remainders
+    come back as columns too, the remainders padded to d columns."""
+    d = len(cols)
+    mul, sub = F.mul, F.sub
+    out = list(a) + [[0] * len(cols[0]) for _ in range(d - len(a))]
+    for i in range(len(a) - 1, d - 1, -1):
+        top = out[i]  # quotient coefficient i - d, since each divisor is monic
+        for k, col in enumerate(cols, i - d):
+            out[k] = [sub(x, mul(c, y)) for x, c, y in zip(out[k], top, col)]
+    return out[d:], out[:d]
+
+
 def _span(F: Field, D: int, l0: list[int], first: int, rows) -> list[tuple[int, list[int]]]:
     """(index of T^D u, l0 + the l of u) over the u whose digits first,
     first + 1, ... are free, one per row, and whose other digits are 0."""

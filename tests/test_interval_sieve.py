@@ -16,6 +16,7 @@ import pytest
 
 from ffcheb import intervals
 from ffcheb.covers import (
+    Cover,
     SplittingCover,
     artin_schreier,
     kummer,
@@ -111,6 +112,14 @@ def s3_splitting(ctx):
         # -1 is no square in F_27, so the sign of disc decides the parity of
         # the cofactors of degree 6 and 7 (s = 2)
         (27, "T^7+T^2+1", 1),
+        # primes as long as the block (deg Q = s = t), whose higher powers are
+        # read from the quotient f_b div Q: h = 0 is (T^2 + 2)^3 ...
+        (5, "T^6+T^4+2*T^2+3", 1),
+        # ... and (T^2 + 2)^2 (T^2 + 3), two long primes in one element
+        (5, "T^6+2*T^4+T^2+2", 1),
+        # (T^3 + T + 1)^2 lies here, and t = 3 puts a block digit at T^3
+        # when the bound is 1 or 125
+        (5, "T^6+2*T^4", 3),
     ],
 )
 def test_quadratic_kummer(q, f0, m):
@@ -251,6 +260,30 @@ def test_splitting_cofactors_by_sign(monkeypatch):
         _, excluded = check(cov, f0, m)
         elements = len(BOUNDS) * (cov.ctx.q ** (m + 1) - excluded)
         assert 0 < len(calls) < elements // 2, (cov.ctx.q, f0, len(calls), elements)
+
+
+@pytest.mark.parametrize("kind", ["kummer", "artin_schreier"])
+def test_unramified_small_primes_skip_coset_class(monkeypatch, kind):
+    # on an abelian cover the sieve reads an unramified small prime's class
+    # from the Artin symbol it computes for the prime anyway; only ramified
+    # small primes, and the cofactors' primes, of degree > s, reach coset_class
+    F25 = make_field(5, 2)
+    if kind == "kummer":
+        cov = kummer(F25, 2, QUAD_D)
+    else:
+        cov = artin_schreier(F25, RationalFn(Poly.one(F25), parse_poly(F25, "T^2-T")))
+    reached = []
+    coset_class = Cover.coset_class
+
+    def counted(self, P):
+        reached.append(P)
+        return coset_class(self, P)
+
+    monkeypatch.setattr(Cover, "coset_class", counted)
+    I = IntervalSpec(parse_poly(F25, "T^4+T"), 1)  # s = t = 2
+    _count_range(cov, I, 0, I.size(), 0)
+    small = {P for P in reached if pdeg(P) <= 2}
+    assert small and small <= cov._ram, sorted(small - cov._ram)[:3]
 
 
 def test_chunks_that_cut_blocks():

@@ -9,22 +9,27 @@ cofactor of at most c // (s + 1) primes, which polys._factor_rough mostly
 splits without factor_raw.  The sieve keeps its residues per degree, as
 columns over all the small primes of that degree, so a block updates them
 with one pass per digit; a small prime as long as the block divides exactly
-one element, read off its residue.  A prime cofactor's class is read, with
-no division, from the Artin symbol of the cover's symbol cover
-(`Cover.symbol_cover`), Art(f) times Art(Q)^(-e) over the small prime powers
-found, through the cover's table of symbol values.  An abelian cover is its
-own symbol cover; a splitting cover's (p odd) is the quadratic symbol of
-disc_Y(F), the sign of Frobenius, and its table gives the cycle type where
-the sign leaves one: any prime of a quadratic cover, and an odd prime of a
-cubic.  Only where the table does not give it is the cofactor divided out
-and classified on its own: at the other primes of splitting covers, at
-elements with a ramified factor (Art(f) is undefined there) and for the
-larger cofactors.  An element's factorization type is summed as one integer
-code, a digit in base n + 1 per (degree, exponent, Frobenius) key, and each
-block decodes its distinct codes into sorted types once.  Per-block tallies
-of factorization types merge associatively, so the result is independent of
-the chunking and safe to compute in parallel.  One pass per interval is
-shared by every function evaluated on it.
+one element, and one a degree shorter q elements, all read off its residue
+column by column.  A prime cofactor's class is read, with no division, from
+the Artin symbol of the cover's symbol cover (`Cover.symbol_cover`), Art(f)
+times Art(Q)^(-e) over the small prime powers found, through the cover's
+table of symbol values.  An abelian cover is its own symbol cover; a
+splitting cover's (p odd) is the quadratic symbol of disc_Y(F), the sign of
+Frobenius, and its table gives the cycle type where the sign leaves one: any
+prime of a quadratic cover, and an odd prime of a cubic.  On a Kummer symbol
+cover whose places are all linear, every symbol is read from values at the
+places: a small prime's from its coefficient columns, an element's from one
+row per place and block, and that of an element with a ramified factor from
+its unit part f / prod (T - b)^e, whose values are f's values and Taylor
+coefficients at the places.  Only where the table does not give it is the
+cofactor divided out and classified on its own: at the other primes of
+splitting covers, at elements with a ramified factor on the other abelian
+covers, and for the larger cofactors.  An element's factorization type is
+summed as one integer code, a digit in base n + 1 per (degree, exponent,
+Frobenius) key, and each block decodes its distinct codes into sorted types
+once.  Per-block tallies of factorization types merge associatively, so the
+result is independent of the chunking and safe to compute in parallel.  One
+pass per interval is shared by every function evaluated on it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .covers import Cover, KummerCover, dumps_cover, parse_cover
+from .covers import Cover, KummerCover, _taylor, dumps_cover, parse_cover
 from .errors import (
     ContextMismatch,
     DomainError,
@@ -118,14 +123,16 @@ class IntervalSpec:
 # (polys._divmod_columns) in the constructor, and a block updates them with
 # one pass per digit.  Two kinds of prime then differ:
 #
-# - deg Q = t, which a small prime reaches only when s = t: Q divides
-#   exactly one element of the block, f_b + h with h = -f_b mod Q, whose
-#   index is read off that residue, column by column.  Then f_b + h =
-#   Q (f_b div Q), so Q^e divides f_b + h exactly when Q^(e-1) divides f_b
-#   div Q: the quotients -(f0 div Q) and -(T^j div Q) come from the same
-#   divisions, and are divided by Q again, column by column, while e deg Q
-#   <= n.
-# - deg Q < t: the q^(t - deg Q) solutions form a coset, listed by
+# - deg Q >= t - 1: the elements Q divides are f_b + h with h = r + c Q,
+#   r = -f_b mod Q, c in F_q when deg Q = t - 1 and c = 0 when deg Q = t
+#   (which a small prime reaches only when s = t).  Their indices are read
+#   off r, and off r + c Q for each c, column by column, and one transpose
+#   gives each prime its indices.  With u = -f_b div Q, f_b + h =
+#   Q (c - u), so Q^2 divides the one element with c = u mod Q, if that is
+#   a constant, and Q^e then exactly when Q^(e-2) divides u div Q: the
+#   quotients -(f0 div Q) and -(T^j div Q) come from the same divisions,
+#   and are divided by Q again, column by column, while e deg Q <= n.
+# - deg Q <= t - 2: the q^(t - deg Q) solutions form a coset, listed by
 #   polys._coset_indices as for the prime sieve, from coset rows built once
 #   per prime.  Q^e (e * deg Q <= n) is built, with its rows, only once
 #   Q^(e-1) has hit, and is solved from -f_b mod Q^e; a chain stops at the
@@ -146,12 +153,21 @@ class IntervalSpec:
 # (covers.SplittingCover._sign_character): the hits' signs add up in Z/2,
 # and the table gives the cycle type where the sign leaves one (k = 2, or
 # k = 3 and odd).  A symbol cover that is a Kummer cover whose places are
-# all linear reads Art(f) from per-interval tables of h(a) over deg h < t,
-# one per place T - a; the others call artin_symbol on the whole element.
-# The cofactor is divided out and classified on its own only where none of
-# this holds: where the table says None, on elements with a ramified factor
-# (a small hit, or a ramified prime of degree > s found like a hit), and
-# for cofactors of degree c > 2s + 1, possible only when m + 1 < n // 2.
+# all linear reads every symbol from values at its places T - a (Kummer
+# reciprocity, with Res(T - a, f) = f(a); see KummerCover.artin_symbol):
+# a small prime's from one column Horner pass per place over its columns,
+# then table[Q(a)]; an element's Art(f) from per-interval tables of h(a) over
+# deg h < t, through one row per place and block, table[f_b(a) + v] by v in
+# F_q; and at an element with a ramified factor, where Art(f) is undefined,
+# the symbol of its unit part g = f / prod (T - b)^e over the ramified roots
+# b found, with g(a) = f(a) / prod (a - b)^e at the other places and g(b) the
+# e-th Taylor coefficient of f at b (covers._taylor) over prod (b - b')^e'.
+# The other symbol covers call artin_symbol on the whole element.  The
+# cofactor is divided out and classified on its own only where none of this
+# holds: where the table says None, on elements with a ramified factor on
+# another abelian cover (a small hit, or a ramified prime of degree > s
+# found like a hit), and for cofactors of degree c > 2s + 1, possible only
+# when m + 1 < n // 2.
 # Those have at most c // (s + 1) primes, and polys._factor_rough splits
 # them: for q odd, disc != 0 and c <= 3s + 2 there are one or two, and the
 # parity of the discriminant's log tells which (Stickelberger); two primes at
@@ -164,20 +180,23 @@ class IntervalSpec:
 # key, in no fixed order, and the key weight (n + 1)^k; a code is the sum of
 # the weights of an element's prime powers, so its base-(n + 1) digits are
 # the counts of the keys, each at most n.  A small prime's weights sit in its
-# hit data, made on its first hit; on an abelian cover its omega there is
-# read from the Artin symbol that the hit data keep anyway, and only a
-# ramified prime, or any prime of a splitting cover, asks coset_class.  A
-# cofactor's prime looks its weight up by key.  A block counts its
-# codes in a dict and decodes each distinct code once into the sorted
-# ((degree, exponent, omega), count) items that the tallies are keyed by.
+# hit data, made on its first hit and shared by every prime of its degree,
+# omega and symbol value; on an abelian cover its omega there is read from
+# the Artin symbol that the hit data keep anyway, and only a ramified prime,
+# or any prime of a splitting cover, asks coset_class.  A cofactor's prime
+# looks its weight up by key.  A block counts its codes in a dict and
+# decodes each distinct code once into the sorted ((degree, exponent,
+# omega), count) items that the tallies are keyed by.
 
 #: the most elements of one sieve block, and the fewest interval elements per
 #: pool worker, so that a pool chunk is never smaller than a block.  A pool
 #: of 2 on 2 CPUs loses on Kummer covers, the cheapest kind per element, at
-#: 24,389 elements (0.17 s in one process against 0.23 s) and wins at 59,049,
-#: F_9 I(T^6, 4) in 9 blocks of 6,561 (0.59 s against 0.45 s, ahead in 10 of
-#: 13 pairs): medians of alternated pairs, tables in CHANGES.md.  The costlier
-#: kinds gain more per element, so the floor is on the safe side for them.
+#: 24,389 elements, F_29 I(T^4, 2) (0.09 s in one process against 0.13 s,
+#: behind in 10 of 10 pairs), and wins at 50,653, F_37 I(T^4, 2) (0.21 s
+#: against 0.17 s, ahead in 8 of 10), and at 59,049, F_9 I(T^6, 4) in 9
+#: blocks of 6,561 (0.42 s against 0.28 s, ahead in 14 of 20): medians of
+#: alternated pairs, 2 vCPUs, tables in CHANGES.md.  The costlier kinds gain
+#: more per element, so the floor is on the safe side for them.
 _POOL_FLOOR = 2**14
 
 
@@ -201,14 +220,40 @@ class _BlockSieve:
         # symbol value, None where it leaves the class open
         self.symbol, self.omegas = spec.symbol_cover()
         self.ramified = spec._ram
+        add, mul = F.add, F.mul
+        # a symbol cover that is a Kummer cover whose places are all linear:
+        # per place T - a, a, its table of f(a) (see KummerCover) and h(a)
+        # over the h of degree < t, by index
+        self.places = None
+        if isinstance(self.symbol, KummerCover) and not self.symbol._nonlin_parts:
+            self.places = []
+            for a, table in self.symbol._lin_parts:
+                # h(a) = h for deg h < 1; digit k adds c a^k, by one row of
+                # additions per c
+                vals, power = list(range(q)) if t else [0], a
+                for _ in range(1, t):
+                    scaled = [mul(c, power) for c in range(q)]
+                    vals = [
+                        row[v]
+                        for y in scaled
+                        for row in [[add(x, y) for x in range(q)]]
+                        for v in vals
+                    ]
+                    power = mul(power, a)
+                self.places.append((a, table, array("i", vals)))
         # the small primes, by degree; per degree d, the index of its first
         # prime, its primes as columns (all but the leading 1), the
         # (quotient, remainder) columns of -f0 and of -T^j per block digit j
-        # divided by them, and for d < t, per prime, the chain
-        # [(Q, its coset rows), (Q^2, ...), ...] of the powers some block has
-        # reached
+        # divided by them, the positions of its ramified primes, and for
+        # d < t - 1, per prime, the chain [(Q, its coset rows), (Q^2, ...),
+        # ...] of the powers some block has reached
         self.small: list[Coeffs] = []
         self.degrees = []
+        # per small prime, its symbol on the Kummer symbol cover with linear
+        # places, read by reciprocity from its columns: d times the degree
+        # term plus table[Q(a)] per place (a column Horner pass each); None
+        # when the symbol cover is another, or there is none
+        self.arts: list[int] | None = [] if self.places is not None else None
         for d in range(1, s + 1):
             primes = primes_of_degree(F, d)
             cols = [list(c) for c in zip(*primes)][:d]
@@ -216,9 +261,20 @@ class _BlockSieve:
                 _divmod_columns(F, [[c] * len(primes) for c in pneg(F, a)], cols)
                 for a in [self.base] + [(0,) * j + (1,) for j in range(t, I.m + 1)]
             ]
-            chains = [[(Q, _coset_rows(F, Q, t - d))] for Q in primes] if d < t else None
-            self.degrees.append((d, len(self.small), cols, divs, chains))
+            chains = [[(Q, _coset_rows(F, Q, t - d))] for Q in primes] if d < t - 1 else None
+            ram = frozenset(i for i, Q in enumerate(primes) if Q in self.ramified)
+            self.degrees.append((d, len(self.small), cols, divs, chains, ram))
             self.small.extend(primes)
+            if self.arts is not None:
+                arts = [d * self.symbol._deg_dlog] * len(primes)
+                for a, table in self.symbol._lin_parts:
+                    times_a = [mul(x, a) for x in range(q)]
+                    v = [1] * len(primes)
+                    for col in reversed(cols):
+                        v = [add(times_a[x], y) for x, y in zip(v, col)]
+                    # table[0] is None: Q = T - a, ramified, has no symbol
+                    arts = [k + (table[x] or 0) for k, x in zip(arts, v)]
+                self.arts.extend(k % self.symbol.d for k in arts)
         # ramified primes beyond the small ones that can still divide, with
         # their coset rows
         self.big_ramified = [
@@ -228,23 +284,14 @@ class _BlockSieve:
         ]
         # per small prime, on its first hit: (degree, the code weights of Q^e
         # for e = 1, 2, ..., and at an unramified Q, Art(Q)^(-e) for
-        # e = 1, 2, ... on the symbol cover, if there is one)
+        # e = 1, 2, ... on the symbol cover, if there is one), shared by all
+        # the primes of one degree, omega and symbol value
         self.hit_data: list[tuple | None] = [None] * len(self.small)
+        self.shared: dict[tuple, tuple] = {}
         # the type code (see the enumeration notes): the key of slot k and
         # the weight of each key met
         self.slots: list[tuple] = []
         self.weights: dict[tuple, int] = {}
-        self.places = None
-        if isinstance(self.symbol, KummerCover) and not self.symbol._nonlin_parts:
-            add, mul = F.add, F.mul
-            self.places = []
-            for a, table in self.symbol._lin_parts:
-                vals, power = [0], 1  # h(a) over the h of degree < t, by index
-                for _ in range(t):
-                    scaled = [mul(c, power) for c in range(q)]
-                    vals = [add(v, x) for x in scaled for v in vals]
-                    power = mul(power, a)
-                self.places.append((a, table, array("i", vals)))
 
     def _solve(self, fb: list[int], M: Coeffs, rows: list) -> Iterable[int] | None:
         """The local indices of the block's elements f_b + h that M divides,
@@ -278,15 +325,19 @@ class _BlockSieve:
         """The hit data of small prime qi (see `hit_data`)."""
         Q = self.small[qi]
         d = len(Q) - 1
-        exps = range(1, self.n // d + 1)
+        x = None  # Art(Q) on the symbol cover, where Q is unramified
         if Q in self.ramified or self.symbol is None:
-            w, inv = self.spec.coset_class(Q), None
+            w = self.spec.coset_class(Q)
         else:
+            x = self.arts[qi] if self.arts is not None else self.symbol.artin_symbol(Q)
             # an abelian cover's class is its symbol's value in the table
-            G, x = self.symbol.group, self.symbol.artin_symbol(Q)
             w = self.omegas[x] if self.spec.abelian else self.spec.coset_class(Q)
-            inv = [G.power(x, -e) for e in exps]
-        return d, [self._weight((d, e, w)) for e in exps], inv
+        data = self.shared.get((d, w, x))
+        if data is None:
+            exps = range(1, self.n // d + 1)
+            inv = None if x is None else [self.symbol.group.power(x, -e) for e in exps]
+            data = self.shared[d, w, x] = (d, [self._weight((d, e, w)) for e in exps], inv)
+        return data
 
     def _element(self, fb: list[int], i: int) -> Coeffs:
         """f_b + h, h the element of local index i."""
@@ -297,6 +348,27 @@ class _BlockSieve:
             if digit:
                 cs[k] = add(cs[k], digit)
         return tuple(cs)
+
+    def _unit_symbol(self, f: Coeffs, roots: dict[int, int], values: list[int]) -> int:
+        """The symbol of g = f / prod (T - b)^e over the ramified roots b of
+        f, of exponent e, on the Kummer symbol cover with linear places,
+        without dividing f; `values` holds f(a) at each place T - a, in the
+        cover's order.  At a place that is no root, g(a) = f(a) /
+        prod (a - b)^e; at a root b, g(b) is the e-th Taylor coefficient of f
+        at b over prod (b - b')^e' over the other roots b'."""
+        F, sym = self.F, self.symbol
+        sub, mul = F.sub, F.mul
+        k = (len(f) - 1 - sum(roots.values())) * sym._deg_dlog
+        for (a, table), v in zip(sym._lin_parts, values):
+            e = roots.get(a)
+            if e:
+                v = _taylor(F, f, a, e + 1)[e]
+            den = 1
+            for b, eb in roots.items():
+                if b != a:
+                    den = mul(den, F.pow(sub(a, b), eb))
+            k += table[F.div(v, den)]
+        return k % sym.d
 
     def tally(self, b: int, lo: int, hi: int, seed: int, counts: Counter) -> int:
         """Add the types of block b's local indices [lo, hi) to counts;
@@ -318,7 +390,8 @@ class _BlockSieve:
         # per element: a linked list of hits (prime index, exponent), newest first
         head = array("i", [-1]) * size
         hq, he, hnext = array("i"), array("i"), array("i")
-        # elements with a ramified factor: excluded, or divided on an abelian cover
+        # elements with a ramified factor: excluded, or on an abelian cover
+        # classified through their unit part or divided
         bad = bytearray(size) if self.ramified else None
         excludes = not self.spec.abelian
         small, ram = self.small, self.ramified
@@ -335,38 +408,55 @@ class _BlockSieve:
                 ] + cols[len(dcols):]
             return cols
 
-        for d, first, cols, divs, chains in self.degrees:
+        for d, first, cols, divs, chains, ramd in self.degrees:
             rem = of_block(divs, 1)
             if chains is None:
-                # d = s = t (t >= s >= d): Q divides exactly one element,
-                # f_b + h with h = -f_b mod Q, whose index is that residue's
-                # digits.  Then f_b + h = Q (f_b div Q), so Q^e divides it
-                # exactly when Q^(e-1) divides f_b div Q
-                idx = rem[-1]
-                for col in reversed(rem[:-1]):
-                    idx = [x * q + y for x, y in zip(idx, col)]
-                exps = [1] * len(idx)
+                # d >= t - 1: Q divides the q^(t - d) elements f_b + h,
+                # h = r + c Q, r = -f_b mod Q and c in F_q (d = t - 1) or
+                # c = 0 (d = t), and f_b + h = Q (c - u), u = -f_b div Q.
+                # So Q^2 divides the one with c = u mod Q, if that is a
+                # constant, and Q^e then exactly when Q^(e-2) divides u div Q
+                N = len(cols[0])
+                exps, csq = [1] * N, [0] * N  # Q's exponent at its c = u mod Q
                 if 2 * d <= n:
-                    quo = of_block(divs, 0)
+                    u = of_block(divs, 0)
                     for e in range(2, n // d + 1):
-                        quo, r = _divmod_columns(F, quo, cols)
-                        exps = [x + (x == e - 1 and not any(v)) for x, v in zip(exps, zip(*r))]
-                for i, j in enumerate(idx):
-                    qi = first + i
-                    if small[qi] in ram:
-                        bad[j] = 1
+                        u, r = _divmod_columns(F, u, cols)
+                        if e == 2 and d < t:
+                            csq, r = r[0], r[1:]
+                        live = [x == e - 1 for x in exps]
+                        for col in r:
+                            live = [x and not y for x, y in zip(live, col)]
+                        exps = [x + y for x, y in zip(exps, live)]
+                # the index of h per c, its digits column by column
+                per_c = []
+                for c in range(q if d < t else 1):
+                    idx = [c] * N
+                    times_c = [mul(c, z) for z in range(q)]
+                    for col, qcol in zip(reversed(rem), reversed(cols)):
+                        if c:
+                            col = [add(y, times_c[z]) for y, z in zip(col, qcol)]
+                        idx = [x * q + y for x, y in zip(idx, col)]
+                    per_c.append(idx)
+                for i, sols in enumerate(zip(*per_c)):
+                    if i in ramd:
+                        for j in sols:
+                            bad[j] = 1
                         if excludes:
                             continue
-                    hq.append(qi)
-                    he.append(exps[i])
-                    hnext.append(head[j])
-                    head[j] = len(hq) - 1
+                    pos = len(hq)
+                    hq.extend(array("i", [first + i]) * len(sols))
+                    he.extend(array("i", [1]) * len(sols))
+                    he[pos + csq[i]] = exps[i]
+                    for pos, j in enumerate(sols, pos):
+                        hnext.append(head[j])
+                        head[j] = pos
                 continue
             for i, chain in enumerate(chains):
                 qi = first + i
                 Q, rows = chain[0]
                 sols = _coset_indices(F, [col[i] for col in rem], d, rows)
-                if Q in ram:
+                if i in ramd:
                     sols = list(sols)
                     for j in sols:
                         bad[j] = 1
@@ -400,9 +490,18 @@ class _BlockSieve:
         # the largest cofactor that is one prime, read from its symbol
         prime = 2 * s + 1 if symbol is not None else 0
         hit_data = self.hit_data
+        # an element with a ramified factor is classified through its unit
+        # part where every ramified prime is a linear place and a small prime
+        units = self.places is not None and not self.big_ramified
         if self.places is not None:
-            art0 = n * symbol._deg_dlog
-            at = [(table, vals, peval(F, fb, a)) for a, table, vals in self.places]
+            # per place, f_b(a) and h(a) by index; Art(f) over [lo, hi),
+            # the place's table at f(a) = f_b(a) + h(a) read from one row
+            # by h(a) (0 where f(a) = 0: those elements are ramified)
+            at = [(peval(F, fb, a), vals) for a, _, vals in self.places]
+            arts = [n * symbol._deg_dlog] * (hi - lo)
+            for (_, table, _), (fa, vals) in zip(self.places, at):
+                row = [table[add(fa, v)] or 0 for v in range(q)]
+                arts = [x + row[v] for x, v in zip(arts, vals[lo:hi])]
         codes: dict[int, int] = {}
         excluded = 0
         for i in range(lo, hi):
@@ -426,17 +525,26 @@ class _BlockSieve:
                     g = gmul[g][inv[e - 1]]
                 j = hnext[j]
             w = None
-            if 0 < c <= prime and not ramified:
+            if 0 < c <= prime:
                 # a prime cofactor, prime to the ramified primes: its symbol
-                # is Art(f) * g
-                if self.places is not None:
-                    art = art0
-                    for table, vals, fa in at:
-                        art += table[add(fa, vals[i])]
-                    art %= order
-                else:
-                    art = symbol.artin_symbol(self._element(fb, i))
-                w = omegas[gmul[art][g]]
+                # is Art(f) * g, or, past ramified hits, Art(unit part) * g
+                if not ramified:
+                    if self.places is not None:
+                        art = arts[i - lo] % order
+                    else:
+                        art = symbol.artin_symbol(self._element(fb, i))
+                    w = omegas[gmul[art][g]]
+                elif units:
+                    roots = {}
+                    j = head[i]
+                    while j >= 0:
+                        Q = small[hq[j]]
+                        if Q in ram:
+                            roots[F.neg(Q[0])] = he[j]
+                        j = hnext[j]
+                    values = [add(fa, vals[i]) for fa, vals in at]
+                    art = self._unit_symbol(self._element(fb, i), roots, values)
+                    w = omegas[gmul[art][g]]
             if w is not None:
                 code += self._weight((c, 1, w))
             elif c:  # divided out and classified prime by prime

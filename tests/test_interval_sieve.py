@@ -17,6 +17,7 @@ import pytest
 from ffcheb import intervals
 from ffcheb.covers import (
     Cover,
+    KummerCover,
     SplittingCover,
     artin_schreier,
     kummer,
@@ -30,6 +31,9 @@ from ffcheb.intervals import IntervalSpec, _count_range
 from ffcheb.polys import Poly, RationalFn, parse_poly, pdeg, pgcd
 
 QUAD_D = "T^3-3*T^2+2*T"
+
+#: (p, k) of F_q by q
+FIELDS = {5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2), 27: (3, 3)}
 
 #: block bounds: 1 keeps t = s; 125 = 5^3 gives F_5, I(T^4 + ..., 3) five
 #: blocks of 125 (s = 2 < t = 3 < m + 1); the last is the default
@@ -123,8 +127,7 @@ def s3_splitting(ctx):
     ],
 )
 def test_quadratic_kummer(q, f0, m):
-    p, k = {5: (5, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2), 27: (3, 3)}[q]
-    check(kummer(make_field(p, k), 2, QUAD_D), f0, m)
+    check(kummer(make_field(*FIELDS[q]), 2, QUAD_D), f0, m)
 
 
 def test_quadratic_kummer_q49_m1():
@@ -142,17 +145,29 @@ def test_cubic_kummer():
 
 
 @pytest.mark.parametrize(
-    "p, d, D, f0, m",
+    "q, d, D, f0, m",
     [
         (5, 2, "2*T^3-6*T^2+4*T", "T^4+T^3", 2),  # a non-square unit
         (7, 3, "T^3-T^2", "T^4+T^3", 2),  # T^2: a linear place of multiplicity 2
         (5, 2, "T^3-T^2+2*T-2", "T^4+2*T^3", 2),  # (T^2 + 2)(T - 1): a nonlinear place
         # s = 1: ramified elements T - a times a prime quartic, or times two quadratics
         (5, 2, QUAD_D, "T^5+2*T^3+4*T", 0),
+        # elements with a ramified factor, classified through their unit part
+        # from Taylor coefficients at the places: T^3 (T^2 + T + 2) at h = 0,
+        # a ramified root of exponent 3 ...
+        (5, 2, QUAD_D, "T^5+T^4+2*T^3", 2),
+        # ... T^2 (T - 1)(T^2 + 2), two ramified roots in one element ...
+        (5, 2, QUAD_D, "T^5+4*T^4+2*T^3", 2),
+        # ... (T - 2)^2 (T - 3): d = 3 with a linear place of multiplicity 2 ...
+        (7, 3, "T^3+2*T+2", "T^5+3*T^3", 2),
+        # ... T^3 (T - 1): d = 4, a place of multiplicity 3 ...
+        (5, 4, "T^4-T^3", "T^5+2*T^4", 2),
+        # ... and d = 4 over an extension field
+        (9, 4, QUAD_D, "T^4+T", 2),
     ],
 )
-def test_kummer_places(p, d, D, f0, m):
-    check(kummer(make_field(p), d, D), f0, m)
+def test_kummer_places(q, d, D, f0, m):
+    check(kummer(make_field(*FIELDS[q]), d, D), f0, m)
 
 
 def test_kummer_ramified_prime_beyond_the_sieve():
@@ -260,6 +275,58 @@ def test_splitting_cofactors_by_sign(monkeypatch):
         _, excluded = check(cov, f0, m)
         elements = len(BOUNDS) * (cov.ctx.q ** (m + 1) - excluded)
         assert 0 < len(calls) < elements // 2, (cov.ctx.q, f0, len(calls), elements)
+
+
+def test_kummer_ramified_elements_are_not_divided(monkeypatch):
+    # an element with a ramified factor (T - b)^e is classified through its
+    # unit part f / prod (T - b)^e, whose values at the places are f's
+    # values and Taylor coefficients there over products of (a - b)^e: on
+    # F_25, I(T^4, 2), no element is divided, under every block layout
+    calls = counting_divisions(monkeypatch)
+    F25 = make_field(5, 2)
+    cov = kummer(F25, 2, QUAD_D)
+    I = IntervalSpec(parse_poly(F25, "T^4"), 2)
+    for bound in BOUNDS:
+        monkeypatch.setattr(intervals, "_POOL_FLOOR", bound)
+        _count_range(cov, I, 0, I.size(), 0)
+    assert calls == []
+
+
+def test_linear_places_take_no_symbol_one_polynomial_at_a_time(monkeypatch):
+    # on a Kummer cover whose places are all linear, a small prime's symbol
+    # is read from its coefficient columns, an element's from one row per
+    # place, and an element with a ramified factor from its unit part
+    F25 = make_field(5, 2)
+    cov = kummer(F25, 2, QUAD_D)
+    calls = []
+    artin_symbol = KummerCover.artin_symbol
+
+    def counted(self, f):
+        calls.append(f)
+        return artin_symbol(self, f)
+
+    monkeypatch.setattr(KummerCover, "artin_symbol", counted)
+    for f0, m in [("T^4+T", 1), ("T^4+T^3", 2)]:
+        I = IntervalSpec(parse_poly(F25, f0), m)
+        for bound in BOUNDS:
+            monkeypatch.setattr(intervals, "_POOL_FLOOR", bound)
+            _count_range(cov, I, 0, I.size(), 0)
+    assert calls == []
+
+
+def test_squares_of_primes_one_degree_below_the_block(monkeypatch):
+    # a prime of degree t - 1 divides the q elements f_b + r + c Q, c in F_q,
+    # and its square the one with c = (-f_b div Q) mod Q when that is a
+    # constant.  Bound 125 makes F_5, I(T^5 + T^4, 3) five blocks with
+    # t = 3, and (T^2 + 2)^2 (T + 1) lies in it
+    F5 = make_field(5)
+    cov = kummer(F5, 2, QUAD_D)
+    check(cov, "T^5+T^4", 3)
+    I = IntervalSpec(parse_poly(F5, "T^5+T^4"), 3)
+    monkeypatch.setattr(intervals, "_POOL_FLOOR", 125)
+    assert intervals._BlockSieve(cov, I).t == 3
+    counts, _ = _count_range(cov, I, 0, I.size(), 0)
+    assert any(key[:2] == (2, 2) for entries in counts for key, _ in entries)
 
 
 @pytest.mark.parametrize("kind", ["kummer", "artin_schreier"])

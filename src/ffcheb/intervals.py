@@ -6,11 +6,13 @@ q^t consecutive elements at a time, t as large as 2^14 elements allow: each
 block is sieved by the primes of degree at most s = min(n // 2, m + 1), and
 what is left of an element is one prime, or, when m + 1 < n // 2, a larger
 cofactor of at most c // (s + 1) primes, which polys._factor_rough mostly
-splits without factor_raw.  The sieve keeps its residues per degree, as
-columns over all the small primes of that degree, so a block updates them
-with one pass per digit; a small prime as long as the block divides exactly
-one element, and one a degree shorter q elements, all read off its residue
-column by column.  A prime cofactor's class is read, with no division, from
+splits without factor_raw.  The elements a prime power Q^e divides follow
+one rule: f_b + h with h = -f_b mod Q^e, a coset of q^(t - e deg Q)
+elements, or at most one when e deg Q > t.  The sieve keeps these residues
+per degree and exponent, as columns over all the small primes of that
+degree, so a block updates them with one pass per digit, and one listing
+(polys._coset_columns) gives every prime its elements.  A prime cofactor's
+class is read, with no division, from
 the Artin symbol of the cover's symbol cover (`Cover.symbol_cover`), Art(f)
 times Art(Q)^(-e) over the small prime powers found, through the cover's
 table of symbol values.  An abelian cover is its own symbol cover; a
@@ -40,7 +42,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
 
 from .covers import Cover, KummerCover, _taylor, dumps_cover, parse_cover
 from .errors import (
@@ -50,21 +52,18 @@ from .errors import (
     TooLarge,
 )
 from .factypes import ArithFnSpec, FactorizationType, evaluate
+from .ffield import Field
 from .polys import (
     ENUMERATION_LIMIT,
     Coeffs,
     Poly,
-    _coset_indices,
-    _coset_rows,
-    _divmod_columns,
+    _coset_columns,
     _factor_rough,
+    _neg_mod_columns,
     pdeg,
     pdiv,
     peval,
-    pmod,
-    pmul,
     parse_poly,
-    pneg,
     ppow,
     primes_of_degree,
 )
@@ -115,28 +114,21 @@ class IntervalSpec:
 #   block is I(f_b, t - 1): f_b + h with deg h < t, h read off the low t
 #   digits.  An interval of up to _POOL_FLOOR elements is one block.
 #
-# "Q^e divides f_b + h" is the affine condition h = -f_b mod Q^e, and
-# f_b is f0 plus the block number's digits at T^t .. T^m, so -f_b mod Q is
-# -(f0 mod Q) plus those digits times -(T^j mod Q).  The sieve keeps these
-# per degree d <= s as columns over all the primes of degree d (column k
-# holds coefficient k of every residue), each from one column-wise division
-# (polys._divmod_columns) in the constructor, and a block updates them with
-# one pass per digit.  Two kinds of prime then differ:
-#
-# - deg Q >= t - 1: the elements Q divides are f_b + h with h = r + c Q,
-#   r = -f_b mod Q, c in F_q when deg Q = t - 1 and c = 0 when deg Q = t
-#   (which a small prime reaches only when s = t).  Their indices are read
-#   off r, and off r + c Q for each c, column by column, and one transpose
-#   gives each prime its indices.  With u = -f_b div Q, f_b + h =
-#   Q (c - u), so Q^2 divides the one element with c = u mod Q, if that is
-#   a constant, and Q^e then exactly when Q^(e-2) divides u div Q: the
-#   quotients -(f0 div Q) and -(T^j div Q) come from the same divisions,
-#   and are divided by Q again, column by column, while e deg Q <= n.
-# - deg Q <= t - 2: the q^(t - deg Q) solutions form a coset, listed by
-#   polys._coset_indices as for the prime sieve, from coset rows built once
-#   per prime.  Q^e (e * deg Q <= n) is built, with its rows, only once
-#   Q^(e-1) has hit, and is solved from -f_b mod Q^e; a chain stops at the
-#   first power with no hit.
+# "Q^e divides f_b + h" is the affine condition h = -f_b mod Q^e, one rule
+# for every prime power: for D = e deg Q <= t the solutions are a coset of
+# q^(t - D) elements, and for D > t there is at most one, -f_b mod Q^e
+# itself when its digits from t up are 0 (polys._coset_columns).  f_b is f0
+# plus the block number's digits at T^t .. T^m, so -f_b mod Q^e is
+# -(f0 mod Q^e) plus those digits times -(T^j mod Q^e).  The sieve keeps
+# these per degree d <= s and exponent e (e d <= n) as columns over all the
+# primes of degree d (column k holds coefficient k of every residue), from
+# the columns of Q^e (_mul_columns) and one column-wise division each
+# (polys._neg_mod_columns) in the constructor, and a block updates them with
+# one pass per digit.  One listing per (degree, exponent) then gives every prime
+# its elements, and a prime's powers are written right after its own hits,
+# so that Q's entry is each element's newest when Q^e sets its exponent.
+# The ramified primes of degree s < D <= n, which only exclude or mark
+# elements, are listed the same way, one group per degree.
 #
 # The larger t, the fewer blocks, and the fewer times each residue is updated.
 #
@@ -200,6 +192,23 @@ class IntervalSpec:
 _POOL_FLOOR = 2**14
 
 
+def _mul_columns(F: Field, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Many products of monic polynomials at once, column by column, as the
+    sieve builds the powers Q^e: a[i] holds coefficient i of every first
+    factor and b[k] coefficient k of every second (all but the leading 1s);
+    the products come back the same way."""
+    add, mul = F.add, F.mul
+    da, db = len(a), len(b)
+    out = [[0] * len(a[0]) for _ in range(da + db)]
+    for i, x in enumerate(a):  # a times (b + T^db)
+        out[i + db] = [add(u, v) for u, v in zip(out[i + db], x)]
+        for k, y in enumerate(b):
+            out[i + k] = [add(u, mul(v, w)) for u, v, w in zip(out[i + k], x, y)]
+    for k, y in enumerate(b):  # T^da times b
+        out[k + da] = [add(u, v) for u, v in zip(out[k + da], y)]
+    return out
+
+
 class _BlockSieve:
     """Small-prime data of one interval, shared by the blocks of a range:
     primes of degree <= s, blocks of q^t elements."""
@@ -241,12 +250,12 @@ class _BlockSieve:
                     ]
                     power = mul(power, a)
                 self.places.append((a, table, array("i", vals)))
+        # what -f_b mod M is made of: -f0, and -T^j per block digit j
+        self.shifts = [self.base] + [(0,) * j + (1,) for j in range(t, I.m + 1)]
         # the small primes, by degree; per degree d, the index of its first
-        # prime, its primes as columns (all but the leading 1), the
-        # (quotient, remainder) columns of -f0 and of -T^j per block digit j
-        # divided by them, the positions of its ramified primes, and for
-        # d < t - 1, per prime, the chain [(Q, its coset rows), (Q^2, ...),
-        # ...] of the powers some block has reached
+        # prime, their number, the moduli (see _moduli) Q^e over its primes
+        # for e = 1, 2, ... with e d <= n, and the positions of its ramified
+        # primes
         self.small: list[Coeffs] = []
         self.degrees = []
         # per small prime, its symbol on the Kummer symbol cover with linear
@@ -257,13 +266,12 @@ class _BlockSieve:
         for d in range(1, s + 1):
             primes = primes_of_degree(F, d)
             cols = [list(c) for c in zip(*primes)][:d]
-            divs = [
-                _divmod_columns(F, [[c] * len(primes) for c in pneg(F, a)], cols)
-                for a in [self.base] + [(0,) * j + (1,) for j in range(t, I.m + 1)]
-            ]
-            chains = [[(Q, _coset_rows(F, Q, t - d))] for Q in primes] if d < t - 1 else None
+            powers = [cols]
+            while (len(powers) + 1) * d <= n:
+                powers.append(_mul_columns(F, powers[-1], cols))
             ram = frozenset(i for i, Q in enumerate(primes) if Q in self.ramified)
-            self.degrees.append((d, len(self.small), cols, divs, chains, ram))
+            moduli = [self._moduli(M) for M in powers]
+            self.degrees.append((len(self.small), len(primes), moduli, ram))
             self.small.extend(primes)
             if self.arts is not None:
                 arts = [d * self.symbol._deg_dlog] * len(primes)
@@ -275,12 +283,14 @@ class _BlockSieve:
                     # table[0] is None: Q = T - a, ramified, has no symbol
                     arts = [k + (table[x] or 0) for k, x in zip(arts, v)]
                 self.arts.extend(k % self.symbol.d for k in arts)
-        # ramified primes beyond the small ones that can still divide, with
-        # their coset rows
+        # the ramified primes beyond the small ones that can still divide, as
+        # moduli by degree
+        big: dict[int, list[Coeffs]] = {}
+        for P in self.ramified:
+            if s < pdeg(P) <= n:
+                big.setdefault(pdeg(P), []).append(P)
         self.big_ramified = [
-            (P, _coset_rows(F, P, max(t - pdeg(P), 0)))
-            for P in self.ramified
-            if s < pdeg(P) <= n
+            self._moduli([list(c) for c in zip(*Ps)][:D]) for D, Ps in sorted(big.items())
         ]
         # per small prime, on its first hit: (degree, the code weights of Q^e
         # for e = 1, 2, ..., and at an unramified Q, Art(Q)^(-e) for
@@ -293,13 +303,12 @@ class _BlockSieve:
         self.slots: list[tuple] = []
         self.weights: dict[tuple, int] = {}
 
-    def _solve(self, fb: list[int], M: Coeffs, rows: list) -> Iterable[int] | None:
-        """The local indices of the block's elements f_b + h that M divides,
-        the coset h = -f_b mod M; None when -f_b mod M has degree >= t."""
-        F, D = self.F, len(M) - 1
-        r = list(pneg(F, pmod(F, fb, M)))
-        r += [0] * (D - len(r))
-        return None if any(r[self.t:]) else _coset_indices(F, r, D, rows)
+    def _moduli(self, mods: list[list[int]]) -> tuple:
+        """Monic moduli M of one degree D, as columns (all but the leading
+        1), kept only where D < t lists cosets by them, with the columns of
+        -a mod M for each a of `shifts`."""
+        rems = [_neg_mod_columns(self.F, a, mods) for a in self.shifts]
+        return (mods if len(mods) < self.t else None), rems
 
     def _weight(self, key: tuple) -> int:
         """The weight of a (degree, exponent, omega) key in a type code: the
@@ -396,91 +405,46 @@ class _BlockSieve:
         excludes = not self.spec.abelian
         small, ram = self.small, self.ramified
 
-        def of_block(divs, part):
-            """The columns of -f_b div Q (part 0) or -f_b mod Q (part 1):
-            those of -f0 plus each block digit times those of its -T^j."""
-            cols = divs[0][part]
+        def listing(mods, rems):
+            """The local indices of the elements each modulus M divides, in
+            columns (polys._coset_columns), from -f_b mod M: the columns of
+            -f0 mod M plus each block digit times those of its -T^j mod M."""
+            cols = rems[0]
             for k, digit in digits:
-                dcols = divs[k + 1][part]
                 cols = [
                     [add(x, mul(digit, y)) for x, y in zip(col, dcol)]
-                    for col, dcol in zip(cols, dcols)
-                ] + cols[len(dcols):]
-            return cols
+                    for col, dcol in zip(cols, rems[k + 1])
+                ]
+            runs = _coset_columns(F, cols, mods, t)
+            if len(cols) > t:  # one column, None where M divides no element
+                return next(runs)
+            return array("i", chain.from_iterable(runs))
 
-        for d, first, cols, divs, chains, ramd in self.degrees:
-            rem = of_block(divs, 1)
-            if chains is None:
-                # d >= t - 1: Q divides the q^(t - d) elements f_b + h,
-                # h = r + c Q, r = -f_b mod Q and c in F_q (d = t - 1) or
-                # c = 0 (d = t), and f_b + h = Q (c - u), u = -f_b div Q.
-                # So Q^2 divides the one with c = u mod Q, if that is a
-                # constant, and Q^e then exactly when Q^(e-2) divides u div Q
-                N = len(cols[0])
-                exps, csq = [1] * N, [0] * N  # Q's exponent at its c = u mod Q
-                if 2 * d <= n:
-                    u = of_block(divs, 0)
-                    for e in range(2, n // d + 1):
-                        u, r = _divmod_columns(F, u, cols)
-                        if e == 2 and d < t:
-                            csq, r = r[0], r[1:]
-                        live = [x == e - 1 for x in exps]
-                        for col in r:
-                            live = [x and not y for x, y in zip(live, col)]
-                        exps = [x + y for x, y in zip(exps, live)]
-                # the index of h per c, its digits column by column
-                per_c = []
-                for c in range(q if d < t else 1):
-                    idx = [c] * N
-                    times_c = [mul(c, z) for z in range(q)]
-                    for col, qcol in zip(reversed(rem), reversed(cols)):
-                        if c:
-                            col = [add(y, times_c[z]) for y, z in zip(col, qcol)]
-                        idx = [x * q + y for x, y in zip(idx, col)]
-                    per_c.append(idx)
-                for i, sols in enumerate(zip(*per_c)):
-                    if i in ramd:
-                        for j in sols:
-                            bad[j] = 1
-                        if excludes:
-                            continue
-                    pos = len(hq)
-                    hq.extend(array("i", [first + i]) * len(sols))
-                    he.extend(array("i", [1]) * len(sols))
-                    he[pos + csq[i]] = exps[i]
-                    for pos, j in enumerate(sols, pos):
-                        hnext.append(head[j])
-                        head[j] = pos
-                continue
-            for i, chain in enumerate(chains):
-                qi = first + i
-                Q, rows = chain[0]
-                sols = _coset_indices(F, [col[i] for col in rem], d, rows)
+        for first, N, moduli, ramd in self.degrees:
+            hits, *powers = [listing(*M) for M in moduli]
+            for i in range(N):
+                sols = hits[i::N]
                 if i in ramd:
-                    sols = list(sols)
                     for j in sols:
                         bad[j] = 1
                     if excludes:
                         continue
-                for j in sols:
-                    hq.append(qi)
-                    he.append(1)
+                pos = len(hq)
+                hq.extend(array("i", [first + i]) * len(sols))
+                he.extend(array("i", [1]) * len(sols))
+                for pos, j in enumerate(sols, pos):
                     hnext.append(head[j])
-                    head[j] = len(hq) - 1
-                e = 1
-                while (e + 1) * d <= n:  # Q^e is built once Q^(e-1) has hit
-                    e += 1
-                    if len(chain) < e:
-                        Qe = pmul(F, chain[-1][0], Q)
-                        chain.append((Qe, _coset_rows(F, Qe, max(t - e * d, 0))))
-                    sols = self._solve(fb, *chain[e - 1])
-                    if sols is None:
-                        break
-                    for j in sols:  # Q's entry is the element's newest
-                        he[head[j]] = e
-        for P, rows in self.big_ramified:
-            for j in self._solve(fb, P, rows) or ():
-                bad[j] = 1
+                    head[j] = pos
+                # Q^e divides only elements Q^(e-1) divides, where Q's entry
+                # is, as yet, the newest
+                for e, sols in enumerate(powers, 2):
+                    for j in sols[i::N]:
+                        if j is not None:
+                            he[head[j]] = e
+        for M in self.big_ramified:
+            for j in listing(*M):
+                if j is not None:
+                    bad[j] = 1
 
         # classify each element from its hits and its cofactor
         symbol, omegas = self.symbol, self.omegas

@@ -632,14 +632,17 @@ def _coprime_monics(ctx: Field, n: int, primes: Iterable[Coeffs]) -> Iterator[Co
     """The monics of degree n that no prime in `primes` divides, in the order
     of `enumerate_monic_raw`.  The multiples of a prime Q of degree d <= n
     among them are the coset h = -T^n mod Q of I(T^n, n - 1), n - d digits
-    free, so each Q marks one coset."""
+    free, and the primes of one degree mark theirs together."""
     keep = bytearray(b"\x01") * ctx.q**n
-    tn = (0,) * n + (1,)
+    by_degree: dict[int, list[Coeffs]] = {}
     for Q in primes:
-        d = len(Q) - 1
-        r = pneg(ctx, pmod(ctx, tn, Q))
-        for i in _coset_indices(ctx, r, d, _coset_rows(ctx, Q, n - d)):
-            keep[i] = 0
+        by_degree.setdefault(len(Q) - 1, []).append(Q)
+    for d, Qs in by_degree.items():
+        mods = [list(c) for c in zip(*Qs)][:d]
+        r = _neg_mod_columns(ctx, (0,) * n + (1,), mods)  # -T^n mod Q
+        for run in _coset_columns(ctx, r, mods, n):
+            for i in run:
+                keep[i] = 0
     return itertools.compress(enumerate_monic_raw(ctx, n), keep)
 
 
@@ -653,12 +656,11 @@ def enumerate_monic_raw(F: Field, n: int) -> Iterator[Coeffs]:
 # ---------------------------------------------------------------------------
 # affine cosets
 #
-# A polynomial h of degree < s has the index sum h_j q^j over its digits h_j
-# (field encodings), lowest first, so the q^s of them are numbered 0..q^s-1.
-# For a monic Q of degree D and r reduced mod Q, the h = r mod Q of degree
-# < D + t are h = T^D u + l with deg u < t and l = r - (T^D u mod Q): every
-# u gives exactly one, and l is linear in u.  The interval sieve and the
-# prime sieve both mark such cosets.
+# A polynomial h of degree < t has the index sum h_j q^j over its digits h_j
+# (field encodings), lowest first, so the q^t of them are numbered 0..q^t-1.
+# "M divides f + h" is the affine condition h = r mod M, r = -f mod M.  The
+# interval sieve and the prime sieve mark such cosets, for all the moduli of
+# one degree at once (`_coset_columns`).
 
 
 def _index(cs, q: int) -> int:
@@ -669,74 +671,75 @@ def _index(cs, q: int) -> int:
     return i
 
 
-def _coset_rows(F: Field, Q: Coeffs, t: int) -> list[list[int]]:
-    """-(T^(D+j) mod Q) for j < t, D = deg Q: what digit j of u adds to l.
-    They depend only on Q and t, so a sieve that solves many cosets of one Q
-    builds them once."""
-    D = len(Q) - 1
-    rows = []
-    x = (0,) * (D - 1) + (1,)
-    for _ in range(t):
-        x = pmod(F, (0,) + x, Q)
-        rows.append(list(pneg(F, x)) + [0] * (D - len(x)))
-    return rows
+def _coset_columns(F: Field, r: list[list[int]], mods: list[list[int]], t: int) -> Iterator[list]:
+    """The indices of the h of degree < t with h = r_i mod M_i, for monic
+    moduli M_i of one degree D at once, column by column: r[k] holds
+    coefficient k of every r_i (k < D, each r_i reduced mod its M_i) and
+    mods[k] that of every M_i, which only D < t reads.  Each list yielded is
+    a run of columns laid end to end, column u holding every modulus's u-th
+    smallest solution; the runs ascend.
 
-
-def _coset_indices(F: Field, r: Sequence[int], D: int, rows: list[list[int]]) -> Iterable[int]:
-    """Ascending indices of the h = r + Q * k over all k with deg k < t, for a
-    monic Q of degree D, rows = _coset_rows(F, Q, t) and r reduced mod Q.
-
-    The low and the high halves of u are spanned apart, and each high part
-    is joined to every low part in turn, so memory stays near q^(t/2).  For
-    D = 1 an l is one digit, its own index, and a join is one addition."""
-    q, t = F.q, len(rows)
-    if not t:
-        return [_index(r, q)]
-    h = (t + 1) // 2
-    low = _span(F, D, list(r) + [0] * (D - len(r)), 0, rows[:h])
-    if h == t:
-        return [tl + _index(vl, q) for tl, vl in low]
-    high = _span(F, D, [0] * D, h, rows[h:])
-    add = F.add
-    if D == 1:
-        low = [(tl, a) for tl, (a,) in low]
-        return itertools.chain.from_iterable(
-            [th + tl + add(b, a) for tl, a in low] for th, (b,) in high
-        )
-    return itertools.chain.from_iterable(
-        [th + tl + _index([add(a, b) for a, b in zip(vh, vl)], q) for tl, vl in low]
-        for th, vh in high
-    )
-
-
-def _divmod_columns(F: Field, a: list[list[int]], cols: list[list[int]]) -> tuple[list, list]:
-    """Many divisions by monic polynomials of one degree d at once, column by
-    column: a[i] holds coefficient i of every dividend and cols[k]
-    coefficient k of every divisor (k < d); the quotients and the remainders
-    come back as columns too, the remainders padded to d columns."""
-    d = len(cols)
-    mul, sub = F.mul, F.sub
-    out = list(a) + [[0] * len(cols[0]) for _ in range(d - len(a))]
-    for i in range(len(a) - 1, d - 1, -1):
-        top = out[i]  # quotient coefficient i - d, since each divisor is monic
-        for k, col in enumerate(cols, i - d):
-            out[k] = [sub(x, mul(c, y)) for x, c, y in zip(out[k], top, col)]
-    return out[d:], out[:d]
-
-
-def _span(F: Field, D: int, l0: list[int], first: int, rows) -> list[tuple[int, list[int]]]:
-    """(index of T^D u, l0 + the l of u) over the u whose digits first,
-    first + 1, ... are free, one per row, and whose other digits are 0."""
-    q = F.q
+    For D <= t the solutions are h = T^D u + l over the u of degree < t - D,
+    so index(h) = q^D index(u) + index(l), with l = r_i - (T^D u mod M_i)
+    linear in u: digit j of u adds the row -(T^(D+j) mod M_i).  The l of the
+    low and of the high half of u's digits are spanned apart, and each high
+    part is joined to every low part in one run, so memory stays near
+    q^((t-D)/2) per modulus.  For D > t there is at most one, r_i itself: the
+    one column holds its index, or None where r_i has a nonzero digit from t
+    up (where the index is q^t or more)."""
+    q, D, N = F.q, len(r), len(r[0])
     add, mul = F.add, F.mul
-    tops, lows = [0], [l0]
-    step = q ** (D + first)
-    for row in rows:
-        scaled = [[mul(c, b) for b in row] for c in range(q)]
-        lows = [[add(a, b) for a, b in zip(v, sc)] for sc in scaled for v in lows]
-        tops = [c * step + top for c in range(q) for top in tops]
-        step *= q
-    return list(zip(tops, lows))
+    rows = [_neg_mod_columns(F, (0,) * (D + j) + (1,), mods) for j in range(t - D)]
+
+    def span(ls, part):
+        """l per u over the digits of u whose rows are `part`, u-major, then
+        modulus."""
+        for row in part:
+            cnt = len(ls[0]) // N  # the u spanned so far
+            ls = [
+                [add(x, y) for c in range(q) for x, y in zip(l, [mul(c, z) for z in rc] * cnt)]
+                for l, rc in zip(ls, row)
+            ]
+        return ls
+
+    h = (len(rows) + 1) // 2
+    w = q**h
+    low = span(r, rows[:h])
+    ulow = [u for u in range(w) for _ in range(N)]
+    if h == len(rows):
+        for l in reversed(low):
+            ulow = [x * q + y for x, y in zip(ulow, l)]
+        size = q**t
+        yield ulow if D <= t else [x if x < size else None for x in ulow]
+        return
+    high = span([[0] * N] * D, rows[h:])
+    for v in range(q ** (len(rows) - h)):
+        hv = [col[v * N:(v + 1) * N] * w for col in high]
+        off = v * w
+        idx = [(x + off) * q + add(a, b) for x, a, b in zip(ulow, low[-1], hv[-1])]
+        for l, hl in zip(low[-2::-1], hv[-2::-1]):
+            idx = [x * q + add(a, b) for x, a, b in zip(idx, l, hl)]
+        yield idx
+
+
+def _neg_mod_columns(F: Field, a: Coeffs, mods: list[list[int]]) -> list[list[int]]:
+    """-a mod M for a monic a and many monic moduli M of one degree d at
+    once, column by column: mods[k] holds coefficient k of every M (k < d),
+    and the remainders come back as d columns.  Where deg a >= d, the first
+    step adds M to -a, which cancels its top, with no multiplication."""
+    d, N = len(mods), len(mods[0])
+    mul, neg, sub = F.mul, F.neg, F.sub
+    out = [[neg(c)] * N for c in a[:-1]] + [[0] * N for _ in range(d + 1 - len(a))]
+    if len(a) <= d:
+        out[len(a) - 1] = [neg(1)] * N
+        return out
+    for k, col in enumerate(mods, len(a) - 1 - d):
+        out[k] = [sub(y, a[k]) for y in col] if a[k] else list(col)
+    for i in range(len(a) - 2, d - 1, -1):
+        top = out[i]  # quotient coefficient i - d, since each modulus is monic
+        for k, col in enumerate(mods, i - d):
+            out[k] = [sub(x, mul(c, y)) for x, c, y in zip(out[k], top, col)]
+    return out[:d]
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,9 @@ def s3_splitting(ctx):
         # -1 is no square in F_27, so the sign of disc decides the parity of
         # the cofactors of degree 6 and 7 (s = 2)
         (27, "T^7+T^2+1", 1),
-        # primes as long as the block (deg Q = s = t), whose higher powers are
-        # read from the quotient f_b div Q: h = 0 is (T^2 + 2)^3 ...
+        # primes as long as the block (deg Q = s = t), each dividing one
+        # element, and their powers Q^e of degree e deg Q > t, each dividing
+        # at most that one: h = 0 is (T^2 + 2)^3 ...
         (5, "T^6+T^4+2*T^2+3", 1),
         # ... and (T^2 + 2)^2 (T^2 + 3), two long primes in one element
         (5, "T^6+2*T^4+T^2+2", 1),
@@ -315,10 +316,11 @@ def test_linear_places_take_no_symbol_one_polynomial_at_a_time(monkeypatch):
 
 
 def test_squares_of_primes_one_degree_below_the_block(monkeypatch):
-    # a prime of degree t - 1 divides the q elements f_b + r + c Q, c in F_q,
-    # and its square the one with c = (-f_b div Q) mod Q when that is a
-    # constant.  Bound 125 makes F_5, I(T^5 + T^4, 3) five blocks with
-    # t = 3, and (T^2 + 2)^2 (T + 1) lies in it
+    # Q^e divides f_b + h exactly when h = -f_b mod Q^e: a prime of degree
+    # t - 1 divides q elements of a block, and its square, of degree
+    # 2t - 2 > t, at most one of them, the residue itself when its digits
+    # from t up are 0.  Bound 125 makes F_5, I(T^5 + T^4, 3) five blocks
+    # with t = 3, and (T^2 + 2)^2 (T + 1) lies in it
     F5 = make_field(5)
     cov = kummer(F5, 2, QUAD_D)
     check(cov, "T^5+T^4", 3)
@@ -326,6 +328,19 @@ def test_squares_of_primes_one_degree_below_the_block(monkeypatch):
     monkeypatch.setattr(intervals, "_POOL_FLOOR", 125)
     assert intervals._BlockSieve(cov, I).t == 3
     counts, _ = _count_range(cov, I, 0, I.size(), 0)
+    assert any(key[:2] == (2, 2) for entries in counts for key, _ in entries)
+
+
+def test_squares_of_quadratic_primes_with_free_digits():
+    # under the default bound F_5, I(T^6 + 2T^5 + 3T, 4) is one block with
+    # t = 5, so the square Q^2 of a prime of degree 2 has degree 4 < t and
+    # divides the q^(t - 4) elements of a coset, h = -f_b mod Q^2 with one
+    # free digit, each also in Q's coset of q^3
+    F5 = make_field(5)
+    cov = kummer(F5, 2, QUAD_D)
+    I = IntervalSpec(parse_poly(F5, "T^6+2*T^5+3*T"), 4)
+    assert intervals._BlockSieve(cov, I).t == 5
+    counts, _ = check(cov, "T^6+2*T^5+3*T", 4)
     assert any(key[:2] == (2, 2) for entries in counts for key, _ in entries)
 
 

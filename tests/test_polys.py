@@ -23,8 +23,7 @@ from ffcheb.polys import (
     Poly,
     RationalFn,
     _coprime_monics,
-    _coset_indices,
-    _coset_rows,
+    _coset_columns,
     _edf,
     _factor_rough,
     _frobenius,
@@ -202,26 +201,57 @@ def test_polynomial_powers():
         assert f**e == acc
 
 
+def moduli_of_degree(F, D, rng):
+    """A prime, a prime power and a composite of degree D; three linear
+    primes at D = 1."""
+    lin = rng.sample(primes_of_degree(F, 1), 3)
+    if D == 1:
+        return lin
+    a, b = lin[:2]
+    power = a
+    for _ in range(D - 1):
+        power = pmul(F, power, a)
+    other = b if D == 2 else rng.choice(primes_of_degree(F, D - 1))
+    return [rng.choice(primes_of_degree(F, D)), power, pmul(F, a, other)]
+
+
 @pytest.mark.parametrize("pk", [(5, 1), (3, 2), (2, 2), (2, 3)])
 def test_coset_indices_match_brute_force(pk):
-    # every class mod Q of the h of degree < D + t, listed by reducing each
-    # h, against the enumerator, which joins its spans by one addition at D = 1
+    # every class mod M of the h of degree < t, listed by reducing each h,
+    # against the column listing, which solves three moduli of one degree D
+    # together, each for its own residue: column u holds each modulus's u-th
+    # smallest solution.  For D <= t that is q^(t - D) columns (D = 1 joins
+    # the low and high spans by one addition); for D > t one column, holding
+    # the residue's index, or None where it has a digit at or above t
     F = make_field(*pk)
     q = F.q
     rng = random.Random(f"coset/{q}")
     for D in (1, 2, 3):
-        Q = tuple(rng.randrange(q) for _ in range(D)) + (1,)
-        for t in range(4):
-            if q ** (D + t) > 15_625:
-                continue  # F_8 and F_9 beyond D + t = 4
-            classes: dict = {}
-            for i in range(q ** (D + t)):
-                h = pnorm(tuple(i // q**j % q for j in range(D + t)))
-                classes.setdefault(pmod(F, h, Q), []).append(i)
-            assert len(classes) == q**D
-            rows = _coset_rows(F, Q, t)
-            for r, want in classes.items():
-                assert list(_coset_indices(F, r, D, rows)) == want, (q, Q, t, r)
+        mods = moduli_of_degree(F, D, rng)
+        N = len(mods)
+        cols = [list(c) for c in zip(*mods)][:D]
+        residues = [pnorm(tuple(i // q**j % q for j in range(D))) for i in range(q**D)]
+        for t in range(D + 4):
+            if q**t > 15_625:
+                continue  # F_8 and F_9 beyond t = 4
+            classes = []
+            for M in mods:
+                cl: dict = {}
+                for i in range(q**t):
+                    h = pnorm(tuple(i // q**j % q for j in range(t)))
+                    cl.setdefault(pmod(F, h, M), []).append(i)
+                assert len(cl) == q ** min(D, t)
+                classes.append(cl)
+            for c in range(q**D):
+                rs = [residues[(c + 5 * i) % q**D] for i in range(N)]
+                r = [[(x + (0,) * D)[k] for x in rs] for k in range(D)]
+                flat = [j for run in _coset_columns(F, r, cols, t) for j in run]
+                assert len(flat) == N * q ** max(t - D, 0)
+                for i, (cl, x) in enumerate(zip(classes, rs)):
+                    got = [j for j in flat[i::N] if j is not None]
+                    assert got == cl.get(x, []), (q, mods[i], t, x)
+                    if t < D:
+                        assert len(got) == (len(x) <= t), (q, mods[i], t, x)
 
 
 @pytest.mark.parametrize("pk", [(2, 2), (5, 1), (3, 2)], ids=["F4", "F5", "F9"])

@@ -127,6 +127,29 @@ INFINITY = "infinity"  # the infinite place, as a key of a character's conductor
 Place = Coeffs | str
 
 
+class PlaceSymbol:
+    """A cyclic Artin symbol read from Taylor coefficients at rational
+    places: for a monic f prime to the places it is
+
+        Art(f) = deg f * degree_term + sum of the places' terms  (mod order),
+
+    with the term table[a_0] at a place (a, table) of `values`, a_0 = f(a),
+    and sum_j tables[j][g_j] at a place (b, tables) of `poles`, g_j the
+    coefficient of (T - b)^j in f'/f.  Each table runs over F_q (a value
+    table is None at 0).  The symbol is `weight` times its value in the
+    encoded element of the cover's group (`GroupTable.encode_product`).  A
+    slotted class, not a frozen dataclass, whose generated methods would be
+    compiled at every import."""
+
+    __slots__ = ("order", "weight", "degree_term", "values", "poles")
+
+    def __init__(
+        self, order: int, weight: int, degree_term: int, values: tuple = (), poles: tuple = ()
+    ):
+        self.order, self.weight, self.degree_term = order, weight, degree_term
+        self.values, self.poles = values, poles
+
+
 class Cover:
     """Shared plumbing for all cover kinds."""
 
@@ -154,6 +177,12 @@ class Cover:
         where the symbol leaves the class open); (None, ()) when no symbol
         helps.  An abelian kind is its own symbol cover."""
         return self, self.group.class_to_omega
+
+    def place_symbols(self) -> tuple[PlaceSymbol, ...] | None:
+        """The Artin symbol, as one `PlaceSymbol` per cyclic component,
+        where Taylor coefficients at rational places give all of it, else
+        None."""
+        return None
 
     def _coset_raw(self, P: Coeffs) -> int:
         """The one coset path: the kind's `_ramified_omega` at a P in `_ram`
@@ -276,6 +305,9 @@ class TrivialCover(Cover):
     def artin_symbol(self, f: Coeffs) -> int:
         return 0
 
+    def place_symbols(self) -> tuple[PlaceSymbol, ...]:
+        return ()  # no component: every symbol is 0
+
     def tame_at_infinity(self) -> bool:
         return True
 
@@ -370,8 +402,9 @@ class KummerCover(Cover):
         multiplicative in f, so f need not be prime.  (f/Q)_d is the norm of
         f mod Q to the power (q-1)/d, and that norm is the resultant
         Res(Q, f) (Rosen, ch. 3), so its dlog is log Res(Q, f) mod d: a table
-        lookup of f(a) when Q = T - a (`_lin_parts`, which the interval sieve
-        reads too) and one resultant against the small fixed Q otherwise.
+        lookup of f(a) when Q = T - a (`_lin_parts`, which `place_symbols`
+        hands the interval sieve) and one resultant against the small fixed
+        Q otherwise.
         """
         if not f or f[-1] != 1:
             raise DomainError("the Artin symbol needs a monic polynomial")
@@ -391,6 +424,13 @@ class KummerCover(Cover):
                 raise RamifiedPrime(f"{Poly._raw(F, f)!r} shares a factor with D")
             k += m * log[r]
         return k % self.d
+
+    def place_symbols(self) -> tuple[PlaceSymbol, ...] | None:
+        """`artin_symbol`'s degree term and value tables, where D has only
+        linear factors."""
+        if self._nonlin_parts:
+            return None
+        return (PlaceSymbol(self.d, 1, self._deg_dlog, values=self._lin_parts),)
 
     def _ramified_omega(self, P: Coeffs) -> int:
         """The inertia coset at a part P of D, of multiplicity v."""
@@ -491,6 +531,21 @@ def _taylor(F: Field, f: Coeffs, b: int, count: int) -> list[int]:
     return acc
 
 
+def _log_derivative(F: Field, a: list[int], count: int) -> list[int]:
+    """The first `count` coefficients g_j of (T - b)^j in f'/f, from the
+    Taylor coefficients a_0 .. a_count of f at b, a_0 != 0: f' has
+    coefficient (j + 1) a_(j+1), and f g = f' gives g_j = ((j + 1) a_(j+1) -
+    sum_(i=1..j) a_i g_(j-i)) / a_0, with one inverse."""
+    mul, sub = F.mul, F.sub
+    inv, g = F.inv(a[0]), []
+    for j in range(count):
+        x = mul(F.scalar(j + 1), a[j + 1])
+        for i in range(1, j + 1):
+            x = sub(x, mul(a[i], g[j - i]))
+        g.append(mul(x, inv))
+    return g
+
+
 class ArtinSchreierCover(Cover):
     """y^p - y = D(T) in characteristic p; stores the reduced datum."""
 
@@ -560,7 +615,14 @@ class ArtinSchreierCover(Cover):
         term is c f'(b) / f(b), from one Horner pass.  At a rational pole b
         of order m > 1 it is sum_i c_i g_(i-1), with c_i the coefficient of
         (T - b)^(-i) in D and g_j those of (T - b)^j in f'/f, read from the
-        Taylor coefficients of f at b with one inverse, of f(b).
+        Taylor coefficients a_0 .. a_m of f at b with one inverse, of
+        a_0 = f(b) (`_log_derivative`).  So where D has a constant
+        polynomial part c_0 (s_0 = deg f) and only rational poles, the
+        symbol is deg f Tr(c_0) - sum_b Tr(sum_i c_i g_(i-1)), and needs only
+        f's first m + 1 Taylor coefficients at each pole b of order m:
+        `place_symbols` hands these terms to the interval sieve, which reads
+        those coefficients of its elements and small primes by columns and
+        calls this method on none of them.
         """
         if not f or f[-1] != 1:
             raise DomainError("the Artin symbol needs a monic polynomial")
@@ -582,14 +644,8 @@ class ArtinSchreierCover(Cover):
             a = _taylor(F, f, b, len(c) + 1)
             if not a[0]:
                 raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a pole of D")
-            inv, g = F.inv(a[0]), []
-            for j, cj in enumerate(c):
-                # f' has Taylor coefficient (j + 1) a_(j+1), and f g = f'
-                x = mul(F.scalar(j + 1), a[j + 1])
-                for i in range(1, j + 1):
-                    x = sub(x, mul(a[i], g[j - i]))
-                g.append(mul(x, inv))
-                t = sub(t, mul(cj, g[j]))
+            for cj, gj in zip(c, _log_derivative(F, a, len(c))):
+                t = sub(t, mul(cj, gj))
         if self._pole_parts:
             df = pderiv(F, f)
             for Pm, res in self._pole_parts:
@@ -601,6 +657,23 @@ class ArtinSchreierCover(Cover):
                 for hj, rj in zip(pmul(F, pmod(F, df, Pm), inv_f), res):
                     t = sub(t, mul(hj, rj))
         return F.trace(t)
+
+    def place_symbols(self) -> tuple[PlaceSymbol, ...] | None:
+        """`artin_symbol`'s terms, where D has a constant polynomial part c_0
+        and only rational poles: the degree term Tr(c_0) and, per pole b
+        with principal part sum_i c_i (T - b)^(-i), the tables of
+        u -> Tr(-c_i u)."""
+        if len(self._poly_part) > 1 or self._pole_parts:
+            return None
+        F = self.ctx
+        trace = [F.trace(x) for x in range(F.q)]
+        simple = [(b, [c]) for b, c in self._simple_poles]
+        poles = tuple(
+            (b, tuple([trace[F.mul(F.neg(c), u)] for u in range(F.q)] for c in cs))
+            for b, cs in simple + self._rational_poles
+        )
+        c0 = self._poly_part[0] if self._poly_part else 0
+        return (PlaceSymbol(F.p, 1, trace[c0], poles=poles),)
 
     def _ramified_omega(self, P: Coeffs) -> int:
         """Inertia is the whole group at a pole of D."""
@@ -688,6 +761,19 @@ class ProductCover(Cover):
     def artin_symbol(self, f: Coeffs) -> int:
         """The components' Artin symbols of f, as one product element."""
         return self.group.encode_product([c.artin_symbol(f) for c in self.components])
+
+    def place_symbols(self) -> tuple[PlaceSymbol, ...] | None:
+        """The components' place symbols, each weighted by its place in
+        `encode_product`, where every component has them."""
+        parts = [c.place_symbols() for c in self.components]
+        if any(p is None for p in parts):
+            return None
+        unit = [[int(j == i) for j in range(len(parts))] for i in range(len(parts))]
+        return tuple(
+            PlaceSymbol(sym.order, sym.weight * w, sym.degree_term, sym.values, sym.poles)
+            for w, syms in zip(map(self.group.encode_product, unit), parts)
+            for sym in syms
+        )
 
     def _character_conductor(self, a: int) -> dict[Place, int]:
         """At each place the largest of the components' exponents, exact

@@ -207,8 +207,10 @@ def check_class(group: GroupTable, c: int) -> None:
         raise NotAConjugacyClass(f"no conjugacy class with index {c}")
 
 
-def evaluate(fn: ArithFnSpec, lam: FactorizationType, group: GroupTable) -> Fraction:
-    """Value of a G-factorization arithmetic function on a type.
+def evaluate(fn: ArithFnSpec, lam: FactorizationType, group: GroupTable) -> int | Fraction:
+    """Value of a G-factorization arithmetic function on a type: an int for
+    1C, B, R, rpow and delta, a Fraction for a table, so that a mean sums
+    integers and makes one Fraction at the end.
 
     The group supplies the (e, f, g) catalog that B/R read their inertia
     degrees from; lam's omega indices must come from the same catalog.
@@ -217,25 +219,24 @@ def evaluate(fn: ArithFnSpec, lam: FactorizationType, group: GroupTable) -> Frac
         check_class(group, fn.class_index)
         w_c = group.class_to_omega[fn.class_index]
         if len(lam.entries) != 1:
-            return Fraction(0)
+            return 0
         (d, e, w), c = lam.entries[0]
-        ok = e == 1 and c == 1 and w == w_c and d == lam.degree()
-        return Fraction(1 if ok else 0)
+        return int(e == 1 and c == 1 and w == w_c and d == lam.degree())
     if isinstance(fn, (B, R, RPower)):
         s = 0 if isinstance(fn, B) else 1 if isinstance(fn, R) else fn.s
-        val = Fraction(1)
+        val = 1
         for (d, a, w), cnt in lam.entries:
             oc = group.omega[w]
             if a % oc.f != 0:
-                return Fraction(0)
+                return 0
             if s:
-                val *= Fraction(math.comb(a // oc.f + oc.g - 1, oc.g - 1)) ** (s * cnt)
+                val *= math.comb(a // oc.f + oc.g - 1, oc.g - 1) ** (s * cnt)
         return val
     if isinstance(fn, Delta):
         for (_, _, w), _ in fn.lam.entries:
             if w >= len(group.omega):
                 raise DomainError(f"no coset class with index {w}")
-        return Fraction(1 if lam == fn.lam else 0)
+        return int(lam == fn.lam)
     if isinstance(fn, TableFn):
         for key, v in fn.mapping:
             if key == lam:

@@ -12,26 +12,28 @@ elements, or at most one when e deg Q > t.  The sieve keeps these residues
 per degree and exponent, as columns over all the small primes of that
 degree, so a block updates them with one pass per digit, and one listing
 (polys._coset_columns) gives every prime its elements.  A prime cofactor's
-class is read, with no division, from
-the Artin symbol of the cover's symbol cover (`Cover.symbol_cover`), Art(f)
-times Art(Q)^(-e) over the small prime powers found, through the cover's
-table of symbol values.  An abelian cover is its own symbol cover; a
-splitting cover's (p odd) is the quadratic symbol of disc_Y(F), the sign of
-Frobenius, and its table gives the cycle type where the sign leaves one: any
-prime of a quadratic cover, and an odd prime of a cubic.  On a Kummer symbol
-cover whose places are all linear, every symbol is read from values at the
-places: a small prime's from its coefficient columns, an element's from one
-row per place and block, and that of an element with a ramified factor from
-its unit part f / prod (T - b)^e, whose values are f's values and Taylor
-coefficients at the places.  Only where the table does not give it is the
-cofactor divided out and classified on its own: at the other primes of
-splitting covers, at elements with a ramified factor on the other abelian
-covers, and for the larger cofactors.  An element's factorization type is
-summed as one integer code, a digit in base n + 1 per (degree, exponent,
-Frobenius) key, and each block decodes its distinct codes into sorted types
-once.  Per-block tallies of factorization types merge associatively, so the
-result is independent of the chunking and safe to compute in parallel.  One
-pass per interval is shared by every function evaluated on it.
+class is read, with no division, from the Artin symbol of the cover's symbol
+cover (`Cover.symbol_cover`), Art(f) times Art(Q)^(-e) over the small prime
+powers found, through the cover's table of symbol values.  An abelian cover
+is its own symbol cover; a splitting cover's (p odd) is the quadratic symbol
+of disc_Y(F), the sign of Frobenius, and its table gives the cycle type where
+the sign leaves one: any prime of a quadratic cover, and an odd prime of a
+cubic.  Where the symbol cover's symbol is a sum of terms read from Taylor
+coefficients at rational places (`Cover.place_symbols`: Kummer covers whose
+places are linear, Artin-Schreier covers with a constant polynomial part and
+rational poles, and their products), every symbol is read there: a small
+prime's from its coefficient columns, an element's from rows per place and
+block, and that of an element with a ramified factor from its unit part
+f / prod (T - b)^e, whose Taylor coefficients are f's.  Only where the
+table does not give it is the cofactor divided out and classified on its
+own: at the other primes of splitting covers, at elements with a ramified
+factor on the other abelian covers, and for the larger cofactors.  An
+element's factorization type is summed as one integer code, a digit in base
+n + 1 per (degree, exponent, Frobenius) key, and each block decodes its
+distinct codes into sorted types once.  Per-block tallies of factorization
+types merge associatively, so the result is independent of the chunking and
+safe to compute in parallel.  One pass per interval is shared by every
+function evaluated on it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .covers import Cover, KummerCover, _taylor, dumps_cover, parse_cover
+from .covers import Cover, _log_derivative, _taylor, dumps_cover, parse_cover
 from .errors import (
     ContextMismatch,
     DomainError,
@@ -62,7 +64,7 @@ from .polys import (
     _neg_mod_columns,
     pdeg,
     pdiv,
-    peval,
+    pdivmod,
     parse_poly,
     ppow,
     primes_of_degree,
@@ -120,13 +122,16 @@ class IntervalSpec:
 # itself when its digits from t up are 0 (polys._coset_columns).  f_b is f0
 # plus the block number's digits at T^t .. T^m, so -f_b mod Q^e is
 # -(f0 mod Q^e) plus those digits times -(T^j mod Q^e).  The sieve keeps
-# these per degree d <= s and exponent e (e d <= n) as columns over all the
-# primes of degree d (column k holds coefficient k of every residue), from
-# the columns of Q^e (_mul_columns) and one column-wise division each
+# these per degree d <= s and exponent e as columns over all the primes of
+# degree d (column k holds coefficient k of every residue), from the columns
+# of Q^e (_mul_columns) and one column-wise division each
 # (polys._neg_mod_columns) in the constructor, and a block updates them with
-# one pass per digit.  One listing per (degree, exponent) then gives every prime
-# its elements, and a prime's powers are written right after its own hits,
-# so that Q's entry is each element's newest when Q^e sets its exponent.
+# one pass per digit.  One listing per (degree, exponent) then gives every
+# prime its elements, and a prime's powers are written right after its own
+# hits, so that Q's entry is each element's newest when Q^e sets its
+# exponent.  The columns run up to the first e with e d > t, and never past
+# e d = n: a Q^e of degree > t divides at most one element of a block, so
+# Q^(e+1), ... can divide only that one, and are tested on it by division.
 # The ramified primes of degree s < D <= n, which only exclude or mark
 # elements, are listed the same way, one group per degree.
 #
@@ -144,16 +149,30 @@ class IntervalSpec:
 # has its sign character, the Kummer cover y^2 = disc_Y(F)
 # (covers.SplittingCover._sign_character): the hits' signs add up in Z/2,
 # and the table gives the cycle type where the sign leaves one (k = 2, or
-# k = 3 and odd).  A symbol cover that is a Kummer cover whose places are
-# all linear reads every symbol from values at its places T - a (Kummer
-# reciprocity, with Res(T - a, f) = f(a); see KummerCover.artin_symbol):
-# a small prime's from one column Horner pass per place over its columns,
-# then table[Q(a)]; an element's Art(f) from per-interval tables of h(a) over
-# deg h < t, through one row per place and block, table[f_b(a) + v] by v in
-# F_q; and at an element with a ramified factor, where Art(f) is undefined,
-# the symbol of its unit part g = f / prod (T - b)^e over the ramified roots
-# b found, with g(a) = f(a) / prod (a - b)^e at the other places and g(b) the
-# e-th Taylor coefficient of f at b (covers._taylor) over prod (b - b')^e'.
+# k = 3 and odd).
+#
+# A symbol cover whose symbol is a sum of terms at rational places
+# (Cover.place_symbols, covers.PlaceSymbol) has every symbol read from
+# Taylor coefficients a_k of f at those places, with no artin_symbol call:
+# a Kummer cover whose places T - a are all linear takes table[f(a)] per
+# place (reciprocity, Res(T - a, f) = f(a); see KummerCover.artin_symbol),
+# and an Artin-Schreier cover with a constant polynomial part c_0 and only
+# rational poles takes deg f Tr(c_0) and, at a pole b with principal part
+# sum_i c_i (T - b)^(-i), sum_i Tr(-c_i g_(i-1)), g_j the coefficients of
+# f'/f at b, so g_0 = a_1 / a_0 at a simple pole (the residue theorem; see
+# ArtinSchreierCover.artin_symbol); a product adds its components' terms,
+# each weighted by its place in the encoded element.  A small prime's a_k
+# come from one column Horner pass per place over its columns, with one
+# accumulator per coefficient; an element's, f_b's plus h's, from
+# per-interval tables of a_k(h) over deg h < t, read through rows per place
+# and block by the values of a_k(h), and at a simple pole by their logs.  At
+# an element with a ramified factor, where Art(f) is undefined, the sieve
+# reads the symbol of its unit part g = f / prod (T - b)^e over the ramified
+# roots b found: at a root b, f / (T - b)^e has f's Taylor coefficients from
+# index e on (covers._taylor); at every place the other roots b' multiply
+# the coefficients by the series of prod (T - b')^(-e') there, one per
+# pattern of roots, and the block's unit parts are read like its elements,
+# one pass per degree.
 # The other symbol covers call artin_symbol on the whole element.  The
 # cofactor is divided out and classified on its own only where none of this
 # holds: where the table says None, on elements with a ramified factor on
@@ -190,6 +209,18 @@ class IntervalSpec:
 #: alternated pairs, 2 vCPUs, tables in CHANGES.md.  The costlier kinds gain
 #: more per element, so the floor is on the safe side for them.
 _POOL_FLOOR = 2**14
+
+
+def _series_mul(F: Field, a: list[int], b: list[int]) -> list[int]:
+    """The first len(a) coefficients of the product of power series a and b."""
+    add, mul = F.add, F.mul
+    out = []
+    for j in range(len(a)):
+        x = mul(a[0], b[j])
+        for i in range(1, j + 1):
+            x = add(x, mul(a[i], b[j - i]))
+        out.append(x)
+    return out
 
 
 def _mul_columns(F: Field, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -230,59 +261,70 @@ class _BlockSieve:
         self.symbol, self.omegas = spec.symbol_cover()
         self.ramified = spec._ram
         add, mul = F.add, F.mul
-        # a symbol cover that is a Kummer cover whose places are all linear:
-        # per place T - a, a, its table of f(a) (see KummerCover) and h(a)
-        # over the h of degree < t, by index
-        self.places = None
-        if isinstance(self.symbol, KummerCover) and not self.symbol._nonlin_parts:
-            self.places = []
-            for a, table in self.symbol._lin_parts:
-                # h(a) = h for deg h < 1; digit k adds c a^k, by one row of
-                # additions per c
-                vals, power = list(range(q)) if t else [0], a
-                for _ in range(1, t):
-                    scaled = [mul(c, power) for c in range(q)]
-                    vals = [
-                        row[v]
-                        for y in scaled
-                        for row in [[add(x, y) for x in range(q)]]
-                        for v in vals
-                    ]
-                    power = mul(power, a)
-                self.places.append((a, table, array("i", vals)))
+        # where the symbol cover's symbols are read from Taylor coefficients
+        # at rational places (covers.PlaceSymbol): per place b, the most
+        # coefficients past a_0 a term there reads, and per coefficient k up
+        # to that, the table of a_k(h) at b over the h of degree < t, by index
+        self.places = self.symbol.place_symbols() if self.symbol is not None else None
+        self.depth: dict[int, int] = {}
+        for sym in self.places or ():
+            for b, _ in sym.values:
+                self.depth.setdefault(b, 0)
+            for b, tables in sym.poles:
+                self.depth[b] = max(self.depth.get(b, 0), len(tables))
+        # x + y by [y][x], for the tables' digits past the first
+        adds = None
+        if self.depth and t > 1:
+            adds = [[add(x, y) for x in range(q)] for y in range(q)]
+        self.h_taylor = {
+            b: [self._h_taylor(b, k, adds) for k in range(r + 1)] for b, r in self.depth.items()
+        }
+        # per pattern of ramified roots an element has, `_unit_series`
+        self.unit_series: dict[tuple, dict] = {}
+        # per component and simple pole, its table read through F_q's exp
+        # table, u -> table[exp[u]], with 0 from index 2q - 1 on, so that a
+        # sum of two logs that has 2q - 1, the log the rows give 0, reads 0
+        exp = F._exp + [0] * (2 * q)
+        self.exp_tables = [
+            [[ts[0][x] for x in exp] if len(ts) == 1 else None for _, ts in sym.poles]
+            for sym in self.places or ()
+        ]
         # what -f_b mod M is made of: -f0, and -T^j per block digit j
         self.shifts = [self.base] + [(0,) * j + (1,) for j in range(t, I.m + 1)]
         # the small primes, by degree; per degree d, the index of its first
         # prime, their number, the moduli (see _moduli) Q^e over its primes
-        # for e = 1, 2, ... with e d <= n, and the positions of its ramified
-        # primes
+        # for e = 1, 2, ... while (e - 1) d <= t, the positions of its
+        # ramified primes, and whether Q^e with e d <= n is left past them:
+        # the last has degree > t, so it divides at most one element, on
+        # which the higher powers are tested
         self.small: list[Coeffs] = []
         self.degrees = []
-        # per small prime, its symbol on the Kummer symbol cover with linear
-        # places, read by reciprocity from its columns: d times the degree
-        # term plus table[Q(a)] per place (a column Horner pass each); None
-        # when the symbol cover is another, or there is none
+        # per small prime, its encoded symbol on the symbol cover, read from
+        # its Taylor coefficients at the places: one column Horner pass per
+        # place, with one accumulator per coefficient; None without places
         self.arts: list[int] | None = [] if self.places is not None else None
         for d in range(1, s + 1):
             primes = primes_of_degree(F, d)
             cols = [list(c) for c in zip(*primes)][:d]
             powers = [cols]
-            while (len(powers) + 1) * d <= n:
+            while (len(powers) + 1) * d <= n and len(powers) * d <= t:
                 powers.append(_mul_columns(F, powers[-1], cols))
             ram = frozenset(i for i, Q in enumerate(primes) if Q in self.ramified)
             moduli = [self._moduli(M) for M in powers]
-            self.degrees.append((len(self.small), len(primes), moduli, ram))
+            beyond = (len(powers) + 1) * d <= n
+            self.degrees.append((len(self.small), len(primes), moduli, ram, beyond))
             self.small.extend(primes)
             if self.arts is not None:
-                arts = [d * self.symbol._deg_dlog] * len(primes)
-                for a, table in self.symbol._lin_parts:
-                    times_a = [mul(x, a) for x in range(q)]
-                    v = [1] * len(primes)
+                at = {}
+                for b, r in self.depth.items():
+                    times_b = [mul(x, b) for x in range(q)]
+                    acc = [[1] * len(primes)] + [[0] * len(primes) for _ in range(r)]
                     for col in reversed(cols):
-                        v = [add(times_a[x], y) for x, y in zip(v, col)]
-                    # table[0] is None: Q = T - a, ramified, has no symbol
-                    arts = [k + (table[x] or 0) for k, x in zip(arts, v)]
-                self.arts.extend(k % self.symbol.d for k in arts)
+                        for k in range(r, 0, -1):
+                            acc[k] = [add(times_b[x], y) for x, y in zip(acc[k], acc[k - 1])]
+                        acc[0] = [add(times_b[x], y) for x, y in zip(acc[0], col)]
+                    at[b] = [(0, a) for a in acc]
+                self.arts.extend(self._symbols(at, len(primes), d))
         # the ramified primes beyond the small ones that can still divide, as
         # moduli by degree
         big: dict[int, list[Coeffs]] = {}
@@ -358,26 +400,135 @@ class _BlockSieve:
                 cs[k] = add(cs[k], digit)
         return tuple(cs)
 
-    def _unit_symbol(self, f: Coeffs, roots: dict[int, int], values: list[int]) -> int:
-        """The symbol of g = f / prod (T - b)^e over the ramified roots b of
-        f, of exponent e, on the Kummer symbol cover with linear places,
-        without dividing f; `values` holds f(a) at each place T - a, in the
-        cover's order.  At a place that is no root, g(a) = f(a) /
-        prod (a - b)^e; at a root b, g(b) is the e-th Taylor coefficient of f
-        at b over prod (b - b')^e' over the other roots b'."""
-        F, sym = self.F, self.symbol
-        sub, mul = F.sub, F.mul
-        k = (len(f) - 1 - sum(roots.values())) * sym._deg_dlog
-        for (a, table), v in zip(sym._lin_parts, values):
-            e = roots.get(a)
-            if e:
-                v = _taylor(F, f, a, e + 1)[e]
-            den = 1
-            for b, eb in roots.items():
-                if b != a:
-                    den = mul(den, F.pow(sub(a, b), eb))
-            k += table[F.div(v, den)]
-        return k % sym.d
+    def _h_taylor(self, b: int, k: int, adds: list | None) -> array:
+        """a_k(h) at b, the coefficient of (T - b)^k in h, for every h of
+        degree < t, by index: digit j adds c binom(j, k) b^(j - k), through
+        the row of additions of each c binom(j, k) b^(j - k) (`adds`)."""
+        F, q = self.F, self.F.q
+        mul = F.mul
+        vals = [0]
+        for j in range(self.t):
+            w = mul(F.scalar(math.comb(j, k)), F.pow(b, j - k)) if j >= k else 0
+            scaled = [mul(c, w) for c in range(q)]
+            if j == 0:
+                vals = scaled
+                continue
+            vals = [row[v] for y in scaled for row in [adds[y]] for v in vals]
+        return array("i", vals)
+
+    def _symbols(self, at: dict, count: int, deg: int) -> list[int]:
+        """The encoded symbols, on the symbol cover, of `count` monics of
+        degree deg prime to its places, from their Taylor coefficients
+        there: at[b][k] = (A, H) where coefficient k at place b of monic i
+        is A + H[i].  Each table is read through one row over F_q by the
+        values of H.  At a simple pole g_0 = a_1 / a_0 is one lookup in
+        `exp` by the logs of a_1 and 1 / a_0; a pole of order m > 1 reads
+        g_0 .. g_(m-1) monic by monic (covers._log_derivative)."""
+        F = self.F
+        q, add, log = F.q, F.add, F._log
+        zero = 2 * q - 1  # the log the rows give 0 (see exp_tables)
+
+        def row(fn, A):
+            return [fn(add(A, v)) for v in range(q)]
+
+        codes = None
+        for sym, exp_tables in zip(self.places, self.exp_tables):
+            # the symbol mod order is the degree term plus lookup[key] over
+            # the (lookup, keys) terms, key the monic's
+            terms = []
+            for a, table in sym.values:
+                A, H = at[a][0]
+                # table[0] is None: a ramified element, whose symbol is read
+                # from its unit part
+                terms.append((row(lambda v: table[v] or 0, A), H))
+            for (b, tables), texp in zip(sym.poles, exp_tables):
+                m = len(tables)
+                if m == 1:
+                    (A0, H0), (A1, H1) = at[b][:2]
+                    inv = row(lambda v: q - 1 - log[v] if v else zero, A0)
+                    l1 = row(lambda v: log[v] if v else zero, A1)
+                    terms.append((texp, [l1[u] + inv[v] for u, v in zip(H1, H0)]))
+                else:
+                    cols = []
+                    for A, H in at[b][: m + 1]:
+                        vals = row(lambda v: v, A)
+                        cols.append([vals[v] for v in H])
+                    # a monic with a_0 = 0 is ramified, read from its unit part
+                    g = [_log_derivative(F, a, m) if a[0] else (0,) * m for a in zip(*cols)]
+                    terms.extend(zip(tables, zip(*g)))
+            # the last term's pass also reduces, and adds to the other
+            # components' codes
+            last, keys = terms.pop() if terms else ((0,), bytes(count))
+            arts = [deg * sym.degree_term] * count
+            for lookup, ks in terms:
+                arts = [x + lookup[k] for x, k in zip(arts, ks)]
+            order, weight = sym.order, sym.weight
+            if codes is None:
+                codes = [(x + last[k]) % order * weight for x, k in zip(arts, keys)]
+            else:
+                codes = [
+                    c + (x + last[k]) % order * weight for c, x, k in zip(codes, arts, keys)
+                ]
+        return [0] * count if codes is None else codes
+
+    def _unit_symbols(self, fb: list[int], at: dict, lo: int, found: list) -> list[int]:
+        """The encoded symbols, on the symbol cover with place symbols, of
+        the unit parts g = f / prod (T - b)^e of the elements (i, roots, ...)
+        of `found`, in order, over their ramified roots b of exponent e,
+        without dividing f.  At a root b, f / (T - b)^e has f's Taylor
+        coefficients from index e on (covers._taylor); at another place,
+        f's (A + H[i - lo] of at, as in `_symbols`).  g's are those times
+        the series of prod (T - b')^(-e') over the other roots b'
+        (`_unit_series`), and `_symbols` reads them, one call per degree of
+        g."""
+        F = self.F
+        add, mul = F.add, F.mul
+        # per degree of g: the positions of its elements in found, and per
+        # place their coefficients
+        groups: dict[int, tuple] = {}
+        for pos, (i, roots, *_) in enumerate(found):
+            key = tuple(roots.items())
+            series = self.unit_series.get(key)
+            if series is None:
+                series = self.unit_series[key] = self._unit_series(roots)
+            f = self._element(fb, i)
+            deg = len(f) - 1 - sum(roots.values())
+            group = groups.get(deg)
+            if group is None:
+                group = groups[deg] = ([], {b: [] for b in self.depth})
+            group[0].append(pos)
+            for b, r in self.depth.items():
+                e = roots.get(b)
+                if e:
+                    a = _taylor(F, f, b, e + r + 1)[e:]
+                else:
+                    a = [add(A, H[i - lo]) for A, H in at[b]]
+                # where only the value is read, one product
+                s = series[b]
+                group[1][b].append(_series_mul(F, a, s) if r else [mul(a[0], s[0])])
+        out = [0] * len(found)
+        for deg, (positions, coeffs) in groups.items():
+            rows = {b: [(0, H) for H in zip(*cs)] for b, cs in coeffs.items()}
+            for pos, art in zip(positions, self._symbols(rows, len(positions), deg)):
+                out[pos] = art
+        return out
+
+    def _unit_series(self, roots: dict[int, int]) -> dict:
+        """Per place b, the Taylor coefficients there, as far as `depth`
+        reads, of prod (T - b')^(-e') over the ramified roots b' != b, of
+        exponent e', from 1 / (T - b') = -sum_j (T - b)^j / (b' - b)^(j + 1)."""
+        F = self.F
+        out = {}
+        for b, r in self.depth.items():
+            series = [1] + [0] * r
+            for b2, e2 in roots.items():
+                if b2 != b:
+                    c = F.inv(F.sub(b2, b))
+                    inv = [F.neg(F.pow(c, j + 1)) for j in range(r + 1)]
+                    for _ in range(e2):
+                        series = _series_mul(F, series, inv)
+            out[b] = series
+        return out
 
     def tally(self, b: int, lo: int, hi: int, seed: int, counts: Counter) -> int:
         """Add the types of block b's local indices [lo, hi) to counts;
@@ -420,8 +571,9 @@ class _BlockSieve:
                 return next(runs)
             return array("i", chain.from_iterable(runs))
 
-        for first, N, moduli, ramd in self.degrees:
+        for first, N, moduli, ramd, beyond in self.degrees:
             hits, *powers = [listing(*M) for M in moduli]
+            top = len(moduli)
             for i in range(N):
                 sols = hits[i::N]
                 if i in ramd:
@@ -441,6 +593,19 @@ class _BlockSieve:
                     for j in sols[i::N]:
                         if j is not None:
                             he[head[j]] = e
+                if beyond:
+                    # Q^top, of degree > t, divides this one element at
+                    # most: Q^(top + 1), ... are tested on it
+                    for j in powers[-1][i::N]:
+                        if j is not None:
+                            Q, e = small[first + i], top
+                            f = pdiv(F, self._element(fb, j), ppow(F, Q, e))
+                            while True:
+                                f, r = pdivmod(F, f, Q)
+                                if r:
+                                    break
+                                e += 1
+                            he[head[j]] = e
         for M in self.big_ramified:
             for j in listing(*M):
                 if j is not None:
@@ -450,22 +615,23 @@ class _BlockSieve:
         symbol, omegas = self.symbol, self.omegas
         coset = self.spec.coset_class
         if symbol is not None:
-            order, gmul = symbol.group.n, symbol.group.table
+            gmul = symbol.group.table
         # the largest cofactor that is one prime, read from its symbol
         prime = 2 * s + 1 if symbol is not None else 0
         hit_data = self.hit_data
-        # an element with a ramified factor is classified through its unit
-        # part where every ramified prime is a linear place and a small prime
+        # where every ramified prime is a place and a small prime, an element
+        # with a ramified factor and a prime cofactor is read through its unit
+        # part, once the block's are known: (element, roots, code, c, g)
         units = self.places is not None and not self.big_ramified
+        pending = []
         if self.places is not None:
-            # per place, f_b(a) and h(a) by index; Art(f) over [lo, hi),
-            # the place's table at f(a) = f_b(a) + h(a) read from one row
-            # by h(a) (0 where f(a) = 0: those elements are ramified)
-            at = [(peval(F, fb, a), vals) for a, _, vals in self.places]
-            arts = [n * symbol._deg_dlog] * (hi - lo)
-            for (_, table, _), (fa, vals) in zip(self.places, at):
-                row = [table[add(fa, v)] or 0 for v in range(q)]
-                arts = [x + row[v] for x, v in zip(arts, vals[lo:hi])]
+            # per place, f_b's Taylor coefficients and those of h by index,
+            # over [lo, hi); the symbols of the elements prime to the places
+            at = {
+                b: list(zip(_taylor(F, fb, b, r + 1), (H[lo:hi] for H in self.h_taylor[b])))
+                for b, r in self.depth.items()
+            }
+            arts = self._symbols(at, hi - lo, n)
         codes: dict[int, int] = {}
         excluded = 0
         for i in range(lo, hi):
@@ -494,7 +660,7 @@ class _BlockSieve:
                 # is Art(f) * g, or, past ramified hits, Art(unit part) * g
                 if not ramified:
                     if self.places is not None:
-                        art = arts[i - lo] % order
+                        art = arts[i - lo]
                     else:
                         art = symbol.artin_symbol(self._element(fb, i))
                     w = omegas[gmul[art][g]]
@@ -506,9 +672,8 @@ class _BlockSieve:
                         if Q in ram:
                             roots[F.neg(Q[0])] = he[j]
                         j = hnext[j]
-                    values = [add(fa, vals[i]) for fa, vals in at]
-                    art = self._unit_symbol(self._element(fb, i), roots, values)
-                    w = omegas[gmul[art][g]]
+                    pending.append((i, roots, code, c, g))
+                    continue
             if w is not None:
                 code += self._weight((c, 1, w))
             elif c:  # divided out and classified prime by prime
@@ -520,6 +685,11 @@ class _BlockSieve:
                 for P, e in _factor_rough(F, f, s, seed):
                     code += self._weight((pdeg(P), e, coset(P)))
             codes[code] = codes.get(code, 0) + 1
+        if pending:  # on an abelian cover, whose table decides every value
+            unit_arts = self._unit_symbols(fb, at, lo, pending)
+            for (_, _, code, c, g), art in zip(pending, unit_arts):
+                code += self._weight((c, 1, omegas[gmul[art][g]]))
+                codes[code] = codes.get(code, 0) + 1
         for code, cnt in codes.items():
             counts[self._decode(code)] += cnt
         return excluded
@@ -711,15 +881,16 @@ def sieved_mean(
     spec: Cover, fn: ArithFnSpec, I: IntervalSpec, seed: int = 0, threads: int = 1
 ) -> tuple[Fraction, int]:
     """Exact mean of fn over the interval's monics that are not excluded, and
-    the number excluded (splitting covers only)."""
+    the number excluded (splitting covers only); summed in integers (Fractions
+    only for a table function)."""
     counts, excluded = interval_lambda_counts(spec, I, seed, threads)
-    total = Fraction(0)
+    total = 0
     for entries, cnt in counts.items():
         v = evaluate(fn, FactorizationType(dict(entries)), spec.group)
         if v:
             total += v * cnt
     denom = I.size() - excluded
-    return (total / denom if denom else Fraction(0)), excluded
+    return (Fraction(total, denom) if denom else Fraction(0)), excluded
 
 
 def interval_mean(
@@ -772,35 +943,34 @@ def census(
 ) -> CensusResult:
     """Empirical distribution of factorization types over the interval versus
     wreath class-size frequencies; multiplicity > 1 types pool into one bucket
-    with predicted mass 0."""
+    with predicted mass 0.  Counts and class sizes stay integers: the TV
+    distance is sum |cnt order - size denom| (the bucket adding its count
+    times order) over 2 order denom."""
     counts, excluded = interval_lambda_counts(spec, I, seed, threads)
     size = I.size()
     denom = size - excluded
     G = spec.group
     n = I.n
     order = G.n**n * math.factorial(n)
-    predicted: dict[FactorizationType, Fraction] = {}
-    for lam, sz in class_type_table(G, n):
-        predicted[lam] = Fraction(sz, order)
-    empirical: dict[FactorizationType, Fraction] = {}
+    sizes = dict(class_type_table(G, n))
+    counted: dict[FactorizationType, int] = {}
     nsf_count = 0
     for entries, cnt in counts.items():
         lam = FactorizationType(dict(entries))
         if lam.supported_on_squarefree():
-            empirical[lam] = Fraction(cnt, denom)
+            counted[lam] = cnt
         else:
             nsf_count += cnt
     nsf_emp = Fraction(nsf_count, denom) if denom else Fraction(0)
     rows = []
-    tv = Fraction(0)
-    for lam in sorted(set(predicted) | set(empirical), key=lambda l: l.entries):
-        e = empirical.get(lam, Fraction(0))
-        p = predicted.get(lam, Fraction(0))
-        cnt = int(e * denom)
-        rows.append(CensusRow(lam, cnt, e, p))
-        tv += abs(e - p)
-    tv += nsf_emp  # bucket predicted mass is 0
-    tv = tv / 2
+    dev = nsf_count * order
+    for lam in sorted(sizes.keys() | counted.keys(), key=lambda l: l.entries):
+        cnt, sz = counted.get(lam, 0), sizes.get(lam, 0)
+        e = Fraction(cnt, denom) if denom else Fraction(0)
+        rows.append(CensusRow(lam, cnt, e, Fraction(sz, order)))
+        dev += abs(cnt * order - sz * denom)
+    # with every element excluded, the empirical masses are all 0
+    tv = Fraction(dev, 2 * order * denom) if denom else Fraction(1, 2)
     rep = Report(
         command="census",
         seed=seed,

@@ -132,13 +132,14 @@ def class_type_table(group: GroupTable, n: int) -> tuple[tuple[FactorizationType
 
 
 def mean_class_function(fn: ArithFnSpec, group: GroupTable, n: int) -> Fraction:
-    """Exact average over G wr S_n via the class-type table."""
-    total = Fraction(0)
+    """Exact average over G wr S_n via the class-type table, summed in
+    integers (Fractions only for a table function)."""
+    total = 0
     for lam, size in class_type_table(group, n):
         v = evaluate(fn, lam, group)
         if v:
             total += v * size
-    return total / (group.n**n * math.factorial(n))
+    return Fraction(total, group.n**n * math.factorial(n))
 
 
 def rising_binom(x: Fraction, n: int) -> Fraction:

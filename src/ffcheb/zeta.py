@@ -401,7 +401,7 @@ def full_degree_mean(spec: Cover, fn: ArithFnSpec, n: int, seed: int = 0) -> Fra
     if not spec.abelian:
         raise DomainError("a full-degree mean needs (e, f, g) at every prime")
     if n == 0:
-        return evaluate(fn, EMPTY_TYPE, spec.group)  # the monic 1
+        return Fraction(evaluate(fn, EMPTY_TYPE, spec.group))  # the monic 1
     return sieved_mean(spec, fn, IntervalSpec(Poly.x(spec.ctx) ** n, n - 1), seed)[0]
 
 

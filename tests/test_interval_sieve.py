@@ -16,6 +16,7 @@ import pytest
 
 from ffcheb import intervals
 from ffcheb.covers import (
+    ArtinSchreierCover,
     Cover,
     KummerCover,
     SplittingCover,
@@ -192,10 +193,49 @@ def test_artin_schreier_tame_and_wild_control():
     check(wild, "T^5", 3)  # characteristic 2
 
 
+def as_cover(q, num, den):
+    F = make_field(*FIELDS[q])
+    return artin_schreier(F, RationalFn(parse_poly(F, num), parse_poly(F, den)))
+
+
 def test_artin_schreier_double_pole():
     F5 = make_field(5)
     cov = artin_schreier(F5, RationalFn(Poly.one(F5), parse_poly(F5, "T^2")))
     check(cov, "T^4+T", 2)
+
+
+@pytest.mark.parametrize(
+    "q, num, den, f0, m",
+    [
+        # simple poles at 0 and 1: each symbol term is Tr(-c f'(b) / f(b)),
+        # read from f's first two Taylor coefficients at b
+        (7, "1", "T^2-T", "T^4+T^3", 2),
+        (9, "1", "T^2-T", "T^4+T", 2),
+        # a constant part 2 with Tr(2) != 0 over F_25, which adds
+        # deg f Tr(c_0), and poles at 0 and -1
+        (25, "2*T^2+1", "T^2+T", "T^4+T^2", 1),
+        # the constant part 3 and three simple poles 0, 1, -1; at h = 0,
+        # T^2 (T^3 + 2) and (T - 1)^2 (...) lie here: elements with a
+        # ramified factor of exponent 2, read through their unit part
+        (7, "3*T^3+1", "T^3-T", "T^5+T^4", 2),
+        # a double pole at 0 and a simple one at 1: T^2 (T^3 + T^2 + a) and
+        # T^3 (T^2 + T) at the double pole, whose unit part reads three
+        # Taylor coefficients from the exponent on
+        (7, "1", "T^3-T^2", "T^5+T^4", 2),
+        # (T + 1) / T^3 over F_9, which the reduction in characteristic 3
+        # makes T^-2 + T^-1: a double pole with a numerator
+        (9, "T+1", "T^3", "T^4+T^3", 2),
+        # a triple pole at 0 and a simple one at 1 over F_5, so four Taylor
+        # coefficients at 0, and t = 4 under the default bound, so h has
+        # one at T^3: at h = 2T^3 + 3T^2 lies T^2 (T - 1) (T^4 + 2), whose
+        # unit part multiplies f's Taylor coefficients at 0, from index 2
+        # on, by the series of 1 / (T - 1) there up to T^3; other elements
+        # have the ramified factors T^3, T^2 or T (T - 1)
+        (5, "T+1", "T^4-T^3", "T^7+4*T^6", 3),
+    ],
+)
+def test_artin_schreier_places(q, num, den, f0, m):
+    check(as_cover(q, num, den), f0, m)
 
 
 def test_characteristic_two_extension_field():
@@ -203,6 +243,10 @@ def test_characteristic_two_extension_field():
     cov = artin_schreier(F8, RationalFn(Poly.one(F8), Poly.x(F8)))
     check(cov, "T^6+T", 1)  # m + 1 < n // 2
     check(cov, "T^4", 0)
+    # 1 + 1 / (T (T + 1)): two simple poles, and the constant part 1, whose
+    # trace is 1 over F_8
+    both = artin_schreier(F8, RationalFn(parse_poly(F8, "T^2+T+1"), parse_poly(F8, "T^2+T")))
+    check(both, "T^4+T", 2)
 
 
 def test_product_cover():
@@ -212,6 +256,23 @@ def test_product_cover():
         artin_schreier(F5, RationalFn(Poly.one(F5), parse_poly(F5, "T-3"))),
     ])
     check(cov, "T^4+T", 2)
+
+
+def test_product_cover_places():
+    F25 = make_field(5, 2)
+    # Kummer places 0, 1, 2 and an AS pole at 3 ...
+    apart = product([
+        kummer(F25, 2, QUAD_D),
+        artin_schreier(F25, RationalFn(Poly.one(F25), parse_poly(F25, "T-3"))),
+    ])
+    check(apart, "T^4+T", 1)
+    # ... and Kummer places and AS poles both 0 and 1, so a place reads a
+    # value for one component and a log derivative for the other
+    same = product([
+        kummer(F25, 2, "T^2-T"),
+        artin_schreier(F25, RationalFn(parse_poly(F25, "3*T^2+1"), parse_poly(F25, "T^2-T"))),
+    ])
+    check(same, "T^4+T^3", 1)
 
 
 def test_trivial_cover():
@@ -278,41 +339,66 @@ def test_splitting_cofactors_by_sign(monkeypatch):
         assert 0 < len(calls) < elements // 2, (cov.ctx.q, f0, len(calls), elements)
 
 
+def place_covers():
+    """Covers whose symbols the sieve reads from Taylor coefficients at their
+    places: Kummer, Artin-Schreier with simple and double poles, and
+    products whose places differ or coincide."""
+    F25 = make_field(5, 2)
+    return [
+        kummer(F25, 2, QUAD_D),
+        as_cover(25, "2*T^2+1", "T^2+T"),
+        as_cover(25, "1", "T^3-T^2"),
+        product([
+            kummer(F25, 2, QUAD_D),
+            artin_schreier(F25, RationalFn(Poly.one(F25), parse_poly(F25, "T-3"))),
+        ]),
+        product([kummer(F25, 2, "T^2-T"), as_cover(25, "3*T^2+1", "T^2-T")]),
+    ]
+
+
 def test_kummer_ramified_elements_are_not_divided(monkeypatch):
     # an element with a ramified factor (T - b)^e is classified through its
-    # unit part f / prod (T - b)^e, whose values at the places are f's
-    # values and Taylor coefficients there over products of (a - b)^e: on
-    # F_25, I(T^4, 2), no element is divided, under every block layout
+    # unit part f / prod (T - b)^e, whose Taylor coefficients at the places
+    # are f's there, from the exponent on at a root: on F_25, I(T^4, 2), no
+    # element is divided, under every block layout
     calls = counting_divisions(monkeypatch)
     F25 = make_field(5, 2)
-    cov = kummer(F25, 2, QUAD_D)
     I = IntervalSpec(parse_poly(F25, "T^4"), 2)
-    for bound in BOUNDS:
-        monkeypatch.setattr(intervals, "_POOL_FLOOR", bound)
-        _count_range(cov, I, 0, I.size(), 0)
-    assert calls == []
-
-
-def test_linear_places_take_no_symbol_one_polynomial_at_a_time(monkeypatch):
-    # on a Kummer cover whose places are all linear, a small prime's symbol
-    # is read from its coefficient columns, an element's from one row per
-    # place, and an element with a ramified factor from its unit part
-    F25 = make_field(5, 2)
-    cov = kummer(F25, 2, QUAD_D)
-    calls = []
-    artin_symbol = KummerCover.artin_symbol
-
-    def counted(self, f):
-        calls.append(f)
-        return artin_symbol(self, f)
-
-    monkeypatch.setattr(KummerCover, "artin_symbol", counted)
-    for f0, m in [("T^4+T", 1), ("T^4+T^3", 2)]:
-        I = IntervalSpec(parse_poly(F25, f0), m)
+    for cov in place_covers():
         for bound in BOUNDS:
             monkeypatch.setattr(intervals, "_POOL_FLOOR", bound)
             _count_range(cov, I, 0, I.size(), 0)
-    assert calls == []
+        assert calls == [], cov.kind
+
+
+def test_linear_places_take_no_symbol_one_polynomial_at_a_time(monkeypatch):
+    # where the symbol cover's symbols come from Taylor coefficients at its
+    # places, a small prime's symbol is read from its coefficient columns,
+    # an element's from rows per place, and an element with a ramified
+    # factor from its unit part.  The only symbols left are those of the
+    # product whose places differ: of its ramified primes T - a, on the
+    # component that leaves T - a unramified (`coset_class`)
+    calls = []
+    for cls in (KummerCover, ArtinSchreierCover):
+        artin_symbol = cls.artin_symbol
+
+        def counted(self, f, artin_symbol=artin_symbol):
+            calls.append(f)
+            return artin_symbol(self, f)
+
+        monkeypatch.setattr(cls, "artin_symbol", counted)
+    F25 = make_field(5, 2)
+    for cov in place_covers():
+        del calls[:]
+        for f0, m in [("T^4+T", 1), ("T^4+T^3", 2)]:
+            I = IntervalSpec(parse_poly(F25, f0), m)
+            for bound in BOUNDS:
+                monkeypatch.setattr(intervals, "_POOL_FLOOR", bound)
+                _count_range(cov, I, 0, I.size(), 0)
+        if cov.kind == "product" and len(cov.components[0]._ram) == 3:
+            assert calls and all(f in cov._ram for f in calls), calls
+        else:
+            assert calls == [], cov.kind
 
 
 def test_squares_of_primes_one_degree_below_the_block(monkeypatch):
@@ -376,3 +462,5 @@ def test_chunks_that_cut_blocks():
     check(cov, "T^4", 2, ranges=[(0, 17), (17, 40), (40, 41), (41, 125)])
     spl = quadratic_splitting(F5, "T^2+2")
     check(spl, "T^5+T", 2, ranges=[(3, 29), (29, 99)])
+    # an Artin-Schreier interval cut into stretches, one shorter than q
+    check(as_cover(7, "3*T^3+1", "T^3-T"), "T^4", 2, ranges=[(0, 5), (5, 50), (50, 343)])

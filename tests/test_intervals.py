@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 from ffcheb import intervals
 from ffcheb.covers import artin_schreier, kummer, product, trivial
 from ffcheb.errors import IntervalDegenerate, NotAConjugacyClass, TooLarge
-from ffcheb.factypes import B, Delta, FactorizationType, OneC, R
+from ffcheb.factypes import B, Delta, FactorizationType, OneC, R, RPower, TableFn
 from ffcheb.ffield import make_field
 from ffcheb.intervals import (
     IntervalSpec,
@@ -19,9 +20,11 @@ from ffcheb.intervals import (
     interval_lambda_counts,
     interval_mean,
     parse_report,
+    sieved_mean,
 )
 from ffcheb.polys import Poly, RationalFn, count_primes, parse_poly
-from ffcheb.wreath import closed_form_mean, mean_class_function
+from ffcheb.wreath import class_type_table, closed_form_mean, mean_class_function
+from ffcheb.zeta import full_degree_mean
 from test_interval_sieve import s3_splitting
 
 F5 = make_field(5)
@@ -301,3 +304,87 @@ def test_forced_wild_product_report():
     assert rep.regime["wild_override"] is True
     assert rep.regime["tame_at_infinity"] is False
     assert POOL_KINDS["product"]()[0].wild_override is False
+
+
+def census_by_fractions(spec, interval):
+    """census's rows, bucket mass and TV distance, recomputed Fraction by
+    Fraction from the interval's tally and the class-type table."""
+    counts, excluded = interval_lambda_counts(spec, interval)
+    denom = interval.size() - excluded
+    order = spec.group.n**interval.n * math.factorial(interval.n)
+    table = class_type_table(spec.group, interval.n)
+    predicted = {lam: Fraction(sz, order) for lam, sz in table}
+    empirical, bucket = {}, Fraction(0)
+    for entries, cnt in counts.items():
+        lam = FactorizationType(dict(entries))
+        if lam.supported_on_squarefree():
+            empirical[lam] = Fraction(cnt, denom)
+        else:
+            bucket += Fraction(cnt, denom)
+    rows, tv = [], bucket
+    for lam in sorted(set(predicted) | set(empirical), key=lambda l: l.entries):
+        e, p = empirical.get(lam, Fraction(0)), predicted.get(lam, Fraction(0))
+        rows.append((lam, e * denom, e, p))
+        tv += abs(e - p)
+    return rows, bucket, tv / 2
+
+
+F7 = make_field(7)
+# an S_3 interval with excluded elements, and an Artin-Schreier interval
+SUM_CASES = {
+    "s3": lambda: (s3_splitting(make_field(13)), I("T^4+T^3", 1, make_field(13))),
+    "as": lambda: (
+        artin_schreier(F7, RationalFn(Poly.one(F7), parse_poly(F7, "T^2-T"))),
+        I("T^4+T^3", 2, F7),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUM_CASES))
+def test_census_integer_sums_match_fractions(kind):
+    # census keeps integer counts and class sizes, and takes the TV distance
+    # as one quotient of integers
+    spec, interval = SUM_CASES[kind]()
+    result = census(spec, interval)
+    rows, bucket, tv = census_by_fractions(spec, interval)
+    assert [(r.lam, r.count, r.empirical, r.predicted) for r in result.rows] == rows
+    assert result.nonsquarefree_empirical == bucket
+    assert result.tv_distance == tv and isinstance(result.tv_distance, Fraction)
+    assert all(isinstance(x, Fraction) for r in result.rows for x in (r.empirical, r.predicted))
+    if kind == "s3":
+        assert interval_lambda_counts(spec, interval)[1] > 0
+
+
+@pytest.mark.parametrize("kind", sorted(SUM_CASES))
+def test_means_sum_integers_and_return_fractions(kind):
+    # the integer functions' means are sums of ints over one denominator;
+    # a table with Fraction values goes through the same sums unchanged
+    spec, interval = SUM_CASES[kind]()
+    G, n = spec.group, interval.n
+    counts, excluded = interval_lambda_counts(spec, interval)
+    types = [FactorizationType(dict(e)) for e in sorted(counts, key=lambda e: -counts[e])]
+    other = next(lam for lam, _ in class_type_table(G, n) if lam not in types[:2])
+    table = TableFn(
+        ((types[0], Fraction(7, 2)), (types[1], Fraction(-1, 3)), (other, Fraction(5, 4))),
+        Fraction(1, 5),
+    )
+    values = dict(table.mapping)
+    empirical = sum(
+        (values.get(FactorizationType(dict(e)), table.default) * c for e, c in counts.items()),
+        Fraction(0),
+    ) / (interval.size() - excluded)
+    predicted = sum(
+        (values.get(lam, table.default) * sz for lam, sz in class_type_table(G, n)), Fraction(0)
+    ) / (G.n**n * math.factorial(n))
+    assert sieved_mean(spec, table, interval)[0] == empirical
+    assert mean_class_function(table, G, n) == predicted
+    for fn in [OneC(0), B(), R(), RPower(2), Delta(types[0]), table]:
+        assert isinstance(sieved_mean(spec, fn, interval)[0], Fraction)
+        assert isinstance(mean_class_function(fn, G, n), Fraction)
+        rep = interval_mean(spec, fn, interval)
+        assert isinstance(rep.empirical_mean, Fraction)
+        assert isinstance(rep.predicted_mean, Fraction)
+        if spec.abelian:
+            for k in (0, 2):
+                assert isinstance(full_degree_mean(spec, fn, k), Fraction)
+

@@ -11,7 +11,8 @@ Four kinds:
     by pole from one partial-fraction decomposition (no positive-degree
     monomial with exponent divisible by p, no pole order divisible by p);
     Frobenius is the absolute trace of D mod P, read by the residue theorem
-    from those poles and the power sums of P, with no inverse modulo P.
+    from those poles (and, for a polynomial part forced wild at infinity,
+    the power sums of P), with no inverse modulo P.
   * Product: several cyclic covers over the same field, Frobenius taken
     componentwise into the direct product group; components ramified at one
     place must have coprime orders.
@@ -23,6 +24,15 @@ Four kinds:
     disc_Y(F) is computed in F_q[T], never over F_q(T): the power sums of the
     roots by Newton's identities, then their Hankel determinant by exact
     Bareiss elimination (`_y_discriminant`).
+
+Each cyclic cover builds once, in its constructor, the part of its symbol
+that rational places give (`place_symbol`, a `PlaceSymbol`: a term per degree
+of f, tables of f(a) at D's linear factors T - a and of f'/f at rational
+poles), and its `artin_symbol` is that symbol's `evaluate` plus the rest: the
+resultants at D's nonlinear factors, or the forced-wild polynomial part and
+the other poles.  `places` holds the place symbols, one per component,
+weighted for the product group, where they give the whole symbol, else None:
+the interval sieve reads its symbols through them.
 
 Everything a prime can ask for flows through the coset-class catalog of the
 group: `coset_class` returns a catalog index even at ramified primes (cyclic
@@ -88,6 +98,8 @@ from .polys import (
     RationalFn,
     _ddf,
     _frobenius,
+    _log_derivative,
+    _taylor,
     canonical_key,
     factor_raw,
     is_irreducible_raw,
@@ -128,8 +140,8 @@ Place = Coeffs | str
 
 
 class PlaceSymbol:
-    """A cyclic Artin symbol read from Taylor coefficients at rational
-    places: for a monic f prime to the places it is
+    """A cyclic Artin symbol, or its part at rational places, read from
+    Taylor coefficients there: for a monic f prime to the places it is
 
         Art(f) = deg f * degree_term + sum of the places' terms  (mod order),
 
@@ -149,6 +161,39 @@ class PlaceSymbol:
         self.order, self.weight, self.degree_term = order, weight, degree_term
         self.values, self.poles = values, poles
 
+    def evaluate(self, F: Field, f: Coeffs) -> int:
+        """The symbol of one monic f, mod order; RamifiedPrime where f meets
+        a place.  A value, and f(b) and f'(b) at a simple pole b, take one
+        Horner pass; a pole of order m > 1 reads g_0 .. g_(m-1) from f's
+        first m + 1 Taylor coefficients there (`polys._log_derivative`)."""
+        if not f or f[-1] != 1:
+            raise DomainError("the Artin symbol needs a monic polynomial")
+        mul, add = F.mul, F.add
+        k = (len(f) - 1) * self.degree_term
+        for a, table in self.values:
+            v = 0
+            for c in reversed(f):
+                v = add(mul(v, a), c)
+            if not v:
+                raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a ramified place")
+            k += table[v]
+        for b, tables in self.poles:
+            if len(tables) == 1:
+                v = dv = 0
+                for c in reversed(f):
+                    dv = add(mul(dv, b), v)
+                    v = add(mul(v, b), c)
+                if not v:
+                    raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a ramified place")
+                k += tables[0][F.div(dv, v)]
+                continue
+            a = _taylor(F, f, b, len(tables) + 1)
+            if not a[0]:
+                raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a ramified place")
+            for table, g in zip(tables, _log_derivative(F, a, len(tables))):
+                k += table[g]
+        return k % self.order
+
 
 class Cover:
     """Shared plumbing for all cover kinds."""
@@ -158,6 +203,9 @@ class Cover:
     group_provenance = "computed"
     wild_override = False  # built under force_wild with a wild place at infinity
     _ram: frozenset[Coeffs] = frozenset()  # the ramified finite primes
+    # the Artin symbol as one `PlaceSymbol` per cyclic component, where
+    # Taylor coefficients at rational places give all of it, else None
+    places: tuple[PlaceSymbol, ...] | None = None
 
     def __init__(self, ctx: Field):
         self.ctx = ctx
@@ -177,12 +225,6 @@ class Cover:
         where the symbol leaves the class open); (None, ()) when no symbol
         helps.  An abelian kind is its own symbol cover."""
         return self, self.group.class_to_omega
-
-    def place_symbols(self) -> tuple[PlaceSymbol, ...] | None:
-        """The Artin symbol, as one `PlaceSymbol` per cyclic component,
-        where Taylor coefficients at rational places give all of it, else
-        None."""
-        return None
 
     def _coset_raw(self, P: Coeffs) -> int:
         """The one coset path: the kind's `_ramified_omega` at a P in `_ram`
@@ -297,6 +339,7 @@ class TrivialCover(Cover):
     """E = F_q(T) itself: one-element group, everything splits."""
 
     kind = "trivial"
+    places: tuple[PlaceSymbol, ...] = ()  # no component: every symbol is 0
 
     def __init__(self, ctx: Field):
         super().__init__(ctx)
@@ -304,9 +347,6 @@ class TrivialCover(Cover):
 
     def artin_symbol(self, f: Coeffs) -> int:
         return 0
-
-    def place_symbols(self) -> tuple[PlaceSymbol, ...]:
-        return ()  # no component: every symbol is 0
 
     def tame_at_infinity(self) -> bool:
         return True
@@ -368,19 +408,20 @@ class KummerCover(Cover):
         self.D = Poly._raw(ctx, cs)
         # what `artin_symbol` reads.  The dlog of a residue symbol is a log
         # read mod d: the symbol of a nonzero value v is v^((q-1)/d) =
-        # zeta^(log v), zeta = g^((q-1)/d)
-        log, q = ctx._log, ctx.q
-        # artin_symbol's term per degree of f: the unit's symbol and the
+        # zeta^(log v), zeta = g^((q-1)/d).  Per linear place T - a of D, of
+        # multiplicity m, a table takes f(a) to m times the dlog of its
+        # symbol; the term per degree of f is the unit's symbol and the
         # reciprocity sign of every part Q^m, m * deg Q summing to deg D
-        self._deg_dlog = (log[unit] + self.D.degree * log[ctx.neg(1)]) % d
-        # per linear place T - a of D, of multiplicity m: the table that
-        # takes f(a) to m times the dlog of its symbol
-        self._lin_parts = tuple(
-            (ctx.neg(Q[0]), [None] + [m * log[v] % d for v in range(1, q)])
+        log = ctx._log
+        values = tuple(
+            (ctx.neg(Q[0]), [None] + [m * log[v] % d for v in range(1, ctx.q)])
             for Q, m in reduced
             if len(Q) == 2
         )
+        deg_term = (log[unit] + self.D.degree * log[ctx.neg(1)]) % d
+        self.place_symbol = PlaceSymbol(d, 1, deg_term, values=values)
         self._nonlin_parts = tuple((Q, m) for Q, m in reduced if len(Q) > 2)
+        self.places = None if self._nonlin_parts else (self.place_symbol,)
 
     def require_geometric(self) -> None:
         """Refuse a D that gives no geometric Z/d extension: a constant times
@@ -402,35 +443,17 @@ class KummerCover(Cover):
         multiplicative in f, so f need not be prime.  (f/Q)_d is the norm of
         f mod Q to the power (q-1)/d, and that norm is the resultant
         Res(Q, f) (Rosen, ch. 3), so its dlog is log Res(Q, f) mod d: a table
-        lookup of f(a) when Q = T - a (`_lin_parts`, which `place_symbols`
-        hands the interval sieve) and one resultant against the small fixed
-        Q otherwise.
+        lookup of f(a) when Q = T - a (`place_symbol`, with the unit and
+        sign terms) and one resultant against the small fixed Q otherwise.
         """
-        if not f or f[-1] != 1:
-            raise DomainError("the Artin symbol needs a monic polynomial")
         F = self.ctx
-        mul, add, log = F.mul, F.add, F._log
-        k = (len(f) - 1) * self._deg_dlog
-        for a, table in self._lin_parts:
-            acc = 0
-            for c in reversed(f):
-                acc = add(mul(acc, a), c)
-            if not acc:
-                raise RamifiedPrime(f"{Poly._raw(F, f)!r} shares a factor with D")
-            k += table[acc]
+        k = self.place_symbol.evaluate(F, f)
         for Q, m in self._nonlin_parts:
             r = resultant_raw(F, Q, f)
             if not r:
                 raise RamifiedPrime(f"{Poly._raw(F, f)!r} shares a factor with D")
-            k += m * log[r]
+            k += m * F._log[r]
         return k % self.d
-
-    def place_symbols(self) -> tuple[PlaceSymbol, ...] | None:
-        """`artin_symbol`'s degree term and value tables, where D has only
-        linear factors."""
-        if self._nonlin_parts:
-            return None
-        return (PlaceSymbol(self.d, 1, self._deg_dlog, values=self._lin_parts),)
 
     def _ramified_omega(self, P: Coeffs) -> int:
         """The inertia coset at a part P of D, of multiplicity v."""
@@ -519,33 +542,6 @@ def as_reduce(D: RationalFn, parts: tuple | None = None) -> RationalFn:
     return RationalFn(Poly._raw(F, num), Poly._raw(F, den))
 
 
-def _taylor(F: Field, f: Coeffs, b: int, count: int) -> list[int]:
-    """The first `count` Taylor coefficients of f at b, the a_k of
-    f = sum a_k (T - b)^k: one Horner pass carrying `count` accumulators."""
-    acc = [0] * count
-    mul, add = F.mul, F.add
-    for c in reversed(f):
-        for k in range(count - 1, 0, -1):
-            acc[k] = add(mul(acc[k], b), acc[k - 1])
-        acc[0] = add(mul(acc[0], b), c)
-    return acc
-
-
-def _log_derivative(F: Field, a: list[int], count: int) -> list[int]:
-    """The first `count` coefficients g_j of (T - b)^j in f'/f, from the
-    Taylor coefficients a_0 .. a_count of f at b, a_0 != 0: f' has
-    coefficient (j + 1) a_(j+1), and f g = f' gives g_j = ((j + 1) a_(j+1) -
-    sum_(i=1..j) a_i g_(j-i)) / a_0, with one inverse."""
-    mul, sub = F.mul, F.sub
-    inv, g = F.inv(a[0]), []
-    for j in range(count):
-        x = mul(F.scalar(j + 1), a[j + 1])
-        for i in range(1, j + 1):
-            x = sub(x, mul(a[i], g[j - i]))
-        g.append(mul(x, inv))
-    return g
-
-
 class ArtinSchreierCover(Cover):
     """y^p - y = D(T) in characteristic p; stores the reduced datum."""
 
@@ -572,25 +568,26 @@ class ArtinSchreierCover(Cover):
                 "extension or splits completely"
             )
         self.D = as_reduce(D, (poly, poles))
-        self._poly_part = poly
+        # the polynomial part forced wild at infinity, its constant c_0 left
+        # to the place symbol's degree term; () when tame
+        self._wild_part = (0,) + poly[1:] if len(poly) > 1 else ()
         self._poles = tuple((P, m) for P, m, _ in poles)  # all m coprime to p
         self._ram = frozenset(P for P, _, _ in poles)
-        # at a rational simple pole T - b keep (b, w); at a rational pole of
-        # order m > 1, b and the principal part w / (T - b)^m as the
-        # coefficients c_1 .. c_m of (T - b)^(-1) .. (T - b)^(-m), c_i the
-        # Taylor coefficient m - i of w at b; at the others P^m and the
-        # residues Res_P(T^j D dT) = [T^(N-1)] (w T^j mod P^m), N = deg P^m,
-        # j < 2N - 1
-        self._simple_poles: list[tuple[int, int]] = []
-        self._rational_poles: list[tuple[int, list[int]]] = []
+        # at a rational pole T - b of order m, the principal part
+        # w / (T - b)^m as the coefficients c_1 .. c_m of (T - b)^(-1) ..
+        # (T - b)^(-m), c_i the Taylor coefficient m - i of w at b, each
+        # into the place symbol as the table u -> Tr(-c_i u); at the others
+        # P^m and the residues Res_P(T^j D dT) = [T^(N-1)] (w T^j mod P^m),
+        # N = deg P^m, j < 2N - 1
+        trace = [ctx.trace(x) for x in range(ctx.q)]
+        rational = []
         self._pole_parts: list[tuple[Coeffs, list[int]]] = []
         for P, m, w in poles:
             if len(P) == 2:
                 b = ctx.neg(P[0])
-                if m == 1:
-                    self._simple_poles.append((b, w[0]))
-                else:
-                    self._rational_poles.append((b, _taylor(ctx, w, b, m)[::-1]))
+                negs = [ctx.neg(c) for c in reversed(_taylor(ctx, w, b, m))]
+                tables = tuple([trace[ctx.mul(c, u)] for u in range(ctx.q)] for c in negs)
+                rational.append((b, tables))
                 continue
             Pm = ppow(ctx, P, m)
             N, res = len(Pm) - 1, []
@@ -598,6 +595,9 @@ class ArtinSchreierCover(Cover):
                 res.append(w[-1] if len(w) == N else 0)
                 w = pmod(ctx, (0,) + w, Pm)
             self._pole_parts.append((Pm, res))
+        c0 = poly[0] if poly else 0
+        self.place_symbol = PlaceSymbol(ctx.p, 1, trace[c0], poles=tuple(rational))
+        self.places = None if self._wild_part or self._pole_parts else (self.place_symbol,)
 
     def artin_symbol(self, f: Coeffs) -> int:
         """Tr_{F_q/F_p} of the trace of D in the algebra F_q[T]/(f), for any
@@ -611,41 +611,26 @@ class ArtinSchreierCover(Cover):
         with c_j the coefficients of D's polynomial part (reduced mod f), s_j
         the Newton power sums of the roots of f, and w_P / P^m the principal
         part of D at a pole P of order m, N = m deg P.  The only inverse is
-        modulo the fixed P^m.  At a rational simple pole b with residue c the
-        term is c f'(b) / f(b), from one Horner pass.  At a rational pole b
-        of order m > 1 it is sum_i c_i g_(i-1), with c_i the coefficient of
-        (T - b)^(-i) in D and g_j those of (T - b)^j in f'/f, read from the
-        Taylor coefficients a_0 .. a_m of f at b with one inverse, of
-        a_0 = f(b) (`_log_derivative`).  So where D has a constant
-        polynomial part c_0 (s_0 = deg f) and only rational poles, the
-        symbol is deg f Tr(c_0) - sum_b Tr(sum_i c_i g_(i-1)), and needs only
-        f's first m + 1 Taylor coefficients at each pole b of order m:
-        `place_symbols` hands these terms to the interval sieve, which reads
-        those coefficients of its elements and small primes by columns and
-        calls this method on none of them.
+        modulo the fixed P^m.  The constant c_0 gives deg f Tr(c_0), as
+        s_0 = deg f, and a rational pole b of order m gives
+        -sum_i Tr(c_i g_(i-1)), with c_i the coefficient of (T - b)^(-i) in
+        D and g_j that of (T - b)^j in f'/f, read from f's first m + 1
+        Taylor coefficients at b: these terms are `place_symbol`, whose
+        `evaluate` reads them, and where D has no other pole and no
+        forced-wild polynomial part they are the whole symbol (`places`),
+        which the interval sieve reads from its tables.  What is left is traced
+        here: the power sums against the wild part with c_0 left out, and
+        the residues at the other poles.
         """
-        if not f or f[-1] != 1:
-            raise DomainError("the Artin symbol needs a monic polynomial")
         F = self.ctx
+        k = self.place_symbol.evaluate(F, f)
+        if self.places is not None:
+            return k
         mul, add, sub = F.mul, F.add, F.sub
-        x = pmod(F, self._poly_part, f)
+        x = pmod(F, self._wild_part, f)
         t = 0
         for xj, sj in zip(x, power_sums(F, f, len(x))):
             t = add(t, mul(xj, sj))
-        for b, c in self._simple_poles:
-            v = dv = 0  # f(b) and f'(b), by one Horner pass
-            for a in reversed(f):
-                dv = add(mul(dv, b), v)
-                v = add(mul(v, b), a)
-            if not v:
-                raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a pole of D")
-            t = sub(t, mul(c, F.div(dv, v)))
-        for b, c in self._rational_poles:
-            a = _taylor(F, f, b, len(c) + 1)
-            if not a[0]:
-                raise RamifiedPrime(f"{Poly._raw(F, f)!r} meets a pole of D")
-            for cj, gj in zip(c, _log_derivative(F, a, len(c))):
-                t = sub(t, mul(cj, gj))
         if self._pole_parts:
             df = pderiv(F, f)
             for Pm, res in self._pole_parts:
@@ -656,24 +641,7 @@ class ArtinSchreierCover(Cover):
                 # h = f'/f mod P^m, unreduced: Res_P(h D dT) = sum_j h_j Res_P(T^j D dT)
                 for hj, rj in zip(pmul(F, pmod(F, df, Pm), inv_f), res):
                     t = sub(t, mul(hj, rj))
-        return F.trace(t)
-
-    def place_symbols(self) -> tuple[PlaceSymbol, ...] | None:
-        """`artin_symbol`'s terms, where D has a constant polynomial part c_0
-        and only rational poles: the degree term Tr(c_0) and, per pole b
-        with principal part sum_i c_i (T - b)^(-i), the tables of
-        u -> Tr(-c_i u)."""
-        if len(self._poly_part) > 1 or self._pole_parts:
-            return None
-        F = self.ctx
-        trace = [F.trace(x) for x in range(F.q)]
-        simple = [(b, [c]) for b, c in self._simple_poles]
-        poles = tuple(
-            (b, tuple([trace[F.mul(F.neg(c), u)] for u in range(F.q)] for c in cs))
-            for b, cs in simple + self._rational_poles
-        )
-        c0 = self._poly_part[0] if self._poly_part else 0
-        return (PlaceSymbol(F.p, 1, trace[c0], poles=poles),)
+        return (k + F.trace(t)) % F.p
 
     def _ramified_omega(self, P: Coeffs) -> int:
         """Inertia is the whole group at a pole of D."""
@@ -687,7 +655,7 @@ class ArtinSchreierCover(Cover):
             return {}
         cond: dict[Place, int] = {P: m + 1 for P, m in self._poles}
         if self.wild_override:
-            cond[INFINITY] = pdeg(self._poly_part) + 1
+            cond[INFINITY] = pdeg(self._wild_part) + 1
         return cond
 
     def tame_at_infinity(self) -> bool:
@@ -696,9 +664,9 @@ class ArtinSchreierCover(Cover):
     def _infinity_omega(self) -> int:
         if self.wild_override:
             return self.group.omega_of_coset(frozenset(range(self.ctx.p)))
-        # tame: D at infinity is the constant of its polynomial part
-        c = self._poly_part[0] if self._poly_part else 0
-        return self.group.class_to_omega[self.ctx.trace(c)]
+        # tame: D at infinity is the constant c_0 of its polynomial part,
+        # and Tr(c_0) the place symbol's degree term
+        return self.group.class_to_omega[self.place_symbol.degree_term]
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +701,15 @@ class ProductCover(Cover):
         self.components = tuple(components)
         self._ram = frozenset().union(*(c._ram for c in components))
         self.group = GroupTable.direct_product([c.group for c in components])
+        # the components' place symbols, each weighted by its place in
+        # `encode_product`, where every component has them
+        if all(c.places is not None for c in components):
+            places = []
+            for i, c in enumerate(components):
+                sym = c.place_symbol
+                w = self.group.encode_product([int(j == i) for j in range(len(components))])
+                places.append(PlaceSymbol(sym.order, w, sym.degree_term, sym.values, sym.poles))
+            self.places = tuple(places)
         # a component ramifies where its faithful character 1 has a conductor
         orders: dict[Place, int] = {}
         for c in components:
@@ -761,19 +738,6 @@ class ProductCover(Cover):
     def artin_symbol(self, f: Coeffs) -> int:
         """The components' Artin symbols of f, as one product element."""
         return self.group.encode_product([c.artin_symbol(f) for c in self.components])
-
-    def place_symbols(self) -> tuple[PlaceSymbol, ...] | None:
-        """The components' place symbols, each weighted by its place in
-        `encode_product`, where every component has them."""
-        parts = [c.place_symbols() for c in self.components]
-        if any(p is None for p in parts):
-            return None
-        unit = [[int(j == i) for j in range(len(parts))] for i in range(len(parts))]
-        return tuple(
-            PlaceSymbol(sym.order, sym.weight * w, sym.degree_term, sym.values, sym.poles)
-            for w, syms in zip(map(self.group.encode_product, unit), parts)
-            for sym in syms
-        )
 
     def _character_conductor(self, a: int) -> dict[Place, int]:
         """At each place the largest of the components' exponents, exact
@@ -865,7 +829,9 @@ class SplittingCover(Cover):
         self._sign_omegas: tuple = ()
         sign = self._sign_character(factored) if ctx.p != 2 else None
         # disc a non-square constant times a square: the sign of P is deg P mod 2
-        self._sampling_check(sign is not None and not sign.parts and sign._deg_dlog == 1)
+        self._sampling_check(
+            sign is not None and not sign.parts and sign.place_symbol.degree_term == 1
+        )
 
     def _sign_character(self, factored: tuple) -> KummerCover:
         """The sign of Frobenius as a quadratic symbol (p odd), returned, and
@@ -881,7 +847,7 @@ class SplittingCover(Cover):
         F_q(T), so a group whose generators say otherwise is refused.
         `factored` is disc's `factor_raw`, which fixed `_ram`."""
         sign = KummerCover(self.ctx, 2, self._disc, factored)
-        square = not sign.parts and not sign._deg_dlog
+        square = not sign.parts and not sign.place_symbol.degree_term
         odd = [i for i, g in enumerate(self.generators, 1) if partition_parity(cycle_type(g))]
         if square and odd:
             raise AmbiguousCycleType(

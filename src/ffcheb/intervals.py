@@ -19,11 +19,12 @@ is its own symbol cover; a splitting cover's (p odd) is the quadratic symbol
 of disc_Y(F), the sign of Frobenius, and its table gives the cycle type where
 the sign leaves one: any prime of a quadratic cover, and an odd prime of a
 cubic.  Where the symbol cover's symbol is a sum of terms read from Taylor
-coefficients at rational places (`Cover.place_symbols`: Kummer covers whose
-places are linear, Artin-Schreier covers with a constant polynomial part and
-rational poles, and their products), every symbol is read there: a small
-prime's from its coefficient columns, an element's from rows per place and
-block, and that of an element with a ramified factor from its unit part
+coefficients at rational places (`Cover.places`: Kummer covers whose places
+are linear, Artin-Schreier covers with a constant polynomial part and
+rational poles, and their products), every symbol is read there, from
+per-interval tables of the coefficients of the h of degree < t: a small
+prime's, T^d + h, at h's index, an element's from rows per place and block,
+and that of an element with a ramified factor from its unit part
 f / prod (T - b)^e, whose Taylor coefficients are f's.  Only where the
 table does not give it is the cofactor divided out and classified on its
 own: at the other primes of splitting covers, at elements with a ramified
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .covers import Cover, _log_derivative, _taylor, dumps_cover, parse_cover
+from .covers import Cover, dumps_cover, parse_cover
 from .errors import (
     ContextMismatch,
     DomainError,
@@ -61,7 +62,9 @@ from .polys import (
     Poly,
     _coset_columns,
     _factor_rough,
+    _log_derivative,
     _neg_mod_columns,
+    _taylor,
     pdeg,
     pdiv,
     pdivmod,
@@ -152,7 +155,7 @@ class IntervalSpec:
 # k = 3 and odd).
 #
 # A symbol cover whose symbol is a sum of terms at rational places
-# (Cover.place_symbols, covers.PlaceSymbol) has every symbol read from
+# (Cover.places, covers.PlaceSymbol) has every symbol read from
 # Taylor coefficients a_k of f at those places, with no artin_symbol call:
 # a Kummer cover whose places T - a are all linear takes table[f(a)] per
 # place (reciprocity, Res(T - a, f) = f(a); see KummerCover.artin_symbol),
@@ -161,15 +164,15 @@ class IntervalSpec:
 # sum_i c_i (T - b)^(-i), sum_i Tr(-c_i g_(i-1)), g_j the coefficients of
 # f'/f at b, so g_0 = a_1 / a_0 at a simple pole (the residue theorem; see
 # ArtinSchreierCover.artin_symbol); a product adds its components' terms,
-# each weighted by its place in the encoded element.  A small prime's a_k
-# come from one column Horner pass per place over its columns, with one
-# accumulator per coefficient; an element's, f_b's plus h's, from
-# per-interval tables of a_k(h) over deg h < t, read through rows per place
-# and block by the values of a_k(h), and at a simple pole by their logs.  At
+# each weighted by its place in the encoded element.  The a_k come from
+# per-interval tables of a_k(h) over deg h < t: a small prime T^d + h,
+# d <= s <= t, adds a_k(T^d) to the entries at h's index, and an element,
+# f_b + h, adds f_b's, read through rows per place and block by the values
+# of a_k(h), and at a simple pole by their logs.  At
 # an element with a ramified factor, where Art(f) is undefined, the sieve
 # reads the symbol of its unit part g = f / prod (T - b)^e over the ramified
 # roots b found: at a root b, f / (T - b)^e has f's Taylor coefficients from
-# index e on (covers._taylor); at every place the other roots b' multiply
+# index e on (polys._taylor); at every place the other roots b' multiply
 # the coefficients by the series of prod (T - b')^(-e') there, one per
 # pattern of roots, and the block's unit parts are read like its elements,
 # one pass per degree.
@@ -192,9 +195,9 @@ class IntervalSpec:
 # the weights of an element's prime powers, so its base-(n + 1) digits are
 # the counts of the keys, each at most n.  A small prime's weights sit in its
 # hit data, made on its first hit and shared by every prime of its degree,
-# omega and symbol value; on an abelian cover its omega there is read from
-# the Artin symbol that the hit data keep anyway, and only a ramified prime,
-# or any prime of a splitting cover, asks coset_class.  A cofactor's prime
+# omega and symbol value; its omega there is the symbol cover's table at the
+# Artin symbol that the hit data keep anyway, and only a ramified prime, or
+# one whose symbol leaves the class open, asks coset_class.  A cofactor's prime
 # looks its weight up by key.  A block counts its codes in a dict and
 # decodes each distinct code once into the sorted ((degree, exponent,
 # omega), count) items that the tallies are keyed by.
@@ -260,12 +263,11 @@ class _BlockSieve:
         # symbol value, None where it leaves the class open
         self.symbol, self.omegas = spec.symbol_cover()
         self.ramified = spec._ram
-        add, mul = F.add, F.mul
         # where the symbol cover's symbols are read from Taylor coefficients
         # at rational places (covers.PlaceSymbol): per place b, the most
         # coefficients past a_0 a term there reads, and per coefficient k up
         # to that, the table of a_k(h) at b over the h of degree < t, by index
-        self.places = self.symbol.place_symbols() if self.symbol is not None else None
+        self.places = self.symbol.places if self.symbol is not None else None
         self.depth: dict[int, int] = {}
         for sym in self.places or ():
             for b, _ in sym.values:
@@ -275,7 +277,7 @@ class _BlockSieve:
         # x + y by [y][x], for the tables' digits past the first
         adds = None
         if self.depth and t > 1:
-            adds = [[add(x, y) for x in range(q)] for y in range(q)]
+            adds = [[F.add(x, y) for x in range(q)] for y in range(q)]
         self.h_taylor = {
             b: [self._h_taylor(b, k, adds) for k in range(r + 1)] for b, r in self.depth.items()
         }
@@ -300,8 +302,9 @@ class _BlockSieve:
         self.small: list[Coeffs] = []
         self.degrees = []
         # per small prime, its encoded symbol on the symbol cover, read from
-        # its Taylor coefficients at the places: one column Horner pass per
-        # place, with one accumulator per coefficient; None without places
+        # its Taylor coefficients at the places (None without places): Q =
+        # T^d + h with deg h < d <= t, so a_k(Q) = a_k(T^d) + a_k(h), the
+        # entry of `h_taylor` at the index of h
         self.arts: list[int] | None = [] if self.places is not None else None
         for d in range(1, s + 1):
             primes = primes_of_degree(F, d)
@@ -315,15 +318,14 @@ class _BlockSieve:
             self.degrees.append((len(self.small), len(primes), moduli, ram, beyond))
             self.small.extend(primes)
             if self.arts is not None:
+                index, scale = [0] * len(primes), 1
+                for col in cols:
+                    index = [i + c * scale for i, c in zip(index, col)]
+                    scale *= q
                 at = {}
                 for b, r in self.depth.items():
-                    times_b = [mul(x, b) for x in range(q)]
-                    acc = [[1] * len(primes)] + [[0] * len(primes) for _ in range(r)]
-                    for col in reversed(cols):
-                        for k in range(r, 0, -1):
-                            acc[k] = [add(times_b[x], y) for x, y in zip(acc[k], acc[k - 1])]
-                        acc[0] = [add(times_b[x], y) for x, y in zip(acc[0], col)]
-                    at[b] = [(0, a) for a in acc]
+                    A = _taylor(F, (0,) * d + (1,), b, r + 1)  # a_k(T^d)
+                    at[b] = [(a, [H[i] for i in index]) for a, H in zip(A, self.h_taylor[b])]
                 self.arts.extend(self._symbols(at, len(primes), d))
         # the ramified primes beyond the small ones that can still divide, as
         # moduli by degree
@@ -376,13 +378,14 @@ class _BlockSieve:
         """The hit data of small prime qi (see `hit_data`)."""
         Q = self.small[qi]
         d = len(Q) - 1
-        x = None  # Art(Q) on the symbol cover, where Q is unramified
-        if Q in self.ramified or self.symbol is None:
-            w = self.spec.coset_class(Q)
-        else:
+        # Art(Q) on the symbol cover, where Q is unramified, and the class
+        # its value gives, where it gives one
+        x = w = None
+        if Q not in self.ramified and self.symbol is not None:
             x = self.arts[qi] if self.arts is not None else self.symbol.artin_symbol(Q)
-            # an abelian cover's class is its symbol's value in the table
-            w = self.omegas[x] if self.spec.abelian else self.spec.coset_class(Q)
+            w = self.omegas[x]
+        if w is None:
+            w = self.spec.coset_class(Q)
         data = self.shared.get((d, w, x))
         if data is None:
             exps = range(1, self.n // d + 1)
@@ -423,7 +426,7 @@ class _BlockSieve:
         is A + H[i].  Each table is read through one row over F_q by the
         values of H.  At a simple pole g_0 = a_1 / a_0 is one lookup in
         `exp` by the logs of a_1 and 1 / a_0; a pole of order m > 1 reads
-        g_0 .. g_(m-1) monic by monic (covers._log_derivative)."""
+        g_0 .. g_(m-1) monic by monic (polys._log_derivative)."""
         F = self.F
         q, add, log = F.q, F.add, F._log
         zero = 2 * q - 1  # the log the rows give 0 (see exp_tables)
@@ -476,7 +479,7 @@ class _BlockSieve:
         the unit parts g = f / prod (T - b)^e of the elements (i, roots, ...)
         of `found`, in order, over their ramified roots b of exponent e,
         without dividing f.  At a root b, f / (T - b)^e has f's Taylor
-        coefficients from index e on (covers._taylor); at another place,
+        coefficients from index e on (polys._taylor); at another place,
         f's (A + H[i - lo] of at, as in `_symbols`).  g's are those times
         the series of prod (T - b')^(-e') over the other roots b'
         (`_unit_series`), and `_symbols` reads them, one call per degree of

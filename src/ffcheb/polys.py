@@ -378,6 +378,33 @@ def peval(F: Field, a: Coeffs, x: int) -> int:
     return acc
 
 
+def _taylor(F: Field, f: Coeffs, b: int, count: int) -> list[int]:
+    """The first `count` Taylor coefficients of f at b, the a_k of
+    f = sum a_k (T - b)^k: one Horner pass carrying `count` accumulators."""
+    acc = [0] * count
+    mul, add = F.mul, F.add
+    for c in reversed(f):
+        for k in range(count - 1, 0, -1):
+            acc[k] = add(mul(acc[k], b), acc[k - 1])
+        acc[0] = add(mul(acc[0], b), c)
+    return acc
+
+
+def _log_derivative(F: Field, a: list[int], count: int) -> list[int]:
+    """The first `count` coefficients g_j of (T - b)^j in f'/f, from the
+    Taylor coefficients a_0 .. a_count of f at b, a_0 != 0: f' has
+    coefficient (j + 1) a_(j+1), and f g = f' gives g_j = ((j + 1) a_(j+1) -
+    sum_(i=1..j) a_i g_(j-i)) / a_0, with one inverse."""
+    mul, sub = F.mul, F.sub
+    inv, g = F.inv(a[0]), []
+    for j in range(count):
+        x = mul(F.scalar(j + 1), a[j + 1])
+        for i in range(1, j + 1):
+            x = sub(x, mul(a[i], g[j - i]))
+        g.append(mul(x, inv))
+    return g
+
+
 def pth_root_poly(F: Field, a: Coeffs) -> Coeffs:
     """Inverse of m -> m^p for polynomials whose derivative vanishes."""
     p = F.p

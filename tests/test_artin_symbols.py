@@ -9,7 +9,9 @@ with the power-residue symbol `oracles.power_residue` and the per-prime
 trace `oracles.as_trace` on every unramified prime of small degree, on
 composite f through the factorization, at ramified primes, and inside
 product covers.  The Artin-Schreier data have poles of order 1, 2 and 3, at
-linear, quadratic and cubic primes.
+linear, quadratic and cubic primes, and a forced-wild polynomial part whose
+constant has a nonzero trace, which the place symbol's degree term reads
+and the power sums must not read again.
 The Kummer data carry a nonlinear factor (a cubic one, of odd degree, on
 some fields), a non-monic unit and, for d > 2, a linear and a nonlinear part
 of multiplicity 2, and have odd degree, so the unit term and the sign term
@@ -29,6 +31,7 @@ from ffcheb.polys import (
     RationalFn,
     factor_raw,
     is_irreducible_raw,
+    padd,
     parse_poly,
     pdiv,
     pgcd,
@@ -94,6 +97,8 @@ def test_kummer_datum_shape():
         assert ((3, 1) in degrees) == (q in CUBIC_FIELDS)
         if d > 2:
             assert (1, 2) in degrees
+        # the place symbol reads the linear parts, resultants the others
+        assert cov.place_symbol.values and cov.places is None
     # the sign term is nontrivial somewhere, (q-1)/d odd, and there too at
     # a nonlinear factor of odd degree
     assert any(((q - 1) // d) % 2 and q in CUBIC_FIELDS for q, d in KUMMER)
@@ -245,6 +250,28 @@ def test_artin_schreier_pole_of_order_three(p, k):
     check_as_composites(cov, random.Random(p * 100 + k), 40)
 
 
+@pytest.mark.parametrize("p, k", [(2, 3), (5, 1), (5, 2), (7, 1)])
+def test_artin_schreier_wild_constant_and_every_pole_kind(p, k):
+    # D = 1 + T + 1/(T - 1) + 1/T^3 + 1/Q, Q an irreducible quadratic, forced
+    # wild at infinity: Tr(1) != 0 is the place symbol's degree term, with
+    # the simple pole 1 and the pole 0 of order 3 (3 is prime to p); the
+    # power sums read T alone, and Q's residues come modulo Q
+    F = make_field(p, k)
+    Q = quadratic_prime(F)
+    T3 = (0, 0, 0, 1)
+    T1 = (F.neg(1), 1)
+    den = pmul(F, pmul(F, T1, T3), Q)
+    num = pmul(F, (1, 1), den)
+    for part in (pmul(F, T3, Q), pmul(F, T1, Q), pmul(F, T1, T3)):
+        num = padd(F, num, part)
+    cov = artin_schreier(F, RationalFn(Poly(F, num), Poly(F, den)), force_wild=True)
+    assert sorted((len(P) - 1, m) for P, m in cov._poles) == [(1, 1), (1, 3), (2, 1)]
+    assert cov.wild_override and cov.places is None
+    assert cov.place_symbol.degree_term == F.trace(1) != 0
+    check_as_primes(cov)
+    check_as_composites(cov, random.Random(p * 10 + k), 30)
+
+
 @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (7, 1), (7, 2)])
 def test_artin_schreier_cubic_pole_and_linear_pole_of_higher_order(p, k):
     # N / (C (T - 1)^m): a simple pole at a cubic C, whose residue is read
@@ -266,19 +293,27 @@ def test_artin_schreier_cubic_pole_and_linear_pole_of_higher_order(p, k):
 
 
 def test_product_vs_component_oracles():
+    # both shapes: components with a nonlinear Kummer part and a quadratic
+    # pole, read by resultants and residues, and components whose rational
+    # places give the whole symbol, so the product has weighted `places`
     F = make_field(5, 2)
-    pc = product([kummer(F, 4, kummer_datum(F, 4)), artin_schreier(F, as_datum(F, False))])
-    ram = pc._ram
-    G = pc.group
-    checked = 0
-    for n in (1, 2):
-        for P in primes_of_degree(F, n):
-            if P in ram:
-                continue
-            g = G.encode_product([oracle_element(c, P) for c in pc.components])
-            assert pc.coset_class(P) == G.omega_of_coset({g}), P
-            checked += 1
-    assert checked > 300
+    D = RationalFn(parse_poly(F, "3*T^2+1"), parse_poly(F, "T^3-T^2"))
+    for pc, rational in [
+        (product([kummer(F, 4, kummer_datum(F, 4)), artin_schreier(F, as_datum(F, False))]), False),
+        (product([kummer(F, 4, "T^3-3*T^2+2*T"), artin_schreier(F, D)]), True),
+    ]:
+        assert (pc.places is not None) == rational
+        ram = pc._ram
+        G = pc.group
+        checked = 0
+        for n in (1, 2):
+            for P in primes_of_degree(F, n):
+                if P in ram:
+                    continue
+                g = G.encode_product([oracle_element(c, P) for c in pc.components])
+                assert pc.coset_class(P) == G.omega_of_coset({g}), P
+                checked += 1
+        assert checked > 300
 
 
 def test_artin_symbol_domain():

@@ -34,7 +34,9 @@ from ffcheb.polys import Poly, RationalFn, parse_poly, pdeg, pgcd
 QUAD_D = "T^3-3*T^2+2*T"
 
 #: (p, k) of F_q by q
-FIELDS = {5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2), 27: (3, 3)}
+FIELDS = {
+    5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2), 27: (3, 3), 49: (7, 2), 729: (3, 6)
+}
 
 #: block bounds: 1 keeps t = s; 125 = 5^3 gives F_5, I(T^4 + ..., 3) five
 #: blocks of 125 (s = 2 < t = 3 < m + 1); the last is the default
@@ -373,8 +375,8 @@ def test_kummer_ramified_elements_are_not_divided(monkeypatch):
 
 def test_linear_places_take_no_symbol_one_polynomial_at_a_time(monkeypatch):
     # where the symbol cover's symbols come from Taylor coefficients at its
-    # places, a small prime's symbol is read from its coefficient columns,
-    # an element's from rows per place, and an element with a ramified
+    # places, a small prime's symbol is read from the tables of a_k(h) that
+    # the elements read, an element's from rows per place, and an element with a ramified
     # factor from its unit part.  The only symbols left are those of the
     # product whose places differ: of its ramified primes T - a, on the
     # component that leaves T - a unramified (`coset_class`)
@@ -430,16 +432,20 @@ def test_squares_of_quadratic_primes_with_free_digits():
     assert any(key[:2] == (2, 2) for entries in counts for key, _ in entries)
 
 
-@pytest.mark.parametrize("kind", ["kummer", "artin_schreier"])
+@pytest.mark.parametrize("kind", ["kummer", "artin_schreier", "splitting"])
 def test_unramified_small_primes_skip_coset_class(monkeypatch, kind):
-    # on an abelian cover the sieve reads an unramified small prime's class
-    # from the Artin symbol it computes for the prime anyway; only ramified
-    # small primes, and the cofactors' primes, of degree > s, reach coset_class
+    # the sieve reads an unramified small prime's class from the Artin
+    # symbol it computes for the prime anyway, where the symbol cover's table
+    # gives one: on an abelian cover, and on a quadratic splitting cover,
+    # whose sign pins every cycle type; only ramified small primes, and the
+    # cofactors' primes, of degree > s, reach coset_class
     F25 = make_field(5, 2)
     if kind == "kummer":
         cov = kummer(F25, 2, QUAD_D)
-    else:
+    elif kind == "artin_schreier":
         cov = artin_schreier(F25, RationalFn(Poly.one(F25), parse_poly(F25, "T^2-T")))
+    else:
+        cov = quadratic_splitting(F25, QUAD_D)
     reached = []
     coset_class = Cover.coset_class
 
@@ -451,7 +457,55 @@ def test_unramified_small_primes_skip_coset_class(monkeypatch, kind):
     I = IntervalSpec(parse_poly(F25, "T^4+T"), 1)  # s = t = 2
     _count_range(cov, I, 0, I.size(), 0)
     small = {P for P in reached if pdeg(P) <= 2}
-    assert small and small <= cov._ram, sorted(small - cov._ram)[:3]
+    assert small <= cov._ram, sorted(small - cov._ram)[:3]
+    # a splitting cover excludes the elements its ramified primes divide,
+    # and takes no hit data for them
+    assert small or kind == "splitting"
+
+
+@pytest.mark.parametrize(
+    "q, cover, f0, m, bound, t",
+    [
+        # t > s: the quadratic primes' h have one free digit below the block's
+        (5, ("kummer", 2, QUAD_D), "T^4", 2, intervals._POOL_FLOOR, 3),
+        # t = s = 2: primes as long as the block
+        (5, ("kummer", 2, QUAD_D), "T^4", 2, 1, 2),
+        # a triple pole: four Taylor coefficients at 0, with t = 4 > s = 3
+        (5, ("artin_schreier", "T+1", "T^4-T^3"), "T^7+4*T^6", 3, intervals._POOL_FLOOR, 4),
+        (9, ("artin_schreier", "1", "T^2-T"), "T^4+T", 1, intervals._POOL_FLOOR, 2),
+        # a double pole, t = 3 > s = 2
+        (9, ("artin_schreier", "T+1", "T^3"), "T^4+T^3", 2, intervals._POOL_FLOOR, 3),
+        # a Kummer place and a pole both at 0 (3 = 0 in F_9)
+        (9, ("product", 2, QUAD_D, "1", "T-3"), "T^4+T", 2, intervals._POOL_FLOOR, 3),
+        (49, ("kummer", 2, QUAD_D), "T^4+3*T^3", 1, intervals._POOL_FLOOR, 2),
+        (49, ("product", 2, "T^2-T", "3*T^2+1", "T^2-T"), "T^4+T", 1, intervals._POOL_FLOOR, 2),
+        # t = 1: the linear primes are as long as the block
+        (729, ("kummer", 2, QUAD_D), "T^4", 0, intervals._POOL_FLOOR, 1),
+        (729, ("artin_schreier", "1", "T^2-T"), "T^4", 0, intervals._POOL_FLOOR, 1),
+    ],
+)
+def test_small_prime_symbols_from_tables(monkeypatch, q, cover, f0, m, bound, t):
+    # a small prime Q = T^d + h, deg h < d <= t, has a_k(Q) = a_k(T^d) +
+    # a_k(h), and the sieve reads a_k(h) from the tables its elements read,
+    # at the index of Q's coefficients below T^d: every unramified small
+    # prime's symbol must be its artin_symbol
+    F = make_field(*FIELDS[q])
+    kind, *data = cover
+    if kind == "kummer":
+        cov = kummer(F, *data)
+    elif kind == "artin_schreier":
+        cov = as_cover(q, *data)
+    else:
+        cov = product([kummer(F, *data[:2]), as_cover(q, *data[2:])])
+    monkeypatch.setattr(intervals, "_POOL_FLOOR", bound)
+    sieve = intervals._BlockSieve(cov, IntervalSpec(parse_poly(F, f0), m))
+    assert sieve.t == t and max(pdeg(Q) for Q in sieve.small) == sieve.s
+    checked = 0
+    for Q, art in zip(sieve.small, sieve.arts, strict=True):
+        if Q not in cov._ram:
+            assert art == cov.artin_symbol(Q), Q
+            checked += 1
+    assert checked > len(sieve.small) // 2
 
 
 def test_chunks_that_cut_blocks():

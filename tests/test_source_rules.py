@@ -274,3 +274,36 @@ def test_cover_kind_rule_catches_a_name():
     assert _named_cover_kinds(tree) == [
         "SplittingCover (line 1)", "ProductCover (line 3)", "TrivialCover (line 3)"
     ]
+
+
+def _private_cover_imports(tree: ast.Module) -> list[str]:
+    """`name (line)` for each underscore name imported from `covers`."""
+    return [
+        f"{a.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "covers"
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "covers.py"], ids=lambda p: p.name
+)
+def test_no_module_imports_a_private_cover_name(path):
+    # what a cover computes for others it hands over through its public
+    # attributes (`places`, `symbol_cover()`); a shared helper belongs in
+    # `polys`, not behind an underscore in `covers`
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = _private_cover_imports(tree)
+    assert found == [], f"{path.name}: imports {found}"
+
+
+def test_private_cover_import_rule_catches_a_name():
+    tree = ast.parse(
+        "from .covers import Cover, _taylor\n"
+        "from ffcheb.covers import _as_parts as parts\n"
+        "from .polys import _ddf\n"
+        "from . import covers\n"
+    )
+    assert _private_cover_imports(tree) == ["_taylor (line 1)", "_as_parts (line 2)"]

@@ -152,7 +152,7 @@ def test_disc_with_a_nonsquare_constant():
     # degree has cycle type (2, 1) (one cube root: 3 is prime to 5^d - 1)
     F = make_field(5)
     cov = splitting(F, ["T", "0", "0", "1"])
-    assert not cov._sign.parts and cov._sign._deg_dlog == 1
+    assert not cov._sign.parts and cov._sign.place_symbol.degree_term == 1
     for d in (1, 3):
         for P in primes_of_degree(F, d):
             if P not in cov._ram:
@@ -219,7 +219,7 @@ def test_census_counts_each_degree_against_its_parity(p):
     # degree in (2, 1) looks like an excess of odd classes
     F = make_field(p)
     cov = census_cubic(F)
-    assert not cov._sign.parts and cov._sign._deg_dlog == 1
+    assert not cov._sign.parts and cov._sign.place_symbol.degree_term == 1
     checked = 0
     for d in (1, 2, 3, 4):
         if F.q**d > 2500:
